@@ -4,7 +4,6 @@ oracle backend and a small trainable denoiser."""
 
 from .backends import (ConditioningContext, ContaminatedBackend, DenoiserBackend,
                        OracleBackend, conditional_context, node_affinity,
-                       oracle_cond_score, oracle_uncond_score,
                        unconditional_context)
 from .clustering import (cluster_log_posterior, cluster_scales,
                          default_cluster_count, kmeans)
@@ -27,7 +26,7 @@ from .neural import NetConfig, NeuralDenoiser
 from .checkpoint import load_checkpoint, save_checkpoint
 from .sampler import ImputationResult, TraceRow, emit_trace, impute
 from .training import (TrainConfig, TrainResult, finetune_conditional,
-                       stage1_defaults, stage2_defaults, train_unconditional)
+                       train_unconditional)
 from .world import (GaussianOracleWorld, gaussian_mixture_1d,
                     make_contaminated_scores, make_gaussian_world,
                     observations_from_mask, ring_hops)
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConditioningContext", "ContaminatedBackend", "DenoiserBackend",
     "OracleBackend", "conditional_context", "node_affinity",
-    "oracle_cond_score", "oracle_uncond_score", "unconditional_context",
+    "unconditional_context",
     "cluster_log_posterior", "cluster_scales", "default_cluster_count", "kmeans",
     "NoiseSchedule", "noise_from_score", "q_sample", "quadratic_schedule",
     "reverse_mean", "reverse_step", "score_from_noise", "sincos_embedding",
@@ -55,8 +54,7 @@ __all__ = [
     "NetConfig", "NeuralDenoiser",
     "load_checkpoint", "save_checkpoint",
     "ImputationResult", "TraceRow", "emit_trace", "impute",
-    "TrainConfig", "TrainResult", "finetune_conditional", "stage1_defaults",
-    "stage2_defaults", "train_unconditional",
+    "TrainConfig", "TrainResult", "finetune_conditional", "train_unconditional",
     "GaussianOracleWorld", "gaussian_mixture_1d", "make_contaminated_scores",
     "make_gaussian_world", "observations_from_mask", "ring_hops",
     "__version__",

@@ -26,8 +26,6 @@ __all__ = [
     "DenoiserBackend",
     "OracleBackend",
     "ContaminatedBackend",
-    "oracle_uncond_score",
-    "oracle_cond_score",
     "node_affinity",
 ]
 
@@ -38,8 +36,6 @@ class ConditioningContext:
 
     observed: np.ndarray
     mask: np.ndarray
-    node_embed: np.ndarray | None = None
-    time_embed: np.ndarray | None = None
     is_unconditional: bool = False
 
     def __post_init__(self):
@@ -70,19 +66,16 @@ class ConditioningContext:
         return self.observed.shape[1]
 
 
-def conditional_context(values: np.ndarray, mask: np.ndarray,
-                        node_embed=None, time_embed=None) -> ConditioningContext:
+def conditional_context(values: np.ndarray, mask: np.ndarray) -> ConditioningContext:
     """Context carrying x^o = values*mask (unobserved entries zeroed)."""
     vals = np.asarray(values, dtype=np.float64)
     m = np.asarray(mask)
-    return ConditioningContext(vals * (m == 1), m, node_embed, time_embed, False)
+    return ConditioningContext(vals * (m == 1), m)
 
 
-def unconditional_context(n_nodes: int, n_steps: int,
-                          node_embed=None, time_embed=None) -> ConditioningContext:
+def unconditional_context(n_nodes: int, n_steps: int) -> ConditioningContext:
     zeros = np.zeros((n_nodes, n_steps))
-    return ConditioningContext(zeros, zeros.astype(np.int64), node_embed,
-                               time_embed, True)
+    return ConditioningContext(zeros, zeros.astype(np.int64), is_unconditional=True)
 
 
 def unconditional_like(ctx: ConditioningContext) -> ConditioningContext:
@@ -98,19 +91,6 @@ class DenoiserBackend(ABC):
     def predict(self, x_k: np.ndarray, k: int,
                 ctx: ConditioningContext) -> tuple[np.ndarray, np.ndarray | None]:
         ...
-
-
-def oracle_uncond_score(world: GaussianOracleWorld, x_k: np.ndarray, k: int,
-                        sched: NoiseSchedule) -> np.ndarray:
-    """Exact prior score: -(abar Sigma + (1-abar) I)^-1 (x_k - sqrt(abar) m)."""
-    return world.score(x_k, k, sched, conditional=False)
-
-
-def oracle_cond_score(world: GaussianOracleWorld, x_k: np.ndarray, k: int,
-                      sched: NoiseSchedule) -> np.ndarray:
-    """Exact conditional score via Schur-complement moments; prior score if
-    the world carries no observations."""
-    return world.score(x_k, k, sched, conditional=True)
 
 
 def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule,

@@ -9,74 +9,70 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .backends import OracleBackend
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import (PRESETS, guidance_from, load_world_spec, parse_config_file,
-                     resolve_config, schedule_from, world_from, write_resolved)
-from .diffusion import quadratic_schedule
+from .config import (PRESETS, SCHEMA, STAGES, guidance_from, load_world_spec,
+                     parse_config_file, resolve_config, schedule_from, training_from,
+                     world_from, write_resolved)
 from .errors import (ConfigError, DataError, DivergenceError, InvalidInputError,
                      StateError)
 from .grid import (DatasetSplit, GraphSpec, MaskMatrix, TrafficGrid,
                    chronological_split, load_grid_csv, load_mask_csv,
                    observed_stats, save_grid_csv, save_mask_csv, sliding_windows)
-from .guidance import GuidanceConfig, mode_from_string
 from .masking import MaskPatternConfig, mask_sc_tc, mask_sr_tc
 from .metrics import crps_masked, point_metrics
-from .neural import NetConfig, NeuralDenoiser
+from .neural import NeuralDenoiser
 from .sampler import emit_trace, impute
-from .training import TrainConfig, finetune_conditional, train_unconditional
+from .training import finetune_conditional, train_unconditional
 from .world import observations_from_mask, ring_hops
 
 __all__ = ["main"]
 
 
-# -- shared argument groups ---------------------------------------------------
+# -- flags generated from SCHEMA ----------------------------------------------
 
-def _add_schedule_args(parser):
-    parser.add_argument("--steps", type=int, default=50, help="diffusion steps K")
-    parser.add_argument("--beta1", type=float, default=1e-4, help="minimum noise level")
-    parser.add_argument("--beta-k", type=float, default=0.5, help="maximum noise level")
-    parser.add_argument("--variance-mode", default="beta_tilde",
-                        choices=("beta_tilde", "beta"), help="reverse variance")
-
-
-def _schedule(args):
-    return quadratic_schedule(args.steps, args.beta1, args.beta_k,
-                              variance_mode=args.variance_mode)
+# (section, keys or None for all) whose SCHEMA keys become flags
+_SAMPLING = (("schedule", None), ("guidance", None))
+_IMPUTE_FLAGS = (("experiment", ("seed",)), ("sampler", ("samples", "anchoring")),
+                 *_SAMPLING)
+_TRACE_FLAGS = (("experiment", ("seed",)), ("sampler", ("anchoring",)), *_SAMPLING)
+_TRAIN_FLAGS = (("data", ("stride",)), ("training", None), ("schedule", None))
 
 
-def _add_guidance_args(parser):
-    parser.add_argument("--mode", default="fence",
-                        help="fence | cfg:<lambda> | none")
-    parser.add_argument("--pi", type=float, default=0.5)
-    parser.add_argument("--lambda-ref", type=float, default=1.6)
-    parser.add_argument("--t0", type=float, default=0.8)
-    parser.add_argument("--t1", type=float, default=0.5)
-    parser.add_argument("--alpha-scale", type=float, default=10.0)
-    parser.add_argument("--lambda-max", type=float, default=10.0)
-    parser.add_argument("--scope", default="cluster",
-                        choices=("cluster", "global", "per_node"))
-    parser.add_argument("--clusters", default="auto",
-                        help="cluster count K_c, or auto = N/20")
+def _flag_keys(groups, stage=None):
+    """(section, SCHEMA key, argparse dest) of every generated flag.
+
+    [training] keys of the other stage are skipped and the own stage's
+    suffix is dropped, so both train commands take --epochs, --lr, ...
+    """
+    for section, only in groups:
+        for key in only or SCHEMA[section]:
+            base, _, suffix = key.rpartition("_")
+            if suffix not in STAGES:
+                yield section, key, key
+            elif suffix == stage:
+                yield section, key, base
 
 
-def _guidance(args) -> tuple[GuidanceConfig, int | None]:
-    mode, fixed = mode_from_string(args.mode)
-    gcfg = GuidanceConfig(mode=mode, fixed_lambda=fixed, pi=args.pi,
-                          lambda_ref=args.lambda_ref, t0=args.t0, t1=args.t1,
-                          alpha_scale=args.alpha_scale,
-                          lambda_max=args.lambda_max, scope=args.scope)
-    if args.clusters == "auto":
-        return gcfg, None
-    try:
-        return gcfg, int(args.clusters)
-    except ValueError:
-        raise ConfigError(f"--clusters must be an integer or auto, got {args.clusters!r}") \
-            from None
+def _add_schema_args(parser, groups, stage=None):
+    for section, key, dest in _flag_keys(groups, stage):
+        parse, default, help_text = SCHEMA[section][key]
+        kind = {"choices": parse.choices} if hasattr(parse, "choices") else {"type": parse}
+        parser.add_argument("--" + dest.replace("_", "-"), default=default,
+                            help=help_text, **kind)
+
+
+def _cfg_from(args, groups, stage=None) -> dict:
+    """The config sections behind the generated flags, keyed as in SCHEMA."""
+    cfg: dict[str, dict] = {}
+    for section, key, dest in _flag_keys(groups, stage):
+        cfg.setdefault(section, {})[key] = getattr(args, dest)
+    return cfg
 
 
 def _ring_graph(n_nodes: int) -> GraphSpec:
@@ -90,6 +86,40 @@ def _synth_series(world, length: int) -> np.ndarray:
     reps = math.ceil(length / world.n_steps)
     blocks = [world.sample_clean(rng) for _ in range(reps)]
     return np.concatenate(blocks, axis=1)[:, :length]
+
+
+def _load_masked(path, mask_path) -> tuple[np.ndarray, np.ndarray]:
+    """Grid values and mask entries, with the optional mask CSV applied and
+    every unobserved cell zero-filled."""
+    values, raw_mask = load_grid_csv(path)
+    entries = raw_mask.entries
+    if mask_path:
+        extra = load_mask_csv(mask_path).entries
+        if extra.shape != entries.shape:
+            raise DataError(f"--mask shape {extra.shape} vs grid {entries.shape}")
+        entries = entries * extra
+    return np.where(entries == 1, np.nan_to_num(values), 0.0), entries
+
+
+def _training_split(series, entries, window: int, stride: int,
+                    stats: tuple[float, float] | None = None) -> DatasetSplit:
+    """Chronological train/validation windows, normalized by ``stats`` or by
+    the observed entries of the training segment."""
+    seg_values = chronological_split(series)
+    seg_masks = chronological_split(entries)
+    mean, std = stats or observed_stats(seg_values[0], MaskMatrix(seg_masks[0]))
+
+    def windows(values, mask, step):
+        if values.shape[1] < window:
+            return ()
+        grids = sliding_windows((values - mean) / std, window, step)
+        masks = sliding_windows(mask, window, step)
+        return tuple((g, MaskMatrix(m.values.astype(np.int64)))
+                     for g, m in zip(grids, masks))
+
+    return DatasetSplit(train=windows(seg_values[0], seg_masks[0], stride),
+                        validation=windows(seg_values[1], seg_masks[1], window),
+                        window_length=window, normalization=(mean, std))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -117,47 +147,6 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _load_training_split(args, stats=None) -> tuple[DatasetSplit, float, float]:
-    series, raw_mask = load_grid_csv(args.data)
-    mask_entries = raw_mask.entries
-    if args.mask:
-        extra = load_mask_csv(args.mask).entries
-        if extra.shape != mask_entries.shape:
-            raise DataError(f"--mask shape {extra.shape} vs data {mask_entries.shape}")
-        mask_entries = mask_entries * extra
-    series = np.where(mask_entries == 1, np.nan_to_num(series), 0.0)
-
-    seg_values = chronological_split(series)
-    seg_masks = chronological_split(mask_entries)
-    if stats is None:
-        mean, std = observed_stats(seg_values[0], MaskMatrix(seg_masks[0]))
-    else:
-        mean, std = stats
-
-    def windows(values, mask, stride):
-        if values.shape[1] < args.window:
-            return []
-        grids = sliding_windows((values - mean) / std, args.window, stride)
-        masks = sliding_windows(mask.astype(np.float64), args.window, stride)
-        return [(g, MaskMatrix(m.values.astype(np.int64)))
-                for g, m in zip(grids, masks)]
-
-    split = DatasetSplit(
-        train=tuple(windows(seg_values[0], seg_masks[0], args.stride)),
-        validation=tuple(windows(seg_values[1], seg_masks[1], args.window)),
-        test=tuple(windows(seg_values[2], seg_masks[2], args.window)),
-        window_length=args.window,
-        normalization=(mean, std),
-    )
-    return split, mean, std
-
-
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(epochs=args.epochs, lr=args.lr, patience=args.patience,
-                       weight_decay=args.weight_decay, batch_size=args.batch,
-                       seed=args.seed)
-
-
 def _save_model(path, model: NeuralDenoiser, mean: float, std: float):
     state = model.state_dict()
     state["norm/mean"] = np.float64(mean)
@@ -172,50 +161,37 @@ def _load_model(path) -> tuple[NeuralDenoiser, float, float]:
     return NeuralDenoiser.from_state_dict(state), mean, std
 
 
-def cmd_train_uncond(args) -> int:
-    split, mean, std = _load_training_split(args)
-    sched = _schedule(args)
-    net_cfg = NetConfig(n_nodes=split.train[0][0].n_nodes, d_model=args.d_model,
-                        n_layers=args.layers, n_heads=args.heads)
-    result = train_unconditional(split, _train_config(args), sched=sched,
-                                 net_cfg=net_cfg)
-    _save_model(args.out, result.model, mean, std)
-    print(f"stage-1 finished after {len(result.train_losses)} epochs "
-          f"(best epoch {result.best_epoch})")
+def _train(args, stage: str, fit, stats=None) -> int:
+    """Shared body of train-uncond and finetune-cond; ``fit`` runs the stage."""
+    cfg = _cfg_from(args, _TRAIN_FLAGS, stage)
+    sched = schedule_from(cfg)
+    series, entries = _load_masked(args.data, args.mask)
+    split = _training_split(series, entries, args.window, args.stride, stats)
+    tcfg, net_cfg = training_from(cfg, stage, series.shape[0])
+    result = fit(split, tcfg, sched=sched, net_cfg=net_cfg)
+    _save_model(args.out, result.model, *split.normalization)
+    print(f"stage-{STAGES.index(stage) + 1} finished after "
+          f"{len(result.train_losses)} epochs (best epoch {result.best_epoch})")
     print(f"wrote checkpoint {args.out}")
     return 0
+
+
+def cmd_train_uncond(args) -> int:
+    return _train(args, "uncond", train_unconditional)
 
 
 def cmd_finetune_cond(args) -> int:
-    sched = _schedule(args)
-    if args.init:
-        backend, mean, std = _load_model(args.init)
-        split, mean, std = _load_training_split(args, stats=(mean, std))
-    else:
-        backend = None
-        split, mean, std = _load_training_split(args)
-    net_cfg = NetConfig(n_nodes=split.train[0][0].n_nodes, d_model=args.d_model,
-                        n_layers=args.layers, n_heads=args.heads)
-    result = finetune_conditional(backend, split, _train_config(args),
-                                  sched=sched, net_cfg=net_cfg)
-    _save_model(args.out, result.model, mean, std)
-    print(f"stage-2 finished after {len(result.train_losses)} epochs "
-          f"(best epoch {result.best_epoch})")
-    print(f"wrote checkpoint {args.out}")
-    return 0
+    if not args.init:
+        return _train(args, "cond", partial(finetune_conditional, None))
+    backend, mean, std = _load_model(args.init)
+    return _train(args, "cond", partial(finetune_conditional, backend), (mean, std))
 
 
 def _impute_from_args(args, n_samples: int):
-    sched = _schedule(args)
-    gcfg, n_clusters = _guidance(args)
-    values, raw_mask = load_grid_csv(args.grid)
-    mask_entries = raw_mask.entries
-    if args.mask:
-        extra = load_mask_csv(args.mask).entries
-        if extra.shape != mask_entries.shape:
-            raise DataError(f"--mask shape {extra.shape} vs grid {mask_entries.shape}")
-        mask_entries = mask_entries * extra
-    values = np.where(mask_entries == 1, np.nan_to_num(values), 0.0)
+    cfg = _cfg_from(args, _SAMPLING)
+    sched = schedule_from(cfg)
+    gcfg, n_clusters = guidance_from(cfg)
+    values, mask_entries = _load_masked(args.grid, args.mask)
     mask = MaskMatrix(mask_entries)
 
     mean, std = 0.0, 1.0
@@ -241,7 +217,7 @@ def _impute_from_args(args, n_samples: int):
 
     result = impute(backend, backend_uncond, work_grid, mask, sched, gcfg,
                     n_clusters=n_clusters, n_samples=n_samples, seed=args.seed,
-                    anchoring=args.anchoring, n_threads=args.threads)
+                    anchoring=args.anchoring)
     return result, mean, std
 
 
@@ -320,48 +296,20 @@ def _pipeline_backends(cfg, world, sched, truth_values, mask):
         oracle = OracleBackend(observed_world, sched)
         return oracle, oracle, 0.0, 1.0
 
-    t = cfg["training"]
-    length = cfg["data"]["length"]
-    series = _synth_series(world, length)
-    seg = chronological_split(series)
-    mean, std = observed_stats(seg[0], MaskMatrix(np.ones_like(seg[0], dtype=np.int64)))
-
-    def windows(values, stride):
-        window = world.n_steps
-        if values.shape[1] < window:
-            return ()
-        grids = sliding_windows((values - mean) / std, window, stride)
-        ones = MaskMatrix(np.ones((world.n_nodes, window), dtype=np.int64))
-        return tuple((g, ones) for g in grids)
-
-    split = DatasetSplit(train=windows(seg[0], cfg["data"]["stride"]),
-                         validation=windows(seg[1], world.n_steps),
-                         test=windows(seg[2], world.n_steps),
-                         window_length=world.n_steps,
-                         normalization=(mean, std))
-    net_cfg = NetConfig(n_nodes=world.n_nodes, d_model=t["d_model"],
-                        n_layers=t["layers"], n_heads=t["heads"])
-    stage1 = train_unconditional(
-        split, TrainConfig(epochs=t["epochs_uncond"], lr=t["lr_uncond"],
-                           patience=t["patience_uncond"],
-                           weight_decay=t["weight_decay_uncond"],
-                           batch_size=t["batch"], seed=t["seed"]),
-        sched=sched, net_cfg=net_cfg)
-    stage2 = finetune_conditional(
-        stage1.model, split,
-        TrainConfig(epochs=t["epochs_cond"], lr=t["lr_cond"],
-                    patience=t["patience_cond"],
-                    weight_decay=t["weight_decay_cond"],
-                    batch_size=t["batch"], seed=t["seed"]),
-        sched=sched, net_cfg=net_cfg)
-    return stage2.model, stage1.model, mean, std
+    series = _synth_series(world, cfg["data"]["length"])
+    split = _training_split(series, np.ones(series.shape, dtype=np.int64),
+                            world.n_steps, cfg["data"]["stride"])
+    tcfg, net_cfg = training_from(cfg, "uncond", world.n_nodes)
+    stage1 = train_unconditional(split, tcfg, sched=sched, net_cfg=net_cfg)
+    tcfg, net_cfg = training_from(cfg, "cond", world.n_nodes)
+    stage2 = finetune_conditional(stage1.model, split, tcfg, sched=sched,
+                                  net_cfg=net_cfg)
+    return stage2.model, stage1.model, *split.normalization
 
 
 def cmd_run(args) -> int:
     file_values = parse_config_file(args.config) if args.config else None
     cfg = resolve_config(file_values, args.preset)
-    if args.threads is not None:
-        cfg["sampler"]["threads"] = args.threads
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, out_dir / "config.resolved")
@@ -377,23 +325,20 @@ def cmd_run(args) -> int:
 
     observed = TrafficGrid((truth - mean) * (mask.entries == 1) / std)
     s = cfg["sampler"]
-    seed = cfg["experiment"]["seed"]
+    # trajectory i depends only on (seed, i): the point-metric and the CRPS
+    # ensembles are both prefixes of one run
     result = impute(backend, backend_uncond, observed, mask, sched, gcfg,
-                    n_clusters=n_clusters, n_samples=s["samples"], seed=seed,
-                    anchoring=s["anchoring"], n_threads=s["threads"])
-    emit_trace(result, out_dir / "trace.csv")
+                    n_clusters=n_clusters,
+                    n_samples=max(s["samples"], s["crps_samples"]),
+                    seed=cfg["experiment"]["seed"], anchoring=s["anchoring"])
+    point = result.head(s["samples"])
+    emit_trace(point, out_dir / "trace.csv")
 
     eval_mask = MaskMatrix(1 - mask.entries)
-    prediction = result.mean_imputation.values * std + mean
+    prediction = point.mean_imputation.values * std + mean
     mae, rmse, mape = point_metrics(prediction, truth, eval_mask)
-    if s["crps_samples"] == s["samples"]:
-        crps_result = result
-    else:
-        crps_result = impute(backend, backend_uncond, observed, mask, sched,
-                             gcfg, n_clusters=n_clusters,
-                             n_samples=s["crps_samples"], seed=seed,
-                             anchoring=s["anchoring"], n_threads=s["threads"])
-    stack = np.stack([g.values * std + mean for g in crps_result.samples])
+    stack = np.stack([g.values * std + mean
+                      for g in result.head(s["crps_samples"]).samples])
     crps_value = crps_masked(stack, truth, eval_mask)
 
     line = ",".join(_format_float(v) for v in (mae, rmse, mape, crps_value))
@@ -421,66 +366,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("mask", help="generate an SR-TC or SC-TC mask CSV")
-    p.add_argument("--pattern", default="SR-TC", choices=("SR-TC", "SC-TC"))
+    _add_schema_args(p, (("mask", ("pattern", "patch")),))
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--patch", type=int, default=12)
     p.add_argument("--communities", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=MaskPatternConfig.seed)
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mask)
 
-    def add_train_args(p):
+    def add_train_args(p, stage):
         p.add_argument("--data", required=True, help="grid CSV")
         p.add_argument("--mask", default=None, help="extra observation mask CSV")
-        p.add_argument("--window", type=int, default=12)
-        p.add_argument("--stride", type=int, default=1)
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--lr", type=float)
-        p.add_argument("--patience", type=int)
-        p.add_argument("--weight-decay", type=float)
-        p.add_argument("--batch", type=int, default=8)
-        p.add_argument("--d-model", type=int, default=16)
-        p.add_argument("--layers", type=int, default=2)
-        p.add_argument("--heads", type=int, default=2)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--window", type=int, default=SCHEMA["world"]["steps"][1])
         p.add_argument("--out", required=True, help="checkpoint path")
-        _add_schedule_args(p)
+        _add_schema_args(p, _TRAIN_FLAGS, stage)
 
     p = sub.add_parser("train-uncond", help="stage 1: unconditional denoiser")
-    add_train_args(p)
-    p.set_defaults(func=cmd_train_uncond, epochs=150, lr=2e-3, patience=20,
-                   weight_decay=1e-6)
+    add_train_args(p, "uncond")
+    p.set_defaults(func=cmd_train_uncond)
 
     p = sub.add_parser("finetune-cond", help="stage 2: conditional fine-tune")
-    add_train_args(p)
+    add_train_args(p, "cond")
     p.add_argument("--init", default=None, help="stage-1 checkpoint")
-    p.set_defaults(func=cmd_finetune_cond, epochs=80, lr=1e-3, patience=10,
-                   weight_decay=1e-5)
+    p.set_defaults(func=cmd_finetune_cond)
 
-    def add_impute_args(p, with_samples: bool):
+    def add_impute_args(p, flags):
         p.add_argument("--grid", required=True, help="observed grid CSV")
         p.add_argument("--mask", default=None, help="observation mask CSV")
         p.add_argument("--oracle", default=None, help="Gaussian world spec file")
         p.add_argument("--checkpoint-cond", default=None)
         p.add_argument("--checkpoint-uncond", default=None)
-        if with_samples:
-            p.add_argument("--samples", type=int, default=10)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--anchoring", default="free", choices=("free", "clamp"))
-        p.add_argument("--threads", type=int, default=1)
-        _add_schedule_args(p)
-        _add_guidance_args(p)
+        _add_schema_args(p, flags)
 
     p = sub.add_parser("impute", help="run the guided reverse sampler")
-    add_impute_args(p, with_samples=True)
+    add_impute_args(p, _IMPUTE_FLAGS)
     p.add_argument("--out", required=True, help="mean imputation CSV")
     p.add_argument("--trace-out", default=None)
     p.set_defaults(func=cmd_impute)
 
     p = sub.add_parser("trace", help="single-trajectory run, trace only")
-    add_impute_args(p, with_samples=False)
+    add_impute_args(p, _TRACE_FLAGS)
     p.add_argument("--trace-out", required=True)
     p.set_defaults(func=cmd_trace)
 
@@ -500,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", default=None,
                    help=f"one of: {', '.join(sorted(PRESETS))}")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_run)
 
     return parser

@@ -1,41 +1,58 @@
 """Experiment configuration: flat `key = value` files with [section] headers.
 
-Every key is declared in SCHEMA with its type and default. Unknown sections
-or keys are hard errors so typos cannot silently fall back to defaults.
-`format_resolved` materializes every default in a canonical order; feeding
-the resolved file back in reproduces the exact same configuration.
+Every key is declared in SCHEMA with its type and default; the command-line
+flags of the schedule, guidance, sampler and training settings are generated
+from it too. Defaults the library already declares (GuidanceConfig,
+TrainConfig, NetConfig, quadratic_schedule, impute) are read from there.
+Unknown sections or keys are hard errors so typos cannot silently fall back
+to defaults. `format_resolved` materializes every default in a canonical
+order; feeding the resolved file back in reproduces the exact same
+configuration.
 """
 
 from __future__ import annotations
 
 import configparser
+import inspect
 from pathlib import Path
 
-from .diffusion import NoiseSchedule, quadratic_schedule
+from .diffusion import VARIANCE_MODES, NoiseSchedule, quadratic_schedule
 from .errors import ConfigError, DataError
-from .guidance import GuidanceConfig, mode_from_string
+from .guidance import SCOPES, GuidanceConfig, mode_from_string
+from .masking import PATTERNS
+from .neural import NetConfig
+from .sampler import ANCHORING_MODES, impute
+from .training import TrainConfig
 from .world import GaussianOracleWorld, make_gaussian_world
 
 __all__ = [
-    "SCHEMA", "PRESETS", "parse_config_file", "resolve_config",
+    "SCHEMA", "PRESETS", "STAGES", "parse_config_file", "resolve_config",
     "format_resolved", "write_resolved", "schedule_from", "world_from",
-    "guidance_from", "load_world_spec",
+    "guidance_from", "training_from", "load_world_spec",
 ]
 
 
-def _bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+def _one_of(choices: tuple[str, ...]):
+    """Parser of a string key that must be one of ``choices``."""
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}")
+        return text
+    parse.choices = choices
+    return parse
 
+
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
+
+
+# [training] keys ending in _<stage> belong to one training stage only
+STAGES = ("uncond", "cond")
 
 # section -> key -> (parser, default, help)
 SCHEMA: dict[str, dict[str, tuple]] = {
     "experiment": {
-        "backend": (str, "oracle", "oracle | neural"),
+        "backend": (_one_of(("oracle", "neural")), "oracle", "denoiser backend"),
         "seed": (int, 0, "base seed for truth draw and sampling"),
     },
     "world": {
@@ -51,7 +68,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "stride": (int, 1, "training window stride"),
     },
     "mask": {
-        "pattern": (str, "SR-TC", "SR-TC | SC-TC"),
+        "pattern": (_one_of(PATTERNS), "SR-TC", "block-missing pattern"),
         "alpha": (float, 0.8, "missing rate in [0, 1]"),
         "patch": (int, 12, "temporal patch length"),
         "communities": (int, 0, "SC-TC community count (0 = derive none)"),
@@ -59,41 +76,42 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "schedule": {
         "steps": (int, 50, "diffusion steps K"),
-        "beta1": (float, 1e-4, "minimum noise level"),
-        "beta_k": (float, 0.5, "maximum noise level"),
-        "variance_mode": (str, "beta_tilde", "beta_tilde | beta"),
+        "beta1": (float, _default(quadratic_schedule, "beta1"), "minimum noise level"),
+        "beta_k": (float, _default(quadratic_schedule, "betaK"), "maximum noise level"),
+        "variance_mode": (_one_of(VARIANCE_MODES),
+                          _default(quadratic_schedule, "variance_mode"), "reverse variance"),
     },
     "guidance": {
-        "mode": (str, "fence", "fence | cfg:<lambda> | none"),
-        "pi": (float, 0.5, "prior confidence in (0, 1]"),
-        "lambda_ref": (float, 1.6, "reference scale > 1"),
-        "t0": (float, 0.8, "activation time in (0, 1)"),
-        "t1": (float, 0.5, "peak-update time in (0, 1)"),
-        "alpha_scale": (float, 10.0, "temperature divisor"),
-        "lambda_max": (float, 10.0, "scale clamp"),
-        "scope": (str, "cluster", "cluster | global | per_node"),
+        "mode": (str, GuidanceConfig.mode, "fence | cfg:<lambda> | none"),
+        "pi": (float, GuidanceConfig.pi, "prior confidence in (0, 1]"),
+        "lambda_ref": (float, GuidanceConfig.lambda_ref, "reference scale > 1"),
+        "t0": (float, GuidanceConfig.t0, "activation time in (0, 1)"),
+        "t1": (float, GuidanceConfig.t1, "peak-update time in (0, 1)"),
+        "alpha_scale": (float, GuidanceConfig.alpha_scale, "temperature divisor"),
+        "lambda_max": (float, GuidanceConfig.lambda_max, "scale clamp"),
+        "scope": (_one_of(SCOPES), GuidanceConfig.scope, "how nodes share a scale"),
         "clusters": (str, "auto", "cluster count K_c, or auto = N/20"),
     },
     "sampler": {
-        "samples": (int, 10, "ensemble size S for point metrics"),
-        "crps_samples": (int, 100, "ensemble size for CRPS (reused if equal to samples)"),
-        "anchoring": (str, "free", "free | clamp observed coordinates"),
-        "threads": (int, 1, "trajectory worker threads"),
+        "samples": (int, _default(impute, "n_samples"), "ensemble size S for point metrics"),
+        "crps_samples": (int, 100, "ensemble size for CRPS"),
+        "anchoring": (_one_of(ANCHORING_MODES), _default(impute, "anchoring"),
+                      "re-impose observed coordinates each step (clamp) or not (free)"),
     },
     "training": {
-        "epochs_uncond": (int, 150, "stage-1 epochs"),
-        "lr_uncond": (float, 2e-3, "stage-1 learning rate"),
-        "patience_uncond": (int, 20, "stage-1 early-stop patience"),
-        "weight_decay_uncond": (float, 1e-6, "stage-1 L2 coefficient"),
+        "epochs_uncond": (int, TrainConfig.epochs, "stage-1 epochs"),
+        "lr_uncond": (float, TrainConfig.lr, "stage-1 learning rate"),
+        "patience_uncond": (int, TrainConfig.patience, "stage-1 early-stop patience"),
+        "weight_decay_uncond": (float, TrainConfig.weight_decay, "stage-1 L2 coefficient"),
         "epochs_cond": (int, 80, "stage-2 epochs"),
         "lr_cond": (float, 1e-3, "stage-2 learning rate"),
         "patience_cond": (int, 10, "stage-2 early-stop patience"),
         "weight_decay_cond": (float, 1e-5, "stage-2 L2 coefficient"),
-        "batch": (int, 8, "windows per optimizer step"),
-        "d_model": (int, 16, "model width"),
-        "layers": (int, 2, "attention blocks"),
-        "heads": (int, 2, "attention heads"),
-        "seed": (int, 0, "init and shuffling seed"),
+        "batch": (int, TrainConfig.batch_size, "windows per optimizer step"),
+        "d_model": (int, NetConfig.d_model, "model width"),
+        "layers": (int, NetConfig.n_layers, "attention blocks"),
+        "heads": (int, NetConfig.n_heads, "attention heads"),
+        "seed": (int, TrainConfig.seed, "init and shuffling seed"),
     },
 }
 
@@ -222,11 +240,20 @@ def guidance_from(cfg: dict) -> tuple[GuidanceConfig, int | None]:
             from None
 
 
-WORLD_SPEC_KEYS = ("nodes", "steps", "rho_s", "rho_t", "mean", "seed")
+def training_from(cfg: dict, stage: str, n_nodes: int) -> tuple[TrainConfig, NetConfig]:
+    """Optimizer settings of one stage ("uncond" or "cond") and the network shape."""
+    t = cfg["training"]
+    tcfg = TrainConfig(epochs=t[f"epochs_{stage}"], lr=t[f"lr_{stage}"],
+                       patience=t[f"patience_{stage}"],
+                       weight_decay=t[f"weight_decay_{stage}"],
+                       batch_size=t["batch"], seed=t["seed"])
+    net_cfg = NetConfig(n_nodes=n_nodes, d_model=t["d_model"], n_layers=t["layers"],
+                        n_heads=t["heads"])
+    return tcfg, net_cfg
 
 
 def load_world_spec(path) -> GaussianOracleWorld:
-    """Oracle spec file: flat `key = value` lines, no sections."""
+    """Oracle spec file: flat `key = value` lines, no sections, keys of [world]."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"oracle spec not found: {path}")
@@ -239,17 +266,11 @@ def load_world_spec(path) -> GaussianOracleWorld:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, _, value = text.partition("=")
         key = key.strip()
-        if key not in WORLD_SPEC_KEYS:
+        if key not in SCHEMA["world"]:
             raise ConfigError(f"{path}:{lineno}: unknown oracle key {key!r}")
-        values[key] = value.strip()
+        values[key] = value
+    cfg = resolve_config({"world": values})
     try:
-        return make_gaussian_world(
-            n_nodes=int(values.get("nodes", "6")),
-            n_steps=int(values.get("steps", "12")),
-            spatial_corr=float(values.get("rho_s", "0.6")),
-            temporal_corr=float(values.get("rho_t", "0.8")),
-            mean=float(values.get("mean", "0.0")),
-            seed=int(values.get("seed", "0")),
-        )
+        return world_from(cfg)
     except ValueError as exc:
         raise ConfigError(f"bad oracle spec value: {exc}") from exc

@@ -126,16 +126,15 @@ class GraphSpec:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Chronological train/validation/test windows plus the train normalization.
+    """Chronological train/validation windows plus the train normalization.
 
     Each split is a tuple of (TrafficGrid, MaskMatrix) windows, ordered in
     time and non-interleaved: every training window precedes every
-    validation window, which precedes every test window.
+    validation window.
     """
 
     train: tuple[tuple[TrafficGrid, MaskMatrix], ...]
     validation: tuple[tuple[TrafficGrid, MaskMatrix], ...]
-    test: tuple[tuple[TrafficGrid, MaskMatrix], ...]
     window_length: int
     normalization: tuple[float, float]  # (mean, std)
 
@@ -143,7 +142,7 @@ class DatasetSplit:
         mean, std = self.normalization
         if not (std > 0):
             raise InvalidInputError(f"normalization std must be > 0, got {std}")
-        for name in ("train", "validation", "test"):
+        for name in ("train", "validation"):
             windows = tuple(getattr(self, name))
             for grid, mask in windows:
                 mask.check_matches(grid)

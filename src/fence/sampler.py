@@ -5,13 +5,12 @@ and unconditional noise predictions, recluster nodes on the exported
 attention, turn tracked log-posteriors into per-node guidance scales,
 combine the predictions, take the reverse step, and feed the realized
 sample back into the posterior tracker. Trajectories are independent and
-use per-trajectory RNG streams (seed xor trajectory index), so ensembles
-are reproducible regardless of thread count.
+use per-trajectory RNG streams (seed xor trajectory index), so trajectory i
+is the same whatever the ensemble size.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +46,19 @@ class ImputationResult:
     mean_imputation: TrafficGrid
     traces: tuple[TraceRow, ...]
     anchoring: str = "free"
+
+    def head(self, n: int) -> ImputationResult:
+        """The first n members, as impute with n_samples=n returns them."""
+        if not (1 <= n <= len(self.samples)):
+            raise InvalidInputError(f"need 1 <= n <= {len(self.samples)}, got {n}")
+        rows = len(self.traces) // len(self.samples) * n
+        return _assemble(self.samples[:n], self.traces[:rows], self.anchoring)
+
+
+def _assemble(samples: tuple[TrafficGrid, ...], traces: tuple[TraceRow, ...],
+              anchoring: str) -> ImputationResult:
+    stack = np.stack([s.values for s in samples])
+    return ImputationResult(samples, TrafficGrid(stack.mean(axis=0)), traces, anchoring)
 
 
 def _labels_for_step(attn: np.ndarray | None, n_nodes: int, n_clusters: int,
@@ -142,8 +154,8 @@ def _run_trajectory(traj: int, backend, backend_uncond, observed_values, mask_en
 def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
            observed: TrafficGrid, mask: MaskMatrix, sched: NoiseSchedule,
            gcfg: GuidanceConfig, n_clusters: int | None = None,
-           n_samples: int = 10, seed: int = 0, anchoring: str = "free",
-           n_threads: int = 1) -> ImputationResult:
+           n_samples: int = 10, seed: int = 0,
+           anchoring: str = "free") -> ImputationResult:
     """Generate an ensemble of imputed grids plus per-step trace rows.
 
     ``observed`` carries the known values (anything under mask == 0 is
@@ -169,22 +181,12 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
     # masked values must not leak into conditioning
     masked_values = values * (entries == 1)
 
-    def run(traj: int):
-        return _run_trajectory(traj, backend, backend_uncond, masked_values,
+    outputs = [_run_trajectory(traj, backend, backend_uncond, masked_values,
                                entries, sched, gcfg, n_clusters, seed,
                                anchoring, delta, tau)
-
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            outputs = list(pool.map(run, range(n_samples)))
-    else:
-        outputs = [run(traj) for traj in range(n_samples)]
-
-    samples = tuple(TrafficGrid(x) for x, _ in outputs)
-    traces = tuple(row for _, rows in outputs for row in rows)
-    stack = np.stack([s.values for s in samples])
-    return ImputationResult(samples, TrafficGrid(stack.mean(axis=0)), traces,
-                            anchoring)
+               for traj in range(n_samples)]
+    return _assemble(tuple(TrafficGrid(x) for x, _ in outputs),
+                     tuple(row for _, rows in outputs for row in rows), anchoring)
 
 
 def emit_trace(result: ImputationResult, path) -> None:

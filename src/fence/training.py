@@ -25,7 +25,6 @@ from .neural import NetConfig, NeuralDenoiser
 
 __all__ = [
     "TrainConfig", "TrainResult", "Adam",
-    "stage1_defaults", "stage2_defaults",
     "train_unconditional", "finetune_conditional",
 ]
 
@@ -48,16 +47,6 @@ class TrainConfig:
             raise InvalidInputError("epochs, batch_size >= 1 and patience >= 0 required")
         if not (self.lr > 0.0):
             raise InvalidInputError(f"lr must be > 0, got {self.lr}")
-
-
-def stage1_defaults(**overrides) -> TrainConfig:
-    return TrainConfig(**{**dict(epochs=150, lr=2e-3, patience=20,
-                                 weight_decay=1e-6), **overrides})
-
-
-def stage2_defaults(**overrides) -> TrainConfig:
-    return TrainConfig(**{**dict(epochs=80, lr=1e-3, patience=10,
-                                 weight_decay=1e-5), **overrides})
 
 
 @dataclass

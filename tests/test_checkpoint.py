@@ -2,9 +2,25 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fence import DataError, load_checkpoint, save_checkpoint
+from fence import DataError, load_checkpoint, save_checkpoint, save_grid_csv
 from fence.checkpoint import MAGIC, VERSION
+from fence.cli import main
+
+HEADER = MAGIC + struct.pack("<I", VERSION)
+
+
+def record(name: bytes, dims: tuple[int, ...], payload: bytes) -> bytes:
+    return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(dims))
+            + struct.pack(f"<{len(dims)}Q", *dims) + payload)
+
+
+def impute_exit_code(tmp_path, ckpt) -> int:
+    grid = tmp_path / "grid.csv"
+    save_grid_csv(grid, np.zeros((2, 3)))
+    return main(["impute", "--grid", str(grid), "--checkpoint-uncond", str(ckpt),
+                 "--mode", "none", "--out", str(tmp_path / "out.csv")])
 
 
 def test_round_trip_exact(tmp_path):
@@ -72,3 +88,34 @@ def test_non_contiguous_input_is_saved_correctly(tmp_path):
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, {"v": view})
     np.testing.assert_array_equal(load_checkpoint(path)["v"], view)
+
+
+@pytest.mark.parametrize("body", [
+    record(b"w", (2**40, 2**40), b""),
+    record(b"w", (2**40, 2**40, 0), b""),
+    record(b"\xff\xfe", (1,), struct.pack("<d", 1.0)),
+    record(b"w", (1,), struct.pack("<d", 1.0)) * 2,
+], ids=["count-wraps-int64", "empty-beyond-numpy", "name-not-utf8", "duplicate-name"])
+def test_corrupt_records_rejected(tmp_path, body):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(HEADER + body)
+    with pytest.raises(DataError):
+        load_checkpoint(path)
+    assert impute_exit_code(tmp_path, path) == 3
+
+
+def test_arbitrary_tail_loads_or_exits_3(tmp_path):
+    path = tmp_path / "fuzz.ckpt"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.binary(max_size=64) | st.builds(
+        record, st.binary(max_size=4),
+        st.lists(st.integers(0, 2**64 - 1), max_size=3).map(tuple), st.binary(max_size=24)))
+    def check(tail):
+        path.write_bytes(HEADER + tail)
+        try:
+            load_checkpoint(path)
+        except DataError:
+            assert impute_exit_code(tmp_path, path) == 3
+
+    check()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fence import load_grid_csv, load_mask_csv, save_grid_csv, save_mask_csv, MaskMatrix
-from fence.cli import main
+from fence.cli import build_parser, main
 
 TINY_CONFIG = """\
 [experiment]
@@ -202,3 +202,83 @@ def test_trace_subcommand(tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0] == "k,node,lambda,log_posterior,guidance_norm,cluster_id"
     assert len(lines) == 1 + 8 * 3
+
+
+SCHEDULE_DEFAULTS = {"steps": 50, "beta1": 1e-4, "beta_k": 0.5,
+                     "variance_mode": "beta_tilde"}
+GUIDANCE_DEFAULTS = {"mode": "fence", "pi": 0.5, "lambda_ref": 1.6, "t0": 0.8,
+                     "t1": 0.5, "alpha_scale": 10.0, "lambda_max": 10.0,
+                     "scope": "cluster", "clusters": "auto"}
+BACKEND_DEFAULTS = {"mask": None, "oracle": None, "checkpoint_cond": None,
+                    "checkpoint_uncond": None, "seed": 0, "anchoring": "free"}
+NET_DEFAULTS = {"mask": None, "window": 12, "stride": 1, "batch": 8, "d_model": 16,
+                "layers": 2, "heads": 2, "seed": 0}
+
+# minimal argv -> every parsed default, as the command line has always had them
+CLI_SURFACE = [
+    (["synth", "--spec", "s", "--length", "5", "--out", "o"],
+     {"spec": "s", "length": 5, "out": "o"}),
+    (["mask", "--alpha", "0.5", "--length", "4", "--out", "o"],
+     {"pattern": "SR-TC", "alpha": 0.5, "patch": 12, "communities": None, "seed": 0,
+      "nodes": None, "length": 4, "out": "o"}),
+    (["train-uncond", "--data", "d", "--out", "o"],
+     {"data": "d", "out": "o", "epochs": 150, "lr": 2e-3, "patience": 20,
+      "weight_decay": 1e-6, **NET_DEFAULTS, **SCHEDULE_DEFAULTS}),
+    (["finetune-cond", "--data", "d", "--out", "o"],
+     {"data": "d", "out": "o", "init": None, "epochs": 80, "lr": 1e-3, "patience": 10,
+      "weight_decay": 1e-5, **NET_DEFAULTS, **SCHEDULE_DEFAULTS}),
+    (["impute", "--grid", "g", "--out", "o"],
+     {"grid": "g", "out": "o", "trace_out": None, "samples": 10, **BACKEND_DEFAULTS,
+      **SCHEDULE_DEFAULTS, **GUIDANCE_DEFAULTS}),
+    (["trace", "--grid", "g", "--trace-out", "t"],
+     {"grid": "g", "trace_out": "t", **BACKEND_DEFAULTS, **SCHEDULE_DEFAULTS,
+      **GUIDANCE_DEFAULTS}),
+    (["evaluate", "--pred", "p", "--truth", "t", "--eval-mask", "e", "--out", "o"],
+     {"pred": "p", "truth": "t", "eval_mask": "e", "ensemble_prefix": None, "out": "o",
+      "per_node_out": None}),
+    (["run"], {"config": None, "preset": None, "out_dir": "."}),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CLI_SURFACE, ids=[a[0] for a, _ in CLI_SURFACE])
+def test_cli_defaults_are_pinned(argv, expected):
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed.pop("func").__name__.startswith("cmd_")
+    expected = {"command": argv[0], **expected}
+    assert {k: (type(v), v) for k, v in parsed.items()} == \
+        {k: (type(v), v) for k, v in expected.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["impute", "--grid", "g", "--out", "o", "--threads", "2"],
+    ["trace", "--grid", "g", "--trace-out", "t", "--threads", "2"],
+    ["run", "--threads", "2"],
+    ["impute", "--grid", "g", "--out", "o", "--scope", "nodes"],
+    ["trace", "--grid", "g", "--trace-out", "t", "--variance-mode", "sigma"],
+    ["impute", "--grid", "g", "--out", "o", "--anchoring", "pin"],
+    ["train-uncond", "--data", "d", "--out", "o", "--variance-mode", "sigma"],
+    ["mask", "--alpha", "0.5", "--length", "4", "--out", "o", "--pattern", "X"],
+])
+def test_bad_flags_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("section, line", [
+    ("sampler", "threads = 2"),
+    ("guidance", "scope = nodes"),
+    ("sampler", "anchoring = pin"),
+    ("experiment", "backend = orcale"),
+])
+def test_bad_config_values_exit_2(tmp_path, section, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[{section}]\n{line}\n")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+def test_series_shorter_than_a_training_window_exits_2(tmp_path):
+    data = tmp_path / "short.csv"
+    save_grid_csv(data, np.zeros((3, 15)))  # 9-slice training segment, window 12
+    assert main(["train-uncond", "--data", str(data), "--out", str(tmp_path / "m.fence"),
+                 "--epochs", "1"]) == 2

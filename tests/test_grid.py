@@ -118,15 +118,15 @@ def test_chronological_split_fractions_and_remainder():
 def test_dataset_split_validation():
     g = TrafficGrid(np.zeros((2, 3)))
     m = MaskMatrix(np.ones((2, 3)))
-    split = DatasetSplit(train=((g, m),), validation=(), test=(),
+    split = DatasetSplit(train=((g, m),), validation=(),
                          window_length=3, normalization=(0.0, 1.0))
     assert split.normalization == (0.0, 1.0)
     with pytest.raises(InvalidInputError):
-        DatasetSplit(train=(), validation=(), test=(), window_length=3,
+        DatasetSplit(train=(), validation=(), window_length=3,
                      normalization=(0.0, 0.0))
     bad = MaskMatrix(np.ones((3, 3)))
     with pytest.raises(DataError):
-        DatasetSplit(train=((g, bad),), validation=(), test=(),
+        DatasetSplit(train=((g, bad),), validation=(),
                      window_length=3, normalization=(0.0, 1.0))
 
 

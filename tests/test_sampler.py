@@ -64,16 +64,23 @@ def test_determinism_bit_identical():
     assert not np.array_equal(a.samples[0].values, c.samples[0].values)
 
 
-def test_thread_count_does_not_change_results():
+def test_trajectory_is_independent_of_ensemble_size():
+    # 2 clusters of 4 nodes: k-means runs at every step of every trajectory
     backend, truth, mask, sched = oracle_setup()
     gcfg = GuidanceConfig(mode="fence", scope="cluster")
-    seq = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
-                 n_samples=4, seed=5, n_threads=1)
-    par = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
-                 n_samples=4, seed=5, n_threads=3)
-    for s1, s2 in zip(seq.samples, par.samples):
+    small = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
+                   n_samples=2, seed=5)
+    large = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
+                   n_samples=5, seed=5)
+    for s1, s2 in zip(small.samples, large.samples):
         np.testing.assert_array_equal(s1.values, s2.values)
-    assert seq.traces == par.traces
+    assert small.traces == large.traces[:len(small.traces)]
+    head = large.head(2)
+    assert head.traces == small.traces
+    np.testing.assert_array_equal(head.mean_imputation.values,
+                                  small.mean_imputation.values)
+    with pytest.raises(InvalidInputError):
+        large.head(6)
 
 
 def test_cfg_mode_traces_constant_lambda():

@@ -12,10 +12,9 @@ from fence import (
     finetune_conditional,
     make_gaussian_world,
     quadratic_schedule,
-    stage1_defaults,
-    stage2_defaults,
     train_unconditional,
 )
+from fence.config import resolve_config, training_from
 from fence.training import Adam, _lr_at
 from fence import autodiff as ad
 
@@ -26,7 +25,7 @@ def tiny_split(n_windows=10, n_nodes=3, window=6, seed=0):
     ones = MaskMatrix(np.ones((n_nodes, window), dtype=np.int64))
     wins = tuple((TrafficGrid(world.sample_clean(rng)), ones)
                  for _ in range(n_windows))
-    return DatasetSplit(train=wins[:-2], validation=wins[-2:-1], test=wins[-1:],
+    return DatasetSplit(train=wins[:-2], validation=wins[-2:-1],
                         window_length=window, normalization=(0.0, 1.0))
 
 
@@ -37,10 +36,11 @@ def smoke_cfg(**overrides):
 
 
 def test_stage_defaults():
-    s1 = stage1_defaults()
+    cfg = resolve_config()
+    s1, _ = training_from(cfg, "uncond", n_nodes=3)
     assert (s1.epochs, s1.lr, s1.patience, s1.weight_decay) == (150, 2e-3, 20, 1e-6)
-    s2 = stage2_defaults(epochs=5)
-    assert (s2.epochs, s2.lr, s2.patience, s2.weight_decay) == (5, 1e-3, 10, 1e-5)
+    s2, _ = training_from(cfg, "cond", n_nodes=3)
+    assert (s2.epochs, s2.lr, s2.patience, s2.weight_decay) == (80, 1e-3, 10, 1e-5)
     with pytest.raises(InvalidInputError):
         TrainConfig(epochs=0)
     with pytest.raises(InvalidInputError):
@@ -143,7 +143,7 @@ def test_divergence_reports_step():
 
 def test_empty_training_split_rejected():
     split = tiny_split()
-    empty = DatasetSplit(train=(), validation=split.validation, test=(),
+    empty = DatasetSplit(train=(), validation=split.validation,
                          window_length=6, normalization=(0.0, 1.0))
     with pytest.raises(InvalidInputError):
         train_unconditional(empty, smoke_cfg(), sched=quadratic_schedule(20),

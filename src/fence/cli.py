@@ -156,9 +156,12 @@ def _save_model(path, model: NeuralDenoiser, mean: float, std: float):
 
 def _load_model(path) -> tuple[NeuralDenoiser, float, float]:
     state = load_checkpoint(path)
-    mean = float(state.pop("norm/mean", 0.0))
-    std = float(state.pop("norm/std", 1.0))
-    return NeuralDenoiser.from_state_dict(state), mean, std
+    mean = np.asarray(state.pop("norm/mean", 0.0))
+    std = np.asarray(state.pop("norm/std", 1.0))
+    if mean.shape or std.shape or not (np.isfinite(mean) and np.isfinite(std) and std > 0):
+        raise DataError(f"{path}: norm/mean and norm/std must be finite scalars"
+                        f" with std > 0, got {mean.tolist()!r} and {std.tolist()!r}")
+    return NeuralDenoiser.from_state_dict(state), float(mean), float(std)
 
 
 def _train(args, stage: str, fit, stats=None) -> int:

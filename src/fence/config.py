@@ -144,7 +144,7 @@ def parse_config_file(path) -> dict[str, dict[str, str]]:
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
     out: dict[str, dict[str, str]] = {}
     for section in parser.sections():
@@ -257,8 +257,12 @@ def load_world_spec(path) -> GaussianOracleWorld:
     path = Path(path)
     if not path.exists():
         raise DataError(f"oracle spec not found: {path}")
+    try:
+        content = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(content.splitlines(), 1):
         text = line.strip()
         if not text or text.startswith("#"):
             continue

@@ -257,11 +257,18 @@ def save_grid_csv(path, values: np.ndarray, mask: MaskMatrix | None = None) -> N
             writer.writerow(row)
 
 
+def _read_rows(path: Path) -> list[list[str]]:
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+
+
 def load_grid_csv(path) -> tuple[np.ndarray, MaskMatrix]:
     """Read a grid CSV; returns (values with NaN at raw-missing cells, raw mask)."""
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if not rows:
         raise DataError(f"{path}: empty grid file")
     header = rows[0]
@@ -299,8 +306,7 @@ def save_mask_csv(path, mask: MaskMatrix) -> None:
 
 def load_mask_csv(path) -> MaskMatrix:
     path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_rows(path)
     if len(rows) < 2:
         raise DataError(f"{path}: empty mask file")
     n_steps = len(rows[0])

@@ -126,9 +126,12 @@ def step_at_time(t: float, n_steps: int) -> int:
 
 
 def calibrate_delta(cfg: GuidanceConfig, n_steps: int) -> float:
-    """Per-step offset so the scale first exceeds lambda_ref around time t0.
+    """Per-step drift of log p for which (1-t0)*K steps move log p by log p_ref.
 
-    delta = log((1-pi) * lambda_ref / (lambda_ref - 1)) / ((1-t0) * K).
+    p_ref = (1-pi) * lambda_ref / (lambda_ref - 1) is the p at which the scale
+    law gives lambda = lambda_ref, so delta = log(p_ref) / ((1-t0) * K). This
+    does not make the scale cross lambda_ref at t0: a fresh tracker starts at
+    log p = 0, where lambda = 1/pi.
     """
     if cfg.lambda_ref <= 1.0:
         raise InvalidInputError(f"lambda_ref must be > 1, got {cfg.lambda_ref}")

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .backends import ConditioningContext, DenoiserBackend
 from .diffusion import sincos_embedding
-from .errors import InvalidInputError, StateError
+from .errors import DataError, InvalidInputError, StateError
 
 __all__ = ["NetConfig", "NeuralDenoiser"]
 
@@ -49,8 +49,33 @@ class NetConfig:
             object.__setattr__(self, "d_ff", 2 * self.d_model)
 
 
+_HPARAMS = ("n_nodes", "d_model", "n_layers", "n_heads", "d_ff")
+
+
 def _linear_init(rng, fan_in, fan_out):
     return rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
+
+
+def _param_shapes(cfg: NetConfig):
+    """Yield (name, shape) of every weight, in initialization order."""
+    d = cfg.d_model
+
+    def lin(name, fan_in, fan_out):
+        yield f"{name}/W", (fan_in, fan_out)
+        yield f"{name}/b", (fan_out,)
+
+    yield from lin("in_proj", 3, d)
+    yield from lin("step_proj", EMBED_DIM, d)
+    yield from lin("time_proj", EMBED_DIM, d)
+    yield "node_embed", (cfg.n_nodes, d)
+    for i in range(cfg.n_layers):
+        for kind in ("temporal", "spatial"):
+            for w in ("Wq", "Wk", "Wv", "Wo"):
+                yield f"layer{i}/{kind}/{w}", (d, d)
+        yield from lin(f"layer{i}/ffn/1", d, cfg.d_ff)
+        yield from lin(f"layer{i}/ffn/2", cfg.d_ff, d)
+    yield from lin("head/1", d, d)
+    yield from lin("head/2", d, 1)
 
 
 class NeuralDenoiser(DenoiserBackend):
@@ -71,27 +96,15 @@ class NeuralDenoiser(DenoiserBackend):
 
     def _init_params(self, seed: int):
         rng = np.random.Generator(np.random.Philox(key=seed))
-        d = self.cfg.d_model
         p: dict[str, ad.Tensor] = {}
-
-        def lin(name, fan_in, fan_out, bias=True):
-            p[f"{name}/W"] = ad.parameter(_linear_init(rng, fan_in, fan_out))
-            if bias:
-                p[f"{name}/b"] = ad.parameter(np.zeros(fan_out))
-
-        lin("in_proj", 3, d)
-        lin("step_proj", EMBED_DIM, d)
-        lin("time_proj", EMBED_DIM, d)
-        p["node_embed"] = ad.parameter(
-            rng.standard_normal((self.cfg.n_nodes, d)) / math.sqrt(d))
-        for i in range(self.cfg.n_layers):
-            for kind in ("temporal", "spatial"):
-                for w in ("Wq", "Wk", "Wv", "Wo"):
-                    p[f"layer{i}/{kind}/{w}"] = ad.parameter(_linear_init(rng, d, d))
-            lin(f"layer{i}/ffn/1", d, self.cfg.d_ff)
-            lin(f"layer{i}/ffn/2", self.cfg.d_ff, d)
-        lin("head/1", d, d)
-        lin("head/2", d, 1)
+        for name, shape in _param_shapes(self.cfg):
+            if name.endswith("/b"):
+                value = np.zeros(shape)
+            elif name == "node_embed":
+                value = rng.standard_normal(shape) / math.sqrt(shape[1])
+            else:
+                value = _linear_init(rng, *shape)
+            p[name] = ad.parameter(value)
         # start near zero output so early training is stable
         p["head/2/W"].value = p["head/2/W"].value * 0.01
         self.params = p
@@ -102,40 +115,42 @@ class NeuralDenoiser(DenoiserBackend):
         if self.params is None:
             raise StateError("denoiser has no weights to export")
         state = {name: t.value.copy() for name, t in self.params.items()}
-        state["hparams/n_nodes"] = np.float64(self.cfg.n_nodes)
-        state["hparams/d_model"] = np.float64(self.cfg.d_model)
-        state["hparams/n_layers"] = np.float64(self.cfg.n_layers)
-        state["hparams/n_heads"] = np.float64(self.cfg.n_heads)
-        state["hparams/d_ff"] = np.float64(self.cfg.d_ff)
+        for key in _HPARAMS:
+            state[f"hparams/{key}"] = np.float64(getattr(self.cfg, key))
         return state
 
     @classmethod
     def from_state_dict(cls, state: dict[str, np.ndarray]) -> "NeuralDenoiser":
-        try:
-            cfg = NetConfig(
-                n_nodes=int(state["hparams/n_nodes"]),
-                d_model=int(state["hparams/d_model"]),
-                n_layers=int(state["hparams/n_layers"]),
-                n_heads=int(state["hparams/n_heads"]),
-                d_ff=int(state["hparams/d_ff"]),
-            )
-        except KeyError as exc:
-            raise InvalidInputError(f"checkpoint misses hyperparameter {exc}") from exc
-        model = cls(cfg, seed=0)
-        for name, t in model.params.items():
+        """Model from a state dict; DataError unless it is exactly one model's weights."""
+        hparams = {}
+        for key in _HPARAMS:
+            name = f"hparams/{key}"
             if name not in state:
-                raise InvalidInputError(f"checkpoint misses tensor {name!r}")
-            if state[name].shape != t.value.shape:
-                raise InvalidInputError(
-                    f"tensor {name!r}: checkpoint shape {state[name].shape}"
-                    f" vs model shape {t.value.shape}"
-                )
-            t.value = np.array(state[name], dtype=np.float64)
-        stray = set(state) - set(model.params) - {
-            "hparams/n_nodes", "hparams/d_model", "hparams/n_layers",
-            "hparams/n_heads", "hparams/d_ff"}
+                raise DataError(f"checkpoint misses hyperparameter {name!r}")
+            value = np.asarray(state[name])
+            if value.shape != () or not np.isfinite(value) or value != np.round(value):
+                raise DataError(f"hyperparameter {name!r} must be an integer scalar,"
+                                f" got {value.tolist()!r}")
+            hparams[key] = int(value)
+        try:
+            cfg = NetConfig(**hparams)
+        except InvalidInputError as exc:
+            raise DataError(f"checkpoint hyperparameters: {exc}") from exc
+        # shapes are checked before anything is allocated, so a checkpoint
+        # cannot make the model larger than the tensors it carries
+        params = {}
+        for name, shape in _param_shapes(cfg):
+            if name not in state:
+                raise DataError(f"checkpoint misses tensor {name!r}")
+            if np.shape(state[name]) != shape:
+                raise DataError(f"tensor {name!r}: checkpoint shape {np.shape(state[name])}"
+                                f" vs model shape {shape}")
+            params[name] = ad.parameter(np.array(state[name], dtype=np.float64))
+        stray = set(state) - set(params) - {f"hparams/{key}" for key in _HPARAMS}
         if stray:
-            raise InvalidInputError(f"checkpoint carries unknown tensors {sorted(stray)}")
+            raise DataError(f"checkpoint carries unknown tensors {sorted(stray)}")
+        model = cls.uninitialized(cfg)
+        model.params = params
         return model
 
     def clone(self) -> "NeuralDenoiser":

@@ -3,9 +3,10 @@
 A world is N(m, Sigma) over grids flattened node-major (index = node*T + t),
 with Sigma the Kronecker product of a ring-graph spatial kernel rho_s^hops
 and an AR-style temporal kernel rho_t^|dt|. Because every marginal of the
-forward noising process stays Gaussian, the unconditional and conditional
-scores used by the sampler are exact linear solves here, which is what lets
-the guidance formulas be checked to floating-point accuracy.
+forward noising process stays Gaussian and is diagonal in the eigenbasis of
+its clean law, the unconditional and conditional scores used by the sampler
+are exact here, which is what lets the guidance formulas be checked to
+floating-point accuracy.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, eigh, LinAlgError
 
 from .diffusion import NoiseSchedule
 from .errors import InvalidInputError
@@ -160,36 +161,47 @@ class GaussianOracleWorld:
 
     # -- noised marginals ----------------------------------------------------
 
-    def _marginal(self, k: int, sched: NoiseSchedule, conditional: bool):
-        """Factorized covariance of x_k ~ N(sqrt(abar) m', abar Sigma' + (1-abar) I)."""
-        abar = sched.alpha_bar_at(k)
-        key = ("marg", float(abar), bool(conditional and self.observed_idx))
+    def _eigen(self, conditional: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(m', w, U) of the clean law with cov = U diag(w) U^T, one eigh per law.
+
+        Every noised marginal abar Sigma' + (1-abar) I has the same
+        eigenvectors U and the eigenvalues abar w + 1 - abar, so this one
+        decomposition serves every step.
+        """
+        conditional = bool(conditional and self.observed_idx)
+        key = ("eigen", conditional)
         if key not in self._cache:
             m, s = self._law(conditional)
-            a = abar * s + (1.0 - abar) * np.eye(self.dim)
-            self._cache[key] = (math.sqrt(abar) * m, cho_factor(a, lower=True), a)
+            w, u = eigh(s)
+            self._cache[key] = (m, w, u)
         return self._cache[key]
+
+    def _scaled_coords(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
+                       conditional: bool):
+        """(U, z, v): residual z = U^T (x - sqrt(abar) m') and variances v."""
+        m, w, u = self._eigen(conditional)
+        abar = sched.alpha_bar_at(k)
+        x = np.asarray(x_k, dtype=np.float64).reshape(self.dim)
+        return u, u.T @ (x - math.sqrt(abar) * m), abar * w + (1.0 - abar)
 
     def marginal_moments(self, k: int, sched: NoiseSchedule,
                          conditional: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(mean, covariance) of the step-k noised marginal."""
-        mean_k, _, cov_k = self._marginal(k, sched, conditional)
-        return mean_k, cov_k
+        """(mean, covariance) of x_k ~ N(sqrt(abar) m', abar Sigma' + (1-abar) I)."""
+        abar = sched.alpha_bar_at(k)
+        m, s = self._law(conditional)
+        return math.sqrt(abar) * m, abar * s + (1.0 - abar) * np.eye(self.dim)
 
     def score(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
               conditional: bool = False) -> np.ndarray:
         """Exact gradient of log p_k at x_k (flat NT vector in, vector out)."""
-        x = np.asarray(x_k, dtype=np.float64).reshape(self.dim)
-        mean_k, factor, _ = self._marginal(k, sched, conditional)
-        return -cho_solve(factor, x - mean_k)
+        u, z, v = self._scaled_coords(x_k, k, sched, conditional)
+        return -(u @ (z / v))
 
     def marginal_logpdf(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
                         conditional: bool = False) -> float:
-        x = np.asarray(x_k, dtype=np.float64).reshape(self.dim)
-        mean_k, factor, _ = self._marginal(k, sched, conditional)
-        resid = x - mean_k
-        quad = float(resid @ cho_solve(factor, resid))
-        logdet = 2.0 * float(np.sum(np.log(np.diag(factor[0]))))
+        _, z, v = self._scaled_coords(x_k, k, sched, conditional)
+        quad = float(z @ (z / v))
+        logdet = float(np.sum(np.log(v)))
         return -0.5 * (quad + logdet + self.dim * _LOG_2PI)
 
     # -- exact sampling ------------------------------------------------------
@@ -199,19 +211,6 @@ class GaussianOracleWorld:
         c, lower = self._cache["chol"]
         z = rng.standard_normal(self.dim)
         return self.flat_to_grid(self.mean + np.tril(c) @ z)
-
-    def sample_conditional_clean(self, rng: np.random.Generator) -> np.ndarray:
-        """Exact draw given the observations (observed coordinates pinned)."""
-        if not self.observed_idx:
-            return self.sample_clean(rng)
-        mean_c, cov_c = self.conditional_moments()
-        hid = self.hidden_idx
-        if "chol_cond_hidden" not in self._cache:
-            self._cache["chol_cond_hidden"] = cholesky(
-                cov_c[np.ix_(hid, hid)], lower=True)
-        out = mean_c.copy()
-        out[hid] = out[hid] + self._cache["chol_cond_hidden"] @ rng.standard_normal(hid.size)
-        return self.flat_to_grid(out)
 
 
 def make_gaussian_world(n_nodes: int, n_steps: int, spatial_corr: float,

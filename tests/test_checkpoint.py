@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fence import DataError, load_checkpoint, save_checkpoint, save_grid_csv
+from fence import (DataError, NetConfig, NeuralDenoiser, load_checkpoint, save_checkpoint,
+                   save_grid_csv)
 from fence.checkpoint import MAGIC, VERSION
 from fence.cli import main
 
@@ -101,6 +102,38 @@ def test_corrupt_records_rejected(tmp_path, body):
     path.write_bytes(HEADER + body)
     with pytest.raises(DataError):
         load_checkpoint(path)
+    assert impute_exit_code(tmp_path, path) == 3
+
+
+def _drop_hparams(state):
+    for name in [n for n in state if n.startswith("hparams/")]:
+        del state[name]
+
+
+@pytest.mark.parametrize("edit", [
+    _drop_hparams,
+    lambda s: s.update({"hparams/d_model": np.array([4.0, 4.0])}),
+    lambda s: s.update({"hparams/n_layers": np.float64(np.nan)}),
+    lambda s: s.update({"hparams/n_heads": np.float64(2.5)}),
+    lambda s: s.update({"hparams/n_heads": np.float64(3.0)}),
+    lambda s: s.update({"norm/mean": np.array([0.0, 1.0])}),
+    lambda s: s.update({"norm/std": np.float64(np.inf)}),
+    lambda s: s.update({"norm/std": np.float64(0.0)}),
+    lambda s: s.pop("node_embed"),
+    lambda s: s.update({"node_embed": np.zeros((3, 4))}),
+    lambda s: s.update({"stray/tensor": np.zeros(2)}),
+], ids=["no-hparams", "vector-hparam", "nan-hparam", "fractional-hparam",
+        "heads-do-not-divide", "vector-norm-mean", "infinite-norm-std", "zero-norm-std",
+        "missing-tensor", "misshapen-tensor", "stray-tensor"])
+def test_checkpoint_that_is_not_a_model_exits_3(tmp_path, edit):
+    model = NeuralDenoiser(NetConfig(n_nodes=2, d_model=4, n_layers=1, n_heads=2))
+    state = model.state_dict()
+    state.update({"norm/mean": np.float64(0.0), "norm/std": np.float64(1.0)})
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, state)
+    assert impute_exit_code(tmp_path, path) == 0
+    edit(state)
+    save_checkpoint(path, state)
     assert impute_exit_code(tmp_path, path) == 3
 
 

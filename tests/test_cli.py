@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fence import load_grid_csv, load_mask_csv, save_grid_csv, save_mask_csv, MaskMatrix
 from fence.cli import build_parser, main
@@ -282,3 +283,41 @@ def test_series_shorter_than_a_training_window_exits_2(tmp_path):
     save_grid_csv(data, np.zeros((3, 15)))  # 9-slice training segment, window 12
     assert main(["train-uncond", "--data", str(data), "--out", str(tmp_path / "m.fence"),
                  "--epochs", "1"]) == 2
+
+
+# arbitrary text, and bytes that need not decode as UTF-8 at all
+FILE_BYTES = st.text().map(str.encode) | st.binary()
+
+
+@pytest.mark.parametrize("fuzzed", ["grid", "mask", "oracle"])
+def test_arbitrary_impute_input_exits_0_2_or_3(tmp_path, fuzzed):
+    files = {"grid": "t0,t1,t2,t3\n" + "0.5,,1.5,-2\n" * 3,
+             "mask": "t0,t1,t2,t3\n" + "1,0,0,1\n" * 3,
+             "oracle": WORLD_SPEC}
+    argv = ["impute", "--out", str(tmp_path / "out.csv"), "--steps", "4", "--samples", "1"]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        argv += [f"--{name}", str(tmp_path / name)]
+    assert main(argv) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(FILE_BYTES)
+    def check(payload):
+        (tmp_path / fuzzed).write_bytes(payload)
+        assert main(argv) in (0, 2, 3)
+
+    check()
+
+
+def test_arbitrary_run_config_exits_0_2_or_3(tmp_path):
+    # the text is appended to a tiny config, so a tail that parses keeps the run small
+    cfg = tmp_path / "fuzz.cfg"
+
+    @settings(max_examples=150, deadline=None)
+    @given(FILE_BYTES)
+    def check(tail):
+        cfg.write_bytes(TINY_CONFIG.encode() + tail)
+        argv = ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+        assert main(argv) in (0, 2, 3)
+
+    check()

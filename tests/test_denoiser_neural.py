@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fence import (
+    DataError,
     InvalidInputError,
     NetConfig,
     NeuralDenoiser,
@@ -79,15 +80,15 @@ def test_from_state_dict_validates():
     state = small_model().state_dict()
     missing = dict(state)
     missing.pop("node_embed")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError):
         NeuralDenoiser.from_state_dict(missing)
     wrong = dict(state)
     wrong["node_embed"] = np.zeros((99, 8))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError):
         NeuralDenoiser.from_state_dict(wrong)
     extra = dict(state)
     extra["unexpected"] = np.zeros(2)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DataError):
         NeuralDenoiser.from_state_dict(extra)
 
 

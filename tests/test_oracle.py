@@ -1,14 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import cho_factor, cho_solve
 
 from fence import (
     ConditioningContext,
     ContaminatedBackend,
+    GuidanceConfig,
     InvalidInputError,
+    MaskMatrix,
     OracleBackend,
+    TrafficGrid,
     conditional_context,
     gaussian_mixture_1d,
+    impute,
     make_contaminated_scores,
     make_gaussian_world,
     node_affinity,
@@ -120,17 +127,56 @@ def test_marginal_logpdf_matches_scipy():
     assert world.marginal_logpdf(x, k, sched, False) == pytest.approx(expect, rel=1e-12)
 
 
-def test_sample_conditional_clean_pins_observations():
-    world = make_gaussian_world(3, 2, 0.5, 0.5).observe([1, 4], [2.0, -1.0])
-    rng = np.random.default_rng(7)
-    flat = np.stack([world.grid_to_flat(world.sample_conditional_clean(rng))
-                     for _ in range(200)])
-    np.testing.assert_array_equal(flat[:, 1], 2.0)
-    np.testing.assert_array_equal(flat[:, 4], -1.0)
-    mean_c, cov_c = world.conditional_moments()
-    hid = world.hidden_idx
-    err = np.abs(flat[:, hid].mean(axis=0) - mean_c[hid])
-    assert err.max() < 4 * np.sqrt(np.diag(cov_c)[hid].max() / 200)
+def test_scores_match_dense_cholesky_reference():
+    # reference: a Cholesky factor of each step's dense marginal covariance,
+    # built here from the clean law (the oracle itself only decomposes it once)
+    world = make_gaussian_world(6, 8, 0.6, 0.7, mean=0.4)
+    rng = np.random.default_rng(12)
+    obs = np.sort(rng.choice(world.dim, size=world.dim // 2, replace=False))
+    observed = world.observe(obs, rng.standard_normal(obs.size))
+    sched = quadratic_schedule(50)
+    x = rng.standard_normal(world.dim)
+    laws = {False: (world.mean, world.cov), True: observed.conditional_moments()}
+    for conditional, (m, s) in laws.items():
+        ref_score, ref_logpdf, score, logpdf = [], [], [], []
+        for k in range(1, 51):
+            abar = sched.alpha_bar_at(k)
+            factor = cho_factor(abar * s + (1 - abar) * np.eye(world.dim), lower=True)
+            resid = x - math.sqrt(abar) * m
+            ref_score.append(-cho_solve(factor, resid))
+            logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+            ref_logpdf.append(-0.5 * (resid @ cho_solve(factor, resid) + logdet
+                                      + world.dim * math.log(2 * math.pi)))
+            score.append(observed.score(x, k, sched, conditional))
+            logpdf.append(observed.marginal_logpdf(x, k, sched, conditional))
+        for got, ref in ((score, ref_score), (logpdf, ref_logpdf)):
+            ref = np.asarray(ref)
+            assert np.abs(np.asarray(got) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_oracle_cache_does_not_grow_with_step_count():
+    # the oracle keeps one decomposition per law, not one dense factor per step
+    def dense_arrays_after_impute(n_steps):
+        world = make_gaussian_world(4, 3, 0.5, 0.6)
+        truth = world.sample_clean(np.random.Generator(np.random.Philox(key=2)))
+        mask = np.ones((4, 3), dtype=np.int64)
+        mask[0] = 0
+        idx = np.flatnonzero(mask.reshape(-1) == 1)
+        observed = world.observe(idx, truth.reshape(-1)[idx])
+        sched = quadratic_schedule(n_steps)
+        backend = OracleBackend(observed, sched)
+        impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
+               GuidanceConfig(), n_samples=2, seed=4)
+        arrays, todo = [], list(observed._cache.values())
+        while todo:
+            item = todo.pop()
+            if isinstance(item, tuple):
+                todo.extend(item)
+            elif isinstance(item, np.ndarray):
+                arrays.append(item)
+        return sum(a.size >= world.dim ** 2 for a in arrays)
+
+    assert dense_arrays_after_impute(10) == dense_arrays_after_impute(50)
 
 
 def test_sample_clean_covariance_statistics():

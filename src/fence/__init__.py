@@ -24,7 +24,7 @@ from .masking import MaskPatternConfig, mask_sc_tc, mask_sr_tc, patch_bounds
 from .metrics import crps, crps_masked, point_metrics
 from .neural import NetConfig, NeuralDenoiser
 from .checkpoint import load_checkpoint, save_checkpoint
-from .sampler import ImputationResult, TraceRow, emit_trace, impute
+from .sampler import ImputationResult, emit_trace, impute
 from .training import (TrainConfig, TrainResult, finetune_conditional,
                        train_unconditional)
 from .world import (GaussianOracleWorld, gaussian_mixture_1d,
@@ -53,7 +53,7 @@ __all__ = [
     "crps", "crps_masked", "point_metrics",
     "NetConfig", "NeuralDenoiser",
     "load_checkpoint", "save_checkpoint",
-    "ImputationResult", "TraceRow", "emit_trace", "impute",
+    "ImputationResult", "emit_trace", "impute",
     "TrainConfig", "TrainResult", "finetune_conditional", "train_unconditional",
     "GaussianOracleWorld", "gaussian_mixture_1d", "make_contaminated_scores",
     "make_gaussian_world", "observations_from_mask", "ring_hops",

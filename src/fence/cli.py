@@ -202,6 +202,10 @@ def _impute_from_args(args, n_samples: int):
         if args.checkpoint_cond or args.checkpoint_uncond:
             raise ConfigError("--oracle and checkpoints are mutually exclusive")
         world = load_world_spec(args.oracle)
+        if values.shape != (world.n_nodes, world.n_steps):
+            raise InvalidInputError(
+                f"grid shape {values.shape} does not match the oracle spec's "
+                f"{(world.n_nodes, world.n_steps)}")
         idx, vals = observations_from_mask(values, mask_entries)
         observed_world = world.observe(idx, vals)
         backend = backend_uncond = OracleBackend(observed_world, sched)
@@ -226,7 +230,7 @@ def _impute_from_args(args, n_samples: int):
 
 def cmd_impute(args) -> int:
     result, mean, std = _impute_from_args(args, args.samples)
-    imputed = result.mean_imputation.values * std + mean
+    imputed = result.mean_imputation * std + mean
     save_grid_csv(args.out, imputed)
     if args.trace_out:
         emit_trace(result, args.trace_out)
@@ -338,10 +342,9 @@ def cmd_run(args) -> int:
     emit_trace(point, out_dir / "trace.csv")
 
     eval_mask = MaskMatrix(1 - mask.entries)
-    prediction = point.mean_imputation.values * std + mean
+    prediction = point.mean_imputation * std + mean
     mae, rmse, mape = point_metrics(prediction, truth, eval_mask)
-    stack = np.stack([g.values * std + mean
-                      for g in result.head(s["crps_samples"]).samples])
+    stack = result.head(s["crps_samples"]).samples * std + mean
     crps_value = crps_masked(stack, truth, eval_mask)
 
     line = ",".join(_format_float(v) for v in (mae, rmse, mape, crps_value))

@@ -11,7 +11,8 @@ is the same whatever the ensemble size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -25,40 +26,36 @@ from .guidance import (GuidanceConfig, PosteriorTracker, calibrated_constants,
                        guidance_scale, combine_scores, guidance_gradient_norm,
                        posterior_update)
 
-__all__ = ["TraceRow", "ImputationResult", "impute", "emit_trace"]
+__all__ = ["ImputationResult", "impute", "emit_trace"]
 
 ANCHORING_MODES = ("free", "clamp")
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    k: int
-    node: int
-    lam: float
-    log_posterior: float
-    guidance_norm: float
-    cluster_id: int
-
-
-@dataclass(frozen=True)
 class ImputationResult:
-    samples: tuple[TrafficGrid, ...]
-    mean_imputation: TrafficGrid
-    traces: tuple[TraceRow, ...]
-    anchoring: str = "free"
+    """``samples`` (S, N, T) and the trace ``lam``, ``log_posterior``,
+    ``guidance_norm``, ``cluster_id`` (S, K, N); step index j is reverse step
+    k = K - j, after that step's tracker update. Every array is read-only."""
+
+    samples: np.ndarray
+    lam: np.ndarray
+    log_posterior: np.ndarray
+    guidance_norm: np.ndarray
+    cluster_id: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
+    @property
+    def mean_imputation(self) -> np.ndarray:
+        return self.samples.mean(axis=0)
 
     def head(self, n: int) -> ImputationResult:
         """The first n members, as impute with n_samples=n returns them."""
         if not (1 <= n <= len(self.samples)):
             raise InvalidInputError(f"need 1 <= n <= {len(self.samples)}, got {n}")
-        rows = len(self.traces) // len(self.samples) * n
-        return _assemble(self.samples[:n], self.traces[:rows], self.anchoring)
-
-
-def _assemble(samples: tuple[TrafficGrid, ...], traces: tuple[TraceRow, ...],
-              anchoring: str) -> ImputationResult:
-    stack = np.stack([s.values for s in samples])
-    return ImputationResult(samples, TrafficGrid(stack.mean(axis=0)), traces, anchoring)
+        return ImputationResult(*(getattr(self, f.name)[:n] for f in fields(self)))
 
 
 def _labels_for_step(attn: np.ndarray | None, n_nodes: int, n_clusters: int,
@@ -95,7 +92,7 @@ def _run_trajectory(traj: int, backend, backend_uncond, observed_values, mask_en
     tracker = PosteriorTracker.fresh(n, tau, delta)
     ctx_cond = conditional_context(observed_values, mask_entries)
     ctx_uncond = unconditional_context(n, t)
-    rows: list[TraceRow] = []
+    steps = []
 
     for k in range(sched.n_steps, 0, -1):
         eps_u, _ = _predict(backend_uncond, x, k, ctx_uncond)
@@ -106,12 +103,7 @@ def _run_trajectory(traj: int, backend, backend_uncond, observed_values, mask_en
 
         cluster_ids = np.full(n, -1, dtype=np.int64)
         if gcfg.mode == "fence":
-            if gcfg.scope == "per_node":
-                labels = np.arange(n, dtype=np.int64)
-            elif gcfg.scope == "global":
-                labels = np.zeros(n, dtype=np.int64)
-            else:
-                labels = _labels_for_step(attn, n, n_clusters, seed, traj, k)
+            labels = _labels_for_step(attn, n, n_clusters, seed, traj, k)
             lam = cluster_scales(cluster_log_posterior(tracker, labels), labels, gcfg)
             cluster_ids = labels
         elif gcfg.mode == "cfg":
@@ -143,12 +135,9 @@ def _run_trajectory(traj: int, backend, backend_uncond, observed_values, mask_en
             mean_u = reverse_mean(x, eps_u, k, sched)
             tracker = posterior_update(tracker, x_next, mean_c, mean_u, k, sched)
 
-        for i in range(n):
-            rows.append(TraceRow(k, i, float(lam[i]),
-                                 float(tracker.log_posterior[i]),
-                                 float(gnorm[i]), int(cluster_ids[i])))
+        steps.append((lam, tracker.log_posterior, gnorm, cluster_ids))
         x = x_next
-    return x, rows
+    return x, steps
 
 
 def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
@@ -156,7 +145,7 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
            gcfg: GuidanceConfig, n_clusters: int | None = None,
            n_samples: int = 10, seed: int = 0,
            anchoring: str = "free") -> ImputationResult:
-    """Generate an ensemble of imputed grids plus per-step trace rows.
+    """Generate an ensemble of imputed grids plus its per-step trace.
 
     ``observed`` carries the known values (anything under mask == 0 is
     ignored); conditioning enters through the conditional backend, and with
@@ -177,29 +166,34 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
         n_clusters = default_cluster_count(n)
     if not (1 <= n_clusters <= n):
         raise InvalidInputError(f"n_clusters must lie in [1, {n}], got {n_clusters}")
+    # the global and per-node scopes are the one- and N-cluster partitions
+    n_clusters = {"global": 1, "per_node": n}.get(gcfg.scope, n_clusters)
     delta, tau = calibrated_constants(gcfg, sched) if gcfg.mode == "fence" else (0.0, 0.0)
     # masked values must not leak into conditioning
     masked_values = values * (entries == 1)
 
-    outputs = [_run_trajectory(traj, backend, backend_uncond, masked_values,
-                               entries, sched, gcfg, n_clusters, seed,
-                               anchoring, delta, tau)
-               for traj in range(n_samples)]
-    return _assemble(tuple(TrafficGrid(x) for x, _ in outputs),
-                     tuple(row for _, rows in outputs for row in rows), anchoring)
+    runs = [_run_trajectory(traj, backend, backend_uncond, masked_values,
+                            entries, sched, gcfg, n_clusters, seed,
+                            anchoring, delta, tau)
+            for traj in range(n_samples)]
+    steps = [step for _, trace in runs for step in trace]
+    return ImputationResult(
+        np.stack([x for x, _ in runs]),
+        *(np.stack(column).reshape(n_samples, sched.n_steps, n)
+          for column in zip(*steps)))
 
 
 def emit_trace(result: ImputationResult, path) -> None:
     """Write the trace CSV and one grid CSV per ensemble member beside it."""
-    if not result.traces:
-        raise InvalidInputError("result carries no trace rows")
     path = Path(path)
+    n_steps = result.lam.shape[1]
+    columns = (result.lam, result.log_posterior, result.guidance_norm, result.cluster_id)
+    rows = zip(product(*map(range, result.lam.shape)),
+               *(c.reshape(-1).tolist() for c in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,node,lambda,log_posterior,guidance_norm,cluster_id\n")
-        for row in result.traces:
-            fh.write(f"{row.k},{row.node},{row.lam!r},{row.log_posterior!r},"
-                     f"{row.guidance_norm!r},{row.cluster_id}\n")
+        fh.write("traj,k,node,lambda,log_posterior,guidance_norm,cluster_id\n")
+        for (traj, j, node), lam, logp, gnorm, cluster in rows:
+            fh.write(f"{traj},{n_steps - j},{node},{lam!r},{logp!r},{gnorm!r},{cluster}\n")
     width = len(str(len(result.samples) - 1))
     for i, sample in enumerate(result.samples):
-        save_grid_csv(path.with_name(f"{path.stem}_sample_{i:0{width}d}.csv"),
-                      sample.values)
+        save_grid_csv(path.with_name(f"{path.stem}_sample_{i:0{width}d}.csv"), sample)

@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# the largest N*T a world may have: the oracle keeps dense (NT)^2 float64
+# matrices, 128 MiB each at this size (a 40x48 world has 1920 cells)
+MAX_WORLD_CELLS = 4096
 
 
 def ring_hops(n_nodes: int) -> np.ndarray:
@@ -223,6 +226,11 @@ def make_gaussian_world(n_nodes: int, n_steps: int, spatial_corr: float,
         )
     if n_nodes < 1 or n_steps < 1:
         raise InvalidInputError("world needs at least one node and one step")
+    if n_nodes * n_steps > MAX_WORLD_CELLS:
+        raise InvalidInputError(
+            f"world of {n_nodes} nodes x {n_steps} steps exceeds {MAX_WORLD_CELLS} "
+            f"cells: its dense (NT)^2 covariance would need "
+            f"{8 * (n_nodes * n_steps) ** 2 / 2 ** 30:.3g} GiB")
     spatial = np.power(float(spatial_corr), ring_hops(n_nodes)) if n_nodes > 1 \
         else np.ones((1, 1))
     dt = np.abs(np.arange(n_steps)[:, None] - np.arange(n_steps)[None, :])

@@ -103,7 +103,7 @@ def test_criterion_04_hidden_node_sampling_matches_schur_moments():
     result = impute(backend, backend, TrafficGrid(truth * mask), MaskMatrix(mask),
                     sched, GuidanceConfig(mode="cfg", fixed_lambda=1.0),
                     n_samples=500, seed=0)
-    stack = np.stack([s.values for s in result.samples])
+    stack = result.samples
 
     mean_c, cov_c = observed_world.conditional_moments()
     hid = observed_world.hidden_idx
@@ -132,7 +132,7 @@ def test_criterion_05_mode_identities():
     def run(gcfg, n_clusters=None):
         result = impute(backend, backend, observed, m, sched, gcfg,
                         n_clusters=n_clusters, n_samples=3, seed=11)
-        return np.stack([s.values for s in result.samples])
+        return result.samples
 
     certain = run(GuidanceConfig(mode="fence", scope="global", pi=1.0))
     fixed_one = run(GuidanceConfig(mode="cfg", fixed_lambda=1.0))
@@ -292,7 +292,7 @@ def test_criterion_11_feedback_vs_fixed_scale_report():
                 (GuidanceConfig(mode="cfg", fixed_lambda=1.0), fixed_maes)):
             result = impute(contaminated, oracle, observed, MaskMatrix(mask),
                             sched, gcfg, n_samples=8, seed=seed)
-            bucket.append(np.abs(result.mean_imputation.values[0] - truth[0]).mean())
+            bucket.append(np.abs(result.mean_imputation[0] - truth[0]).mean())
     fence_mae = float(np.mean(fence_maes))
     fixed_mae = float(np.mean(fixed_maes))
     margin = fixed_mae - fence_mae

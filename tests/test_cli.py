@@ -164,6 +164,36 @@ def test_impute_needs_exactly_one_backend_source(tmp_path):
                  str(ckpt), "--out", out]) == 2
 
 
+@pytest.mark.parametrize("nodes, steps", [(100000000, 4), (3, 100000000), (17, 241)])
+def test_oversized_oracle_world_exits_2(tmp_path, capsys, nodes, steps):
+    # 17 x 241 = 4097 cells, one past the bound; nothing of size (NT)^2 is allocated
+    grid = tmp_path / "grid.csv"
+    save_grid_csv(grid, np.zeros((3, 4)))
+    spec = tmp_path / "world.spec"
+    spec.write_text(WORLD_SPEC.replace("nodes = 3", f"nodes = {nodes}")
+                    .replace("steps = 4", f"steps = {steps}"))
+    assert main(["impute", "--grid", str(grid), "--oracle", str(spec),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert "dense (NT)^2 covariance" in capsys.readouterr().err
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(TINY_CONFIG.replace("nodes = 3", f"nodes = {nodes}")
+                   .replace("steps = 4", f"steps = {steps}"))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "dense (NT)^2 covariance" in capsys.readouterr().err
+
+
+def test_grid_that_does_not_match_the_oracle_spec_exits_2(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    save_grid_csv(grid, np.zeros((2, 4)))
+    spec = tmp_path / "world.spec"
+    spec.write_text(WORLD_SPEC)
+    assert main(["impute", "--grid", str(grid), "--oracle", str(spec),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "(2, 4)" in err and "(3, 4)" in err
+    assert "reverse step" not in err
+
+
 def test_impute_oracle_end_to_end(tmp_path):
     spec = tmp_path / "world.spec"
     spec.write_text(WORLD_SPEC)
@@ -182,7 +212,7 @@ def test_impute_oracle_end_to_end(tmp_path):
     values, _ = load_grid_csv(out)
     assert values.shape == (3, 4)
     assert np.isfinite(values).all()
-    assert trace.read_text().startswith("k,node,lambda,")
+    assert trace.read_text().startswith("traj,k,node,lambda,")
     assert (tmp_path / "trace_sample_0.csv").exists()
 
 
@@ -201,7 +231,7 @@ def test_trace_subcommand(tmp_path):
                  "--oracle", str(spec), "--steps", "8",
                  "--trace-out", str(trace)]) == 0
     lines = trace.read_text().splitlines()
-    assert lines[0] == "k,node,lambda,log_posterior,guidance_norm,cluster_id"
+    assert lines[0] == "traj,k,node,lambda,log_posterior,guidance_norm,cluster_id"
     assert len(lines) == 1 + 8 * 3
 
 

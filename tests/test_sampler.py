@@ -16,6 +16,8 @@ from fence import (
 from fence.backends import DenoiserBackend
 from fence.errors import StateError
 
+RESULT_ARRAYS = ("samples", "lam", "log_posterior", "guidance_norm", "cluster_id")
+
 
 def oracle_setup(n=4, t=3, hidden_node=0, seed=1):
     world = make_gaussian_world(n, t, 0.5, 0.6)
@@ -34,22 +36,23 @@ def test_result_shape_and_mean_identity():
     backend, truth, mask, sched = oracle_setup()
     gcfg = GuidanceConfig(mode="fence", scope="global")
     result = impute(backend, backend, truth, mask, sched, gcfg, n_samples=4, seed=3)
-    assert len(result.samples) == 4
-    stack = np.stack([s.values for s in result.samples])
-    np.testing.assert_allclose(result.mean_imputation.values, stack.mean(axis=0),
+    assert result.samples.shape == (4, 4, 3)
+    np.testing.assert_allclose(result.mean_imputation, result.samples.mean(axis=0),
                                atol=1e-12)
-    assert result.anchoring == "free"
+    for name in RESULT_ARRAYS:
+        assert not getattr(result, name).flags.writeable
 
 
 def test_trace_row_count_and_lambda_bounds():
     backend, truth, mask, sched = oracle_setup()
     gcfg = GuidanceConfig(mode="fence", scope="global", lambda_max=8.0)
     result = impute(backend, backend, truth, mask, sched, gcfg, n_samples=1, seed=3)
-    assert len(result.traces) == 50 * 4  # one row per (step, node)
-    lams = np.array([r.lam for r in result.traces])
-    assert (lams >= 1.0).all() and (lams <= 8.0).all()
-    ks = [r.k for r in result.traces]
-    assert ks[0] == 50 and ks[-1] == 1
+    assert result.lam.shape == (1, 50, 4)  # one entry per (trajectory, step, node)
+    assert result.lam.dtype == np.float64 and result.cluster_id.dtype == np.int64
+    assert (result.lam >= 1.0).all() and (result.lam <= 8.0).all()
+    # global scope: every node shares cluster 0 and so one scale per step
+    assert (result.cluster_id == 0).all()
+    assert (result.lam == result.lam[:, :, :1]).all()
 
 
 def test_determinism_bit_identical():
@@ -57,11 +60,10 @@ def test_determinism_bit_identical():
     gcfg = GuidanceConfig(mode="fence", scope="global")
     a = impute(backend, backend, truth, mask, sched, gcfg, n_samples=3, seed=9)
     b = impute(backend, backend, truth, mask, sched, gcfg, n_samples=3, seed=9)
-    for s1, s2 in zip(a.samples, b.samples):
-        np.testing.assert_array_equal(s1.values, s2.values)
-    assert a.traces == b.traces
+    for name in RESULT_ARRAYS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     c = impute(backend, backend, truth, mask, sched, gcfg, n_samples=3, seed=10)
-    assert not np.array_equal(a.samples[0].values, c.samples[0].values)
+    assert not np.array_equal(a.samples[0], c.samples[0])
 
 
 def test_trajectory_is_independent_of_ensemble_size():
@@ -72,13 +74,11 @@ def test_trajectory_is_independent_of_ensemble_size():
                    n_samples=2, seed=5)
     large = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
                    n_samples=5, seed=5)
-    for s1, s2 in zip(small.samples, large.samples):
-        np.testing.assert_array_equal(s1.values, s2.values)
-    assert small.traces == large.traces[:len(small.traces)]
     head = large.head(2)
-    assert head.traces == small.traces
-    np.testing.assert_array_equal(head.mean_imputation.values,
-                                  small.mean_imputation.values)
+    for name in RESULT_ARRAYS:
+        np.testing.assert_array_equal(getattr(small, name), getattr(large, name)[:2])
+        np.testing.assert_array_equal(getattr(head, name), getattr(small, name))
+    np.testing.assert_array_equal(head.mean_imputation, small.mean_imputation)
     with pytest.raises(InvalidInputError):
         large.head(6)
 
@@ -87,19 +87,20 @@ def test_cfg_mode_traces_constant_lambda():
     backend, truth, mask, sched = oracle_setup()
     gcfg = GuidanceConfig(mode="cfg", fixed_lambda=2.5)
     result = impute(backend, backend, truth, mask, sched, gcfg, n_samples=1, seed=2)
-    assert all(r.lam == 2.5 for r in result.traces)
-    assert all(r.log_posterior == 0.0 for r in result.traces)
+    assert (result.lam == 2.5).all()
+    assert (result.log_posterior == 0.0).all()
+    assert (result.cluster_id == -1).all()
 
 
 def test_none_mode_ignores_conditional_backend():
     backend, truth, mask, sched = oracle_setup()
     gcfg = GuidanceConfig(mode="none")
     result = impute(None, backend, truth, mask, sched, gcfg, n_samples=2, seed=2)
-    assert all(r.lam == 0.0 for r in result.traces)
+    assert (result.lam == 0.0).all()
     np.testing.assert_array_equal(
-        result.samples[0].values,
+        result.samples,
         impute(backend, backend, truth, mask, sched, gcfg, n_samples=2,
-               seed=2).samples[0].values)
+               seed=2).samples)
 
 
 def test_clamp_anchoring_pins_observed_cells():
@@ -108,11 +109,10 @@ def test_clamp_anchoring_pins_observed_cells():
     result = impute(backend, backend, truth, mask, sched, gcfg, n_samples=2,
                     seed=4, anchoring="clamp")
     for sample in result.samples:
-        np.testing.assert_array_equal(sample.values[mask.entries == 1],
+        np.testing.assert_array_equal(sample[mask.entries == 1],
                                       truth.values[mask.entries == 1])
-    assert result.anchoring == "clamp"
     free = impute(backend, backend, truth, mask, sched, gcfg, n_samples=2, seed=4)
-    assert not np.array_equal(free.samples[0].values[mask.entries == 1],
+    assert not np.array_equal(free.samples[0][mask.entries == 1],
                               truth.values[mask.entries == 1])
 
 
@@ -174,13 +174,31 @@ def test_emit_trace_layout_and_determinism(tmp_path):
     out = tmp_path / "trace.csv"
     emit_trace(result, out)
     lines = out.read_text().splitlines()
-    assert lines[0] == "k,node,lambda,log_posterior,guidance_norm,cluster_id"
+    assert lines[0] == "traj,k,node,lambda,log_posterior,guidance_norm,cluster_id"
     assert len(lines) == 1 + 2 * 50 * 4
-    assert all(line.split(",")[2] == "1.5" for line in lines[1:])
+    assert all(line.split(",")[3] == "1.5" for line in lines[1:])
     assert (tmp_path / "trace_sample_0.csv").exists()
     assert (tmp_path / "trace_sample_1.csv").exists()
     emit_trace(result, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_text() == out.read_text()
-    with pytest.raises(InvalidInputError):
-        emit_trace(
-            type(result)(result.samples, result.mean_imputation, (), "free"), out)
+
+    # the file parses back to the trace arrays, rows in (traj, k descending, node) order
+    gcfg = GuidanceConfig(mode="fence", scope="cluster")
+    result = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
+                    n_samples=2, seed=6)
+    emit_trace(result, out)
+    columns = list(zip(*(line.split(",") for line in out.read_text().splitlines()[1:])))
+    shape = result.lam.shape
+
+    def column(i, kind):
+        return np.array([kind(v) for v in columns[i]]).reshape(shape)
+
+    traj, step, node = np.indices(shape)
+    np.testing.assert_array_equal(column(0, int), traj)
+    np.testing.assert_array_equal(column(1, int), 50 - step)
+    np.testing.assert_array_equal(column(2, int), node)
+    np.testing.assert_array_equal(column(3, float), result.lam)
+    np.testing.assert_array_equal(column(4, float), result.log_posterior)
+    np.testing.assert_array_equal(column(5, float), result.guidance_norm)
+    np.testing.assert_array_equal(column(6, int), result.cluster_id)
+    assert len(np.unique(result.cluster_id)) == 2

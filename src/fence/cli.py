@@ -17,8 +17,8 @@ import numpy as np
 from .backends import OracleBackend
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (PRESETS, SCHEMA, STAGES, guidance_from, load_world_spec,
-                     parse_config_file, resolve_config, schedule_from, training_from,
-                     world_from, write_resolved)
+                     parse_config_file, read_world_spec, resolve_config, schedule_from,
+                     training_from, world_from, write_resolved)
 from .errors import (ConfigError, DataError, DivergenceError, InvalidInputError,
                      StateError)
 from .grid import (DatasetSplit, GraphSpec, MaskMatrix, TrafficGrid,
@@ -201,11 +201,13 @@ def _impute_from_args(args, n_samples: int):
     if args.oracle:
         if args.checkpoint_cond or args.checkpoint_uncond:
             raise ConfigError("--oracle and checkpoints are mutually exclusive")
-        world = load_world_spec(args.oracle)
-        if values.shape != (world.n_nodes, world.n_steps):
+        # compare shapes before the world's dense covariance is built
+        spec = read_world_spec(args.oracle)["world"]
+        if values.shape != (spec["nodes"], spec["steps"]):
             raise InvalidInputError(
                 f"grid shape {values.shape} does not match the oracle spec's "
-                f"{(world.n_nodes, world.n_steps)}")
+                f"{(spec['nodes'], spec['steps'])}")
+        world = load_world_spec(args.oracle)
         idx, vals = observations_from_mask(values, mask_entries)
         observed_world = world.observe(idx, vals)
         backend = backend_uncond = OracleBackend(observed_world, sched)

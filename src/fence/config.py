@@ -28,7 +28,7 @@ from .world import GaussianOracleWorld, make_gaussian_world
 __all__ = [
     "SCHEMA", "PRESETS", "STAGES", "parse_config_file", "resolve_config",
     "format_resolved", "write_resolved", "schedule_from", "world_from",
-    "guidance_from", "training_from", "load_world_spec",
+    "guidance_from", "training_from", "read_world_spec", "load_world_spec",
 ]
 
 
@@ -252,8 +252,10 @@ def training_from(cfg: dict, stage: str, n_nodes: int) -> tuple[TrainConfig, Net
     return tcfg, net_cfg
 
 
-def load_world_spec(path) -> GaussianOracleWorld:
-    """Oracle spec file: flat `key = value` lines, no sections, keys of [world]."""
+def read_world_spec(path) -> dict[str, dict]:
+    """Oracle spec file: flat `key = value` lines, no sections, keys of [world].
+
+    Returns the resolved config; no world is built."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"oracle spec not found: {path}")
@@ -273,7 +275,12 @@ def load_world_spec(path) -> GaussianOracleWorld:
         if key not in SCHEMA["world"]:
             raise ConfigError(f"{path}:{lineno}: unknown oracle key {key!r}")
         values[key] = value
-    cfg = resolve_config({"world": values})
+    return resolve_config({"world": values})
+
+
+def load_world_spec(path) -> GaussianOracleWorld:
+    """The world of an oracle spec file (see read_world_spec)."""
+    cfg = read_world_spec(path)
     try:
         return world_from(cfg)
     except ValueError as exc:

@@ -31,11 +31,12 @@ __all__ = ["ImputationResult", "impute", "emit_trace"]
 ANCHORING_MODES = ("free", "clamp")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImputationResult:
     """``samples`` (S, N, T) and the trace ``lam``, ``log_posterior``,
     ``guidance_norm``, ``cluster_id`` (S, K, N); step index j is reverse step
-    k = K - j, after that step's tracker update. Every array is read-only."""
+    k = K - j, after that step's tracker update. Every field is a read-only
+    view; the arrays passed in stay as they were."""
 
     samples: np.ndarray
     lam: np.ndarray
@@ -45,7 +46,9 @@ class ImputationResult:
 
     def __post_init__(self):
         for f in fields(self):
-            getattr(self, f.name).setflags(write=False)
+            view = np.asarray(getattr(self, f.name)).view()
+            view.setflags(write=False)
+            object.__setattr__(self, f.name, view)
 
     @property
     def mean_imputation(self) -> np.ndarray:

@@ -167,13 +167,11 @@ def test_impute_needs_exactly_one_backend_source(tmp_path):
 @pytest.mark.parametrize("nodes, steps", [(100000000, 4), (3, 100000000), (17, 241)])
 def test_oversized_oracle_world_exits_2(tmp_path, capsys, nodes, steps):
     # 17 x 241 = 4097 cells, one past the bound; nothing of size (NT)^2 is allocated
-    grid = tmp_path / "grid.csv"
-    save_grid_csv(grid, np.zeros((3, 4)))
     spec = tmp_path / "world.spec"
     spec.write_text(WORLD_SPEC.replace("nodes = 3", f"nodes = {nodes}")
                     .replace("steps = 4", f"steps = {steps}"))
-    assert main(["impute", "--grid", str(grid), "--oracle", str(spec),
-                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert main(["synth", "--spec", str(spec), "--length", "4",
+                 "--out", str(tmp_path / "series.csv")]) == 2
     assert "dense (NT)^2 covariance" in capsys.readouterr().err
     cfg = tmp_path / "big.cfg"
     cfg.write_text(TINY_CONFIG.replace("nodes = 3", f"nodes = {nodes}")
@@ -182,15 +180,31 @@ def test_oversized_oracle_world_exits_2(tmp_path, capsys, nodes, steps):
     assert "dense (NT)^2 covariance" in capsys.readouterr().err
 
 
-def test_grid_that_does_not_match_the_oracle_spec_exits_2(tmp_path, capsys):
+def test_impute_on_an_oversized_oracle_world_exits_2(tmp_path, capsys):
+    # the grid matches the spec's 17 x 241 = 4097 cells, so the size bound stops it
+    grid = tmp_path / "grid.csv"
+    save_grid_csv(grid, np.zeros((17, 241)))
+    spec = tmp_path / "world.spec"
+    spec.write_text(WORLD_SPEC.replace("nodes = 3", "nodes = 17")
+                    .replace("steps = 4", "steps = 241"))
+    assert main(["impute", "--grid", str(grid), "--oracle", str(spec),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert "dense (NT)^2 covariance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes", [3, 100000000])
+def test_grid_that_does_not_match_the_oracle_spec_exits_2(tmp_path, capsys,
+                                                          monkeypatch, nodes):
+    monkeypatch.setattr("fence.cli.load_world_spec",
+                        lambda path: pytest.fail("the world was built"))
     grid = tmp_path / "grid.csv"
     save_grid_csv(grid, np.zeros((2, 4)))
     spec = tmp_path / "world.spec"
-    spec.write_text(WORLD_SPEC)
+    spec.write_text(WORLD_SPEC.replace("nodes = 3", f"nodes = {nodes}"))
     assert main(["impute", "--grid", str(grid), "--oracle", str(spec),
                  "--out", str(tmp_path / "out.csv")]) == 2
     err = capsys.readouterr().err
-    assert "(2, 4)" in err and "(3, 4)" in err
+    assert "(2, 4)" in err and f"({nodes}, 4)" in err
     assert "reverse step" not in err
 
 

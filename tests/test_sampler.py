@@ -4,11 +4,13 @@ import pytest
 from fence import (
     DivergenceError,
     GuidanceConfig,
+    ImputationResult,
     InvalidInputError,
     MaskMatrix,
     OracleBackend,
     TrafficGrid,
     emit_trace,
+    guidance_scale,
     impute,
     make_gaussian_world,
     quadratic_schedule,
@@ -41,6 +43,13 @@ def test_result_shape_and_mean_identity():
                                atol=1e-12)
     for name in RESULT_ARRAYS:
         assert not getattr(result, name).flags.writeable
+    # a result built from the caller's arrays leaves them writable, and
+    # compares by identity rather than elementwise
+    arrays = [np.array(getattr(result, name)) for name in RESULT_ARRAYS]
+    built = ImputationResult(*arrays)
+    assert all(a.flags.writeable for a in arrays)
+    assert not built.samples.flags.writeable
+    assert built != result and built == built
 
 
 def test_trace_row_count_and_lambda_bounds():
@@ -53,6 +62,16 @@ def test_trace_row_count_and_lambda_bounds():
     # global scope: every node shares cluster 0 and so one scale per step
     assert (result.cluster_id == 0).all()
     assert (result.lam == result.lam[:, :, :1]).all()
+    # index j is reverse step k = 50 - j: the first scale reads a fresh tracker
+    # (log p = 0), each later one the tracker of the step before, and k = 1
+    # makes no update
+    assert (result.lam[:, 0] == guidance_scale(0.0, gcfg.pi, gcfg.lambda_max)).all()
+    np.testing.assert_allclose(
+        result.lam[0, 1:, 0],
+        guidance_scale(result.log_posterior[0, :-1].mean(axis=1), gcfg.pi,
+                       gcfg.lambda_max), rtol=1e-12)
+    np.testing.assert_array_equal(result.log_posterior[:, -1], result.log_posterior[:, -2])
+    assert (result.log_posterior[:, -2] != result.log_posterior[:, -3]).all()
 
 
 def test_determinism_bit_identical():

@@ -4,11 +4,16 @@ Just enough machinery for the denoiser network: broadcast-aware arithmetic,
 batched matmul, softmax, relu, reshape/transpose, and concatenation. The
 graph is the tape: every op returns a fresh node holding its parents and
 vector-Jacobian callbacks, and backward() walks the nodes in reverse
-topological order. Framework-free on purpose so the gradients themselves
-are testable against finite differences.
+topological order. Inside ``no_record()`` nodes keep no parents, so
+inference holds no activation longer than the next op needs it.
+Framework-free on purpose so the gradients themselves are testable against
+finite differences.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -17,8 +22,20 @@ from .errors import InvalidInputError
 __all__ = [
     "Tensor", "parameter", "constant", "add", "subtract", "multiply", "matmul",
     "reshape", "transpose", "relu", "softmax", "concat", "sum_all", "scale",
-    "backward", "zero_grads",
+    "backward", "zero_grads", "no_record",
 ]
+
+_RECORDING: ContextVar[bool] = ContextVar("autodiff_recording", default=True)
+
+
+@contextmanager
+def no_record():
+    """Build no tape: nodes made inside keep no parents and cannot backpropagate."""
+    token = _RECORDING.set(False)
+    try:
+        yield
+    finally:
+        _RECORDING.reset(token)
 
 
 class Tensor:
@@ -28,8 +45,8 @@ class Tensor:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         # parents: tuple of (Tensor, vjp) where vjp maps output-grad -> parent-grad
-        self.parents = parents
-        self.requires_grad = requires_grad or any(p.requires_grad for p, _ in parents)
+        self.parents = parents if _RECORDING.get() else ()
+        self.requires_grad = requires_grad or any(p.requires_grad for p, _ in self.parents)
 
     @property
     def shape(self):

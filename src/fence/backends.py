@@ -1,10 +1,13 @@
 """Noise-predictor backends behind one predict(x_k, k, ctx) interface.
 
 The sampler only ever sees this interface, so the exact Gaussian oracle and
-the trained network are interchangeable. Conditioning is carried by the
-context: an unconditional context has zeroed observations and mask, which
-for the oracle selects the prior marginal and for the network reproduces
-the empty-conditioning convention used during stage-1 training.
+the trained network are interchangeable. Every call takes a batch: x_k is
+(B, N, T), one noisy grid per trajectory, and all rows share the step and
+the context, so one call advances a whole ensemble. Conditioning is
+carried by the context: an unconditional context has zeroed observations
+and mask, which for the oracle selects the prior marginal and for the
+network reproduces the empty-conditioning convention used during stage-1
+training.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ class DenoiserBackend(ABC):
     @abstractmethod
     def predict(self, x_k: np.ndarray, k: int,
                 ctx: ConditioningContext) -> tuple[np.ndarray, np.ndarray | None]:
-        ...
+        """eps_hat (B, N, T) for the batch x_k (B, N, T) at step k under the
+        (N, T) context ctx, and the node affinity (B, N, N) or None."""
 
 
 def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule,
@@ -101,12 +105,16 @@ def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule,
     of node i and those of node j; rows are normalized to sum to 1 so the
     matrix plays the same role as the network's spatial attention export.
     """
-    key = ("affinity", float(sched.alpha_bar_at(k)),
-           bool(conditional and world.observed_idx))
+    abar = sched.alpha_bar_at(k)
+    key = ("affinity", abar, bool(conditional and world.observed_idx))
     if key not in world._cache:
-        _, cov_k = world.marginal_moments(k, sched, conditional)
-        std = np.sqrt(np.diag(cov_k))
-        corr = np.abs(cov_k / np.outer(std, std))
+        # the step-k marginal covariance abar S + (1 - abar) I, turned into
+        # absolute correlations in place
+        _, clean_cov = world._law(conditional)
+        corr = abar * clean_cov
+        corr.flat[::world.dim + 1] += 1.0 - abar
+        std = np.sqrt(np.diag(corr))
+        np.abs(np.divide(corr, np.outer(std, std), out=corr), out=corr)
         n, t = world.n_nodes, world.n_steps
         blocks = corr.reshape(n, t, n, t).mean(axis=(1, 3))
         world._cache[key] = blocks / blocks.sum(axis=1, keepdims=True)
@@ -126,16 +134,15 @@ class OracleBackend(DenoiserBackend):
 
     def predict(self, x_k, k, ctx):
         x = np.asarray(x_k, dtype=np.float64)
-        if x.shape != (self.world.n_nodes, self.world.n_steps):
-            raise InvalidInputError(
-                f"expected grid shape {(self.world.n_nodes, self.world.n_steps)},"
-                f" got {x.shape}"
-            )
+        grid = (self.world.n_nodes, self.world.n_steps)
+        if x.ndim != 3 or x.shape[1:] != grid:
+            raise InvalidInputError(f"expected a batch of {grid} grids, got {x.shape}")
         conditional = not ctx.is_unconditional
-        score = self.world.score(x.reshape(-1), k, self.sched, conditional)
+        score = self.world.score(x.reshape(len(x), -1), k, self.sched, conditional)
         eps = noise_from_score(score.reshape(x.shape), k, self.sched)
+        # the affinity depends on the step alone: one read-only matrix for all rows
         attn = node_affinity(self.world, k, self.sched, conditional)
-        return eps, attn
+        return eps, np.broadcast_to(attn, (len(x), *attn.shape))
 
 
 class ContaminatedBackend(DenoiserBackend):

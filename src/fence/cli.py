@@ -202,12 +202,12 @@ def _impute_from_args(args, n_samples: int):
         if args.checkpoint_cond or args.checkpoint_uncond:
             raise ConfigError("--oracle and checkpoints are mutually exclusive")
         # compare shapes before the world's dense covariance is built
-        spec = read_world_spec(args.oracle)["world"]
-        if values.shape != (spec["nodes"], spec["steps"]):
+        spec = read_world_spec(args.oracle)
+        shape = (spec["world"]["nodes"], spec["world"]["steps"])
+        if values.shape != shape:
             raise InvalidInputError(
-                f"grid shape {values.shape} does not match the oracle spec's "
-                f"{(spec['nodes'], spec['steps'])}")
-        world = load_world_spec(args.oracle)
+                f"grid shape {values.shape} does not match the oracle spec's {shape}")
+        world = load_world_spec(spec)
         idx, vals = observations_from_mask(values, mask_entries)
         observed_world = world.observe(idx, vals)
         backend = backend_uncond = OracleBackend(observed_world, sched)

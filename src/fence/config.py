@@ -278,9 +278,10 @@ def read_world_spec(path) -> dict[str, dict]:
     return resolve_config({"world": values})
 
 
-def load_world_spec(path) -> GaussianOracleWorld:
-    """The world of an oracle spec file (see read_world_spec)."""
-    cfg = read_world_spec(path)
+def load_world_spec(spec) -> GaussianOracleWorld:
+    """The world of an oracle spec: a spec file's path, or the config that
+    read_world_spec returned for it, so the file need not be parsed again."""
+    cfg = spec if isinstance(spec, dict) else read_world_spec(spec)
     try:
         return world_from(cfg)
     except ValueError as exc:

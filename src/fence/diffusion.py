@@ -7,6 +7,7 @@ offset once so callers never index raw arrays.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,19 +162,26 @@ def reverse_step(
     mean: np.ndarray,
     k: int,
     sched: NoiseSchedule,
-    rng: np.random.Generator,
+    rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Sample x_{k-1} = mean + sigma_k z; the final step (k=1) is noiseless."""
+    """Sample x_{k-1} = mean + sigma_k z; the final step (k=1) is noiseless.
+
+    x_k and mean are stacks with one row per trajectory, and row i draws its
+    noise from rngs[i] alone, so a row does not depend on the others.
+    """
     x_k = _grid_values(x_k)
     mean = np.asarray(mean, dtype=np.float64)
     _check_same_shape(x_k, mean, "reverse_step")
+    if len(rngs) != len(mean):
+        raise InvalidInputError(f"{len(rngs)} generators for {len(mean)} rows")
     k = sched._check_step(k)
     if k == 1:
         return mean.copy()
     sigma2 = sched.sigma2_at(k)
     if sigma2 == 0.0:
         return mean.copy()
-    return mean + np.sqrt(sigma2) * rng.standard_normal(mean.shape)
+    z = np.stack([rng.standard_normal(mean.shape[1:]) for rng in rngs])
+    return mean + np.sqrt(sigma2) * z
 
 
 def sincos_embedding(position, dim: int) -> np.ndarray:

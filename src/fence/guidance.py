@@ -100,7 +100,8 @@ def mode_from_string(text: str) -> tuple[str, float]:
 
 @dataclass(frozen=True)
 class PosteriorTracker:
-    """Per-node log-posterior state of one trajectory, tracked in log space."""
+    """Per-node log-posterior state, tracked in log space: the N nodes of one
+    trajectory, or the S*N node rows of S trajectories, trajectory-major."""
 
     log_posterior: np.ndarray
     tau: float
@@ -187,24 +188,28 @@ def posterior_update(
 
     log p_i -= tau/(2 sigma_k^2) * (|row_i(x - mean_cond)|^2
                                     - |row_i(x - mean_uncond)|^2) + delta
+
+    x is one (N, T) grid or an (S, N, T) stack; its node rows, in order,
+    pair with the tracked entries.
     """
     x = np.asarray(x_prev, dtype=np.float64)
     mc = np.asarray(mean_cond, dtype=np.float64)
     mu = np.asarray(mean_uncond, dtype=np.float64)
-    if x.shape != mc.shape or x.shape != mu.shape or x.ndim != 2:
+    if x.shape != mc.shape or x.shape != mu.shape or x.ndim not in (2, 3):
         raise InvalidInputError(
             f"posterior_update shapes must match: {x.shape}, {mc.shape}, {mu.shape}"
         )
-    if x.shape[0] != tracker.log_posterior.size:
+    rows = math.prod(x.shape[:-1])
+    if rows != tracker.log_posterior.size:
         raise InvalidInputError(
-            f"{x.shape[0]} rows vs {tracker.log_posterior.size} tracked nodes"
+            f"{rows} rows vs {tracker.log_posterior.size} tracked nodes"
         )
     sigma2 = sched.sigma2_at(k)
     if sigma2 <= 0.0:
         raise InvalidInputError(f"sigma_k^2 = 0 at step {k}: posterior update undefined")
     dc = x - mc
     du = x - mu
-    gap = np.sum(dc * dc, axis=1) - np.sum(du * du, axis=1)
+    gap = (np.sum(dc * dc, axis=-1) - np.sum(du * du, axis=-1)).reshape(rows)
     new_logp = tracker.log_posterior - tracker.tau / (2.0 * sigma2) * gap - tracker.delta
     return replace(tracker, log_posterior=new_logp)
 
@@ -214,27 +219,30 @@ def combine_scores(
 ) -> np.ndarray:
     """Row i of output = eps_uncond_i + lambda_i (eps_cond_i - eps_uncond_i).
 
-    Evaluated as (1-lambda) eps_uncond + lambda eps_cond, which is the same
-    interpolant but exact at lambda = 0 and lambda = 1.
+    The rows are those of an (N, T) grid with lambda (N,), or of an
+    (S, N, T) stack with lambda (S, N). Evaluated as (1-lambda) eps_uncond
+    + lambda eps_cond, which is the same interpolant but exact at lambda = 0
+    and lambda = 1.
     """
     eu = np.asarray(eps_uncond, dtype=np.float64)
     ec = np.asarray(eps_cond, dtype=np.float64)
     lam = np.asarray(lambda_per_node, dtype=np.float64)
-    if eu.shape != ec.shape or eu.ndim != 2:
+    if eu.shape != ec.shape or eu.ndim not in (2, 3):
         raise InvalidInputError(f"combine_scores shapes must match: {eu.shape} vs {ec.shape}")
-    if lam.shape != (eu.shape[0],):
+    if lam.shape != eu.shape[:-1]:
         raise InvalidInputError(f"lambda must have one entry per node, got shape {lam.shape}")
-    lam_col = lam[:, None]
+    lam_col = lam[..., None]
     return (1.0 - lam_col) * eu + lam_col * ec
 
 
 def guidance_gradient_norm(
     eps_uncond: np.ndarray, eps_cond: np.ndarray, k: int, sched: NoiseSchedule
 ) -> np.ndarray:
-    """Per-node L2 norm of the conditional-minus-unconditional score gap."""
+    """Per-node L2 norm of the conditional-minus-unconditional score gap:
+    (N,) for an (N, T) grid, (S, N) for an (S, N, T) stack."""
     eu = np.asarray(eps_uncond, dtype=np.float64)
     ec = np.asarray(eps_cond, dtype=np.float64)
-    if eu.shape != ec.shape or eu.ndim != 2:
+    if eu.shape != ec.shape or eu.ndim not in (2, 3):
         raise InvalidInputError(f"shapes must match: {eu.shape} vs {ec.shape}")
     gap = ec - eu
-    return np.sqrt(np.sum(gap * gap, axis=1)) / np.sqrt(1.0 - sched.alpha_bar_at(k))
+    return np.sqrt(np.sum(gap * gap, axis=-1)) / np.sqrt(1.0 - sched.alpha_bar_at(k))

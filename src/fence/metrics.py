@@ -53,6 +53,22 @@ def point_metrics(pred, truth, eval_mask) -> tuple[float, float, float]:
     return mae, rmse, mape
 
 
+def _crps_cells(stack: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """CRPS of each column of an (S, C) ensemble table against truth (C,).
+
+    One quantile call serves every cell; each cell still sums its levels
+    left to right, as a per-cell loop would.
+    """
+    if len(stack) < 2:
+        raise InvalidInputError(f"CRPS needs at least 2 samples, got {len(stack)}")
+    quantiles = np.quantile(stack, QUANTILE_LEVELS, axis=0)  # (levels, C)
+    total = np.zeros(truth.shape)
+    for level, q in zip(QUANTILE_LEVELS, quantiles):
+        indicator = (truth < q).astype(np.float64)
+        total += 2.0 * (level - indicator) * (truth - q)
+    return total / len(QUANTILE_LEVELS)
+
+
 def crps(samples, truth: float) -> float:
     """Discrete CRPS: (1/19) sum_i 2 L_{0.05i} with empirical quantiles.
 
@@ -60,16 +76,8 @@ def crps(samples, truth: float) -> float:
     empirical quantiles of the sample. The 19-level grid follows the
     source formulation even though ensembles typically carry ~100 draws.
     """
-    s = np.asarray(samples, dtype=np.float64).reshape(-1)
-    if s.size < 2:
-        raise InvalidInputError(f"CRPS needs at least 2 samples, got {s.size}")
-    x = float(truth)
-    total = 0.0
-    for level in QUANTILE_LEVELS:
-        q = float(np.quantile(s, level))
-        indicator = 1.0 if x < q else 0.0
-        total += 2.0 * (level - indicator) * (x - q)
-    return total / len(QUANTILE_LEVELS)
+    s = np.asarray(samples, dtype=np.float64).reshape(-1, 1)
+    return float(_crps_cells(s, np.array([float(truth)]))[0])
 
 
 def crps_masked(sample_stack, truth, eval_mask) -> float:
@@ -88,6 +96,6 @@ def crps_masked(sample_stack, truth, eval_mask) -> float:
     if rows.size == 0:
         raise InvalidInputError("eval_mask selects no entries")
     total = 0.0
-    for i, j in zip(rows, cols):
-        total += crps(stack[:, i, j], t[i, j])
+    for value in _crps_cells(stack[:, rows, cols], t[rows, cols]).tolist():
+        total += value  # one cell at a time, row-major: np.sum would regroup the additions
     return total / rows.size

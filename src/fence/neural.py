@@ -164,30 +164,40 @@ class NeuralDenoiser(DenoiserBackend):
     # -- forward -------------------------------------------------------------
 
     def _attention(self, h: ad.Tensor, prefix: str) -> tuple[ad.Tensor, np.ndarray]:
-        """Multi-head self-attention over axis 1 of (B, L, d); returns probs."""
+        """Multi-head self-attention over axis -2 of (..., L, d); returns probs."""
         p = self.params
-        b, length, d = h.shape
+        *lead, length, d = h.shape
         heads = self.cfg.n_heads
         dh = d // heads
+        m = len(lead)
+        swap = (*range(m), m + 1, m, m + 2)  # (..., L, heads, dh) <-> (..., heads, L, dh)
 
         def split(name):
             proj = ad.matmul(h, p[f"{prefix}/{name}"])
-            return ad.transpose(ad.reshape(proj, (b, length, heads, dh)), (0, 2, 1, 3))
+            return ad.transpose(ad.reshape(proj, (*lead, length, heads, dh)), swap)
 
         q, k, v = split("Wq"), split("Wk"), split("Wv")
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-        probs = ad.softmax(scores)  # (B, heads, L, L)
-        mixed = ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3))
-        out = ad.matmul(ad.reshape(mixed, (b, length, d)), p[f"{prefix}/Wo"])
+        k_t = ad.transpose(k, (*range(m + 1), m + 2, m + 1))
+        scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))
+        probs = ad.softmax(scores)  # (..., heads, L, L)
+        mixed = ad.transpose(ad.matmul(probs, v), swap)
+        out = ad.matmul(ad.reshape(mixed, (*lead, length, d)), p[f"{prefix}/Wo"])
         return out, probs.value
 
     def forward_tensor(self, x_k: np.ndarray, k: int,
                        ctx: ConditioningContext) -> tuple[ad.Tensor, np.ndarray]:
-        """Build the tape; returns (eps_hat tensor (N,T), attention ndarray (N,N))."""
+        """Build the tape for a batch x_k (B, N, T) under one (N, T) context.
+
+        Returns the eps_hat tensor (B, N, T) and the attention ndarray
+        (B, N, N). Rows do not interact, so row i is the same whatever the
+        rest of the batch holds.
+        """
         if self.params is None:
             raise StateError("denoiser weights are uninitialized; load or train first")
         x = np.asarray(x_k, dtype=np.float64)
-        n, t = x.shape
+        if x.ndim != 3:
+            raise InvalidInputError(f"expected a (B, N, T) batch, got shape {x.shape}")
+        b, n, t = x.shape
         if n != self.cfg.n_nodes:
             raise InvalidInputError(
                 f"model was built for {self.cfg.n_nodes} nodes, got {n}")
@@ -195,28 +205,33 @@ class NeuralDenoiser(DenoiserBackend):
             raise InvalidInputError(
                 f"context shape {ctx.observed.shape} vs input {x.shape}")
         p = self.params
+        d = self.cfg.d_model
 
-        feats = np.stack([x, ctx.observed, ctx.mask.astype(np.float64)], axis=-1)
+        feats = np.stack(np.broadcast_arrays(x, ctx.observed,
+                                             ctx.mask.astype(np.float64)), axis=-1)
         h = ad.add(ad.matmul(ad.constant(feats), p["in_proj/W"]), p["in_proj/b"])
 
         step_vec = sincos_embedding(np.array([float(k)]), EMBED_DIM)  # (1, EMBED)
         step_emb = ad.add(ad.matmul(ad.constant(step_vec), p["step_proj/W"]),
                           p["step_proj/b"])
-        h = ad.add(h, ad.reshape(step_emb, (1, 1, self.cfg.d_model)))
+        h = ad.add(h, ad.reshape(step_emb, (1, 1, 1, d)))
 
         time_vec = sincos_embedding(np.arange(t, dtype=np.float64), EMBED_DIM)
         time_emb = ad.add(ad.matmul(ad.constant(time_vec), p["time_proj/W"]),
                           p["time_proj/b"])
-        h = ad.add(h, ad.reshape(time_emb, (1, t, self.cfg.d_model)))
-        h = ad.add(h, ad.reshape(p["node_embed"], (n, 1, self.cfg.d_model)))
+        h = ad.add(h, ad.reshape(time_emb, (1, 1, t, d)))
+        h = ad.add(h, ad.reshape(p["node_embed"], (1, n, 1, d)))
 
+        # attention runs over axis -2 of the 4-D activations rather than on
+        # reshaped (B*N, T, d) copies: extra reshape nodes on the tape would
+        # change the order in which backward sums gradients
         spatial_probs = None
         for i in range(self.cfg.n_layers):
-            attn_out, _ = self._attention(h, f"layer{i}/temporal")
+            attn_out, _ = self._attention(h, f"layer{i}/temporal")  # per (row, node)
             h = ad.add(h, attn_out)
-            h_sp = ad.transpose(h, (1, 0, 2))  # (T, N, d)
+            h_sp = ad.transpose(h, (0, 2, 1, 3))  # (B, T, N, d): per (row, slice)
             attn_out, spatial_probs = self._attention(h_sp, f"layer{i}/spatial")
-            h = ad.transpose(ad.add(h_sp, attn_out), (1, 0, 2))
+            h = ad.transpose(ad.add(h_sp, attn_out), (0, 2, 1, 3))
             ff = ad.add(ad.matmul(h, p[f"layer{i}/ffn/1/W"]), p[f"layer{i}/ffn/1/b"])
             ff = ad.add(ad.matmul(ad.relu(ff), p[f"layer{i}/ffn/2/W"]),
                         p[f"layer{i}/ffn/2/b"])
@@ -224,11 +239,14 @@ class NeuralDenoiser(DenoiserBackend):
 
         head = ad.relu(ad.add(ad.matmul(h, p["head/1/W"]), p["head/1/b"]))
         eps = ad.add(ad.matmul(head, p["head/2/W"]), p["head/2/b"])
-        eps = ad.reshape(eps, (n, t))
-        # (T, heads, N, N) -> row-stochastic (N, N)
-        attn = spatial_probs.mean(axis=(0, 1))
+        eps = ad.reshape(eps, (b, n, t))
+        # (B, T, heads, N, N) -> one row-stochastic (N, N) per batch row
+        attn = spatial_probs.mean(axis=(1, 2))
         return eps, attn
 
     def predict(self, x_k, k, ctx):
-        eps, attn = self.forward_tensor(x_k, k, ctx)
+        # no tape: a tape over a whole ensemble would hold every activation
+        # of every row until the call returns
+        with ad.no_record():
+            eps, attn = self.forward_tensor(x_k, k, ctx)
         return eps.value, attn

@@ -1,12 +1,13 @@
 """The reverse-diffusion imputation loop with feedback-controlled guidance.
 
-Per trajectory: start at pure noise, and at every step query conditional
-and unconditional noise predictions, recluster nodes on the exported
-attention, turn tracked log-posteriors into per-node guidance scales,
-combine the predictions, take the reverse step, and feed the realized
-sample back into the posterior tracker. Trajectories are independent and
-use per-trajectory RNG streams (seed xor trajectory index), so trajectory i
-is the same whatever the ensemble size.
+All trajectories advance together, one reverse step at a time: start at
+pure noise, and at every step query the unconditional and the conditional
+noise predictions for the whole ensemble in one call each, recluster each
+trajectory's nodes on the exported attention, turn tracked log-posteriors
+into per-node guidance scales, combine the predictions, take the reverse
+step, and feed the realized samples back into the posterior tracker. Each
+trajectory draws from its own RNG stream (seed xor trajectory index) in a
+fixed order, so trajectory i is the same whatever the ensemble size.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from .diffusion import NoiseSchedule, q_sample, reverse_mean, reverse_step
 from .errors import DivergenceError, FenceError, InvalidInputError
 from .grid import MaskMatrix, TrafficGrid, save_grid_csv
 from .guidance import (GuidanceConfig, PosteriorTracker, calibrated_constants,
-                       guidance_scale, combine_scores, guidance_gradient_norm,
-                       posterior_update)
+                       combine_scores, guidance_gradient_norm, posterior_update)
 
 __all__ = ["ImputationResult", "impute", "emit_trace"]
 
@@ -61,22 +61,30 @@ class ImputationResult:
         return ImputationResult(*(getattr(self, f.name)[:n] for f in fields(self)))
 
 
-def _labels_for_step(attn: np.ndarray | None, n_nodes: int, n_clusters: int,
-                     seed: int, traj: int, k: int) -> np.ndarray:
+def _step_labels(attn: np.ndarray | None, n_samples: int, n_nodes: int,
+                 n_clusters: int, seed: int, k: int) -> np.ndarray:
+    """(S, N) cluster ids of every trajectory at reverse step k."""
     # the two degenerate partitions need no Lloyd run and anchor the
     # exact global / per-node ablation identities
     if n_clusters == 1:
-        return np.zeros(n_nodes, dtype=np.int64)
+        return np.zeros((n_samples, n_nodes), dtype=np.int64)
     if n_clusters == n_nodes:
-        return np.arange(n_nodes, dtype=np.int64)
+        return np.tile(np.arange(n_nodes, dtype=np.int64), (n_samples, 1))
     if attn is None:
         raise InvalidInputError(
             "backend exports no attention; cluster scope needs it "
             "(use scope=global or per_node)")
-    kmeans_seed = ((seed ^ traj) << 32) + k  # distinct stream per (traj, step)
-    labels, _ = kmeans(np.asarray(attn, dtype=np.float64), n_clusters,
-                       seed=kmeans_seed)
-    return labels
+    # distinct k-means stream per (trajectory, step)
+    return np.stack([kmeans(attn[traj], n_clusters, seed=((seed ^ traj) << 32) + k)[0]
+                     for traj in range(n_samples)])
+
+
+def _step_scales(tracker: PosteriorTracker, labels: np.ndarray,
+                 gcfg: GuidanceConfig) -> np.ndarray:
+    """(S, N) guidance scales; each trajectory pools only its own clusters."""
+    s, n = labels.shape
+    ids = (labels + (labels.max() + 1) * np.arange(s)[:, None]).reshape(-1)
+    return cluster_scales(cluster_log_posterior(tracker, ids), ids, gcfg).reshape(s, n)
 
 
 def _predict(backend: DenoiserBackend, x, k, ctx):
@@ -84,63 +92,6 @@ def _predict(backend: DenoiserBackend, x, k, ctx):
         return backend.predict(x, k, ctx)
     except FenceError as exc:
         raise type(exc)(f"backend failed at reverse step {k}: {exc}") from exc
-
-
-def _run_trajectory(traj: int, backend, backend_uncond, observed_values, mask_entries,
-                    sched: NoiseSchedule, gcfg: GuidanceConfig, n_clusters: int,
-                    seed: int, anchoring: str, delta: float, tau: float):
-    n, t = observed_values.shape
-    rng = np.random.Generator(np.random.Philox(key=seed ^ traj))
-    x = rng.standard_normal((n, t))
-    tracker = PosteriorTracker.fresh(n, tau, delta)
-    ctx_cond = conditional_context(observed_values, mask_entries)
-    ctx_uncond = unconditional_context(n, t)
-    steps = []
-
-    for k in range(sched.n_steps, 0, -1):
-        eps_u, _ = _predict(backend_uncond, x, k, ctx_uncond)
-        if gcfg.mode == "none":
-            eps_c, attn = eps_u, None
-        else:
-            eps_c, attn = _predict(backend, x, k, ctx_cond)
-
-        cluster_ids = np.full(n, -1, dtype=np.int64)
-        if gcfg.mode == "fence":
-            labels = _labels_for_step(attn, n, n_clusters, seed, traj, k)
-            lam = cluster_scales(cluster_log_posterior(tracker, labels), labels, gcfg)
-            cluster_ids = labels
-        elif gcfg.mode == "cfg":
-            lam = np.full(n, float(gcfg.fixed_lambda))
-        else:
-            lam = np.zeros(n)
-
-        eps_mix = combine_scores(eps_u, eps_c, lam)
-        gnorm = guidance_gradient_norm(eps_u, eps_c, k, sched)
-        mean = reverse_mean(x, eps_mix, k, sched)
-        x_next = reverse_step(x, mean, k, sched, rng)
-
-        if anchoring == "clamp":
-            # re-impose the observed coordinates at their step-(k-1) law;
-            # the noise draw is full-shape to keep the stream mask-independent
-            noise = rng.standard_normal((n, t))
-            if k > 1:
-                anchor = q_sample(observed_values, k - 1, noise, sched)
-            else:
-                anchor = observed_values
-            x_next = np.where(mask_entries == 1, anchor, x_next)
-
-        if not np.isfinite(x_next).all():
-            raise DivergenceError(
-                f"trajectory {traj} produced non-finite values", step=k)
-
-        if gcfg.mode == "fence" and k > 1:
-            mean_c = reverse_mean(x, eps_c, k, sched)
-            mean_u = reverse_mean(x, eps_u, k, sched)
-            tracker = posterior_update(tracker, x_next, mean_c, mean_u, k, sched)
-
-        steps.append((lam, tracker.log_posterior, gnorm, cluster_ids))
-        x = x_next
-    return x, steps
 
 
 def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
@@ -164,7 +115,7 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
         raise InvalidInputError("n_samples must be >= 1")
     if gcfg.mode != "none" and backend is None:
         raise InvalidInputError(f"mode {gcfg.mode!r} needs a conditional backend")
-    n = values.shape[0]
+    s, (n, t), n_steps = n_samples, values.shape, sched.n_steps
     if n_clusters is None:
         n_clusters = default_cluster_count(n)
     if not (1 <= n_clusters <= n):
@@ -175,15 +126,61 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
     # masked values must not leak into conditioning
     masked_values = values * (entries == 1)
 
-    runs = [_run_trajectory(traj, backend, backend_uncond, masked_values,
-                            entries, sched, gcfg, n_clusters, seed,
-                            anchoring, delta, tau)
-            for traj in range(n_samples)]
-    steps = [step for _, trace in runs for step in trace]
-    return ImputationResult(
-        np.stack([x for x, _ in runs]),
-        *(np.stack(column).reshape(n_samples, sched.n_steps, n)
-          for column in zip(*steps)))
+    rngs = [np.random.Generator(np.random.Philox(key=seed ^ traj)) for traj in range(s)]
+    x = np.stack([rng.standard_normal((n, t)) for rng in rngs])
+    tracker = PosteriorTracker.fresh(s * n, tau, delta)
+    ctx_cond = conditional_context(masked_values, entries)
+    ctx_uncond = unconditional_context(n, t)
+    lam_trace, logp_trace, gnorm_trace = (np.empty((s, n_steps, n)) for _ in range(3))
+    cluster_trace = np.full((s, n_steps, n), -1, dtype=np.int64)
+
+    for j, k in enumerate(range(n_steps, 0, -1)):
+        eps_u, _ = _predict(backend_uncond, x, k, ctx_uncond)
+        if gcfg.mode == "none":
+            eps_c, attn = eps_u, None
+        else:
+            eps_c, attn = _predict(backend, x, k, ctx_cond)
+
+        if gcfg.mode == "fence":
+            labels = _step_labels(attn, s, n, n_clusters, seed, k)
+            lam = _step_scales(tracker, labels, gcfg)
+            cluster_trace[:, j] = labels
+        elif gcfg.mode == "cfg":
+            lam = np.full((s, n), float(gcfg.fixed_lambda))
+        else:
+            lam = np.zeros((s, n))
+
+        eps_mix = combine_scores(eps_u, eps_c, lam)
+        gnorm = guidance_gradient_norm(eps_u, eps_c, k, sched)
+        mean = reverse_mean(x, eps_mix, k, sched)
+        x_next = reverse_step(x, mean, k, sched, rngs)
+
+        if anchoring == "clamp":
+            # re-impose the observed coordinates at their step-(k-1) law;
+            # the noise draw is full-shape to keep the stream mask-independent
+            noise = np.stack([rng.standard_normal((n, t)) for rng in rngs])
+            if k > 1:
+                anchor = q_sample(np.broadcast_to(masked_values, noise.shape),
+                                  k - 1, noise, sched)
+            else:
+                anchor = masked_values
+            x_next = np.where(entries == 1, anchor, x_next)
+
+        diverged = np.flatnonzero(~np.isfinite(x_next).all(axis=(1, 2)))
+        if diverged.size:
+            raise DivergenceError(
+                f"trajectory {diverged[0]} produced non-finite values", step=k)
+
+        if gcfg.mode == "fence" and k > 1:
+            mean_c = reverse_mean(x, eps_c, k, sched)
+            mean_u = reverse_mean(x, eps_u, k, sched)
+            tracker = posterior_update(tracker, x_next, mean_c, mean_u, k, sched)
+
+        lam_trace[:, j] = lam
+        logp_trace[:, j] = tracker.log_posterior.reshape(s, n)
+        gnorm_trace[:, j] = gnorm
+        x = x_next
+    return ImputationResult(x, lam_trace, logp_trace, gnorm_trace, cluster_trace)
 
 
 def emit_trace(result: ImputationResult, path) -> None:

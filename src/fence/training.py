@@ -97,7 +97,7 @@ def _lr_at(cfg: TrainConfig, epoch: int) -> float:
 def _window_loss(model: NeuralDenoiser, values: np.ndarray, weights: np.ndarray,
                  ctx, k: int, eps: np.ndarray, sched: NoiseSchedule) -> ad.Tensor:
     x_k = q_sample(values, k, eps, sched)
-    eps_hat, _ = model.forward_tensor(x_k, k, ctx)
+    eps_hat, _ = model.forward_tensor(x_k[None], k, ctx)  # a batch of one
     diff = ad.subtract(eps_hat, ad.constant(eps))
     sq = ad.multiply(diff, diff)
     masked = ad.multiply(sq, ad.constant(weights))

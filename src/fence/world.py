@@ -181,11 +181,12 @@ class GaussianOracleWorld:
 
     def _scaled_coords(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
                        conditional: bool):
-        """(U, z, v): residual z = U^T (x - sqrt(abar) m') and variances v."""
+        """(U, z, v): residuals z = (x - sqrt(abar) m')^T U, one row per grid
+        in x_k, and the variances v."""
         m, w, u = self._eigen(conditional)
         abar = sched.alpha_bar_at(k)
-        x = np.asarray(x_k, dtype=np.float64).reshape(self.dim)
-        return u, u.T @ (x - math.sqrt(abar) * m), abar * w + (1.0 - abar)
+        x = np.asarray(x_k, dtype=np.float64).reshape(-1, self.dim)
+        return u, (x - math.sqrt(abar) * m) @ u, abar * w + (1.0 - abar)
 
     def marginal_moments(self, k: int, sched: NoiseSchedule,
                          conditional: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -196,13 +197,18 @@ class GaussianOracleWorld:
 
     def score(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
               conditional: bool = False) -> np.ndarray:
-        """Exact gradient of log p_k at x_k (flat NT vector in, vector out)."""
+        """Exact gradient of log p_k at x_k, in the shape of x_k.
+
+        x_k is one flat NT vector or a (B, NT) stack of them; the whole stack
+        costs two matrix products.
+        """
         u, z, v = self._scaled_coords(x_k, k, sched, conditional)
-        return -(u @ (z / v))
+        return -((z / v) @ u.T).reshape(np.shape(x_k))
 
     def marginal_logpdf(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
                         conditional: bool = False) -> float:
         _, z, v = self._scaled_coords(x_k, k, sched, conditional)
+        z = z.reshape(self.dim)
         quad = float(z @ (z / v))
         logdet = float(np.sum(np.log(v)))
         return -0.5 * (quad + logdet + self.dim * _LOG_2PI)

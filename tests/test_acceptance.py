@@ -251,7 +251,7 @@ def test_criterion_10_denoiser_gradients_match_finite_differences():
     x_k = q_sample(clean, 17, eps, sched)
 
     def loss():
-        eps_hat, _ = model.forward_tensor(x_k, 17, ctx)
+        eps_hat, _ = model.forward_tensor(x_k[None], 17, ctx)
         diff = ad.subtract(eps_hat, ad.constant(eps))
         return ad.scale(ad.sum_all(ad.multiply(diff, diff)), 1.0 / eps.size)
 

@@ -146,3 +146,14 @@ def test_deep_graph_iterative_traversal():
     loss = ad.sum_all(t)
     ad.backward(loss)
     np.testing.assert_allclose(a.grad, [1.0], rtol=0)
+
+
+def test_no_record_builds_no_tape():
+    a = ad.parameter(np.array([1.0, -2.0]))
+    with ad.no_record():
+        quiet = ad.sum_all(ad.multiply(a, a))
+    assert quiet.parents == () and not quiet.requires_grad
+    assert quiet.value == 5.0
+    loud = ad.sum_all(ad.multiply(a, a))  # recording resumes on exit
+    ad.backward(loud)
+    np.testing.assert_array_equal(a.grad, [2.0, -4.0])

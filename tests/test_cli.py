@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +229,26 @@ def test_impute_oracle_end_to_end(tmp_path):
     assert np.isfinite(values).all()
     assert trace.read_text().startswith("traj,k,node,lambda,")
     assert (tmp_path / "trace_sample_0.csv").exists()
+
+
+def test_impute_oracle_reads_the_spec_once(tmp_path, monkeypatch):
+    spec = tmp_path / "world.spec"
+    spec.write_text(WORLD_SPEC)
+    grid, mask = tmp_path / "grid.csv", tmp_path / "mask.csv"
+    save_grid_csv(grid, np.zeros((3, 4)))
+    save_mask_csv(mask, MaskMatrix(np.ones((3, 4), dtype=np.int64)))
+    reads = []
+    read_text = Path.read_text
+
+    def counting_read(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read)
+    assert main(["impute", "--grid", str(grid), "--mask", str(mask), "--oracle",
+                 str(spec), "--steps", "4", "--samples", "1",
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert reads.count(spec) == 1
 
 
 def test_trace_subcommand(tmp_path):

@@ -29,20 +29,34 @@ def test_net_config_validation():
 def test_predict_shapes_and_attention_rows():
     model = small_model()
     rng = np.random.default_rng(30)
-    x = rng.standard_normal((3, 5))
-    ctx = conditional_context(x, np.ones((3, 5)))
+    x = rng.standard_normal((2, 3, 5))
+    ctx = conditional_context(x[0], np.ones((3, 5)))
     eps, attn = model.predict(x, 7, ctx)
-    assert eps.shape == (3, 5)
-    assert attn.shape == (3, 3)
-    np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
+    assert eps.shape == (2, 3, 5)
+    assert attn.shape == (2, 3, 3)
+    np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-12)
     assert (attn >= 0).all()
     assert np.isfinite(eps).all()
+
+
+def test_batched_forward_equals_single_row_forwards():
+    model = NeuralDenoiser(NetConfig(n_nodes=3, d_model=8, n_layers=2, n_heads=2), seed=6)
+    rng = np.random.default_rng(34)
+    x = rng.standard_normal((6, 3, 5))
+    ctx = conditional_context(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))
+    eps, attn = model.predict(x, 9, ctx)
+    for i in range(len(x)):
+        one, one_attn = model.predict(x[i:i + 1], 9, ctx)
+        assert np.array_equal(eps[i], one[0]) and np.array_equal(attn[i], one_attn[0])
+    # predict builds no tape, yet computes what the taped forward does
+    taped, taped_attn = model.forward_tensor(x, 9, ctx)
+    assert np.array_equal(taped.value, eps) and np.array_equal(taped_attn, attn)
 
 
 def test_predict_deterministic_and_context_sensitive():
     model = small_model(seed=4)
     rng = np.random.default_rng(31)
-    x = rng.standard_normal((3, 4))
+    x = rng.standard_normal((1, 3, 4))
     values = rng.standard_normal((3, 4))
     ctx = conditional_context(values, np.ones((3, 4)))
     a, _ = model.predict(x, 5, ctx)
@@ -70,7 +84,7 @@ def test_state_dict_round_trip_preserves_predictions():
     clone = NeuralDenoiser.from_state_dict(state)
     assert clone.cfg == model.cfg
     rng = np.random.default_rng(32)
-    x = rng.standard_normal((3, 4))
+    x = rng.standard_normal((1, 3, 4))
     ctx = unconditional_context(3, 4)
     np.testing.assert_array_equal(model.predict(x, 3, ctx)[0],
                                   clone.predict(x, 3, ctx)[0])
@@ -96,7 +110,7 @@ def test_clone_is_independent():
     model = small_model(seed=5)
     twin = model.clone()
     rng = np.random.default_rng(33)
-    x = rng.standard_normal((3, 4))
+    x = rng.standard_normal((1, 3, 4))
     ctx = unconditional_context(3, 4)
     before, _ = model.predict(x, 2, ctx)
     twin.parameters()["node_embed"].value += 1.0
@@ -107,4 +121,6 @@ def test_clone_is_independent():
 def test_predict_rejects_wrong_grid_shape():
     model = small_model()
     with pytest.raises(InvalidInputError):
-        model.predict(np.zeros((4, 4)), 3, unconditional_context(4, 4))
+        model.predict(np.zeros((1, 4, 4)), 3, unconditional_context(4, 4))
+    with pytest.raises(InvalidInputError):
+        model.predict(np.zeros((3, 4)), 3, unconditional_context(3, 4))  # no batch axis

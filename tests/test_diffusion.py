@@ -114,10 +114,10 @@ def test_reverse_step_zero_variance_copies_mean():
     mean = rng.standard_normal((2, 2))
     x = rng.standard_normal((2, 2))
     sched = quadratic_schedule(10, variance_mode="beta_tilde")
-    out = reverse_step(x, mean, 1, sched, np.random.default_rng(0))
+    out = reverse_step(x, mean, 1, sched, [np.random.default_rng(0)] * 2)
     np.testing.assert_array_equal(out, mean)
     out2 = reverse_step(x, mean, 1, quadratic_schedule(10, variance_mode="beta"),
-                        np.random.default_rng(0))
+                        [np.random.default_rng(0)] * 2)
     np.testing.assert_array_equal(out2, mean)  # k=1 is always deterministic
 
 
@@ -126,9 +126,13 @@ def test_reverse_step_adds_scheduled_noise():
     mean = np.zeros((2, 2))
     k = 5
     out = reverse_step(np.zeros((2, 2)), mean, k, sched,
-                       np.random.Generator(np.random.Philox(key=7)))
-    draw = np.random.Generator(np.random.Philox(key=7)).standard_normal((2, 2))
+                       [np.random.Generator(np.random.Philox(key=key)) for key in (7, 8)])
+    # row i draws from generator i alone
+    draw = np.stack([np.random.Generator(np.random.Philox(key=key)).standard_normal(2)
+                     for key in (7, 8)])
     np.testing.assert_allclose(out, np.sqrt(sched.sigma2_at(k)) * draw, rtol=1e-15)
+    with pytest.raises(InvalidInputError):
+        reverse_step(np.zeros((2, 2)), mean, k, sched, [np.random.default_rng(0)])
 
 
 def test_sincos_embedding_shapes_and_ranges():

@@ -121,3 +121,37 @@ def test_crps_masked_averages_selected_cells():
         crps_masked(stack, truth, np.zeros((2, 3)))
     with pytest.raises(InvalidInputError):
         crps_masked(stack[0], truth, mask)
+
+
+def _crps_loop(samples, truth):
+    # the former per-cell, per-level loop
+    s = np.asarray(samples, dtype=np.float64).reshape(-1)
+    x = float(truth)
+    total = 0.0
+    for level in QUANTILE_LEVELS:
+        q = float(np.quantile(s, level))
+        indicator = 1.0 if x < q else 0.0
+        total += 2.0 * (level - indicator) * (x - q)
+    return total / len(QUANTILE_LEVELS)
+
+
+def _crps_masked_loop(stack, truth, mask):
+    rows, cols = np.nonzero(mask == 1)
+    total = 0.0
+    for i, j in zip(rows, cols):
+        total += _crps_loop(stack[:, i, j], truth[i, j])
+    return total / rows.size
+
+
+@pytest.mark.parametrize("draw", range(20))
+def test_crps_matches_the_per_cell_loop_bit_for_bit(draw):
+    rng = np.random.default_rng(700 + draw)
+    s = int(rng.integers(2, 121))
+    stack = rng.standard_normal((s, 4, 5))
+    if draw % 3 == 0:
+        stack = np.round(stack, 1)  # ties inside the ensemble and with the truth
+    truth = np.round(rng.standard_normal((4, 5)), 1)
+    mask = (rng.random((4, 5)) < 0.6).astype(np.int64)
+    mask[0, 0] = 1
+    assert crps_masked(stack, truth, mask) == _crps_masked_loop(stack, truth, mask)
+    assert crps(stack[:, 0, 0], truth[0, 0]) == _crps_loop(stack[:, 0, 0], truth[0, 0])

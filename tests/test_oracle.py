@@ -281,20 +281,22 @@ def test_oracle_backend_returns_noise_scaled_score():
     sched = quadratic_schedule(50)
     backend = OracleBackend(world, sched)
     rng = np.random.default_rng(9)
-    x = rng.standard_normal((2, 3))
+    x = rng.standard_normal((1, 2, 3))
     k = 12
     eps_c, attn = backend.predict(x, k, conditional_context(np.ones((2, 3)), np.ones((2, 3))))
     score = world.score(x.reshape(-1), k, sched, conditional=True)
     np.testing.assert_allclose(
-        eps_c, noise_from_score(score.reshape(2, 3), k, sched), atol=1e-14)
+        eps_c, noise_from_score(score.reshape(1, 2, 3), k, sched), atol=1e-14)
     eps_u, _ = backend.predict(x, k, unconditional_context(2, 3))
     score_u = world.score(x.reshape(-1), k, sched, conditional=False)
     np.testing.assert_allclose(
-        eps_u, noise_from_score(score_u.reshape(2, 3), k, sched), atol=1e-14)
-    assert attn.shape == (2, 2)
-    np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
+        eps_u, noise_from_score(score_u.reshape(1, 2, 3), k, sched), atol=1e-14)
+    assert attn.shape == (1, 2, 2)
+    np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-12)
     with pytest.raises(InvalidInputError):
-        backend.predict(np.zeros((3, 2)), k, unconditional_context(3, 2))
+        backend.predict(np.zeros((1, 3, 2)), k, unconditional_context(3, 2))
+    with pytest.raises(InvalidInputError):
+        backend.predict(np.zeros((2, 3)), k, unconditional_context(2, 3))  # no batch axis
 
 
 def test_node_affinity_is_cached_and_row_stochastic():
@@ -308,13 +310,53 @@ def test_node_affinity_is_cached_and_row_stochastic():
     assert (a >= 0).all()
 
 
+def _dense_node_affinity(world, k, sched, conditional):
+    # the former formula, from the dense step-k marginal covariance
+    _, cov_k = world.marginal_moments(k, sched, conditional)
+    std = np.sqrt(np.diag(cov_k))
+    corr = np.abs(cov_k / np.outer(std, std))
+    n, t = world.n_nodes, world.n_steps
+    blocks = corr.reshape(n, t, n, t).mean(axis=(1, 3))
+    return blocks / blocks.sum(axis=1, keepdims=True)
+
+
+def test_node_affinity_matches_the_dense_formula_bit_for_bit():
+    world = make_gaussian_world(6, 8, 0.6, 0.7)
+    rng = np.random.default_rng(14)
+    obs = np.sort(rng.choice(world.dim, size=world.dim // 2, replace=False))
+    observed = world.observe(obs, rng.standard_normal(obs.size))
+    sched = quadratic_schedule(50)
+    for conditional in (False, True):
+        for k in range(1, 51):
+            np.testing.assert_array_equal(
+                node_affinity(observed, k, sched, conditional),
+                _dense_node_affinity(observed, k, sched, conditional))
+
+
+def test_batched_oracle_predict_matches_single_rows():
+    world = make_gaussian_world(5, 6, 0.6, 0.7).observe([0, 7, 13], [1.0, -0.5, 0.2])
+    sched = quadratic_schedule(50)
+    backend = OracleBackend(world, sched)
+    x = np.random.default_rng(15).standard_normal((7, 5, 6))
+    for ctx in (conditional_context(np.ones((5, 6)), np.ones((5, 6))),
+                unconditional_context(5, 6)):
+        for k in (1, 23, 50):
+            eps, attn = backend.predict(x, k, ctx)
+            assert eps.shape == x.shape and attn.shape == (7, 5, 5)
+            assert not attn.flags.writeable
+            for i in range(len(x)):
+                one, one_attn = backend.predict(x[i:i + 1], k, ctx)
+                assert np.abs(eps[i] - one[0]).max() <= 1e-12 * np.abs(one).max()
+                np.testing.assert_array_equal(attn[i], one_attn[0])
+
+
 def test_contaminated_backend_blends_predictions():
     world = make_gaussian_world(2, 2, 0.5, 0.5).observe([0], [1.0])
     sched = quadratic_schedule(50)
     inner = OracleBackend(world, sched)
     tainted = ContaminatedBackend(inner, pi_true=0.3)
     rng = np.random.default_rng(10)
-    x = rng.standard_normal((2, 2))
+    x = rng.standard_normal((3, 2, 2))
     ctx = conditional_context(np.ones((2, 2)), np.ones((2, 2)))
     eps_t, _ = tainted.predict(x, 5, ctx)
     eps_c, _ = inner.predict(x, 5, ctx)

@@ -7,6 +7,8 @@ from fence import (
     ImputationResult,
     InvalidInputError,
     MaskMatrix,
+    NetConfig,
+    NeuralDenoiser,
     OracleBackend,
     TrafficGrid,
     emit_trace,
@@ -102,6 +104,43 @@ def test_trajectory_is_independent_of_ensemble_size():
         large.head(6)
 
 
+def test_neural_trajectory_is_independent_of_ensemble_size():
+    # the network's rows share one forward per step; 2 clusters of 4 nodes
+    # make k-means read each trajectory's own attention row
+    _, truth, mask, _ = oracle_setup()
+    sched = quadratic_schedule(10)
+    model = NeuralDenoiser(NetConfig(n_nodes=4, d_model=8, n_layers=1, n_heads=2), seed=3)
+    gcfg = GuidanceConfig(mode="fence", scope="cluster")
+    small = impute(model, model, truth, mask, sched, gcfg, n_clusters=2,
+                   n_samples=2, seed=5)
+    large = impute(model, model, truth, mask, sched, gcfg, n_clusters=2,
+                   n_samples=5, seed=5)
+    for name in RESULT_ARRAYS:
+        np.testing.assert_array_equal(getattr(small, name), getattr(large, name)[:2])
+    assert len(np.unique(large.cluster_id)) == 2
+
+
+class _CountingBackend(DenoiserBackend):
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def predict(self, x_k, k, ctx):
+        self.batches.append(len(x_k))
+        return self.inner.predict(x_k, k, ctx)
+
+
+@pytest.mark.parametrize("n_samples", [1, 3, 7])
+@pytest.mark.parametrize("mode", ["fence", "none"])
+def test_one_batched_predict_per_context_and_step(n_samples, mode):
+    backend, truth, mask, sched = oracle_setup()
+    counting = _CountingBackend(backend)
+    impute(counting, counting, truth, mask, sched, GuidanceConfig(mode=mode),
+           n_clusters=2, n_samples=n_samples, seed=1)
+    calls = 2 * sched.n_steps if mode == "fence" else sched.n_steps
+    assert counting.batches == [n_samples] * calls
+
+
 def test_cfg_mode_traces_constant_lambda():
     backend, truth, mask, sched = oracle_setup()
     gcfg = GuidanceConfig(mode="cfg", fixed_lambda=2.5)
@@ -167,6 +206,22 @@ class _ExplodingBackend(DenoiserBackend):
         if k < 40:
             out += 1e308  # reverse mean overflows to inf within a step
         return out, None
+
+
+class _RowNaNBackend(DenoiserBackend):
+    def predict(self, x_k, k, ctx):
+        out = np.zeros_like(np.asarray(x_k))
+        if k == 30:
+            out[2] = np.nan
+        return out, None
+
+
+def test_divergence_names_its_trajectory():
+    _, truth, mask, sched = oracle_setup()
+    with pytest.raises(DivergenceError, match="trajectory 2 ") as err:
+        impute(None, _RowNaNBackend(), truth, mask, sched, GuidanceConfig(mode="none"),
+               n_samples=4)
+    assert err.value.step == 30
 
 
 def test_backend_failure_reports_step():

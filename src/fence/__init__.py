@@ -9,13 +9,12 @@ from .clustering import (cluster_log_posterior, cluster_scales,
                          default_cluster_count, kmeans)
 from .diffusion import (NoiseSchedule, noise_from_score, q_sample,
                         quadratic_schedule, reverse_mean, reverse_step,
-                        score_from_noise, sincos_embedding)
+                        sincos_embedding)
 from .errors import (ConfigError, DataError, DivergenceError, FenceError,
                      InvalidInputError, StateError)
 from .grid import (DatasetSplit, GraphSpec, MaskMatrix, TrafficGrid,
-                   chronological_split, denormalize, load_grid_csv,
-                   load_mask_csv, normalize, observed_stats, save_grid_csv,
-                   save_mask_csv, sliding_windows, zero_fill)
+                   chronological_split, load_grid_csv, load_mask_csv,
+                   observed_stats, save_grid_csv, save_mask_csv, sliding_windows)
 from .guidance import (GuidanceConfig, PosteriorTracker, calibrate_delta,
                        calibrate_tau, calibrated_constants, combine_scores,
                        guidance_gradient_norm, guidance_scale, mode_from_string,
@@ -27,8 +26,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .sampler import ImputationResult, emit_trace, impute
 from .training import (TrainConfig, TrainResult, finetune_conditional,
                        train_unconditional)
-from .world import (GaussianOracleWorld, gaussian_mixture_1d,
-                    make_contaminated_scores, make_gaussian_world,
+from .world import (GaussianOracleWorld, make_gaussian_world,
                     observations_from_mask, ring_hops)
 
 __version__ = "0.1.0"
@@ -39,13 +37,12 @@ __all__ = [
     "unconditional_context",
     "cluster_log_posterior", "cluster_scales", "default_cluster_count", "kmeans",
     "NoiseSchedule", "noise_from_score", "q_sample", "quadratic_schedule",
-    "reverse_mean", "reverse_step", "score_from_noise", "sincos_embedding",
+    "reverse_mean", "reverse_step", "sincos_embedding",
     "ConfigError", "DataError", "DivergenceError", "FenceError",
     "InvalidInputError", "StateError",
     "DatasetSplit", "GraphSpec", "MaskMatrix", "TrafficGrid",
-    "chronological_split", "denormalize", "load_grid_csv", "load_mask_csv",
-    "normalize", "observed_stats", "save_grid_csv", "save_mask_csv",
-    "sliding_windows", "zero_fill",
+    "chronological_split", "load_grid_csv", "load_mask_csv",
+    "observed_stats", "save_grid_csv", "save_mask_csv", "sliding_windows",
     "GuidanceConfig", "PosteriorTracker", "calibrate_delta", "calibrate_tau",
     "calibrated_constants", "combine_scores", "guidance_gradient_norm",
     "guidance_scale", "mode_from_string", "posterior_update", "step_at_time",
@@ -55,7 +52,7 @@ __all__ = [
     "load_checkpoint", "save_checkpoint",
     "ImputationResult", "emit_trace", "impute",
     "TrainConfig", "TrainResult", "finetune_conditional", "train_unconditional",
-    "GaussianOracleWorld", "gaussian_mixture_1d", "make_contaminated_scores",
-    "make_gaussian_world", "observations_from_mask", "ring_hops",
+    "GaussianOracleWorld", "make_gaussian_world", "observations_from_mask",
+    "ring_hops",
     "__version__",
 ]

@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 Just enough machinery for the denoiser network: broadcast-aware arithmetic,
-batched matmul, softmax, relu, reshape/transpose, and concatenation. The
+batched matmul, softmax, relu, and reshape/transpose. The
 graph is the tape: every op returns a fresh node holding its parents and
 vector-Jacobian callbacks, and backward() walks the nodes in reverse
 topological order. Inside ``no_record()`` nodes keep no parents, so
@@ -21,7 +21,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "Tensor", "parameter", "constant", "add", "subtract", "multiply", "matmul",
-    "reshape", "transpose", "relu", "softmax", "concat", "sum_all", "scale",
+    "reshape", "transpose", "relu", "softmax", "sum_all", "scale",
     "backward", "zero_grads", "no_record",
 ]
 
@@ -136,25 +136,6 @@ def softmax(a: Tensor) -> Tensor:
         return (g - np.sum(g * s, axis=-1, keepdims=True)) * s
 
     return Tensor(s, ((a, vjp),))
-
-
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    values = [t.value for t in tensors]
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
-
-    def make_vjp(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def vjp(g):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(lo, hi)
-            return g[tuple(index)]
-
-        return vjp
-
-    parents = tuple((t, make_vjp(i)) for i, t in enumerate(tensors))
-    return Tensor(np.concatenate(values, axis=axis), parents)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -13,7 +13,7 @@ training.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ __all__ = [
     "ConditioningContext",
     "conditional_context",
     "unconditional_context",
-    "unconditional_like",
     "DenoiserBackend",
     "OracleBackend",
     "ContaminatedBackend",
@@ -60,14 +59,6 @@ class ConditioningContext:
         object.__setattr__(self, "observed", obs)
         object.__setattr__(self, "mask", mask)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.observed.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.observed.shape[1]
-
 
 def conditional_context(values: np.ndarray, mask: np.ndarray) -> ConditioningContext:
     """Context carrying x^o = values*mask (unobserved entries zeroed)."""
@@ -81,12 +72,6 @@ def unconditional_context(n_nodes: int, n_steps: int) -> ConditioningContext:
     return ConditioningContext(zeros, zeros.astype(np.int64), is_unconditional=True)
 
 
-def unconditional_like(ctx: ConditioningContext) -> ConditioningContext:
-    zeros = np.zeros_like(np.asarray(ctx.observed))
-    return replace(ctx, observed=zeros, mask=zeros.astype(np.int64),
-                   is_unconditional=True)
-
-
 class DenoiserBackend(ABC):
     """Noise predictor: eps_hat (and optional node-affinity matrix) at step k."""
 
@@ -97,20 +82,20 @@ class DenoiserBackend(ABC):
         (N, T) context ctx, and the node affinity (B, N, N) or None."""
 
 
-def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule,
-                  conditional: bool) -> np.ndarray:
-    """Row-stochastic N x N affinity from the step-k marginal correlation.
+def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule) -> np.ndarray:
+    """Row-stochastic N x N affinity from the step-k marginal correlation of
+    the world's conditional law (its prior when nothing is observed).
 
     Entry (i, j) is the mean absolute correlation between the T coordinates
     of node i and those of node j; rows are normalized to sum to 1 so the
     matrix plays the same role as the network's spatial attention export.
     """
     abar = sched.alpha_bar_at(k)
-    key = ("affinity", abar, bool(conditional and world.observed_idx))
+    key = ("affinity", abar)
     if key not in world._cache:
         # the step-k marginal covariance abar S + (1 - abar) I, turned into
         # absolute correlations in place
-        _, clean_cov = world._law(conditional)
+        _, clean_cov = world._law(conditional=True)
         corr = abar * clean_cov
         corr.flat[::world.dim + 1] += 1.0 - abar
         std = np.sqrt(np.diag(corr))
@@ -125,7 +110,8 @@ class OracleBackend(DenoiserBackend):
     """Wraps a Gaussian world as a denoiser: eps = -sqrt(1-abar) * exact score.
 
     The world's own observation set is what conditional contexts condition
-    on; an unconditional context selects the prior marginal instead.
+    on; an unconditional context selects the prior marginal instead and
+    exports no affinity, since only the conditional one drives clustering.
     """
 
     def __init__(self, world: GaussianOracleWorld, sched: NoiseSchedule):
@@ -140,8 +126,10 @@ class OracleBackend(DenoiserBackend):
         conditional = not ctx.is_unconditional
         score = self.world.score(x.reshape(len(x), -1), k, self.sched, conditional)
         eps = noise_from_score(score.reshape(x.shape), k, self.sched)
+        if not conditional:
+            return eps, None
         # the affinity depends on the step alone: one read-only matrix for all rows
-        attn = node_affinity(self.world, k, self.sched, conditional)
+        attn = node_affinity(self.world, k, self.sched)
         return eps, np.broadcast_to(attn, (len(x), *attn.shape))
 
 
@@ -164,5 +152,5 @@ class ContaminatedBackend(DenoiserBackend):
         if ctx.is_unconditional:
             return self.inner.predict(x_k, k, ctx)
         eps_c, attn = self.inner.predict(x_k, k, ctx)
-        eps_u, _ = self.inner.predict(x_k, k, unconditional_like(ctx))
+        eps_u, _ = self.inner.predict(x_k, k, unconditional_context(*ctx.observed.shape))
         return (1.0 - self.pi_true) * eps_u + self.pi_true * eps_c, attn

@@ -119,7 +119,7 @@ def _training_split(series, entries, window: int, stride: int,
 
     return DatasetSplit(train=windows(seg_values[0], seg_masks[0], stride),
                         validation=windows(seg_values[1], seg_masks[1], window),
-                        window_length=window, normalization=(mean, std))
+                        normalization=(mean, std))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -132,15 +132,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _make_mask(cfg: MaskPatternConfig, n_nodes: int, length: int) -> MaskMatrix:
+    """An SR-TC mask, or an SC-TC mask over the communities of a ring graph."""
+    if cfg.pattern == "SC-TC":
+        return mask_sc_tc(_ring_graph(n_nodes), length, cfg)
+    return mask_sr_tc(n_nodes, length, cfg)
+
+
 def cmd_mask(args) -> int:
     cfg = MaskPatternConfig(args.pattern, args.alpha, args.patch,
                             args.communities, args.seed)
     if args.nodes is None:
         raise ConfigError("--nodes is required")
-    if args.pattern == "SC-TC":
-        mask = mask_sc_tc(_ring_graph(args.nodes), args.length, cfg)
-    else:
-        mask = mask_sr_tc(args.nodes, args.length, cfg)
+    mask = _make_mask(cfg, args.nodes, args.length)
     save_mask_csv(args.out, mask)
     observed = float(np.mean(mask.entries))
     print(f"wrote {args.pattern} mask to {args.out} (observed fraction {observed:.3f})")
@@ -252,24 +256,44 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _write_report(path, mae, rmse, mape, crps_value) -> None:
+    """The one-row report.csv of evaluate and run, echoed to stdout."""
+    line = ",".join(_format_float(v) for v in (mae, rmse, mape, crps_value))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("mae,rmse,mape,crps\n")
+        fh.write(line + "\n")
+    print(f"mae,rmse,mape,crps = {line}")
+
+
+def _load_evaluated(path, eval_mask: MaskMatrix) -> np.ndarray:
+    """Grid values of ``path``; DataError unless it has the eval mask's shape
+    and a finite value in every evaluated cell (other cells may be empty)."""
+    values, _ = load_grid_csv(path)
+    entries = eval_mask.entries
+    if values.shape != entries.shape:
+        raise DataError(f"{path}: grid shape {values.shape} vs eval mask {entries.shape}")
+    bad = np.argwhere((entries == 1) & ~np.isfinite(values))
+    if bad.size:
+        row, col = bad[0]
+        raise DataError(f"{path}: evaluated cell at row {row}, col {col} is empty"
+                        f" or non-finite")
+    return values
+
+
 def cmd_evaluate(args) -> int:
-    pred, _ = load_grid_csv(args.pred)
-    truth, _ = load_grid_csv(args.truth)
     eval_mask = load_mask_csv(args.eval_mask)
-    mae, rmse, mape = point_metrics(np.nan_to_num(pred), np.nan_to_num(truth),
-                                    eval_mask)
+    pred = _load_evaluated(args.pred, eval_mask)
+    truth = _load_evaluated(args.truth, eval_mask)
+    mae, rmse, mape = point_metrics(pred, truth, eval_mask)
     crps_value = float("nan")
     if args.ensemble_prefix:
         prefix = Path(args.ensemble_prefix)
         files = sorted(prefix.parent.glob(prefix.name + "_sample_*.csv"))
         if not files:
             raise DataError(f"no ensemble files match {prefix}_sample_*.csv")
-        stack = np.stack([np.nan_to_num(load_grid_csv(f)[0]) for f in files])
-        crps_value = crps_masked(stack, np.nan_to_num(truth), eval_mask)
-    line = ",".join(_format_float(v) for v in (mae, rmse, mape, crps_value))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mae,rmse,mape,crps\n")
-        fh.write(line + "\n")
+        stack = np.stack([_load_evaluated(f, eval_mask) for f in files])
+        crps_value = crps_masked(stack, truth, eval_mask)
+    _write_report(args.out, mae, rmse, mape, crps_value)
     if args.per_node_out:
         entries = eval_mask.entries
         with open(args.per_node_out, "w", encoding="utf-8", newline="\n") as fh:
@@ -277,25 +301,12 @@ def cmd_evaluate(args) -> int:
             for i in range(entries.shape[0]):
                 if not (entries[i] == 1).any():
                     continue
-                row = point_metrics(np.nan_to_num(pred[i:i + 1]),
-                                    np.nan_to_num(truth[i:i + 1]),
-                                    entries[i:i + 1])
+                row = point_metrics(pred[i:i + 1], truth[i:i + 1], entries[i:i + 1])
                 fh.write(f"{i}," + ",".join(_format_float(v) for v in row) + "\n")
-    print(f"mae,rmse,mape,crps = {line}")
     return 0
 
 
 # -- full pipeline ------------------------------------------------------------
-
-def _pipeline_mask(cfg, n_nodes: int, length: int) -> MaskMatrix:
-    m = cfg["mask"]
-    pattern_cfg = MaskPatternConfig(m["pattern"], m["alpha"],
-                                    min(m["patch"], length),
-                                    m["communities"] or None, m["seed"])
-    if m["pattern"] == "SC-TC":
-        return mask_sc_tc(_ring_graph(n_nodes), length, pattern_cfg)
-    return mask_sr_tc(n_nodes, length, pattern_cfg)
-
 
 def _pipeline_backends(cfg, world, sched, truth_values, mask):
     """Returns (backend_cond, backend_uncond, mean, std) for the run command."""
@@ -328,7 +339,11 @@ def cmd_run(args) -> int:
     gcfg, n_clusters = guidance_from(cfg)
 
     truth = world.sample_clean(np.random.Generator(np.random.Philox(key=world.seed)))
-    mask = _pipeline_mask(cfg, world.n_nodes, world.n_steps)
+    m = cfg["mask"]
+    mask = _make_mask(MaskPatternConfig(m["pattern"], m["alpha"],
+                                        min(m["patch"], world.n_steps),
+                                        m["communities"] or None, m["seed"]),
+                      world.n_nodes, world.n_steps)
     backend, backend_uncond, mean, std = _pipeline_backends(
         cfg, world, sched, truth, mask)
 
@@ -348,12 +363,7 @@ def cmd_run(args) -> int:
     mae, rmse, mape = point_metrics(prediction, truth, eval_mask)
     stack = result.head(s["crps_samples"]).samples * std + mean
     crps_value = crps_masked(stack, truth, eval_mask)
-
-    line = ",".join(_format_float(v) for v in (mae, rmse, mape, crps_value))
-    with open(out_dir / "report.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mae,rmse,mape,crps\n")
-        fh.write(line + "\n")
-    print(f"mae,rmse,mape,crps = {line}")
+    _write_report(out_dir / "report.csv", mae, rmse, mape, crps_value)
     print(f"report in {out_dir}")
     return 0
 

@@ -22,9 +22,12 @@ __all__ = [
     "cluster_scales",
 ]
 
+NODES_PER_CLUSTER = 20  # default cluster count: N / NODES_PER_CLUSTER, rounded
+KMEANS_MAX_ITER = 20  # Lloyd iterations at most
 
-def default_cluster_count(n_nodes: int, nodes_per_cluster: int = 20) -> int:
-    return max(1, int(math.floor(n_nodes / nodes_per_cluster + 0.5)))
+
+def default_cluster_count(n_nodes: int) -> int:
+    return max(1, int(math.floor(n_nodes / NODES_PER_CLUSTER + 0.5)))
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -51,9 +54,7 @@ def _seed_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return centers
 
 
-def kmeans(
-    features: np.ndarray, k: int, seed: int, max_iter: int = 20
-) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(features: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations from a k-means++ start; returns (labels, centers).
 
     Deterministic for a given seed. Stops early once labels reach a fixed
@@ -71,7 +72,7 @@ def kmeans(
 
     labels = np.full(n, -1, dtype=np.int64)
     prev_sse = math.inf
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _squared_distances(pts, centers)
         new_labels = np.argmin(d2, axis=1)
         sse = float(d2[np.arange(n), new_labels].sum())

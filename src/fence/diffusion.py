@@ -19,7 +19,6 @@ __all__ = [
     "quadratic_schedule",
     "q_sample",
     "reverse_mean",
-    "score_from_noise",
     "noise_from_score",
     "reverse_step",
     "sincos_embedding",
@@ -145,14 +144,8 @@ def reverse_mean(x_k: np.ndarray, eps_hat: np.ndarray, k: int, sched: NoiseSched
     return (x_k - (1.0 - alpha) / np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(alpha)
 
 
-def score_from_noise(eps_hat: np.ndarray, k: int, sched: NoiseSchedule) -> np.ndarray:
-    """Noise prediction to score: s = -eps_hat / sqrt(1 - abar_k)."""
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
-    return -eps_hat / np.sqrt(1.0 - sched.alpha_bar_at(k))
-
-
 def noise_from_score(score: np.ndarray, k: int, sched: NoiseSchedule) -> np.ndarray:
-    """Inverse of score_from_noise."""
+    """Score to noise prediction: eps_hat = -sqrt(1 - abar_k) s."""
     score = np.asarray(score, dtype=np.float64)
     return -np.sqrt(1.0 - sched.alpha_bar_at(k)) * score
 

@@ -22,9 +22,6 @@ __all__ = [
     "MaskMatrix",
     "GraphSpec",
     "DatasetSplit",
-    "normalize",
-    "denormalize",
-    "zero_fill",
     "observed_stats",
     "sliding_windows",
     "chronological_split",
@@ -135,7 +132,6 @@ class DatasetSplit:
 
     train: tuple[tuple[TrafficGrid, MaskMatrix], ...]
     validation: tuple[tuple[TrafficGrid, MaskMatrix], ...]
-    window_length: int
     normalization: tuple[float, float]  # (mean, std)
 
     def __post_init__(self):
@@ -152,35 +148,6 @@ class DatasetSplit:
 
 def _values_of(grid) -> np.ndarray:
     return grid.values if isinstance(grid, TrafficGrid) else np.asarray(grid, dtype=np.float64)
-
-
-def normalize(grid: TrafficGrid, mean: float, std: float) -> TrafficGrid:
-    """Replace every entry e by (e - mean) / std."""
-    if not (std > 0) or not math.isfinite(std) or not math.isfinite(mean):
-        raise InvalidInputError(f"normalize needs finite mean and std > 0, got {mean}, {std}")
-    return TrafficGrid((_values_of(grid) - mean) / std)
-
-
-def denormalize(grid: TrafficGrid, mean: float, std: float) -> TrafficGrid:
-    """Inverse of normalize; round-trips within 1e-12 relative."""
-    if not (std > 0) or not math.isfinite(std) or not math.isfinite(mean):
-        raise InvalidInputError(f"denormalize needs finite mean and std > 0, got {mean}, {std}")
-    return TrafficGrid(_values_of(grid) * std + mean)
-
-
-def zero_fill(values: np.ndarray, mask: MaskMatrix) -> TrafficGrid:
-    """Zero out unobserved entries (NaN or otherwise) and wrap as a grid.
-
-    Raw-missing source entries become 0 after normalization; this is the
-    helper that enforces it.
-    """
-    arr = np.array(values, dtype=np.float64)
-    if arr.shape != mask.entries.shape:
-        raise DataError(f"values shape {arr.shape} does not match mask {mask.entries.shape}")
-    arr[mask.entries == 0] = 0.0
-    if not np.isfinite(arr).all():
-        raise DataError("non-finite entries at observed positions")
-    return TrafficGrid(arr)
 
 
 def observed_stats(values: np.ndarray, mask: MaskMatrix) -> tuple[float, float]:

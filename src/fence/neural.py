@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .backends import ConditioningContext, DenoiserBackend
 from .diffusion import sincos_embedding
-from .errors import DataError, InvalidInputError, StateError
+from .errors import DataError, InvalidInputError
 
 __all__ = ["NetConfig", "NeuralDenoiser"]
 
@@ -83,21 +83,9 @@ class NeuralDenoiser(DenoiserBackend):
 
     def __init__(self, cfg: NetConfig, seed: int = 0):
         self.cfg = cfg
-        self.params: dict[str, ad.Tensor] | None = None
-        self._init_params(seed)
-
-    @classmethod
-    def uninitialized(cls, cfg: NetConfig) -> "NeuralDenoiser":
-        """Shell with no weights; predict raises until a checkpoint is loaded."""
-        obj = cls.__new__(cls)
-        obj.cfg = cfg
-        obj.params = None
-        return obj
-
-    def _init_params(self, seed: int):
         rng = np.random.Generator(np.random.Philox(key=seed))
         p: dict[str, ad.Tensor] = {}
-        for name, shape in _param_shapes(self.cfg):
+        for name, shape in _param_shapes(cfg):
             if name.endswith("/b"):
                 value = np.zeros(shape)
             elif name == "node_embed":
@@ -107,13 +95,11 @@ class NeuralDenoiser(DenoiserBackend):
             p[name] = ad.parameter(value)
         # start near zero output so early training is stable
         p["head/2/W"].value = p["head/2/W"].value * 0.01
-        self.params = p
+        self.params: dict[str, ad.Tensor] = p
 
     # -- weight plumbing -----------------------------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:
-        if self.params is None:
-            raise StateError("denoiser has no weights to export")
         state = {name: t.value.copy() for name, t in self.params.items()}
         for key in _HPARAMS:
             state[f"hparams/{key}"] = np.float64(getattr(self.cfg, key))
@@ -149,16 +135,15 @@ class NeuralDenoiser(DenoiserBackend):
         stray = set(state) - set(params) - {f"hparams/{key}" for key in _HPARAMS}
         if stray:
             raise DataError(f"checkpoint carries unknown tensors {sorted(stray)}")
-        model = cls.uninitialized(cfg)
-        model.params = params
+        # the validated tensors are the weights: no random initialization
+        model = cls.__new__(cls)
+        model.cfg, model.params = cfg, params
         return model
 
     def clone(self) -> "NeuralDenoiser":
         return NeuralDenoiser.from_state_dict(self.state_dict())
 
     def parameters(self) -> dict[str, ad.Tensor]:
-        if self.params is None:
-            raise StateError("denoiser weights are uninitialized")
         return self.params
 
     # -- forward -------------------------------------------------------------
@@ -192,8 +177,6 @@ class NeuralDenoiser(DenoiserBackend):
         (B, N, N). Rows do not interact, so row i is the same whatever the
         rest of the batch holds.
         """
-        if self.params is None:
-            raise StateError("denoiser weights are uninitialized; load or train first")
         x = np.asarray(x_k, dtype=np.float64)
         if x.ndim != 3:
             raise InvalidInputError(f"expected a (B, N, T) batch, got shape {x.shape}")

@@ -28,6 +28,14 @@ __all__ = [
     "train_unconditional", "finetune_conditional",
 ]
 
+# step decay of the learning rate: times LR_DECAY_FACTOR at each of these
+# fractions of the epoch budget
+LR_DECAY_POINTS = (0.75, 0.90)
+LR_DECAY_FACTOR = 0.1
+# longest re-hidden patch of a stage-2 window, in time steps
+REMASK_PATCH = 12
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -37,10 +45,6 @@ class TrainConfig:
     weight_decay: float = 1e-6
     batch_size: int = 8
     seed: int = 0
-    # step decay, fractions of the epoch budget
-    decay_points: tuple[float, float] = (0.75, 0.90)
-    decay_factor: float = 0.1
-    remask_patch: int = 12
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 0:
@@ -62,19 +66,17 @@ class Adam:
     """Adam with coupled L2 regularization (decay added to the gradient)."""
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float,
-                 weight_decay: float = 0.0, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 weight_decay: float = 0.0):
         self.params = params
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {name: np.zeros_like(t.value) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.value) for name, t in params.items()}
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for name, tensor in self.params.items():
             if tensor.grad is None:
                 continue
@@ -83,38 +85,49 @@ class Adam:
             self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
             m_hat = self.m[name] / (1.0 - b1 ** self.t)
             v_hat = self.v[name] / (1.0 - b2 ** self.t)
-            tensor.value = tensor.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            tensor.value = tensor.value - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _lr_at(cfg: TrainConfig, epoch: int) -> float:
     lr = cfg.lr
-    for point in cfg.decay_points:
+    for point in LR_DECAY_POINTS:
         if epoch >= point * cfg.epochs:
-            lr *= cfg.decay_factor
+            lr *= LR_DECAY_FACTOR
     return lr
 
 
-def _window_loss(model: NeuralDenoiser, values: np.ndarray, weights: np.ndarray,
-                 ctx, k: int, eps: np.ndarray, sched: NoiseSchedule) -> ad.Tensor:
+def _conditional_pieces(values, mask, rng):
+    """Re-hide part of the observed entries; returns (ctx, loss weights)."""
+    n, t = values.shape
+    alpha = 0.1 + 0.8 * rng.random()
+    remask_seed = int(rng.integers(2**63))
+    pattern = MaskPatternConfig("SR-TC", alpha, min(REMASK_PATCH, t),
+                                seed=remask_seed)
+    visible = mask_sr_tc(n, t, pattern).entries  # 0 = re-hidden
+    keep = np.asarray(mask) * visible
+    target = np.asarray(mask) * (1 - visible)
+    return conditional_context(values, keep), target.astype(np.float64)
+
+
+def _window_loss(model: NeuralDenoiser, window, sched: NoiseSchedule, rng,
+                 conditional: bool) -> ad.Tensor:
+    """Masked eps-matching loss of one window; draws its step k, noise, and
+    (stage 2) re-hidden entries from rng, in that order."""
+    grid, mask = window
+    values = np.asarray(grid.values, dtype=np.float64)
+    k = int(rng.integers(1, sched.n_steps + 1))
+    eps = rng.standard_normal(values.shape)
+    if conditional:
+        ctx, weights = _conditional_pieces(values, mask.entries, rng)
+    else:
+        ctx = unconditional_context(*values.shape)
+        weights = np.asarray(mask.entries, dtype=np.float64)
     x_k = q_sample(values, k, eps, sched)
     eps_hat, _ = model.forward_tensor(x_k[None], k, ctx)  # a batch of one
     diff = ad.subtract(eps_hat, ad.constant(eps))
     sq = ad.multiply(diff, diff)
     masked = ad.multiply(sq, ad.constant(weights))
     return ad.scale(ad.sum_all(masked), 1.0 / max(float(weights.sum()), 1.0))
-
-
-def _conditional_pieces(values, mask, rng, cfg: TrainConfig):
-    """Re-hide part of the observed entries; returns (ctx, loss weights)."""
-    n, t = values.shape
-    alpha = 0.1 + 0.8 * rng.random()
-    remask_seed = int(rng.integers(2**63))
-    pattern = MaskPatternConfig("SR-TC", alpha, min(cfg.remask_patch, t),
-                                seed=remask_seed)
-    visible = mask_sr_tc(n, t, pattern).entries  # 0 = re-hidden
-    keep = np.asarray(mask) * visible
-    target = np.asarray(mask) * (1 - visible)
-    return conditional_context(values, keep), target.astype(np.float64)
 
 
 def _epoch(model, windows, sched, cfg, rng, optimizer, conditional, step_counter):
@@ -125,18 +138,8 @@ def _epoch(model, windows, sched, cfg, rng, optimizer, conditional, step_counter
         ad.zero_grads(model.parameters().values())
         batch_loss = None
         for idx in batch:
-            grid, mask = windows[idx]
-            values = np.asarray(grid.values, dtype=np.float64)
-            k = int(rng.integers(1, sched.n_steps + 1))
-            eps = rng.standard_normal(values.shape)
-            if conditional:
-                ctx, weights = _conditional_pieces(values, mask.entries, rng, cfg)
-            else:
-                ctx = unconditional_context(*values.shape)
-                weights = np.asarray(mask.entries, dtype=np.float64)
-            piece = ad.scale(
-                _window_loss(model, values, weights, ctx, k, eps, sched),
-                1.0 / len(batch))
+            piece = ad.scale(_window_loss(model, windows[idx], sched, rng, conditional),
+                             1.0 / len(batch))
             batch_loss = piece if batch_loss is None else ad.add(batch_loss, piece)
         step_counter[0] += 1
         if not np.isfinite(batch_loss.value):
@@ -155,16 +158,8 @@ def _validation_loss(model, windows, sched, cfg, conditional) -> float:
         return float("nan")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ 0x5EED))
     total = 0.0
-    for grid, mask in windows:
-        values = np.asarray(grid.values, dtype=np.float64)
-        k = int(rng.integers(1, sched.n_steps + 1))
-        eps = rng.standard_normal(values.shape)
-        if conditional:
-            ctx, weights = _conditional_pieces(values, mask.entries, rng, cfg)
-        else:
-            ctx = unconditional_context(*values.shape)
-            weights = np.asarray(mask.entries, dtype=np.float64)
-        total += float(_window_loss(model, values, weights, ctx, k, eps, sched).value)
+    for window in windows:
+        total += float(_window_loss(model, window, sched, rng, conditional).value)
     return total / len(windows)
 
 

@@ -25,8 +25,6 @@ __all__ = [
     "make_gaussian_world",
     "ring_hops",
     "observations_from_mask",
-    "gaussian_mixture_1d",
-    "make_contaminated_scores",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -100,27 +98,12 @@ class GaussianOracleWorld:
         mask[list(self.observed_idx)] = False
         return np.flatnonzero(mask)
 
-    def grid_to_flat(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values, dtype=np.float64).reshape(self.dim)
-
     def flat_to_grid(self, vec: np.ndarray) -> np.ndarray:
         return np.asarray(vec, dtype=np.float64).reshape(self.n_nodes, self.n_steps)
 
     def observe(self, indices, values) -> "GaussianOracleWorld":
         return replace(self, observed_idx=tuple(int(i) for i in indices),
                        observed_val=tuple(float(v) for v in values), _cache={})
-
-    def normalized(self, center: float, scale: float) -> "GaussianOracleWorld":
-        """World of z = (x - center)/scale; stays exactly Gaussian."""
-        if not (scale > 0.0):
-            raise InvalidInputError(f"scale must be > 0, got {scale}")
-        return replace(
-            self,
-            mean=(self.mean - center) / scale,
-            cov=self.cov / (scale * scale),
-            observed_val=tuple((v - center) / scale for v in self.observed_val),
-            _cache={},
-        )
 
     # -- conditional moments -----------------------------------------------
 
@@ -260,99 +243,3 @@ def observations_from_mask(values: np.ndarray, mask: np.ndarray) -> tuple[np.nda
         raise InvalidInputError(f"values shape {vals.shape} vs mask shape {m.shape}")
     idx = np.flatnonzero(m.reshape(-1) == 1)
     return idx, vals.reshape(-1)[idx]
-
-
-class _GaussianLaw:
-    """Small frozen helper: N(mean, cov) with cached factor for pdf/score."""
-
-    def __init__(self, mean: np.ndarray, cov: np.ndarray):
-        self.mean = np.asarray(mean, dtype=np.float64)
-        self.dim = self.mean.size
-        cov = np.asarray(cov, dtype=np.float64).reshape(self.dim, self.dim)
-        try:
-            self.factor = cho_factor(cov, lower=True)
-        except LinAlgError as exc:
-            raise InvalidInputError(f"component covariance not SPD: {exc}") from exc
-        self.logdet = 2.0 * float(np.sum(np.log(np.diag(self.factor[0]))))
-
-    def logpdf(self, x: np.ndarray) -> float:
-        r = np.asarray(x, dtype=np.float64).reshape(self.dim) - self.mean
-        return -0.5 * (float(r @ cho_solve(self.factor, r))
-                       + self.logdet + self.dim * _LOG_2PI)
-
-    def score(self, x: np.ndarray) -> np.ndarray:
-        r = np.asarray(x, dtype=np.float64).reshape(self.dim) - self.mean
-        return -cho_solve(self.factor, r)
-
-
-def _mixture_triple(prior: _GaussianLaw, cond: _GaussianLaw, pi: float):
-    """Score/ratio functions of the contaminated law (1-pi) prior + pi cond."""
-    if not (0.0 < pi <= 1.0):
-        raise InvalidInputError(f"pi must lie in (0, 1], got {pi}")
-
-    def _log_weights(x):
-        # responsibilities via log-sum-exp; exact at pi = 1
-        lp = prior.logpdf(x) + (math.log1p(-pi) if pi < 1.0 else -math.inf)
-        lq = cond.logpdf(x) + math.log(pi)
-        top = max(lp, lq)
-        log_mix = top + math.log(math.exp(lp - top) + math.exp(lq - top))
-        return lp, lq, log_mix
-
-    def score_contaminated(x):
-        if pi == 1.0:
-            return cond.score(x)
-        lp, lq, log_mix = _log_weights(x)
-        w_prior = math.exp(lp - log_mix)
-        w_cond = math.exp(lq - log_mix)
-        return w_prior * prior.score(x) + w_cond * cond.score(x)
-
-    def score_prior(x):
-        return prior.score(x)
-
-    def posterior_ratio(x):
-        # p_hat = p(x|c)_model / p(x)_model = mixture density over prior density
-        _, _, log_mix = _log_weights(x)
-        return math.exp(log_mix - prior.logpdf(x))
-
-    return score_contaminated, score_prior, posterior_ratio
-
-
-def gaussian_mixture_1d(mean_prior: float, var_prior: float, mean_cond: float,
-                        var_cond: float, pi: float):
-    """1-D contaminated-Gaussian test bed; returns (score_mix, score_prior, ratio).
-
-    Each returned function maps a scalar (or length-1 vector) to a scalar.
-    """
-    prior = _GaussianLaw(np.array([mean_prior]), np.array([[var_prior]]))
-    cond = _GaussianLaw(np.array([mean_cond]), np.array([[var_cond]]))
-    s_mix, s_prior, ratio = _mixture_triple(prior, cond, pi)
-    return (lambda x: float(s_mix(np.atleast_1d(float(x)))[0]),
-            lambda x: float(s_prior(np.atleast_1d(float(x)))[0]),
-            lambda x: float(ratio(np.atleast_1d(float(x)))))
-
-
-def make_contaminated_scores(world: GaussianOracleWorld, pi_true: float, condition):
-    """Exact contaminated triple for a world at the clean-data level.
-
-    ``condition`` is either another GaussianOracleWorld on the same space
-    (its law is the conditional component) or an observation set
-    ``(indices, values)``; in the latter case all densities are restricted
-    to the hidden coordinates, where the conditional law is nondegenerate.
-    Returns (score_contaminated, score_prior, posterior_ratio); the ratio is
-    p_model(c|x)/p_model(c) from mixture responsibilities.
-    """
-    if isinstance(condition, GaussianOracleWorld):
-        if condition.dim != world.dim:
-            raise InvalidInputError("conditional world must live on the same space")
-        prior = _GaussianLaw(world.mean, world.cov)
-        cond = _GaussianLaw(condition.mean, condition.cov)
-        return _mixture_triple(prior, cond, pi_true)
-    indices, values = condition
-    observed = world.observe(indices, values)
-    hid = observed.hidden_idx
-    if hid.size == 0:
-        raise InvalidInputError("conditioning on every coordinate leaves no free law")
-    mean_c, cov_c = observed.conditional_moments()
-    prior = _GaussianLaw(world.mean[hid], world.cov[np.ix_(hid, hid)])
-    cond = _GaussianLaw(mean_c[hid], cov_c[np.ix_(hid, hid)])
-    return _mixture_triple(prior, cond, pi_true)

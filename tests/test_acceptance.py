@@ -10,6 +10,8 @@ import math
 import time
 
 import numpy as np
+import pytest
+from scipy import stats
 
 import fence.autodiff as ad
 from fence import (
@@ -37,7 +39,7 @@ from fence import (
 )
 from fence.backends import conditional_context
 from fence.diffusion import q_sample
-from fence.world import gaussian_mixture_1d, observations_from_mask
+from fence.world import observations_from_mask
 
 # 60-digit references for the default calibration (pi=0.5, lambda_ref=1.6,
 # t0=0.8, t1=0.5, K=50, alpha_scale=10, beta_tilde variance)
@@ -49,6 +51,70 @@ BETA_25_REFERENCE = 0.1235101130255054436871346
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num:02d}: {detail}"
+
+
+def gaussian_mixture_1d(mean_prior, var_prior, mean_cond, var_cond, pi):
+    """Closed form of the contaminated law (1-pi) N(mean_prior, var_prior) +
+    pi N(mean_cond, var_cond): its score, the prior score, and the ratio
+    p_hat = mixture density / prior density, each a function of a scalar."""
+
+    def logpdf(x, mean, var):
+        return -0.5 * ((x - mean) ** 2 / var + math.log(var) + math.log(2.0 * math.pi))
+
+    def log_weights(x):
+        # responsibilities via log-sum-exp; exact at pi = 1
+        lp = logpdf(x, mean_prior, var_prior) + (math.log1p(-pi) if pi < 1.0 else -math.inf)
+        lq = logpdf(x, mean_cond, var_cond) + math.log(pi)
+        top = max(lp, lq)
+        return lp, lq, top + math.log(math.exp(lp - top) + math.exp(lq - top))
+
+    def score_prior(x):
+        return -(x - mean_prior) / var_prior
+
+    def score_mix(x):
+        lp, lq, log_mix = log_weights(x)
+        return (math.exp(lp - log_mix) * score_prior(x)
+                + math.exp(lq - log_mix) * -(x - mean_cond) / var_cond)
+
+    def ratio(x):
+        return math.exp(log_weights(x)[2] - logpdf(x, mean_prior, var_prior))
+
+    return score_mix, score_prior, ratio
+
+
+def test_mixture_1d_pure_laws_at_pi_one():
+    score_mix, score_prior, ratio = gaussian_mixture_1d(0.0, 1.0, 2.0, 1.0, pi=1.0)
+    # pi=1: the "contaminated" law is the pure conditional
+    assert score_mix(1.0) == pytest.approx(-(1.0 - 2.0), abs=1e-12)
+    assert score_prior(1.0) == pytest.approx(-1.0, abs=1e-12)
+    # evidence ratio degenerates to conditional over prior density
+    x = 0.5
+    expect = stats.norm(2.0, 1.0).pdf(x) / stats.norm(0.0, 1.0).pdf(x)
+    assert ratio(x) == pytest.approx(expect, rel=1e-12)
+
+
+def test_mixture_ratio_is_evidence_ratio():
+    pi = 0.5
+    score_mix, score_prior, ratio = gaussian_mixture_1d(0.0, 1.0, 2.0, 1.0, pi)
+    x = 1.3
+    pdf_c = stats.norm(2.0, 1.0).pdf(x)
+    pdf_p = stats.norm(0.0, 1.0).pdf(x)
+    mix = pi * pdf_c + (1 - pi) * pdf_p
+    assert ratio(x) == pytest.approx(mix / pdf_p, rel=1e-12)
+    expect_score = (pi * pdf_c * (2.0 - x) + (1 - pi) * pdf_p * (0.0 - x)) / mix
+    assert score_mix(x) == pytest.approx(expect_score, rel=1e-12)
+
+
+def test_mixture_ratio_drives_exact_score_reconstruction():
+    # lambda(p) with p = mix/prior turns the contaminated score back into
+    # the true conditional score:  s_p + lambda (s_mix - s_p) = s_c
+    pi = 0.4
+    score_mix, score_prior, ratio = gaussian_mixture_1d(0.0, 1.0, 2.0, 1.0, pi)
+    for x in (-1.0, 0.3, 1.7, 3.2):
+        p = ratio(x)
+        lam = p / (p - (1 - pi))
+        guided = score_prior(x) + lam * (score_mix(x) - score_prior(x))
+        assert guided == pytest.approx(-(x - 2.0), abs=1e-10)
 
 
 def test_criterion_01_guided_score_reconstructs_conditional():

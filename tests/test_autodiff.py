@@ -93,15 +93,6 @@ def test_softmax_is_shift_stable():
         ad.parameter(np.array([[0.0, 1.0, 2.0]]))).value, rtol=1e-12)
 
 
-def test_concat_routes_gradients():
-    rng = np.random.default_rng(26)
-    a = ad.parameter(rng.standard_normal((2, 3)))
-    b = ad.parameter(rng.standard_normal((2, 4)))
-    weight = ad.constant(rng.standard_normal((2, 7)))
-    fd_check(lambda: ad.sum_all(ad.multiply(ad.concat([a, b], axis=-1), weight)),
-             [a, b])
-
-
 def test_scale_and_shared_subexpression():
     rng = np.random.default_rng(27)
     a = ad.parameter(rng.standard_normal((3,)))

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 from pathlib import Path
 
@@ -149,6 +151,54 @@ def test_evaluate_hand_example(tmp_path):
     rows = per_node.read_text().splitlines()
     assert rows[0] == "node,mae,rmse,mape"
     assert rows[1].startswith("0,1.0,") and rows[2].startswith("1,2.0,")
+
+
+def _evaluate_files(tmp_path, pred_text, emask):
+    pred, truth, mask = (tmp_path / n for n in ("pred.csv", "truth.csv", "emask.csv"))
+    pred.write_text(pred_text)
+    save_grid_csv(truth, np.array([[2.0, 2.0], [5.0, 4.0]]))
+    save_mask_csv(mask, MaskMatrix(np.array(emask)))
+    return ["evaluate", "--pred", str(pred), "--truth", str(truth),
+            "--eval-mask", str(mask), "--out", str(tmp_path / "metrics.csv")]
+
+
+def test_evaluate_rejects_an_empty_evaluated_cell(tmp_path, capsys):
+    # the empty cell used to be scored as a prediction of 0
+    argv = _evaluate_files(tmp_path, "t0,t1\n,2.0\n3.0,4.0\n", [[1, 0], [1, 0]])
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "pred.csv" in err and "row 0, col 0" in err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_evaluate_allows_empty_cells_outside_the_eval_mask(tmp_path):
+    argv = _evaluate_files(tmp_path, "t0,t1\n1.0,\n3.0,nan\n", [[1, 0], [1, 0]])
+    assert main(argv) == 0
+    mae = (tmp_path / "metrics.csv").read_text().splitlines()[1].split(",")[0]
+    assert float(mae) == 1.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.sampled_from(["", "nan", "NaN"]))
+def test_evaluate_names_any_empty_evaluated_cell(tmp_path_factory, position, token):
+    tmp_path = tmp_path_factory.mktemp("evaluate")
+    cells = ["1.0", "2.0", "3.0", "4.0"]
+    cells[position] = token
+    text = f"t0,t1\n{cells[0]},{cells[1]}\n{cells[2]},{cells[3]}\n"
+    argv = _evaluate_files(tmp_path, text, [[1, 1], [1, 1]])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(argv) == 3
+    assert f"row {position // 2}, col {position % 2}" in err.getvalue()
+
+
+def test_evaluate_rejects_ensemble_members_of_another_shape(tmp_path, capsys):
+    argv = _evaluate_files(tmp_path, "t0,t1\n1.0,2.0\n3.0,4.0\n", [[1, 0], [1, 0]])
+    save_grid_csv(tmp_path / "ens_sample_0.csv", np.ones((2, 2)))
+    save_grid_csv(tmp_path / "ens_sample_1.csv", np.ones((3, 2)))
+    assert main(argv + ["--ensemble-prefix", str(tmp_path / "ens")]) == 3
+    err = capsys.readouterr().err
+    assert "ens_sample_1.csv" in err and "(3, 2)" in err
 
 
 def test_impute_needs_exactly_one_backend_source(tmp_path):

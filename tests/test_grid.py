@@ -9,15 +9,12 @@ from fence import (
     MaskMatrix,
     TrafficGrid,
     chronological_split,
-    denormalize,
     load_grid_csv,
     load_mask_csv,
-    normalize,
     observed_stats,
     save_grid_csv,
     save_mask_csv,
     sliding_windows,
-    zero_fill,
 )
 
 
@@ -67,28 +64,12 @@ def test_graph_spec_validates_communities():
         GraphSpec(-adj)
 
 
-def test_normalize_denormalize_round_trip():
-    g = TrafficGrid(np.arange(12, dtype=float).reshape(3, 4))
-    z = normalize(g, 5.0, 2.0)
-    back = denormalize(z, 5.0, 2.0)
-    np.testing.assert_allclose(back.values, g.values, rtol=1e-12)
-    with pytest.raises(InvalidInputError):
-        normalize(g, 0.0, 0.0)
-    with pytest.raises(InvalidInputError):
-        denormalize(g, np.nan, 1.0)
-
-
-def test_zero_fill_and_observed_stats():
+def test_observed_stats():
     mask = MaskMatrix([[1, 0], [0, 1]])
-    filled = zero_fill(np.array([[2.0, np.nan], [np.nan, 4.0]]), mask)
-    np.testing.assert_array_equal(filled.values, [[2.0, 0.0], [0.0, 4.0]])
     mean, std = observed_stats(np.array([[2.0, 99.0], [99.0, 4.0]]), mask)
     assert mean == 3.0 and std == 1.0
     with pytest.raises(DataError):
         observed_stats(np.zeros((2, 2)), MaskMatrix(np.zeros((2, 2))))
-    # NaN under an observed position is a data error, not silently zeroed
-    with pytest.raises(DataError):
-        zero_fill(np.array([[np.nan, 1.0], [1.0, 1.0]]), MaskMatrix(np.ones((2, 2))))
 
 
 def test_sliding_windows_count_and_content():
@@ -118,16 +99,13 @@ def test_chronological_split_fractions_and_remainder():
 def test_dataset_split_validation():
     g = TrafficGrid(np.zeros((2, 3)))
     m = MaskMatrix(np.ones((2, 3)))
-    split = DatasetSplit(train=((g, m),), validation=(),
-                         window_length=3, normalization=(0.0, 1.0))
+    split = DatasetSplit(train=((g, m),), validation=(), normalization=(0.0, 1.0))
     assert split.normalization == (0.0, 1.0)
     with pytest.raises(InvalidInputError):
-        DatasetSplit(train=(), validation=(), window_length=3,
-                     normalization=(0.0, 0.0))
+        DatasetSplit(train=(), validation=(), normalization=(0.0, 0.0))
     bad = MaskMatrix(np.ones((3, 3)))
     with pytest.raises(DataError):
-        DatasetSplit(train=((g, bad),), validation=(),
-                     window_length=3, normalization=(0.0, 1.0))
+        DatasetSplit(train=((g, bad),), validation=(), normalization=(0.0, 1.0))
 
 
 def test_grid_csv_round_trip_with_missing(tmp_path):

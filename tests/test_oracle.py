@@ -14,9 +14,7 @@ from fence import (
     OracleBackend,
     TrafficGrid,
     conditional_context,
-    gaussian_mixture_1d,
     impute,
-    make_contaminated_scores,
     make_gaussian_world,
     node_affinity,
     noise_from_score,
@@ -25,7 +23,6 @@ from fence import (
     ring_hops,
     unconditional_context,
 )
-from fence.backends import unconditional_like
 from fence.world import GaussianOracleWorld
 
 
@@ -55,7 +52,7 @@ def test_zero_correlation_gives_identity():
 def test_flat_layout_is_node_major():
     world = make_gaussian_world(2, 3, 0.5, 0.5)
     grid = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    flat = world.grid_to_flat(grid)
+    flat = grid.reshape(world.dim)
     np.testing.assert_array_equal(flat, [1, 2, 3, 4, 5, 6])
     np.testing.assert_array_equal(world.flat_to_grid(flat), grid)
 
@@ -182,20 +179,10 @@ def test_oracle_cache_does_not_grow_with_step_count():
 def test_sample_clean_covariance_statistics():
     world = make_gaussian_world(2, 2, 0.6, 0.4)
     rng = np.random.default_rng(8)
-    flat = np.stack([world.grid_to_flat(world.sample_clean(rng))
+    flat = np.stack([world.sample_clean(rng).reshape(world.dim)
                      for _ in range(4000)])
     emp = np.cov(flat.T)
     assert np.abs(emp - world.cov).max() < 0.12
-
-
-def test_normalized_world_transforms_law():
-    world = make_gaussian_world(2, 2, 0.5, 0.5)
-    scaled = world.normalized(center=3.0, scale=2.0)
-    np.testing.assert_allclose(scaled.mean, (world.mean - 3.0) / 2.0, atol=0)
-    np.testing.assert_allclose(scaled.cov, world.cov / 4.0, atol=0)
-    draw = world.sample_clean(np.random.Generator(np.random.Philox(key=11)))
-    draw_scaled = scaled.sample_clean(np.random.Generator(np.random.Philox(key=11)))
-    np.testing.assert_allclose(draw_scaled, (draw - 3.0) / 2.0, rtol=1e-12)
 
 
 def test_observe_validation():
@@ -216,58 +203,12 @@ def test_observations_from_mask():
     np.testing.assert_array_equal(vals, [1.0, 4.0])
 
 
-def test_mixture_1d_pure_laws_at_pi_one():
-    score_mix, score_prior, ratio = gaussian_mixture_1d(0.0, 1.0, 2.0, 1.0, pi=1.0)
-    # pi=1: the "contaminated" law is the pure conditional
-    assert score_mix(1.0) == pytest.approx(-(1.0 - 2.0), abs=1e-12)
-    assert score_prior(1.0) == pytest.approx(-1.0, abs=1e-12)
-    # evidence ratio degenerates to conditional over prior density
-    x = 0.5
-    expect = stats.norm(2.0, 1.0).pdf(x) / stats.norm(0.0, 1.0).pdf(x)
-    assert ratio(x) == pytest.approx(expect, rel=1e-12)
-
-
-def test_mixture_ratio_is_evidence_ratio():
-    pi = 0.5
-    score_mix, score_prior, ratio = gaussian_mixture_1d(0.0, 1.0, 2.0, 1.0, pi)
-    x = 1.3
-    pdf_c = stats.norm(2.0, 1.0).pdf(x)
-    pdf_p = stats.norm(0.0, 1.0).pdf(x)
-    mix = pi * pdf_c + (1 - pi) * pdf_p
-    assert ratio(x) == pytest.approx(mix / pdf_p, rel=1e-12)
-    expect_score = (pi * pdf_c * (2.0 - x) + (1 - pi) * pdf_p * (0.0 - x)) / mix
-    assert score_mix(x) == pytest.approx(expect_score, rel=1e-12)
-
-
-def test_mixture_ratio_drives_exact_score_reconstruction():
-    # lambda(p) with p = mix/prior turns the contaminated score back into
-    # the true conditional score:  s_p + lambda (s_mix - s_p) = s_c
-    pi = 0.4
-    score_mix, score_prior, ratio = gaussian_mixture_1d(0.0, 1.0, 2.0, 1.0, pi)
-    for x in (-1.0, 0.3, 1.7, 3.2):
-        p = ratio(x)
-        lam = p / (p - (1 - pi))
-        guided = score_prior(x) + lam * (score_mix(x) - score_prior(x))
-        assert guided == pytest.approx(-(x - 2.0), abs=1e-10)
-
-
-def test_make_contaminated_scores_grid_restriction():
-    world = make_gaussian_world(2, 2, 0.5, 0.5)
-    s_mix, s_prior, ratio = make_contaminated_scores(world, 0.5, ([0], [1.0]))
-    x_hid = np.array([0.3, -0.2, 0.4])
-    assert np.isfinite(s_mix(x_hid)).all()
-    assert np.isfinite(ratio(x_hid))
-    with pytest.raises(InvalidInputError):
-        make_contaminated_scores(world, 0.5, ([0, 1, 2, 3], [1.0, 1.0, 1.0, 1.0]))
-
-
 def test_conditioning_context_invariants():
     ctx = conditional_context(np.array([[1.0, 2.0]]), np.array([[1, 0]]))
     np.testing.assert_array_equal(ctx.observed, [[1.0, 0.0]])
     assert not ctx.is_unconditional
     un = unconditional_context(1, 2)
     assert un.is_unconditional and un.observed.sum() == 0
-    np.testing.assert_array_equal(unconditional_like(ctx).mask, 0)
     with pytest.raises(ValueError):
         ctx.observed[0, 0] = 5.0
     with pytest.raises(InvalidInputError):
@@ -302,17 +243,17 @@ def test_oracle_backend_returns_noise_scaled_score():
 def test_node_affinity_is_cached_and_row_stochastic():
     world = make_gaussian_world(4, 3, 0.6, 0.5)
     sched = quadratic_schedule(50)
-    a = node_affinity(world, 9, sched, conditional=False)
-    b = node_affinity(world, 9, sched, conditional=False)
+    a = node_affinity(world, 9, sched)
+    b = node_affinity(world, 9, sched)
     assert a is b
     assert a.shape == (4, 4)
     np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
     assert (a >= 0).all()
 
 
-def _dense_node_affinity(world, k, sched, conditional):
+def _dense_node_affinity(world, k, sched):
     # the former formula, from the dense step-k marginal covariance
-    _, cov_k = world.marginal_moments(k, sched, conditional)
+    _, cov_k = world.marginal_moments(k, sched, conditional=True)
     std = np.sqrt(np.diag(cov_k))
     corr = np.abs(cov_k / np.outer(std, std))
     n, t = world.n_nodes, world.n_steps
@@ -326,11 +267,11 @@ def test_node_affinity_matches_the_dense_formula_bit_for_bit():
     obs = np.sort(rng.choice(world.dim, size=world.dim // 2, replace=False))
     observed = world.observe(obs, rng.standard_normal(obs.size))
     sched = quadratic_schedule(50)
-    for conditional in (False, True):
+    # the prior law (nothing observed) and a conditional one
+    for w in (world, observed):
         for k in range(1, 51):
-            np.testing.assert_array_equal(
-                node_affinity(observed, k, sched, conditional),
-                _dense_node_affinity(observed, k, sched, conditional))
+            np.testing.assert_array_equal(node_affinity(w, k, sched),
+                                          _dense_node_affinity(w, k, sched))
 
 
 def test_batched_oracle_predict_matches_single_rows():
@@ -342,12 +283,42 @@ def test_batched_oracle_predict_matches_single_rows():
                 unconditional_context(5, 6)):
         for k in (1, 23, 50):
             eps, attn = backend.predict(x, k, ctx)
-            assert eps.shape == x.shape and attn.shape == (7, 5, 5)
-            assert not attn.flags.writeable
+            assert eps.shape == x.shape
+            if ctx.is_unconditional:
+                assert attn is None  # only the conditional affinity drives clustering
+            else:
+                assert attn.shape == (7, 5, 5) and not attn.flags.writeable
             for i in range(len(x)):
                 one, one_attn = backend.predict(x[i:i + 1], k, ctx)
                 assert np.abs(eps[i] - one[0]).max() <= 1e-12 * np.abs(one).max()
-                np.testing.assert_array_equal(attn[i], one_attn[0])
+                if attn is None:
+                    assert one_attn is None
+                else:
+                    np.testing.assert_array_equal(attn[i], one_attn[0])
+
+
+def test_oracle_impute_builds_one_affinity_per_step(monkeypatch):
+    # the unconditional call exports no affinity, so K steps make K, not 2K
+    import fence.backends as backends
+
+    steps = []
+    real = backends.node_affinity
+
+    def counted(world, k, sched):
+        steps.append(k)
+        return real(world, k, sched)
+
+    monkeypatch.setattr(backends, "node_affinity", counted)
+    world = make_gaussian_world(4, 5, 0.6, 0.7)
+    truth = world.sample_clean(np.random.Generator(np.random.Philox(key=3)))
+    mask = np.ones((4, 5), dtype=np.int64)
+    mask[1, 2:] = 0
+    idx, vals = observations_from_mask(truth, mask)
+    sched = quadratic_schedule(20)
+    backend = OracleBackend(world.observe(idx, vals), sched)
+    impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
+           GuidanceConfig(mode="fence"), n_clusters=2, n_samples=3, seed=5)
+    assert steps == list(range(20, 0, -1))
 
 
 def test_contaminated_backend_blends_predictions():
@@ -360,7 +331,7 @@ def test_contaminated_backend_blends_predictions():
     ctx = conditional_context(np.ones((2, 2)), np.ones((2, 2)))
     eps_t, _ = tainted.predict(x, 5, ctx)
     eps_c, _ = inner.predict(x, 5, ctx)
-    eps_u, _ = inner.predict(x, 5, unconditional_like(ctx))
+    eps_u, _ = inner.predict(x, 5, unconditional_context(2, 2))
     np.testing.assert_allclose(eps_t, 0.7 * eps_u + 0.3 * eps_c, atol=1e-14)
     # unconditional queries pass through untouched
     eps_tu, _ = tainted.predict(x, 5, unconditional_context(2, 2))

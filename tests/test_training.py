@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ def tiny_split(n_windows=10, n_nodes=3, window=6, seed=0):
     wins = tuple((TrafficGrid(world.sample_clean(rng)), ones)
                  for _ in range(n_windows))
     return DatasetSplit(train=wins[:-2], validation=wins[-2:-1],
-                        window_length=window, normalization=(0.0, 1.0))
+                        normalization=(0.0, 1.0))
 
 
 def smoke_cfg(**overrides):
@@ -130,6 +132,30 @@ def test_finetune_from_stage1_and_from_scratch():
     assert np.isfinite(scratch.train_losses).all()
 
 
+def _state_digest(model) -> str:
+    h = hashlib.sha256()
+    for name, value in sorted(model.state_dict().items()):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def test_two_stage_checkpoints_are_pinned():
+    # any change to the training arithmetic (draw order, loss, gradient
+    # summation order, Adam) changes these digests; they held with one and
+    # with two BLAS threads
+    split = tiny_split(n_nodes=4)
+    sched = quadratic_schedule(20)
+    net = NetConfig(n_nodes=4, d_model=8)
+    stage1 = train_unconditional(split, smoke_cfg(epochs=2), sched=sched, net_cfg=net)
+    stage2 = finetune_conditional(stage1.model, split, smoke_cfg(epochs=2),
+                                  sched=sched, net_cfg=net)
+    assert _state_digest(stage1.model) == (
+        "7355174c69fe4a4ac3e2bd5d4c60929b9e06685487aaafde9eb46248e05f70d4")
+    assert _state_digest(stage2.model) == (
+        "dbb037bfa7c6b04ead9abd23f166565d11902990cd0f6ef0e323b61e39f88172")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_reports_step():
     split = tiny_split()
@@ -144,7 +170,7 @@ def test_divergence_reports_step():
 def test_empty_training_split_rejected():
     split = tiny_split()
     empty = DatasetSplit(train=(), validation=split.validation,
-                         window_length=6, normalization=(0.0, 1.0))
+                         normalization=(0.0, 1.0))
     with pytest.raises(InvalidInputError):
         train_unconditional(empty, smoke_cfg(), sched=quadratic_schedule(20),
                             net_cfg=NetConfig(n_nodes=3, d_model=8, n_layers=1,

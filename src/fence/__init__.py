@@ -5,20 +5,19 @@ oracle backend and a small trainable denoiser."""
 from .backends import (ConditioningContext, ContaminatedBackend, DenoiserBackend,
                        OracleBackend, conditional_context, node_affinity,
                        unconditional_context)
-from .clustering import (cluster_log_posterior, cluster_scales,
-                         default_cluster_count, kmeans)
+from .clustering import cluster_scales, default_cluster_count, kmeans
 from .diffusion import (NoiseSchedule, noise_from_score, q_sample,
                         quadratic_schedule, reverse_mean, reverse_step,
                         sincos_embedding)
 from .errors import (ConfigError, DataError, DivergenceError, FenceError,
-                     InvalidInputError, StateError)
+                     InvalidInputError)
 from .grid import (DatasetSplit, GraphSpec, MaskMatrix, TrafficGrid,
                    chronological_split, load_grid_csv, load_mask_csv,
                    observed_stats, save_grid_csv, save_mask_csv, sliding_windows)
-from .guidance import (GuidanceConfig, PosteriorTracker, calibrate_delta,
-                       calibrate_tau, calibrated_constants, combine_scores,
-                       guidance_gradient_norm, guidance_scale, mode_from_string,
-                       posterior_update, step_at_time)
+from .guidance import (GuidanceConfig, calibrate_delta, calibrate_tau,
+                       calibrated_constants, combine_scores, guidance_gradient_norm,
+                       guidance_scale, mode_from_string, posterior_update,
+                       step_at_time)
 from .masking import MaskPatternConfig, mask_sc_tc, mask_sr_tc, patch_bounds
 from .metrics import crps, crps_masked, point_metrics
 from .neural import NetConfig, NeuralDenoiser
@@ -35,15 +34,15 @@ __all__ = [
     "ConditioningContext", "ContaminatedBackend", "DenoiserBackend",
     "OracleBackend", "conditional_context", "node_affinity",
     "unconditional_context",
-    "cluster_log_posterior", "cluster_scales", "default_cluster_count", "kmeans",
+    "cluster_scales", "default_cluster_count", "kmeans",
     "NoiseSchedule", "noise_from_score", "q_sample", "quadratic_schedule",
     "reverse_mean", "reverse_step", "sincos_embedding",
     "ConfigError", "DataError", "DivergenceError", "FenceError",
-    "InvalidInputError", "StateError",
+    "InvalidInputError",
     "DatasetSplit", "GraphSpec", "MaskMatrix", "TrafficGrid",
     "chronological_split", "load_grid_csv", "load_mask_csv",
     "observed_stats", "save_grid_csv", "save_mask_csv", "sliding_windows",
-    "GuidanceConfig", "PosteriorTracker", "calibrate_delta", "calibrate_tau",
+    "GuidanceConfig", "calibrate_delta", "calibrate_tau",
     "calibrated_constants", "combine_scores", "guidance_gradient_norm",
     "guidance_scale", "mode_from_string", "posterior_update", "step_at_time",
     "MaskPatternConfig", "mask_sc_tc", "mask_sr_tc", "patch_bounds",

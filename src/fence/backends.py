@@ -91,19 +91,15 @@ def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule) -> n
     matrix plays the same role as the network's spatial attention export.
     """
     abar = sched.alpha_bar_at(k)
-    key = ("affinity", abar)
-    if key not in world._cache:
-        # the step-k marginal covariance abar S + (1 - abar) I, turned into
-        # absolute correlations in place
-        _, clean_cov = world._law(conditional=True)
-        corr = abar * clean_cov
-        corr.flat[::world.dim + 1] += 1.0 - abar
-        std = np.sqrt(np.diag(corr))
-        np.abs(np.divide(corr, np.outer(std, std), out=corr), out=corr)
-        n, t = world.n_nodes, world.n_steps
-        blocks = corr.reshape(n, t, n, t).mean(axis=(1, 3))
-        world._cache[key] = blocks / blocks.sum(axis=1, keepdims=True)
-    return world._cache[key]
+    # the step-k marginal covariance abar S + (1 - abar) I, turned into
+    # absolute correlations in place
+    corr = abar * world.conditional_moments()[1]
+    corr.flat[::world.dim + 1] += 1.0 - abar
+    std = np.sqrt(np.diag(corr))
+    np.abs(np.divide(corr, np.outer(std, std), out=corr), out=corr)
+    n, t = world.n_nodes, world.n_steps
+    blocks = corr.reshape(n, t, n, t).mean(axis=(1, 3))
+    return blocks / blocks.sum(axis=1, keepdims=True)
 
 
 class OracleBackend(DenoiserBackend):

@@ -19,8 +19,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (PRESETS, SCHEMA, STAGES, guidance_from, load_world_spec,
                      parse_config_file, read_world_spec, resolve_config, schedule_from,
                      training_from, world_from, write_resolved)
-from .errors import (ConfigError, DataError, DivergenceError, InvalidInputError,
-                     StateError)
+from .errors import ConfigError, DataError, DivergenceError, InvalidInputError
 from .grid import (DatasetSplit, GraphSpec, MaskMatrix, TrafficGrid,
                    chronological_split, load_grid_csv, load_mask_csv,
                    observed_stats, save_grid_csv, save_mask_csv, sliding_windows)
@@ -98,7 +97,7 @@ def _load_masked(path, mask_path) -> tuple[np.ndarray, np.ndarray]:
         if extra.shape != entries.shape:
             raise DataError(f"--mask shape {extra.shape} vs grid {entries.shape}")
         entries = entries * extra
-    return np.where(entries == 1, np.nan_to_num(values), 0.0), entries
+    return np.where(entries == 1, values, 0.0), entries
 
 
 def _training_split(series, entries, window: int, stride: int,
@@ -456,7 +455,7 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, StateError, OSError) as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except DivergenceError as exc:

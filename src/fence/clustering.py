@@ -13,12 +13,11 @@ import math
 import numpy as np
 
 from .errors import InvalidInputError
-from .guidance import GuidanceConfig, PosteriorTracker, guidance_scale
+from .guidance import GuidanceConfig, guidance_scale
 
 __all__ = [
     "default_cluster_count",
     "kmeans",
-    "cluster_log_posterior",
     "cluster_scales",
 ]
 
@@ -99,24 +98,28 @@ def kmeans(features: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndar
     return labels, centers
 
 
-def cluster_log_posterior(tracker: PosteriorTracker, clusters: np.ndarray) -> np.ndarray:
-    """Arithmetic mean of node log-posteriors within each cluster."""
-    labels = np.asarray(clusters)
-    if labels.shape != tracker.log_posterior.shape:
-        raise InvalidInputError(
-            f"cluster labels shape {labels.shape} vs {tracker.log_posterior.shape} nodes"
-        )
-    k = int(labels.max()) + 1
-    sums = np.bincount(labels, weights=tracker.log_posterior, minlength=k)
-    counts = np.bincount(labels, minlength=k)
-    if np.any(counts == 0):
-        raise InvalidInputError("every cluster id up to max(labels) must be populated")
-    return sums / counts
-
-
 def cluster_scales(
-    cluster_logp: np.ndarray, clusters: np.ndarray, cfg: GuidanceConfig
+    log_posterior: np.ndarray, labels: np.ndarray, cfg: GuidanceConfig
 ) -> np.ndarray:
-    """Per-node scale vector: each node inherits its cluster's lambda."""
-    lam = guidance_scale(np.asarray(cluster_logp, dtype=np.float64), cfg.pi, cfg.lambda_max)
-    return np.asarray(lam, dtype=np.float64)[np.asarray(clusters)]
+    """(S, N) guidance scales from (S, N) log-posteriors and cluster labels.
+
+    Each cluster's scale is the scale law at the arithmetic mean of its
+    nodes' log-posteriors, and every node inherits its cluster's scale. Row
+    s is one trajectory and pools only its own clusters; each row must use
+    every cluster id from 0 to the largest.
+    """
+    logp = np.asarray(log_posterior, dtype=np.float64)
+    labels = np.asarray(labels)
+    if logp.ndim != 2 or labels.shape != logp.shape:
+        raise InvalidInputError(f"labels {labels.shape} and log-posteriors {logp.shape}"
+                                " must share one (S, N) shape")
+    s = len(logp)
+    # shift each row's ids into a range of their own: one bincount pools all rows
+    width = int(labels.max()) + 1
+    ids = (labels + width * np.arange(s)[:, None]).reshape(-1)
+    sums = np.bincount(ids, weights=logp.reshape(-1), minlength=s * width)
+    counts = np.bincount(ids, minlength=s * width)
+    if np.any(counts == 0):
+        raise InvalidInputError("every cluster id up to the largest must be populated")
+    lam = guidance_scale(sums / counts, cfg.pi, cfg.lambda_max)
+    return lam[ids].reshape(logp.shape)

@@ -10,7 +10,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "DivergenceError",
-    "StateError",
 ]
 
 
@@ -28,10 +27,6 @@ class ConfigError(FenceError):
 
 class DataError(FenceError):
     """Malformed grid, mask, CSV payload, or checkpoint."""
-
-
-class StateError(FenceError):
-    """Operation called on an object in the wrong state."""
 
 
 class DivergenceError(FenceError):

@@ -193,8 +193,8 @@ def chronological_split(
 
 
 # CSV formats. Grid: header t0,t1,..., one row per node, empty cell or a
-# "nan" token marks raw-missing. Mask: same shape, 0/1 entries. UTF-8,
-# comma-separated, LF line endings.
+# "nan" token marks raw-missing, any other cell is a finite number. Mask:
+# same shape, 0/1 entries. UTF-8, comma-separated, LF line endings.
 
 
 def _header(n_steps: int) -> list[str]:
@@ -260,6 +260,8 @@ def load_grid_csv(path) -> tuple[np.ndarray, MaskMatrix]:
                 values[i, j] = float(token)
             except ValueError as exc:
                 raise DataError(f"{path}: bad value {token!r} at row {i}, col {j}") from exc
+            if not math.isfinite(values[i, j]):
+                raise DataError(f"{path}: non-finite value {token!r} at row {i}, col {j}")
     return values, MaskMatrix(mask)
 
 

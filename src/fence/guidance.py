@@ -1,4 +1,4 @@
-"""Feedback-controlled guidance: scale law, posterior tracking, calibration.
+"""Feedback-controlled guidance: scale law, posterior update, calibration.
 
 The conditional denoiser is modeled as an additive contamination of the true
 conditional by the unconditional law with prior confidence pi. Solving that
@@ -12,7 +12,7 @@ the tracker are calibrated from two reference times t0 (activation) and t1
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import ConfigError, InvalidInputError
 
 __all__ = [
     "GuidanceConfig",
-    "PosteriorTracker",
     "LOG_P_CLAMP",
     "mode_from_string",
     "step_at_time",
@@ -98,28 +97,6 @@ def mode_from_string(text: str) -> tuple[str, float]:
     raise ConfigError(f"mode must be fence, none, or cfg:<lambda>, got {text!r}")
 
 
-@dataclass(frozen=True)
-class PosteriorTracker:
-    """Per-node log-posterior state, tracked in log space: the N nodes of one
-    trajectory, or the S*N node rows of S trajectories, trajectory-major."""
-
-    log_posterior: np.ndarray
-    tau: float
-    delta: float
-
-    def __post_init__(self):
-        logp = np.array(self.log_posterior, dtype=np.float64)
-        if logp.ndim != 1:
-            raise InvalidInputError("log_posterior must be a vector (one entry per node)")
-        logp.setflags(write=False)
-        object.__setattr__(self, "log_posterior", logp)
-
-    @classmethod
-    def fresh(cls, n_nodes: int, tau: float, delta: float) -> "PosteriorTracker":
-        # uniform prior: log p = 0 per node
-        return cls(np.zeros(int(n_nodes)), float(tau), float(delta))
-
-
 def step_at_time(t: float, n_steps: int) -> int:
     """Map a normalized time t in (0,1] to a step index; t=1 is pure noise (k=K)."""
     k = int(math.floor(t * n_steps + 0.5))  # round half up, platform-stable
@@ -131,8 +108,8 @@ def calibrate_delta(cfg: GuidanceConfig, n_steps: int) -> float:
 
     p_ref = (1-pi) * lambda_ref / (lambda_ref - 1) is the p at which the scale
     law gives lambda = lambda_ref, so delta = log(p_ref) / ((1-t0) * K). This
-    does not make the scale cross lambda_ref at t0: a fresh tracker starts at
-    log p = 0, where lambda = 1/pi.
+    does not make the scale cross lambda_ref at t0: the tracked state starts
+    at log p = 0, where lambda = 1/pi.
     """
     if cfg.lambda_ref <= 1.0:
         raise InvalidInputError(f"lambda_ref must be > 1, got {cfg.lambda_ref}")
@@ -177,21 +154,24 @@ def guidance_scale(log_posterior, pi: float, lambda_max: float):
 
 
 def posterior_update(
-    tracker: PosteriorTracker,
+    log_posterior: np.ndarray,
     x_prev: np.ndarray,
     mean_cond: np.ndarray,
     mean_uncond: np.ndarray,
     k: int,
     sched: NoiseSchedule,
-) -> PosteriorTracker:
+    tau: float,
+    delta: float,
+) -> np.ndarray:
     """One feedback step: reward rows that landed closer to the conditional mean.
 
     log p_i -= tau/(2 sigma_k^2) * (|row_i(x - mean_cond)|^2
                                     - |row_i(x - mean_uncond)|^2) + delta
 
-    x is one (N, T) grid or an (S, N, T) stack; its node rows, in order,
-    pair with the tracked entries.
+    x is one (N, T) grid or an (S, N, T) stack, and log_posterior holds one
+    entry per node row: shape (N,) or (S, N). Returns the updated array.
     """
+    logp = np.asarray(log_posterior, dtype=np.float64)
     x = np.asarray(x_prev, dtype=np.float64)
     mc = np.asarray(mean_cond, dtype=np.float64)
     mu = np.asarray(mean_uncond, dtype=np.float64)
@@ -199,19 +179,16 @@ def posterior_update(
         raise InvalidInputError(
             f"posterior_update shapes must match: {x.shape}, {mc.shape}, {mu.shape}"
         )
-    rows = math.prod(x.shape[:-1])
-    if rows != tracker.log_posterior.size:
+    if logp.shape != x.shape[:-1]:
         raise InvalidInputError(
-            f"{rows} rows vs {tracker.log_posterior.size} tracked nodes"
-        )
+            f"log_posterior shape {logp.shape} vs {x.shape[:-1]} node rows")
     sigma2 = sched.sigma2_at(k)
     if sigma2 <= 0.0:
         raise InvalidInputError(f"sigma_k^2 = 0 at step {k}: posterior update undefined")
     dc = x - mc
     du = x - mu
-    gap = (np.sum(dc * dc, axis=-1) - np.sum(du * du, axis=-1)).reshape(rows)
-    new_logp = tracker.log_posterior - tracker.tau / (2.0 * sigma2) * gap - tracker.delta
-    return replace(tracker, log_posterior=new_logp)
+    gap = np.sum(dc * dc, axis=-1) - np.sum(du * du, axis=-1)
+    return logp - tau / (2.0 * sigma2) * gap - delta
 
 
 def combine_scores(

@@ -207,18 +207,22 @@ class NeuralDenoiser(DenoiserBackend):
 
         # attention runs over axis -2 of the 4-D activations rather than on
         # reshaped (B*N, T, d) copies: extra reshape nodes on the tape would
-        # change the order in which backward sums gradients
+        # change the order in which backward sums gradients. Each residual
+        # branch is dropped once it is added into h, so without a tape it is
+        # freed before the next attention runs
         spatial_probs = None
         for i in range(self.cfg.n_layers):
-            attn_out, _ = self._attention(h, f"layer{i}/temporal")  # per (row, node)
-            h = ad.add(h, attn_out)
-            h_sp = ad.transpose(h, (0, 2, 1, 3))  # (B, T, N, d): per (row, slice)
+            # temporal attention per (row, node), then spatial per (row, slice)
+            h = ad.add(h, self._attention(h, f"layer{i}/temporal")[0])
+            h_sp = ad.transpose(h, (0, 2, 1, 3))  # (B, T, N, d)
             attn_out, spatial_probs = self._attention(h_sp, f"layer{i}/spatial")
             h = ad.transpose(ad.add(h_sp, attn_out), (0, 2, 1, 3))
+            del h_sp, attn_out
             ff = ad.add(ad.matmul(h, p[f"layer{i}/ffn/1/W"]), p[f"layer{i}/ffn/1/b"])
             ff = ad.add(ad.matmul(ad.relu(ff), p[f"layer{i}/ffn/2/W"]),
                         p[f"layer{i}/ffn/2/b"])
             h = ad.add(h, ff)
+            del ff
 
         head = ad.relu(ad.add(ad.matmul(h, p["head/1/W"]), p["head/1/b"]))
         eps = ad.add(ad.matmul(head, p["head/2/W"]), p["head/2/b"])

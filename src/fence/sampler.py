@@ -5,7 +5,7 @@ pure noise, and at every step query the unconditional and the conditional
 noise predictions for the whole ensemble in one call each, recluster each
 trajectory's nodes on the exported attention, turn tracked log-posteriors
 into per-node guidance scales, combine the predictions, take the reverse
-step, and feed the realized samples back into the posterior tracker. Each
+step, and feed the realized samples back into the (S, N) log-posteriors. Each
 trajectory draws from its own RNG stream (seed xor trajectory index) in a
 fixed order, so trajectory i is the same whatever the ensemble size.
 """
@@ -19,12 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .backends import DenoiserBackend, conditional_context, unconditional_context
-from .clustering import cluster_log_posterior, cluster_scales, default_cluster_count, kmeans
+from .clustering import cluster_scales, default_cluster_count, kmeans
 from .diffusion import NoiseSchedule, q_sample, reverse_mean, reverse_step
 from .errors import DivergenceError, FenceError, InvalidInputError
 from .grid import MaskMatrix, TrafficGrid, save_grid_csv
-from .guidance import (GuidanceConfig, PosteriorTracker, calibrated_constants,
-                       combine_scores, guidance_gradient_norm, posterior_update)
+from .guidance import (GuidanceConfig, calibrated_constants, combine_scores,
+                       guidance_gradient_norm, posterior_update)
 
 __all__ = ["ImputationResult", "impute", "emit_trace"]
 
@@ -35,7 +35,7 @@ ANCHORING_MODES = ("free", "clamp")
 class ImputationResult:
     """``samples`` (S, N, T) and the trace ``lam``, ``log_posterior``,
     ``guidance_norm``, ``cluster_id`` (S, K, N); step index j is reverse step
-    k = K - j, after that step's tracker update. Every field is a read-only
+    k = K - j, after that step's posterior update. Every field is a read-only
     view; the arrays passed in stay as they were."""
 
     samples: np.ndarray
@@ -79,14 +79,6 @@ def _step_labels(attn: np.ndarray | None, n_samples: int, n_nodes: int,
                      for traj in range(n_samples)])
 
 
-def _step_scales(tracker: PosteriorTracker, labels: np.ndarray,
-                 gcfg: GuidanceConfig) -> np.ndarray:
-    """(S, N) guidance scales; each trajectory pools only its own clusters."""
-    s, n = labels.shape
-    ids = (labels + (labels.max() + 1) * np.arange(s)[:, None]).reshape(-1)
-    return cluster_scales(cluster_log_posterior(tracker, ids), ids, gcfg).reshape(s, n)
-
-
 def _predict(backend: DenoiserBackend, x, k, ctx):
     try:
         return backend.predict(x, k, ctx)
@@ -128,7 +120,8 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
 
     rngs = [np.random.Generator(np.random.Philox(key=seed ^ traj)) for traj in range(s)]
     x = np.stack([rng.standard_normal((n, t)) for rng in rngs])
-    tracker = PosteriorTracker.fresh(s * n, tau, delta)
+    # the tracked log-posterior of every node of every trajectory, from log p = 0
+    logp = np.zeros((s, n))
     ctx_cond = conditional_context(masked_values, entries)
     ctx_uncond = unconditional_context(n, t)
     lam_trace, logp_trace, gnorm_trace = (np.empty((s, n_steps, n)) for _ in range(3))
@@ -143,7 +136,7 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
 
         if gcfg.mode == "fence":
             labels = _step_labels(attn, s, n, n_clusters, seed, k)
-            lam = _step_scales(tracker, labels, gcfg)
+            lam = cluster_scales(logp, labels, gcfg)
             cluster_trace[:, j] = labels
         elif gcfg.mode == "cfg":
             lam = np.full((s, n), float(gcfg.fixed_lambda))
@@ -174,10 +167,10 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
         if gcfg.mode == "fence" and k > 1:
             mean_c = reverse_mean(x, eps_c, k, sched)
             mean_u = reverse_mean(x, eps_u, k, sched)
-            tracker = posterior_update(tracker, x_next, mean_c, mean_u, k, sched)
+            logp = posterior_update(logp, x_next, mean_c, mean_u, k, sched, tau, delta)
 
         lam_trace[:, j] = lam
-        logp_trace[:, j] = tracker.log_posterior.reshape(s, n)
+        logp_trace[:, j] = logp
         gnorm_trace[:, j] = gnorm
         x = x_next
     return ImputationResult(x, lam_trace, logp_trace, gnorm_trace, cluster_trace)

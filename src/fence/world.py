@@ -108,42 +108,38 @@ class GaussianOracleWorld:
     # -- conditional moments -----------------------------------------------
 
     def conditional_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full-dimensional (mean, cov) after conditioning on observations.
+        """Full-dimensional read-only (mean, cov) after conditioning on the
+        observations; the world's own mean and cov when nothing is observed.
 
         Observed coordinates are pinned: mean equals the observed value and
         their covariance rows/columns are zero (Schur complement on the
         hidden block).
         """
+        if not self.observed_idx:
+            return self.mean, self.cov
         if "cond" not in self._cache:
-            if not self.observed_idx:
-                self._cache["cond"] = (self.mean.copy(), self.cov.copy())
-            else:
-                obs = np.asarray(self.observed_idx, dtype=np.intp)
-                hid = self.hidden_idx
-                v = np.asarray(self.observed_val)
-                s_oo = self.cov[np.ix_(obs, obs)]
-                s_ho = self.cov[np.ix_(hid, obs)]
-                try:
-                    f_oo = cho_factor(s_oo, lower=True)
-                except LinAlgError as exc:
-                    raise InvalidInputError(
-                        f"observed covariance block is singular: {exc}") from exc
-                gain = cho_solve(f_oo, (v - self.mean[obs]))
-                mean_c = self.mean.copy()
-                mean_c[hid] = self.mean[hid] + s_ho @ gain
-                mean_c[obs] = v
-                cov_c = np.zeros_like(self.cov)
-                cov_c[np.ix_(hid, hid)] = (
-                    self.cov[np.ix_(hid, hid)] - s_ho @ cho_solve(f_oo, s_ho.T)
-                )
-                self._cache["cond"] = (mean_c, cov_c)
-        mean_c, cov_c = self._cache["cond"]
-        return mean_c, cov_c
-
-    def _law(self, conditional: bool) -> tuple[np.ndarray, np.ndarray]:
-        if conditional and self.observed_idx:
-            return self.conditional_moments()
-        return self.mean, self.cov
+            obs = np.asarray(self.observed_idx, dtype=np.intp)
+            hid = self.hidden_idx
+            v = np.asarray(self.observed_val)
+            s_oo = self.cov[np.ix_(obs, obs)]
+            s_ho = self.cov[np.ix_(hid, obs)]
+            try:
+                f_oo = cho_factor(s_oo, lower=True)
+            except LinAlgError as exc:
+                raise InvalidInputError(
+                    f"observed covariance block is singular: {exc}") from exc
+            gain = cho_solve(f_oo, (v - self.mean[obs]))
+            mean_c = self.mean.copy()
+            mean_c[hid] = self.mean[hid] + s_ho @ gain
+            mean_c[obs] = v
+            cov_c = np.zeros_like(self.cov)
+            cov_c[np.ix_(hid, hid)] = (
+                self.cov[np.ix_(hid, hid)] - s_ho @ cho_solve(f_oo, s_ho.T)
+            )
+            mean_c.setflags(write=False)
+            cov_c.setflags(write=False)
+            self._cache["cond"] = (mean_c, cov_c)
+        return self._cache["cond"]
 
     # -- noised marginals ----------------------------------------------------
 
@@ -157,7 +153,7 @@ class GaussianOracleWorld:
         conditional = bool(conditional and self.observed_idx)
         key = ("eigen", conditional)
         if key not in self._cache:
-            m, s = self._law(conditional)
+            m, s = self.conditional_moments() if conditional else (self.mean, self.cov)
             w, u = eigh(s)
             self._cache[key] = (m, w, u)
         return self._cache[key]
@@ -175,7 +171,7 @@ class GaussianOracleWorld:
                          conditional: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(mean, covariance) of x_k ~ N(sqrt(abar) m', abar Sigma' + (1-abar) I)."""
         abar = sched.alpha_bar_at(k)
-        m, s = self._law(conditional)
+        m, s = self.conditional_moments() if conditional else (self.mean, self.cov)
         return math.sqrt(abar) * m, abar * s + (1.0 - abar) * np.eye(self.dim)
 
     def score(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,

@@ -23,7 +23,6 @@ from fence import (
     NetConfig,
     NeuralDenoiser,
     OracleBackend,
-    PosteriorTracker,
     TrafficGrid,
     calibrated_constants,
     crps,
@@ -228,18 +227,17 @@ def test_criterion_06_posterior_update_reference():
         tau = float(rng.uniform(1e-4, 1e-2))
         delta = float(rng.uniform(-0.1, 0.1))
         k = int(rng.integers(2, 51))
-        tracker = PosteriorTracker(logp.copy(), tau, delta)
-        updated = posterior_update(tracker, x, mc, mu, k, sched)
+        updated = posterior_update(logp.copy(), x, mc, mu, k, sched, tau, delta)
         sigma2 = sched.sigma2_at(k)
         for i in range(n):
             gap = float(np.sum((x[i] - mc[i]) ** 2) - np.sum((x[i] - mu[i]) ** 2))
             expect = logp[i] - tau / (2.0 * sigma2) * gap - delta
-            worst = max(worst, abs(updated.log_posterior[i] - expect))
+            worst = max(worst, abs(updated[i] - expect))
 
-    base = PosteriorTracker(np.array([0.3, -0.7, 0.0]), 0.01, 0.0)
+    base = np.array([0.3, -0.7, 0.0])
     same = np.zeros((3, 4))
-    frozen = posterior_update(base, same + 1.0, same, same, 10, sched)
-    invariant = np.array_equal(frozen.log_posterior, base.log_posterior)
+    frozen = posterior_update(base, same + 1.0, same, same, 10, sched, 0.01, 0.0)
+    invariant = np.array_equal(frozen, base)
     _verdict(6, worst <= 1e-12 and invariant,
              f"max deviation {worst:.2e} over 1e4 rows; equal-means "
              f"delta=0 state invariant: {invariant}")

@@ -301,6 +301,41 @@ def test_impute_oracle_reads_the_spec_once(tmp_path, monkeypatch):
     assert reads.count(spec) == 1
 
 
+def _impute_grid_argv(tmp_path, cells):
+    spec = tmp_path / "world.spec"
+    spec.write_text(WORLD_SPEC)
+    grid = tmp_path / "grid.csv"
+    rows = [",".join(cells[i:i + 4]) for i in range(0, 12, 4)]
+    grid.write_text("t0,t1,t2,t3\n" + "\n".join(rows) + "\n")
+    return ["impute", "--grid", str(grid), "--oracle", str(spec), "--steps", "10",
+            "--out", str(tmp_path / "out.csv")]
+
+
+def test_impute_rejects_an_infinite_grid_cell(tmp_path, capsys):
+    # a non-finite observation is bad data, not a divergence of the sampler
+    cells = ["1.0"] * 12
+    cells[5] = "inf"
+    assert main(_impute_grid_argv(tmp_path, cells)) == 3
+    err = capsys.readouterr().err
+    assert "grid.csv" in err and "row 1, col 1" in err and "diverged" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 11),
+       st.sampled_from(["inf", "-inf", "+inf", "INF", "Infinity", "-infinity",
+                        "1e999", "-1e400", " inf "]))
+def test_any_non_finite_grid_token_exits_3_naming_its_cell(tmp_path_factory,
+                                                           position, token):
+    tmp_path = tmp_path_factory.mktemp("impute")
+    cells = [repr(0.1 * i) for i in range(12)]
+    cells[position] = token
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(_impute_grid_argv(tmp_path, cells)) == 3
+    assert f"row {position // 4}, col {position % 4}" in err.getvalue()
+
+
 def test_trace_subcommand(tmp_path):
     spec = tmp_path / "world.spec"
     spec.write_text(WORLD_SPEC)

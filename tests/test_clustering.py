@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fence import (
     GuidanceConfig,
     InvalidInputError,
-    PosteriorTracker,
-    cluster_log_posterior,
     cluster_scales,
     default_cluster_count,
     guidance_scale,
@@ -70,20 +69,49 @@ def test_kmeans_identical_points():
     np.testing.assert_array_equal(centers, 1.0)
 
 
-def test_cluster_log_posterior_means():
-    tr = PosteriorTracker(np.array([1.0, 3.0, 5.0, 7.0]), 0.1, 0.0)
-    labels = np.array([0, 0, 1, 1])
-    np.testing.assert_allclose(cluster_log_posterior(tr, labels), [2.0, 6.0])
+def test_cluster_scales_pool_cluster_means():
+    cfg = GuidanceConfig(pi=0.5, lambda_max=10.0)
+    logp = np.array([[1.0, 3.0, 5.0, 7.0]])
+    lam = cluster_scales(logp, np.array([[0, 0, 1, 1]]), cfg)
+    expect = guidance_scale(np.array([2.0, 6.0]), 0.5, 10.0)
+    np.testing.assert_array_equal(lam, [[expect[0], expect[0], expect[1], expect[1]]])
     with pytest.raises(InvalidInputError):
-        cluster_log_posterior(tr, np.array([0, 0, 2, 2]))  # id 1 unpopulated
+        cluster_scales(logp, np.array([[0, 0, 2, 2]]), cfg)  # id 1 unpopulated
     with pytest.raises(InvalidInputError):
-        cluster_log_posterior(tr, np.array([0, 0, 1]))
+        cluster_scales(logp, np.array([[0, 0, 1]]), cfg)
+    with pytest.raises(InvalidInputError):
+        cluster_scales(logp[0], np.array([0, 0, 1, 1]), cfg)  # no trajectory axis
 
 
 def test_cluster_scales_inherit_cluster_lambda():
     cfg = GuidanceConfig(pi=0.5, lambda_max=10.0)
-    cluster_logp = np.array([np.log(2.0), np.log(0.3)])
-    labels = np.array([0, 1, 1, 0])
-    lam = cluster_scales(cluster_logp, labels, cfg)
+    logp = np.array([[np.log(2.0), np.log(0.3), np.log(0.3), np.log(2.0)]])
+    labels = np.array([[0, 1, 1, 0]])
+    lam = cluster_scales(logp, labels, cfg)
     lam0 = guidance_scale(np.log(2.0), 0.5, 10.0)
-    np.testing.assert_allclose(lam, [lam0, 10.0, 10.0, lam0], rtol=1e-12)
+    np.testing.assert_allclose(lam, [[lam0, 10.0, 10.0, lam0]], rtol=1e-12)
+
+
+@st.composite
+def _pooling_case(draw):
+    s = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    # k-means-style labels: every id 0..k-1 appears in every row
+    labels = np.stack([rng.permutation(np.concatenate(
+        [np.arange(k), rng.integers(0, k, n - k)])) for _ in range(s)])
+    logp = rng.standard_normal((s, n)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    return logp, labels
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pooling_case())
+def test_trajectory_pools_only_its_own_clusters(case):
+    logp, labels = case
+    cfg = GuidanceConfig(pi=0.4, lambda_max=6.0)
+    stacked = cluster_scales(logp, labels, cfg)
+    rows = np.concatenate([cluster_scales(logp[i:i + 1], labels[i:i + 1], cfg)
+                           for i in range(len(logp))])
+    np.testing.assert_array_equal(stacked, rows)

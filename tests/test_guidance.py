@@ -7,7 +7,6 @@ from fence import (
     ConfigError,
     GuidanceConfig,
     InvalidInputError,
-    PosteriorTracker,
     calibrate_delta,
     calibrate_tau,
     calibrated_constants,
@@ -116,31 +115,36 @@ def test_guidance_scale_vector_shape_and_scalar_type():
     assert isinstance(guidance_scale(0.0, pi=0.5, lambda_max=10.0), float)
 
 
-def test_tracker_fresh_state():
-    tr = PosteriorTracker.fresh(3, tau=0.1, delta=0.01)
-    np.testing.assert_array_equal(tr.log_posterior, 0.0)
-    with pytest.raises(ValueError):
-        tr.log_posterior[0] = 1.0
-    with pytest.raises(InvalidInputError):
-        PosteriorTracker(np.zeros((2, 2)), 0.1, 0.01)
-
-
 def test_posterior_update_reference_implementation():
     sched = quadratic_schedule(50)
     rng = np.random.default_rng(12)
     n, t, k = 5, 7, 20
-    tr = PosteriorTracker(rng.standard_normal(n), tau=0.03, delta=0.007)
+    logp = rng.standard_normal(n)
+    before = logp.copy()
     x = rng.standard_normal((n, t))
     mc = rng.standard_normal((n, t))
     mu = rng.standard_normal((n, t))
-    got = posterior_update(tr, x, mc, mu, k, sched)
+    got = posterior_update(logp, x, mc, mu, k, sched, tau=0.03, delta=0.007)
     sigma2 = sched.sigma2_at(k)
     for i in range(n):
         gap = np.sum((x[i] - mc[i]) ** 2) - np.sum((x[i] - mu[i]) ** 2)
-        expect = tr.log_posterior[i] - 0.03 / (2 * sigma2) * gap - 0.007
-        assert got.log_posterior[i] == pytest.approx(expect, abs=1e-15)
-    # the input tracker is untouched
-    np.testing.assert_array_equal(tr.log_posterior, tr.log_posterior)
+        expect = logp[i] - 0.03 / (2 * sigma2) * gap - 0.007
+        assert got[i] == pytest.approx(expect, abs=1e-15)
+    # the input array is untouched
+    np.testing.assert_array_equal(logp, before)
+
+
+def test_posterior_update_stack_matches_rows():
+    # an (S, N, T) stack updates each trajectory's (S, N) row on its own
+    sched = quadratic_schedule(50)
+    rng = np.random.default_rng(15)
+    x, mc, mu = (rng.standard_normal((3, 4, 5)) for _ in range(3))
+    logp = rng.standard_normal((3, 4))
+    got = posterior_update(logp, x, mc, mu, 17, sched, 0.2, -0.01)
+    assert got.shape == (3, 4)
+    for s in range(3):
+        np.testing.assert_array_equal(
+            got[s], posterior_update(logp[s], x[s], mc[s], mu[s], 17, sched, 0.2, -0.01))
 
 
 def test_posterior_update_invariant_under_equal_means():
@@ -148,21 +152,23 @@ def test_posterior_update_invariant_under_equal_means():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((4, 6))
     m = rng.standard_normal((4, 6))
-    tr = PosteriorTracker(rng.standard_normal(4), tau=0.5, delta=0.0)
-    got = posterior_update(tr, x, m, m, 10, sched)
-    np.testing.assert_array_equal(got.log_posterior, tr.log_posterior)
+    logp = rng.standard_normal(4)
+    got = posterior_update(logp, x, m, m, 10, sched, tau=0.5, delta=0.0)
+    np.testing.assert_array_equal(got, logp)
 
 
 def test_posterior_update_errors():
     sched = quadratic_schedule(50)  # beta_tilde: sigma2(1) = 0
-    tr = PosteriorTracker.fresh(2, 0.1, 0.0)
+    logp = np.zeros(2)
     x = np.zeros((2, 3))
     with pytest.raises(InvalidInputError):
-        posterior_update(tr, x, x, x, 1, sched)
+        posterior_update(logp, x, x, x, 1, sched, 0.1, 0.0)
     with pytest.raises(InvalidInputError):
-        posterior_update(tr, x, np.zeros((3, 3)), x, 10, sched)
+        posterior_update(logp, x, np.zeros((3, 3)), x, 10, sched, 0.1, 0.0)
     with pytest.raises(InvalidInputError):
-        posterior_update(PosteriorTracker.fresh(5, 0.1, 0.0), x, x, x, 10, sched)
+        posterior_update(np.zeros(5), x, x, x, 10, sched, 0.1, 0.0)
+    with pytest.raises(InvalidInputError):  # (S, N) state against one (N, T) grid
+        posterior_update(np.zeros((1, 2)), x, x, x, 10, sched, 0.1, 0.0)
 
 
 def test_combine_scores_exact_endpoints():

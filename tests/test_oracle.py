@@ -70,6 +70,16 @@ def test_schur_conditioning_two_node_example():
     assert cov_c[1, 1] == 0.0 and cov_c[0, 1] == 0.0
 
 
+def test_conditional_moments_are_read_only_and_share_the_prior():
+    world = make_gaussian_world(2, 3, 0.5, 0.5)
+    mean, cov = world.conditional_moments()
+    assert mean is world.mean and cov is world.cov  # nothing observed: no copy
+    mean_c, cov_c = world.observe([1], [0.4]).conditional_moments()
+    for a in (mean, cov, mean_c, cov_c):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
 def test_conditional_moments_match_scipy_regression():
     rng = np.random.default_rng(4)
     world = make_gaussian_world(3, 3, 0.4, 0.6)
@@ -240,12 +250,10 @@ def test_oracle_backend_returns_noise_scaled_score():
         backend.predict(np.zeros((2, 3)), k, unconditional_context(2, 3))  # no batch axis
 
 
-def test_node_affinity_is_cached_and_row_stochastic():
+def test_node_affinity_is_row_stochastic():
     world = make_gaussian_world(4, 3, 0.6, 0.5)
     sched = quadratic_schedule(50)
     a = node_affinity(world, 9, sched)
-    b = node_affinity(world, 9, sched)
-    assert a is b
     assert a.shape == (4, 4)
     np.testing.assert_allclose(a.sum(axis=1), 1.0, atol=1e-12)
     assert (a >= 0).all()

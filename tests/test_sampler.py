@@ -18,7 +18,7 @@ from fence import (
     quadratic_schedule,
 )
 from fence.backends import DenoiserBackend
-from fence.errors import StateError
+from fence.errors import DataError
 
 RESULT_ARRAYS = ("samples", "lam", "log_posterior", "guidance_norm", "cluster_id")
 
@@ -196,7 +196,7 @@ class _BrokenBackend(DenoiserBackend):
 
     def predict(self, x_k, k, ctx):
         if k == self.fail_at:
-            raise StateError("weights corrupted")
+            raise DataError("weights corrupted")
         return np.zeros_like(np.asarray(x_k)), None
 
 
@@ -228,7 +228,7 @@ def test_backend_failure_reports_step():
     _, truth, mask, sched = oracle_setup()
     broken = _BrokenBackend(fail_at=37)
     gcfg = GuidanceConfig(mode="none")
-    with pytest.raises(StateError, match="step 37"):
+    with pytest.raises(DataError, match="step 37"):
         impute(None, broken, truth, mask, sched, gcfg, n_samples=1)
 
 

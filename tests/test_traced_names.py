@@ -1,0 +1,50 @@
+"""The benchmark's span tracer finds every callable it wraps.
+
+``perfbench/spans.install`` wraps fence functions by name and reports the
+ones it cannot find; a hook that no longer fits the program's arguments
+lands in ``Recorder.lost``. Either way a per-layer metric silently reads 0,
+so a rename or a signature change must fail here instead. The tracer
+rebinds names in every fence module, so it runs in a child process.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+TRACED_IMPUTE = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import numpy as np
+import fence.cli
+import spans
+from fence import (GuidanceConfig, MaskMatrix, OracleBackend, TrafficGrid,
+                   make_gaussian_world, observations_from_mask, quadratic_schedule)
+from fence import sampler
+
+rec = spans.Recorder()
+missing = spans.install(rec)
+world = make_gaussian_world(4, 3, 0.5, 0.6)
+truth = world.sample_clean(np.random.default_rng(1))
+mask = np.ones((4, 3), dtype=np.int64)
+mask[0] = 0
+sched = quadratic_schedule(5)
+backend = OracleBackend(world.observe(*observations_from_mask(truth, mask)), sched)
+sampler.impute(backend, backend, TrafficGrid(truth * mask), MaskMatrix(mask), sched,
+               GuidanceConfig(mode="fence"), n_clusters=2, n_samples=2, seed=3)
+metrics = rec.metrics()
+print(json.dumps({"missing": missing, "lost": sorted(rec.lost),
+                  "updates": metrics["guidance.posterior_update.calls"],
+                  "scales": metrics["clustering.scales.calls"]}))
+"""
+
+
+def test_perfbench_traces_every_layer_of_a_fence_impute():
+    out = subprocess.run(
+        [sys.executable, "-c", TRACED_IMPUTE, str(ROOT / "src"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    steps = 5
+    assert got == {"missing": [], "lost": [], "updates": steps - 1, "scales": steps}

@@ -79,7 +79,8 @@ class DenoiserBackend(ABC):
     def predict(self, x_k: np.ndarray, k: int,
                 ctx: ConditioningContext) -> tuple[np.ndarray, np.ndarray | None]:
         """eps_hat (B, N, T) for the batch x_k (B, N, T) at step k under the
-        (N, T) context ctx, and the node affinity (B, N, N) or None."""
+        (N, T) context ctx, and the node affinity: (N, N) when every row
+        shares it, (B, N, N) when each row has its own, or None."""
 
 
 def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule) -> np.ndarray:
@@ -124,9 +125,8 @@ class OracleBackend(DenoiserBackend):
         eps = noise_from_score(score.reshape(x.shape), k, self.sched)
         if not conditional:
             return eps, None
-        # the affinity depends on the step alone: one read-only matrix for all rows
-        attn = node_affinity(self.world, k, self.sched)
-        return eps, np.broadcast_to(attn, (len(x), *attn.shape))
+        # the affinity depends on the step alone: one matrix for all rows
+        return eps, node_affinity(self.world, k, self.sched)
 
 
 class ContaminatedBackend(DenoiserBackend):

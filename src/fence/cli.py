@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schema_args(p, (("mask", ("pattern", "patch")),))
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--communities", type=int, default=None)
-    p.add_argument("--seed", type=int, default=MaskPatternConfig.seed)
+    p.add_argument("--seed", type=SCHEMA["mask"]["seed"][0], default=MaskPatternConfig.seed)
     p.add_argument("--nodes", type=int, default=None)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--out", required=True)

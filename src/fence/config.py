@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError
 from .guidance import SCOPES, GuidanceConfig, mode_from_string
 from .masking import PATTERNS
 from .neural import NetConfig
-from .sampler import ANCHORING_MODES, impute
+from .sampler import ANCHORING_MODES, SEED_LIMIT, impute
 from .training import TrainConfig
 from .world import GaussianOracleWorld, make_gaussian_world
 
@@ -42,6 +42,14 @@ def _one_of(choices: tuple[str, ...]):
     return parse
 
 
+def _seed(text: str) -> int:
+    """Parser of every seed key: an integer in [0, 2**64)."""
+    value = int(text)
+    if not (0 <= value < SEED_LIMIT):
+        raise ValueError(f"seed must lie in [0, 2**64), got {value}")
+    return value
+
+
 def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
@@ -53,7 +61,7 @@ STAGES = ("uncond", "cond")
 SCHEMA: dict[str, dict[str, tuple]] = {
     "experiment": {
         "backend": (_one_of(("oracle", "neural")), "oracle", "denoiser backend"),
-        "seed": (int, 0, "base seed for truth draw and sampling"),
+        "seed": (_seed, 0, "base seed for truth draw and sampling"),
     },
     "world": {
         "nodes": (int, 6, "grid nodes N"),
@@ -61,7 +69,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "rho_s": (float, 0.6, "spatial ring correlation, |rho| < 1"),
         "rho_t": (float, 0.8, "temporal correlation, |rho| < 1"),
         "mean": (float, 0.0, "constant process mean"),
-        "seed": (int, 0, "world identity seed (data synthesis stream)"),
+        "seed": (_seed, 0, "world identity seed (data synthesis stream)"),
     },
     "data": {
         "length": (int, 240, "synthesized series length for training runs"),
@@ -72,7 +80,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "alpha": (float, 0.8, "missing rate in [0, 1]"),
         "patch": (int, 12, "temporal patch length"),
         "communities": (int, 0, "SC-TC community count (0 = derive none)"),
-        "seed": (int, 1, "mask RNG seed"),
+        "seed": (_seed, 1, "mask RNG seed"),
     },
     "schedule": {
         "steps": (int, 50, "diffusion steps K"),
@@ -111,7 +119,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "d_model": (int, NetConfig.d_model, "model width"),
         "layers": (int, NetConfig.n_layers, "attention blocks"),
         "heads": (int, NetConfig.n_heads, "attention heads"),
-        "seed": (int, TrainConfig.seed, "init and shuffling seed"),
+        "seed": (_seed, TrainConfig.seed, "init and shuffling seed"),
     },
 }
 

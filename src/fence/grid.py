@@ -194,11 +194,18 @@ def chronological_split(
 
 # CSV formats. Grid: header t0,t1,..., one row per node, empty cell or a
 # "nan" token marks raw-missing, any other cell is a finite number. Mask:
-# same shape, 0/1 entries. UTF-8, comma-separated, LF line endings.
+# same header and shape, 0/1 entries. UTF-8, comma-separated, LF line endings.
 
 
 def _header(n_steps: int) -> list[str]:
     return [f"t{j}" for j in range(n_steps)]
+
+
+def _checked_header(path: Path, header: list[str]) -> int:
+    """The column count of a t0,t1,... header row; DataError otherwise."""
+    if not header or header != _header(len(header)):
+        raise DataError(f"{path}: header must be t0,t1,..., got {header[:4]}...")
+    return len(header)
 
 
 def _open_writer(path):
@@ -238,10 +245,7 @@ def load_grid_csv(path) -> tuple[np.ndarray, MaskMatrix]:
     rows = _read_rows(path)
     if not rows:
         raise DataError(f"{path}: empty grid file")
-    header = rows[0]
-    n_steps = len(header)
-    if header != _header(n_steps):
-        raise DataError(f"{path}: header must be t0,t1,..., got {header[:4]}...")
+    n_steps = _checked_header(path, rows[0])
     body = rows[1:]
     if not body:
         raise DataError(f"{path}: no node rows")
@@ -278,7 +282,7 @@ def load_mask_csv(path) -> MaskMatrix:
     rows = _read_rows(path)
     if len(rows) < 2:
         raise DataError(f"{path}: empty mask file")
-    n_steps = len(rows[0])
+    n_steps = _checked_header(path, rows[0])
     entries = np.empty((len(rows) - 1, n_steps))
     for i, row in enumerate(rows[1:]):
         if len(row) != n_steps:

@@ -2,12 +2,14 @@
 
 All trajectories advance together, one reverse step at a time: start at
 pure noise, and at every step query the unconditional and the conditional
-noise predictions for the whole ensemble in one call each, recluster each
-trajectory's nodes on the exported attention, turn tracked log-posteriors
-into per-node guidance scales, combine the predictions, take the reverse
-step, and feed the realized samples back into the (S, N) log-posteriors. Each
-trajectory draws from its own RNG stream (seed xor trajectory index) in a
-fixed order, so trajectory i is the same whatever the ensemble size.
+noise predictions for the whole ensemble in one call each, cluster the
+nodes once per exported affinity matrix (one shared by the ensemble, or one
+per trajectory), turn tracked log-posteriors into per-node guidance scales,
+combine the predictions, take the reverse step, and feed the realized
+samples back into the (S, N) log-posteriors. Each trajectory draws from its
+own RNG stream (seed xor trajectory index) in a fixed order, and k-means
+draws from one stream per step, so trajectory i is the same whatever the
+ensemble size.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ from .guidance import (GuidanceConfig, calibrated_constants, combine_scores,
 __all__ = ["ImputationResult", "impute", "emit_trace"]
 
 ANCHORING_MODES = ("free", "clamp")
+# seeds key Philox streams: [0, 2**64) keeps the per-step k-means key
+# (seed << 32) + k below Philox's 2**128
+SEED_LIMIT = 2**64
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +79,11 @@ def _step_labels(attn: np.ndarray | None, n_samples: int, n_nodes: int,
         raise InvalidInputError(
             "backend exports no attention; cluster scope needs it "
             "(use scope=global or per_node)")
-    # distinct k-means stream per (trajectory, step)
-    return np.stack([kmeans(attn[traj], n_clusters, seed=((seed ^ traj) << 32) + k)[0]
-                     for traj in range(n_samples)])
+    # one k-means stream per step and one run per affinity matrix: a single
+    # (N, N) matrix shared by every trajectory, or one per row of (S, N, N)
+    labels = [kmeans(a, n_clusters, seed=(seed << 32) + k)[0]
+              for a in np.reshape(attn, (-1, n_nodes, n_nodes))]
+    return np.broadcast_to(np.stack(labels), (n_samples, n_nodes))
 
 
 def _predict(backend: DenoiserBackend, x, k, ctx):
@@ -105,6 +112,8 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
         raise InvalidInputError(f"anchoring must be one of {ANCHORING_MODES}")
     if n_samples < 1:
         raise InvalidInputError("n_samples must be >= 1")
+    if not (0 <= seed < SEED_LIMIT):
+        raise InvalidInputError(f"seed must lie in [0, 2**64), got {seed}")
     if gcfg.mode != "none" and backend is None:
         raise InvalidInputError(f"mode {gcfg.mode!r} needs a conditional backend")
     s, (n, t), n_steps = n_samples, values.shape, sched.n_steps

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,71 @@ def test_any_non_finite_grid_token_exits_3_naming_its_cell(tmp_path_factory,
     with contextlib.redirect_stderr(err):
         assert main(_impute_grid_argv(tmp_path, cells)) == 3
     assert f"row {position // 4}, col {position % 4}" in err.getvalue()
+
+
+@pytest.mark.parametrize("header", ["x,y,z,w\n", ""])
+def test_impute_rejects_a_mask_without_its_header(tmp_path, capsys, header):
+    # a wrong header, or none (the first mask row would be taken for it)
+    argv = _impute_grid_argv(tmp_path, ["1.0"] * 12)
+    mask = tmp_path / "mask.csv"
+    mask.write_text(header + "1,0,0,1\n" * 3)
+    assert main(argv + ["--mask", str(mask)]) == 3
+    err = capsys.readouterr().err
+    assert "mask.csv: header must be t0,t1" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def _exit_code(argv) -> int:
+    """main's exit code, counting argparse's usage errors as the 2 they exit with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("value", ["-1", str(2**64)])
+def test_out_of_range_seed_exits_2_naming_its_key(tmp_path, capsys, value):
+    spec = tmp_path / "world.spec"
+    spec.write_text(WORLD_SPEC.replace("seed = 11", f"seed = {value}"))
+    assert main(["synth", "--spec", str(spec), "--length", "4",
+                 "--out", str(tmp_path / "s.csv")]) == 2
+    assert "[world] seed" in capsys.readouterr().err
+    for section in ("experiment", "world", "mask", "training"):
+        cfg = tmp_path / f"{section}.cfg"
+        cfg.write_text(f"[{section}]\nseed = {value}\n")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"[{section}] seed" in capsys.readouterr().err
+    for argv in (["mask", "--alpha", "0.5", "--length", "4", "--out", "m"],
+                 ["impute", "--grid", "g", "--out", "o"],
+                 ["trace", "--grid", "g", "--trace-out", "t"],
+                 ["train-uncond", "--data", "d", "--out", "o"],
+                 ["finetune-cond", "--data", "d", "--out", "o"]):
+        assert _exit_code(argv + ["--seed", value]) == 2
+        assert "argument --seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-2**130, 2**130) | st.sampled_from([-1, 0, 2**64 - 1, 2**64]))
+def test_any_integer_seed_exits_0_or_2(tmp_path_factory, seed):
+    # seeds in [0, 2**64) run; any other integer is a configuration error
+    tmp_path = tmp_path_factory.mktemp("seed")
+    expected = 0 if 0 <= seed < 2**64 else 2
+    spec, cfg = tmp_path / "world.spec", tmp_path / "tiny.cfg"
+    spec.write_text(WORLD_SPEC.replace("seed = 11", f"seed = {seed}"))
+    cfg.write_text(re.sub(r"^seed = \d+$", f"seed = {seed}", TINY_CONFIG, flags=re.M))
+    grid, ok_spec = tmp_path / "grid.csv", tmp_path / "ok.spec"
+    save_grid_csv(grid, np.zeros((3, 4)))
+    ok_spec.write_text(WORLD_SPEC)
+    runs = [["synth", "--spec", str(spec), "--length", "4", "--out", str(tmp_path / "s")],
+            ["mask", "--alpha", "0.5", "--patch", "2", "--nodes", "3", "--length", "4",
+             "--seed", str(seed), "--out", str(tmp_path / "m")],
+            ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")],
+            ["impute", "--grid", str(grid), "--oracle", str(ok_spec),
+             "--steps", "4", "--samples", "2", "--clusters", "2", "--seed", str(seed),
+             "--out", str(tmp_path / "i")]]
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        assert [_exit_code(argv) for argv in runs] == [expected] * len(runs)
 
 
 def test_trace_subcommand(tmp_path):

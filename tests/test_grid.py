@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fence import (
     DataError,
@@ -155,3 +156,32 @@ def test_mask_csv_round_trip(tmp_path):
     path.write_text("t0\n2\n")
     with pytest.raises(DataError):
         load_mask_csv(path)
+
+
+def test_mask_csv_header_is_checked(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("x,y\n1,0\n")
+    with pytest.raises(DataError, match="m.csv: header must be t0,t1"):
+        load_mask_csv(path)
+    # without a header the first row would be read as one and lost
+    path.write_text("1,0\n0,1\n")
+    with pytest.raises(DataError, match="m.csv: header must be t0,t1"):
+        load_mask_csv(path)
+
+
+# header cells: the valid names, near misses, and any text a CSV cell can hold
+HEADER_TOKENS = st.sampled_from(["t0", "t1", "t2", "T0", " t0", "t00", "x", "1", ""]) | \
+    st.text(st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(HEADER_TOKENS, min_size=1, max_size=3))
+def test_mask_csv_loads_only_under_a_t_header(tmp_path_factory, header):
+    path = tmp_path_factory.mktemp("mask") / "m.csv"
+    path.write_text(",".join(header) + "\n" + ",".join(["1"] * len(header)) + "\n",
+                    encoding="utf-8")
+    if header == [f"t{j}" for j in range(len(header))]:
+        assert load_mask_csv(path).entries.shape == (1, len(header))
+    else:
+        with pytest.raises(DataError, match="header"):
+            load_mask_csv(path)

@@ -242,8 +242,8 @@ def test_oracle_backend_returns_noise_scaled_score():
     score_u = world.score(x.reshape(-1), k, sched, conditional=False)
     np.testing.assert_allclose(
         eps_u, noise_from_score(score_u.reshape(1, 2, 3), k, sched), atol=1e-14)
-    assert attn.shape == (1, 2, 2)
-    np.testing.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-12)
+    assert attn.shape == (2, 2)  # one matrix shared by every row
+    np.testing.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(InvalidInputError):
         backend.predict(np.zeros((1, 3, 2)), k, unconditional_context(3, 2))
     with pytest.raises(InvalidInputError):
@@ -295,14 +295,14 @@ def test_batched_oracle_predict_matches_single_rows():
             if ctx.is_unconditional:
                 assert attn is None  # only the conditional affinity drives clustering
             else:
-                assert attn.shape == (7, 5, 5) and not attn.flags.writeable
+                assert attn.shape == (5, 5)  # one matrix shared by every row
             for i in range(len(x)):
                 one, one_attn = backend.predict(x[i:i + 1], k, ctx)
                 assert np.abs(eps[i] - one[0]).max() <= 1e-12 * np.abs(one).max()
                 if attn is None:
                     assert one_attn is None
                 else:
-                    np.testing.assert_array_equal(attn[i], one_attn[0])
+                    np.testing.assert_array_equal(attn, one_attn)
 
 
 def test_oracle_impute_builds_one_affinity_per_step(monkeypatch):
@@ -327,6 +327,31 @@ def test_oracle_impute_builds_one_affinity_per_step(monkeypatch):
     impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
            GuidanceConfig(mode="fence"), n_clusters=2, n_samples=3, seed=5)
     assert steps == list(range(20, 0, -1))
+
+
+def test_oracle_impute_runs_one_kmeans_per_step(monkeypatch):
+    # the shared affinity is clustered once per step, not once per trajectory
+    import fence.sampler as sampler
+
+    seeds = []
+    real = sampler.kmeans
+
+    def counted(features, k, seed):
+        seeds.append(seed)
+        return real(features, k, seed)
+
+    monkeypatch.setattr(sampler, "kmeans", counted)
+    world = make_gaussian_world(4, 5, 0.6, 0.7)
+    truth = world.sample_clean(np.random.Generator(np.random.Philox(key=3)))
+    mask = np.ones((4, 5), dtype=np.int64)
+    mask[1, 2:] = 0
+    idx, vals = observations_from_mask(truth, mask)
+    sched = quadratic_schedule(20)
+    backend = OracleBackend(world.observe(idx, vals), sched)
+    result = impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
+                    GuidanceConfig(mode="fence"), n_clusters=2, n_samples=5, seed=5)
+    assert seeds == [(5 << 32) + k for k in range(20, 0, -1)]
+    assert (result.cluster_id == result.cluster_id[:1]).all()
 
 
 def test_contaminated_backend_blends_predictions():

@@ -120,6 +120,43 @@ def test_neural_trajectory_is_independent_of_ensemble_size():
     assert len(np.unique(large.cluster_id)) == 2
 
 
+class _TwinAttentionBackend(DenoiserBackend):
+    """The network's predictions, with row 1's attention replaced by row 0's."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict(self, x_k, k, ctx):
+        eps, attn = self.inner.predict(x_k, k, ctx)
+        attn = attn.copy()
+        attn[1] = attn[0]
+        return eps, attn
+
+
+def test_neural_rows_with_one_attention_share_their_labels(monkeypatch):
+    # per-row affinities are clustered one by one, each with the step's stream
+    import fence.sampler as sampler
+
+    calls = []
+    real = sampler.kmeans
+
+    def counted(features, k, seed):
+        calls.append(seed)
+        return real(features, k, seed)
+
+    monkeypatch.setattr(sampler, "kmeans", counted)
+    _, truth, mask, _ = oracle_setup()
+    sched = quadratic_schedule(10)
+    model = NeuralDenoiser(NetConfig(n_nodes=4, d_model=8, n_layers=1, n_heads=2), seed=3)
+    twins = _TwinAttentionBackend(model)
+    result = impute(twins, model, truth, mask, sched,
+                    GuidanceConfig(mode="fence", scope="cluster"), n_clusters=2,
+                    n_samples=3, seed=5)
+    assert calls == [(5 << 32) + k for k in range(10, 0, -1) for _ in range(3)]
+    np.testing.assert_array_equal(result.cluster_id[0], result.cluster_id[1])
+    assert not np.array_equal(result.cluster_id[0], result.cluster_id[2])
+
+
 class _CountingBackend(DenoiserBackend):
     def __init__(self, inner):
         self.inner = inner
@@ -188,6 +225,19 @@ def test_input_validation():
         impute(None, backend, truth, mask, sched, gcfg)
     with pytest.raises(InvalidInputError):
         impute(backend, backend, truth, mask, sched, gcfg, n_clusters=9)
+
+
+def test_seeds_lie_in_the_philox_key_range():
+    # (seed << 32) + k keys a step's k-means stream and must stay below 2**128
+    backend, truth, mask, sched = oracle_setup()
+    gcfg = GuidanceConfig(mode="fence")
+    for seed in (-1, 2**64, 2**100):
+        with pytest.raises(InvalidInputError, match="seed"):
+            impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
+                   n_samples=1, seed=seed)
+    result = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
+                    n_samples=2, seed=2**64 - 1)
+    assert np.isfinite(result.samples).all()
 
 
 class _BrokenBackend(DenoiserBackend):

@@ -163,7 +163,11 @@ def _topological_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(node) into .grad for every reachable node."""
+    """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf.
+
+    An interior node's grad is dropped once its VJPs have run, so the walk
+    holds only the grads of the frontier it has not passed yet.
+    """
     if loss.value.shape != ():
         raise InvalidInputError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     loss.grad = np.ones(())
@@ -177,6 +181,8 @@ def backward(loss: Tensor):
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.value)
             parent.grad = parent.grad + g
+        if node.parents:
+            node.grad = None
 
 
 def zero_grads(tensors) -> None:

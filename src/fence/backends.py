@@ -34,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConditioningContext:
-    """What the denoiser may look at besides the noisy sample itself."""
+    """What the denoiser may look at besides the noisy sample itself.
+
+    ``observed`` and ``mask`` are (N, T), or (B, N, T) with one context per
+    batch row; only training builds the stacked form.
+    """
 
     observed: np.ndarray
     mask: np.ndarray
@@ -43,9 +47,10 @@ class ConditioningContext:
     def __post_init__(self):
         obs = np.asarray(self.observed, dtype=np.float64)
         mask = np.asarray(self.mask)
-        if obs.ndim != 2 or obs.shape != mask.shape:
+        if obs.ndim not in (2, 3) or obs.shape != mask.shape:
             raise InvalidInputError(
-                f"observed {obs.shape} and mask {mask.shape} must be matching 2-D"
+                f"observed {obs.shape} and mask {mask.shape} must be matching"
+                " (N, T) or (B, N, T)"
             )
         if not np.isin(mask, (0, 1)).all():
             raise InvalidInputError("mask entries must be 0 or 1")

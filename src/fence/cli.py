@@ -343,6 +343,10 @@ def cmd_run(args) -> int:
                                         min(m["patch"], world.n_steps),
                                         m["communities"] or None, m["seed"]),
                       world.n_nodes, world.n_steps)
+    if mask.entries.all():
+        # checked before training: there would be nothing to impute or score
+        raise ConfigError(f"the mask drawn with [mask] seed = {m['seed']} and"
+                          f" alpha = {m['alpha']} hides no cell; change either")
     backend, backend_uncond, mean, std = _pipeline_backends(
         cfg, world, sched, truth, mask)
 

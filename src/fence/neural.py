@@ -169,13 +169,15 @@ class NeuralDenoiser(DenoiserBackend):
         out = ad.matmul(ad.reshape(mixed, (*lead, length, d)), p[f"{prefix}/Wo"])
         return out, probs.value
 
-    def forward_tensor(self, x_k: np.ndarray, k: int,
+    def forward_tensor(self, x_k: np.ndarray, k,
                        ctx: ConditioningContext) -> tuple[ad.Tensor, np.ndarray]:
-        """Build the tape for a batch x_k (B, N, T) under one (N, T) context.
+        """Build the tape for a batch x_k (B, N, T).
 
-        Returns the eps_hat tensor (B, N, T) and the attention ndarray
-        (B, N, N). Rows do not interact, so row i is the same whatever the
-        rest of the batch holds.
+        k is one step for every row or a (B,) array of per-row steps, and ctx
+        is one (N, T) context or a stacked (B, N, T) one; training stacks a
+        minibatch of windows this way. Returns the eps_hat tensor (B, N, T)
+        and the attention ndarray (B, N, N). Rows do not interact, so row i
+        is the same whatever the rest of the batch holds.
         """
         x = np.asarray(x_k, dtype=np.float64)
         if x.ndim != 3:
@@ -184,9 +186,12 @@ class NeuralDenoiser(DenoiserBackend):
         if n != self.cfg.n_nodes:
             raise InvalidInputError(
                 f"model was built for {self.cfg.n_nodes} nodes, got {n}")
-        if ctx.observed.shape != (n, t):
+        if ctx.observed.shape not in ((n, t), (b, n, t)):
             raise InvalidInputError(
                 f"context shape {ctx.observed.shape} vs input {x.shape}")
+        steps = np.asarray(k, dtype=np.float64)
+        if steps.shape not in ((), (b,)):
+            raise InvalidInputError(f"k must be one step or {b} steps, got shape {steps.shape}")
         p = self.params
         d = self.cfg.d_model
 
@@ -194,10 +199,12 @@ class NeuralDenoiser(DenoiserBackend):
                                              ctx.mask.astype(np.float64)), axis=-1)
         h = ad.add(ad.matmul(ad.constant(feats), p["in_proj/W"]), p["in_proj/b"])
 
-        step_vec = sincos_embedding(np.array([float(k)]), EMBED_DIM)  # (1, EMBED)
+        # one (1, EMBED) row per step, projected one row at a time, so a row's
+        # step embedding is the same whether k is shared or per row
+        step_vec = sincos_embedding(steps.reshape(-1, 1), EMBED_DIM)  # (1 or B, 1, EMBED)
         step_emb = ad.add(ad.matmul(ad.constant(step_vec), p["step_proj/W"]),
                           p["step_proj/b"])
-        h = ad.add(h, ad.reshape(step_emb, (1, 1, 1, d)))
+        h = ad.add(h, ad.reshape(step_emb, (len(step_vec), 1, 1, d)))
 
         time_vec = sincos_embedding(np.arange(t, dtype=np.float64), EMBED_DIM)
         time_emb = ad.add(ad.matmul(ad.constant(time_vec), p["time_proj/W"]),
@@ -232,6 +239,8 @@ class NeuralDenoiser(DenoiserBackend):
         return eps, attn
 
     def predict(self, x_k, k, ctx):
+        if np.ndim(k) or ctx.observed.ndim != 2:
+            raise InvalidInputError("predict takes one step k and an (N, T) context")
         # no tape: a tape over a whole ensemble would hold every activation
         # of every row until the call returns
         with ad.no_record():

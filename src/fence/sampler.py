@@ -81,8 +81,14 @@ def _step_labels(attn: np.ndarray | None, n_samples: int, n_nodes: int,
             "(use scope=global or per_node)")
     # one k-means stream per step and one run per affinity matrix: a single
     # (N, N) matrix shared by every trajectory, or one per row of (S, N, N)
+    attn = np.asarray(attn)
+    if attn.shape not in ((n_nodes, n_nodes), (1, n_nodes, n_nodes),
+                          (n_samples, n_nodes, n_nodes)):
+        raise InvalidInputError(
+            f"backend affinity at reverse step {k} has shape {attn.shape}; expected"
+            f" ({n_nodes}, {n_nodes}) or ({n_samples}, {n_nodes}, {n_nodes})")
     labels = [kmeans(a, n_clusters, seed=(seed << 32) + k)[0]
-              for a in np.reshape(attn, (-1, n_nodes, n_nodes))]
+              for a in attn.reshape(-1, n_nodes, n_nodes)]
     return np.broadcast_to(np.stack(labels), (n_samples, n_nodes))
 
 

@@ -6,6 +6,12 @@ re-hiding a random fraction of the observed entries of each window
 (patch-structured, like the evaluation masks) and scoring the noise
 prediction only on the re-hidden part. Validation draws are replayed from
 a fixed seed every epoch so early stopping compares like with like.
+
+Each window draws its own step, noise and (stage 2) re-hidden entries, in
+that order; a minibatch then stacks its windows into one (B, N, T) forward
+with per-row steps and contexts, so one tape and one backward serve the
+whole minibatch. Validation runs the same stacked loss without a tape, in
+chunks of batch_size windows.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .backends import conditional_context, unconditional_context
+from .backends import ConditioningContext, conditional_context, unconditional_context
 from .diffusion import NoiseSchedule, q_sample
 from .errors import DivergenceError, InvalidInputError
 from .grid import DatasetSplit
@@ -109,10 +115,10 @@ def _conditional_pieces(values, mask, rng):
     return conditional_context(values, keep), target.astype(np.float64)
 
 
-def _window_loss(model: NeuralDenoiser, window, sched: NoiseSchedule, rng,
-                 conditional: bool) -> ad.Tensor:
-    """Masked eps-matching loss of one window; draws its step k, noise, and
-    (stage 2) re-hidden entries from rng, in that order."""
+def _draw(window, sched: NoiseSchedule, rng, conditional: bool):
+    """One window's training inputs: draws its step k, noise, and (stage 2)
+    re-hidden entries from rng, in that order. Returns (k, x_k, eps, ctx,
+    loss weights)."""
     grid, mask = window
     values = np.asarray(grid.values, dtype=np.float64)
     k = int(rng.integers(1, sched.n_steps + 1))
@@ -122,12 +128,22 @@ def _window_loss(model: NeuralDenoiser, window, sched: NoiseSchedule, rng,
     else:
         ctx = unconditional_context(*values.shape)
         weights = np.asarray(mask.entries, dtype=np.float64)
-    x_k = q_sample(values, k, eps, sched)
-    eps_hat, _ = model.forward_tensor(x_k[None], k, ctx)  # a batch of one
-    diff = ad.subtract(eps_hat, ad.constant(eps))
+    return k, q_sample(values, k, eps, sched), eps, ctx, weights
+
+
+def _stacked_loss(model: NeuralDenoiser, draws) -> ad.Tensor:
+    """Mean over the draws of each window's masked eps-matching loss (its
+    weighted squared error over its weight total), from one forward of the
+    stacked windows."""
+    ks, x_k, eps, ctxs, weights = zip(*draws)
+    ctx = ConditioningContext(np.stack([c.observed for c in ctxs]),
+                              np.stack([c.mask for c in ctxs]))
+    eps_hat, _ = model.forward_tensor(np.stack(x_k), np.array(ks), ctx)
+    w = np.stack(weights)
+    row_scale = 1.0 / (np.maximum(w.sum(axis=(1, 2)), 1.0) * len(draws))
+    diff = ad.subtract(eps_hat, ad.constant(np.stack(eps)))
     sq = ad.multiply(diff, diff)
-    masked = ad.multiply(sq, ad.constant(weights))
-    return ad.scale(ad.sum_all(masked), 1.0 / max(float(weights.sum()), 1.0))
+    return ad.sum_all(ad.multiply(sq, ad.constant(w * row_scale[:, None, None])))
 
 
 def _epoch(model, windows, sched, cfg, rng, optimizer, conditional, step_counter):
@@ -136,11 +152,8 @@ def _epoch(model, windows, sched, cfg, rng, optimizer, conditional, step_counter
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
         ad.zero_grads(model.parameters().values())
-        batch_loss = None
-        for idx in batch:
-            piece = ad.scale(_window_loss(model, windows[idx], sched, rng, conditional),
-                             1.0 / len(batch))
-            batch_loss = piece if batch_loss is None else ad.add(batch_loss, piece)
+        batch_loss = _stacked_loss(
+            model, [_draw(windows[idx], sched, rng, conditional) for idx in batch])
         step_counter[0] += 1
         if not np.isfinite(batch_loss.value):
             raise DivergenceError(
@@ -158,8 +171,11 @@ def _validation_loss(model, windows, sched, cfg, conditional) -> float:
         return float("nan")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ 0x5EED))
     total = 0.0
-    for window in windows:
-        total += float(_window_loss(model, window, sched, rng, conditional).value)
+    with ad.no_record():
+        for start in range(0, len(windows), cfg.batch_size):
+            chunk = windows[start:start + cfg.batch_size]
+            draws = [_draw(window, sched, rng, conditional) for window in chunk]
+            total += float(_stacked_loss(model, draws).value) * len(chunk)
     return total / len(windows)
 
 

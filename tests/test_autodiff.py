@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fence import NetConfig, NeuralDenoiser, conditional_context
 from fence import autodiff as ad
 
 
@@ -148,3 +149,32 @@ def test_no_record_builds_no_tape():
     loud = ad.sum_all(ad.multiply(a, a))  # recording resumes on exit
     ad.backward(loud)
     np.testing.assert_array_equal(a.grad, [2.0, -4.0])
+
+
+def _reference_grads(loss):
+    """The walk of backward without dropping anything: every node's grad, by id."""
+    grads = {id(loss): np.ones(())}
+    for node in reversed(ad._topological_order(loss)):
+        if id(node) not in grads:
+            continue
+        for parent, vjp in node.parents:
+            if parent.requires_grad:
+                g = vjp(grads[id(node)])
+                grads[id(parent)] = grads.get(id(parent), np.zeros_like(parent.value)) + g
+    return grads
+
+
+def test_backward_drops_interior_grads_and_keeps_leaf_grads():
+    model = NeuralDenoiser(NetConfig(n_nodes=3, d_model=8, n_layers=2, n_heads=2), seed=1)
+    rng = np.random.default_rng(21)
+    ctx = conditional_context(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))
+    eps_hat, _ = model.forward_tensor(rng.standard_normal((2, 3, 5)), 4, ctx)
+    loss = ad.sum_all(ad.multiply(eps_hat, eps_hat))
+    nodes = ad._topological_order(loss)
+    expected = _reference_grads(loss)
+    ad.backward(loss)
+    leaves = [node for node in nodes if not node.parents]
+    assert {id(p) for p in model.parameters().values()} == {id(p) for p in leaves}
+    for leaf in leaves:
+        assert np.array_equal(leaf.grad, expected[id(leaf)])
+    assert all(node.grad is None for node in nodes if node.parents)

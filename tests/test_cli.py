@@ -6,10 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fence import load_grid_csv, load_mask_csv, save_grid_csv, save_mask_csv, MaskMatrix
 from fence.cli import build_parser, main
+from fence.masking import MaskPatternConfig, mask_sr_tc
 
 TINY_CONFIG = """\
 [experiment]
@@ -381,10 +382,14 @@ def test_out_of_range_seed_exits_2_naming_its_key(tmp_path, capsys, value):
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(-2**130, 2**130) | st.sampled_from([-1, 0, 2**64 - 1, 2**64]))
+@example(seed=17688)  # its 3x4 SR-TC mask hides no cell
 def test_any_integer_seed_exits_0_or_2(tmp_path_factory, seed):
-    # seeds in [0, 2**64) run; any other integer is a configuration error
+    # seeds in [0, 2**64) run; any other integer is a configuration error, and
+    # so is a run whose mask draw hides nothing
     tmp_path = tmp_path_factory.mktemp("seed")
     expected = 0 if 0 <= seed < 2**64 else 2
+    hides_nothing = expected == 0 and mask_sr_tc(
+        3, 4, MaskPatternConfig("SR-TC", 0.5, 2, seed=seed)).entries.all()
     spec, cfg = tmp_path / "world.spec", tmp_path / "tiny.cfg"
     spec.write_text(WORLD_SPEC.replace("seed = 11", f"seed = {seed}"))
     cfg.write_text(re.sub(r"^seed = \d+$", f"seed = {seed}", TINY_CONFIG, flags=re.M))
@@ -398,8 +403,12 @@ def test_any_integer_seed_exits_0_or_2(tmp_path_factory, seed):
             ["impute", "--grid", str(grid), "--oracle", str(ok_spec),
              "--steps", "4", "--samples", "2", "--clusters", "2", "--seed", str(seed),
              "--out", str(tmp_path / "i")]]
-    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
-        assert [_exit_code(argv) for argv in runs] == [expected] * len(runs)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        codes = [_exit_code(argv) for argv in runs]
+    assert codes == [expected, expected, 2 if hides_nothing else expected, expected]
+    if hides_nothing:
+        assert "[mask] seed" in err.getvalue() and "alpha" in err.getvalue()
 
 
 def test_trace_subcommand(tmp_path):

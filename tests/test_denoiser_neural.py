@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fence import (
+    ConditioningContext,
     DataError,
     InvalidInputError,
     NetConfig,
@@ -51,6 +52,34 @@ def test_batched_forward_equals_single_row_forwards():
     # predict builds no tape, yet computes what the taped forward does
     taped, taped_attn = model.forward_tensor(x, 9, ctx)
     assert np.array_equal(taped.value, eps) and np.array_equal(taped_attn, attn)
+
+
+def test_per_row_steps_and_contexts_equal_one_row_forwards():
+    # training stacks windows, each with its own step and context, into one forward
+    model = NeuralDenoiser(NetConfig(n_nodes=3, d_model=8, n_layers=2, n_heads=2), seed=6)
+    rng = np.random.default_rng(35)
+    x = rng.standard_normal((4, 3, 5))
+    ks = np.array([1, 9, 9, 40])
+    ctxs = [conditional_context(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5))),
+            unconditional_context(3, 5),
+            conditional_context(rng.standard_normal((3, 5)), np.ones((3, 5))),
+            conditional_context(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))]
+    stacked = ConditioningContext(np.stack([c.observed for c in ctxs]),
+                                  np.stack([c.mask for c in ctxs]))
+    eps, attn = model.forward_tensor(x, ks, stacked)
+    for i, (k, ctx) in enumerate(zip(ks, ctxs)):
+        one, one_attn = model.forward_tensor(x[i:i + 1], int(k), ctx)
+        assert np.array_equal(eps.value[i], one.value[0])
+        assert np.array_equal(attn[i], one_attn[0])
+    with pytest.raises(InvalidInputError):
+        model.forward_tensor(x, ks[:3], stacked)
+    with pytest.raises(InvalidInputError):
+        model.forward_tensor(x[:3], 9, stacked)
+    # predict keeps its contract: one step, one (N, T) context
+    with pytest.raises(InvalidInputError):
+        model.predict(x, ks, ctxs[0])
+    with pytest.raises(InvalidInputError):
+        model.predict(x, 9, stacked)
 
 
 def test_predict_deterministic_and_context_sensitive():

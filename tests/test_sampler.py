@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,27 @@ def test_neural_rows_with_one_attention_share_their_labels(monkeypatch):
     assert calls == [(5 << 32) + k for k in range(10, 0, -1) for _ in range(3)]
     np.testing.assert_array_equal(result.cluster_id[0], result.cluster_id[1])
     assert not np.array_equal(result.cluster_id[0], result.cluster_id[2])
+
+
+class _ReshapedAffinityBackend(DenoiserBackend):
+    def __init__(self, inner, reshape):
+        self.inner, self.reshape = inner, reshape
+
+    def predict(self, x_k, k, ctx):
+        eps, attn = self.inner.predict(x_k, k, ctx)
+        return eps, attn if attn is None else self.reshape(attn)
+
+
+@pytest.mark.parametrize("reshape, shape", [
+    (lambda a: np.stack([a, a]), (2, 4, 4)),  # neither one matrix nor one per row
+    (lambda a: a[:, :2], (4, 2)),             # not N x N
+], ids=["two-stacked", "not-square"])
+def test_affinity_of_the_wrong_shape_names_step_and_shape(reshape, shape):
+    backend, truth, mask, sched = oracle_setup()
+    bad = _ReshapedAffinityBackend(backend, reshape)
+    with pytest.raises(InvalidInputError, match=re.escape(f"reverse step 50 has shape {shape}")):
+        impute(bad, backend, truth, mask, sched, GuidanceConfig(mode="fence"),
+               n_clusters=2, n_samples=3, seed=1)
 
 
 class _CountingBackend(DenoiserBackend):

@@ -81,6 +81,8 @@ def _ring_graph(n_nodes: int) -> GraphSpec:
 
 def _synth_series(world, length: int) -> np.ndarray:
     """Concatenate independent world draws into an N x length series."""
+    if length < 1:
+        raise InvalidInputError(f"series length must be >= 1, got {length}")
     rng = np.random.Generator(np.random.Philox(key=world.seed))
     reps = math.ceil(length / world.n_steps)
     blocks = [world.sample_clean(rng) for _ in range(reps)]
@@ -106,15 +108,14 @@ def _training_split(series, entries, window: int, stride: int,
     the observed entries of the training segment."""
     seg_values = chronological_split(series)
     seg_masks = chronological_split(entries)
-    mean, std = stats or observed_stats(seg_values[0], MaskMatrix(seg_masks[0]))
+    mean, std = stats or observed_stats(seg_values[0], seg_masks[0])
 
     def windows(values, mask, step):
         if values.shape[1] < window:
-            return ()
-        grids = sliding_windows((values - mean) / std, window, step)
-        masks = sliding_windows(mask, window, step)
-        return tuple((g, MaskMatrix(m.values.astype(np.int64)))
-                     for g, m in zip(grids, masks))
+            empty = np.empty((0, len(values), window))
+            return empty, empty
+        return (sliding_windows((values - mean) / std, window, step),
+                sliding_windows(mask, window, step))
 
     return DatasetSplit(train=windows(seg_values[0], seg_masks[0], stride),
                         validation=windows(seg_values[1], seg_masks[1], window),
@@ -264,11 +265,10 @@ def _write_report(path, mae, rmse, mape, crps_value) -> None:
     print(f"mae,rmse,mape,crps = {line}")
 
 
-def _load_evaluated(path, eval_mask: MaskMatrix) -> np.ndarray:
+def _load_evaluated(path, entries: np.ndarray) -> np.ndarray:
     """Grid values of ``path``; DataError unless it has the eval mask's shape
     and a finite value in every evaluated cell (other cells may be empty)."""
     values, _ = load_grid_csv(path)
-    entries = eval_mask.entries
     if values.shape != entries.shape:
         raise DataError(f"{path}: grid shape {values.shape} vs eval mask {entries.shape}")
     bad = np.argwhere((entries == 1) & ~np.isfinite(values))
@@ -280,21 +280,20 @@ def _load_evaluated(path, eval_mask: MaskMatrix) -> np.ndarray:
 
 
 def cmd_evaluate(args) -> int:
-    eval_mask = load_mask_csv(args.eval_mask)
-    pred = _load_evaluated(args.pred, eval_mask)
-    truth = _load_evaluated(args.truth, eval_mask)
-    mae, rmse, mape = point_metrics(pred, truth, eval_mask)
+    entries = load_mask_csv(args.eval_mask).entries
+    pred = _load_evaluated(args.pred, entries)
+    truth = _load_evaluated(args.truth, entries)
+    mae, rmse, mape = point_metrics(pred, truth, entries)
     crps_value = float("nan")
     if args.ensemble_prefix:
         prefix = Path(args.ensemble_prefix)
         files = sorted(prefix.parent.glob(prefix.name + "_sample_*.csv"))
         if not files:
             raise DataError(f"no ensemble files match {prefix}_sample_*.csv")
-        stack = np.stack([_load_evaluated(f, eval_mask) for f in files])
-        crps_value = crps_masked(stack, truth, eval_mask)
+        stack = np.stack([_load_evaluated(f, entries) for f in files])
+        crps_value = crps_masked(stack, truth, entries)
     _write_report(args.out, mae, rmse, mape, crps_value)
     if args.per_node_out:
-        entries = eval_mask.entries
         with open(args.per_node_out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("node,mae,rmse,mape\n")
             for i in range(entries.shape[0]):
@@ -315,14 +314,15 @@ def _pipeline_backends(cfg, world, sched, truth_values, mask):
         oracle = OracleBackend(observed_world, sched)
         return oracle, oracle, 0.0, 1.0
 
+    # both stages' settings are checked before either stage trains
+    (tcfg1, net_cfg1), (tcfg2, net_cfg2) = (training_from(cfg, stage, world.n_nodes)
+                                            for stage in STAGES)
     series = _synth_series(world, cfg["data"]["length"])
     split = _training_split(series, np.ones(series.shape, dtype=np.int64),
                             world.n_steps, cfg["data"]["stride"])
-    tcfg, net_cfg = training_from(cfg, "uncond", world.n_nodes)
-    stage1 = train_unconditional(split, tcfg, sched=sched, net_cfg=net_cfg)
-    tcfg, net_cfg = training_from(cfg, "cond", world.n_nodes)
-    stage2 = finetune_conditional(stage1.model, split, tcfg, sched=sched,
-                                  net_cfg=net_cfg)
+    stage1 = train_unconditional(split, tcfg1, sched=sched, net_cfg=net_cfg1)
+    stage2 = finetune_conditional(stage1.model, split, tcfg2, sched=sched,
+                                  net_cfg=net_cfg2)
     return stage2.model, stage1.model, *split.normalization
 
 
@@ -361,7 +361,7 @@ def cmd_run(args) -> int:
     point = result.head(s["samples"])
     emit_trace(point, out_dir / "trace.csv")
 
-    eval_mask = MaskMatrix(1 - mask.entries)
+    eval_mask = 1 - mask.entries
     prediction = point.mean_imputation * std + mean
     mae, rmse, mape = point_metrics(prediction, truth, eval_mask)
     stack = result.head(s["crps_samples"]).samples * std + mean

@@ -282,6 +282,8 @@ def read_world_spec(path) -> dict[str, dict]:
         key = key.strip()
         if key not in SCHEMA["world"]:
             raise ConfigError(f"{path}:{lineno}: unknown oracle key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: oracle key {key!r} given twice")
         values[key] = value
     return resolve_config({"world": values})
 

@@ -115,11 +115,6 @@ def quadratic_schedule(
     return NoiseSchedule(beta, variance_mode=variance_mode)
 
 
-def _grid_values(x) -> np.ndarray:
-    values = getattr(x, "values", x)
-    return np.asarray(values, dtype=np.float64)
-
-
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.shape != b.shape:
         raise InvalidInputError(f"{what}: shape {a.shape} vs {b.shape}")
@@ -127,7 +122,7 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
 
 def q_sample(x0, k: int, noise: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
     """Forward-noise a clean grid: sqrt(abar_k) x0 + sqrt(1-abar_k) noise."""
-    x0 = _grid_values(x0)
+    x0 = np.asarray(x0, dtype=np.float64)
     noise = np.asarray(noise, dtype=np.float64)
     _check_same_shape(x0, noise, "q_sample")
     abar = sched.alpha_bar_at(k)
@@ -136,7 +131,7 @@ def q_sample(x0, k: int, noise: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
 
 def reverse_mean(x_k: np.ndarray, eps_hat: np.ndarray, k: int, sched: NoiseSchedule) -> np.ndarray:
     """Denoising-transition mean (1/sqrt(alpha_k)) (x_k - (beta_k/sqrt(1-abar_k)) eps_hat)."""
-    x_k = _grid_values(x_k)
+    x_k = np.asarray(x_k, dtype=np.float64)
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     _check_same_shape(x_k, eps_hat, "reverse_mean")
     alpha = sched.alpha_at(k)
@@ -162,7 +157,7 @@ def reverse_step(
     x_k and mean are stacks with one row per trajectory, and row i draws its
     noise from rngs[i] alone, so a row does not depend on the others.
     """
-    x_k = _grid_values(x_k)
+    x_k = np.asarray(x_k, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     _check_same_shape(x_k, mean, "reverse_step")
     if len(rngs) != len(mean):

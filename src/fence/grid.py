@@ -88,12 +88,6 @@ class MaskMatrix:
     def n_steps(self) -> int:
         return self.entries.shape[1]
 
-    def check_matches(self, grid: TrafficGrid) -> None:
-        if self.entries.shape != grid.values.shape:
-            raise DataError(
-                f"mask shape {self.entries.shape} does not match grid {grid.values.shape}"
-            )
-
 
 @dataclass(frozen=True)
 class GraphSpec:
@@ -125,13 +119,13 @@ class GraphSpec:
 class DatasetSplit:
     """Chronological train/validation windows plus the train normalization.
 
-    Each split is a tuple of (TrafficGrid, MaskMatrix) windows, ordered in
-    time and non-interleaved: every training window precedes every
-    validation window.
+    Each split is a (values, masks) pair of read-only (W, N, T) arrays, one
+    row per window, ordered in time and non-interleaved: every training
+    window precedes every validation window.
     """
 
-    train: tuple[tuple[TrafficGrid, MaskMatrix], ...]
-    validation: tuple[tuple[TrafficGrid, MaskMatrix], ...]
+    train: tuple[np.ndarray, np.ndarray]
+    validation: tuple[np.ndarray, np.ndarray]
     normalization: tuple[float, float]  # (mean, std)
 
     def __post_init__(self):
@@ -139,28 +133,30 @@ class DatasetSplit:
         if not (std > 0):
             raise InvalidInputError(f"normalization std must be > 0, got {std}")
         for name in ("train", "validation"):
-            windows = tuple(getattr(self, name))
-            for grid, mask in windows:
-                mask.check_matches(grid)
-            object.__setattr__(self, name, windows)
+            values, masks = (np.asarray(a, dtype=np.float64) for a in getattr(self, name))
+            if values.ndim != 3 or values.shape != masks.shape:
+                raise DataError(f"{name} windows {values.shape} and masks {masks.shape}"
+                                " must be matching (W, N, T) stacks")
+            if not np.isfinite(values).all():
+                raise DataError(f"{name} windows contain non-finite entries")
+            values.setflags(write=False)
+            masks.setflags(write=False)
+            object.__setattr__(self, name, (values, masks))
         object.__setattr__(self, "normalization", (float(mean), float(std)))
 
 
-def _values_of(grid) -> np.ndarray:
-    return grid.values if isinstance(grid, TrafficGrid) else np.asarray(grid, dtype=np.float64)
-
-
-def observed_stats(values: np.ndarray, mask: MaskMatrix) -> tuple[float, float]:
-    """Global mean and standard deviation over the observed entries."""
+def observed_stats(values: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
+    """Global mean and standard deviation over the observed entries (mask == 1)."""
     arr = np.asarray(values, dtype=np.float64)
-    sel = arr[mask.entries == 1]
+    sel = arr[np.asarray(mask) == 1]
     if sel.size == 0:
         raise DataError("no observed entries to compute statistics from")
     return float(sel.mean()), float(sel.std())
 
 
-def sliding_windows(series: np.ndarray, window: int, stride: int = 1) -> list[TrafficGrid]:
-    """Cut an N x L series into floor((L-window)/stride)+1 overlapping windows."""
+def sliding_windows(series: np.ndarray, window: int, stride: int = 1) -> np.ndarray:
+    """The floor((L-window)/stride)+1 overlapping windows of an N x L series,
+    as one read-only (W, N, window) strided view of it."""
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidInputError(f"series must be 2-D, got shape {arr.shape}")
@@ -169,8 +165,8 @@ def sliding_windows(series: np.ndarray, window: int, stride: int = 1) -> list[Tr
     length = arr.shape[1]
     if length < window:
         raise InvalidInputError(f"series length {length} shorter than window {window}")
-    count = (length - window) // stride + 1
-    return [TrafficGrid(arr[:, i * stride : i * stride + window]) for i in range(count)]
+    views = np.lib.stride_tricks.sliding_window_view(arr, window, axis=1)  # (N, L-w+1, w)
+    return views[:, ::stride].transpose(1, 0, 2)
 
 
 def chronological_split(
@@ -212,23 +208,16 @@ def _open_writer(path):
     return open(path, "w", encoding="utf-8", newline="")
 
 
-def save_grid_csv(path, values: np.ndarray, mask: MaskMatrix | None = None) -> None:
-    """Write a grid; positions masked 0 are emitted as empty cells."""
-    arr = _values_of(values)
+def save_grid_csv(path, values: np.ndarray) -> None:
+    """Write a grid; NaN cells are written as "nan", which reads back as missing."""
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"grid must be 2-D, got shape {arr.shape}")
-    keep = None if mask is None else mask.entries
     with _open_writer(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_header(arr.shape[1]))
-        for i in range(arr.shape[0]):
-            row = []
-            for j in range(arr.shape[1]):
-                if keep is not None and keep[i, j] == 0:
-                    row.append("")
-                else:
-                    row.append(repr(float(arr[i, j])))
-            writer.writerow(row)
+        for row in arr.tolist():
+            writer.writerow(repr(v) for v in row)
 
 
 def _read_rows(path: Path) -> list[list[str]]:

@@ -68,16 +68,17 @@ class GuidanceConfig:
             raise ConfigError(f"scope must be one of {SCOPES}, got {self.scope!r}")
         if not (0.0 < self.pi <= 1.0):
             raise InvalidInputError(f"pi must lie in (0, 1], got {self.pi}")
-        if not (self.lambda_ref > 1.0):
-            raise InvalidInputError(f"lambda_ref must be > 1, got {self.lambda_ref}")
+        if not (1.0 < self.lambda_ref < math.inf):
+            raise InvalidInputError(f"lambda_ref must be finite and > 1, got {self.lambda_ref}")
         for name in ("t0", "t1"):
             t = getattr(self, name)
             if not (0.0 < t < 1.0):
                 raise InvalidInputError(f"{name} must lie in (0, 1), got {t}")
         if not (self.alpha_scale > 0.0):
             raise InvalidInputError(f"alpha_scale must be > 0, got {self.alpha_scale}")
-        if not (self.lambda_max >= 1.0):
-            raise InvalidInputError(f"lambda_max must be >= 1, got {self.lambda_max}")
+        if not (1.0 <= self.lambda_max < math.inf):
+            raise InvalidInputError(
+                f"lambda_max must be finite and >= 1, got {self.lambda_max}")
         if not math.isfinite(self.fixed_lambda):
             raise InvalidInputError("fixed_lambda must be finite")
 

@@ -20,19 +20,15 @@ MAPE_TRUTH_FLOOR = 1.0
 QUANTILE_LEVELS = tuple(0.05 * i for i in range(1, 20))
 
 
-def _values(grid) -> np.ndarray:
-    return np.asarray(getattr(grid, "values", grid), dtype=np.float64)
-
-
 def point_metrics(pred, truth, eval_mask) -> tuple[float, float, float]:
     """(MAE, RMSE, MAPE) over entries where eval_mask == 1.
 
     MAPE averages |pred-truth|/|truth| over evaluated entries with
     |truth| >= MAPE_TRUTH_FLOOR and is NaN when none qualify.
     """
-    p = _values(pred)
-    t = _values(truth)
-    m = np.asarray(getattr(eval_mask, "entries", eval_mask))
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(truth, dtype=np.float64)
+    m = np.asarray(eval_mask)
     if p.shape != t.shape or p.shape != m.shape:
         raise InvalidInputError(
             f"pred {p.shape}, truth {t.shape}, eval_mask {m.shape} must match"
@@ -86,8 +82,8 @@ def crps_masked(sample_stack, truth, eval_mask) -> float:
     sample_stack has shape (S, N, T): one generated grid per ensemble member.
     """
     stack = np.asarray(sample_stack, dtype=np.float64)
-    t = _values(truth)
-    m = np.asarray(getattr(eval_mask, "entries", eval_mask))
+    t = np.asarray(truth, dtype=np.float64)
+    m = np.asarray(eval_mask)
     if stack.ndim != 3 or stack.shape[1:] != t.shape or t.shape != m.shape:
         raise InvalidInputError(
             f"sample stack {stack.shape}, truth {t.shape}, mask {m.shape} must align"

@@ -7,22 +7,24 @@ re-hiding a random fraction of the observed entries of each window
 prediction only on the re-hidden part. Validation draws are replayed from
 a fixed seed every epoch so early stopping compares like with like.
 
-Each window draws its own step, noise and (stage 2) re-hidden entries, in
-that order; a minibatch then stacks its windows into one (B, N, T) forward
-with per-row steps and contexts, so one tape and one backward serve the
-whole minibatch. Validation runs the same stacked loss without a tape, in
-chunks of batch_size windows.
+A split holds its windows as one (W, N, T) values array and one mask
+array. Each window draws its own step, noise and (stage 2) re-hidden
+entries, in that order, as plain arrays; a minibatch then stacks them into
+one (B, N, T) forward with per-row steps under one stacked context, so one
+tape and one backward serve the whole minibatch. Validation runs the same
+stacked loss without a tape, in chunks of batch_size windows.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .backends import ConditioningContext, conditional_context, unconditional_context
+from .backends import ConditioningContext
 from .diffusion import NoiseSchedule, q_sample
 from .errors import DivergenceError, InvalidInputError
 from .grid import DatasetSplit
@@ -55,8 +57,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 0:
             raise InvalidInputError("epochs, batch_size >= 1 and patience >= 0 required")
-        if not (self.lr > 0.0):
-            raise InvalidInputError(f"lr must be > 0, got {self.lr}")
+        if not (0.0 < self.lr < math.inf):
+            raise InvalidInputError(f"lr must be finite and > 0, got {self.lr}")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise InvalidInputError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -102,58 +107,55 @@ def _lr_at(cfg: TrainConfig, epoch: int) -> float:
     return lr
 
 
-def _conditional_pieces(values, mask, rng):
-    """Re-hide part of the observed entries; returns (ctx, loss weights)."""
-    n, t = values.shape
+def _remask(mask, rng):
+    """Re-hide part of the observed entries; returns (context mask, loss weights)."""
+    n, t = mask.shape
     alpha = 0.1 + 0.8 * rng.random()
     remask_seed = int(rng.integers(2**63))
     pattern = MaskPatternConfig("SR-TC", alpha, min(REMASK_PATCH, t),
                                 seed=remask_seed)
     visible = mask_sr_tc(n, t, pattern).entries  # 0 = re-hidden
-    keep = np.asarray(mask) * visible
-    target = np.asarray(mask) * (1 - visible)
-    return conditional_context(values, keep), target.astype(np.float64)
+    return mask * visible, mask * (1 - visible)
 
 
-def _draw(window, sched: NoiseSchedule, rng, conditional: bool):
-    """One window's training inputs: draws its step k, noise, and (stage 2)
-    re-hidden entries from rng, in that order. Returns (k, x_k, eps, ctx,
+def _draw(values, mask, sched: NoiseSchedule, rng, conditional: bool):
+    """One window's training inputs from its (N, T) values and mask rows:
+    draws its step k, noise, and (stage 2) re-hidden entries from rng, in
+    that order. Returns (k, x_k, eps, context observations, context mask,
     loss weights)."""
-    grid, mask = window
-    values = np.asarray(grid.values, dtype=np.float64)
     k = int(rng.integers(1, sched.n_steps + 1))
     eps = rng.standard_normal(values.shape)
     if conditional:
-        ctx, weights = _conditional_pieces(values, mask.entries, rng)
+        keep, weights = _remask(mask, rng)
+        observed = values * (keep == 1)
     else:
-        ctx = unconditional_context(*values.shape)
-        weights = np.asarray(mask.entries, dtype=np.float64)
-    return k, q_sample(values, k, eps, sched), eps, ctx, weights
+        # the unconditional context: zero observations under a zero mask
+        observed = keep = np.zeros(values.shape)
+        weights = mask
+    return k, q_sample(values, k, eps, sched), eps, observed, keep, weights
 
 
 def _stacked_loss(model: NeuralDenoiser, draws) -> ad.Tensor:
     """Mean over the draws of each window's masked eps-matching loss (its
     weighted squared error over its weight total), from one forward of the
-    stacked windows."""
-    ks, x_k, eps, ctxs, weights = zip(*draws)
-    ctx = ConditioningContext(np.stack([c.observed for c in ctxs]),
-                              np.stack([c.mask for c in ctxs]))
-    eps_hat, _ = model.forward_tensor(np.stack(x_k), np.array(ks), ctx)
-    w = np.stack(weights)
+    stacked windows under one stacked context."""
+    ks, x_k, eps, observed, keep, w = (np.stack(a) for a in zip(*draws))
+    eps_hat, _ = model.forward_tensor(x_k, ks, ConditioningContext(observed, keep))
     row_scale = 1.0 / (np.maximum(w.sum(axis=(1, 2)), 1.0) * len(draws))
-    diff = ad.subtract(eps_hat, ad.constant(np.stack(eps)))
+    diff = ad.subtract(eps_hat, ad.constant(eps))
     sq = ad.multiply(diff, diff)
     return ad.sum_all(ad.multiply(sq, ad.constant(w * row_scale[:, None, None])))
 
 
 def _epoch(model, windows, sched, cfg, rng, optimizer, conditional, step_counter):
-    order = rng.permutation(len(windows))
+    values, masks = windows
+    order = rng.permutation(len(values))
     total, count = 0.0, 0
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
         ad.zero_grads(model.parameters().values())
         batch_loss = _stacked_loss(
-            model, [_draw(windows[idx], sched, rng, conditional) for idx in batch])
+            model, [_draw(values[i], masks[i], sched, rng, conditional) for i in batch])
         step_counter[0] += 1
         if not np.isfinite(batch_loss.value):
             raise DivergenceError(
@@ -167,21 +169,22 @@ def _epoch(model, windows, sched, cfg, rng, optimizer, conditional, step_counter
 
 
 def _validation_loss(model, windows, sched, cfg, conditional) -> float:
-    if not windows:
+    values, masks = windows
+    if not len(values):
         return float("nan")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed ^ 0x5EED))
     total = 0.0
     with ad.no_record():
-        for start in range(0, len(windows), cfg.batch_size):
-            chunk = windows[start:start + cfg.batch_size]
-            draws = [_draw(window, sched, rng, conditional) for window in chunk]
+        for start in range(0, len(values), cfg.batch_size):
+            chunk = range(start, min(start + cfg.batch_size, len(values)))
+            draws = [_draw(values[i], masks[i], sched, rng, conditional) for i in chunk]
             total += float(_stacked_loss(model, draws).value) * len(chunk)
-    return total / len(windows)
+    return total / len(values)
 
 
 def _fit(model, data: DatasetSplit, cfg: TrainConfig, sched: NoiseSchedule,
          conditional: bool) -> TrainResult:
-    if not data.train:
+    if not len(data.train[0]):
         raise InvalidInputError("training split is empty")
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     optimizer = Adam(model.parameters(), cfg.lr, cfg.weight_decay)
@@ -197,7 +200,7 @@ def _fit(model, data: DatasetSplit, cfg: TrainConfig, sched: NoiseSchedule,
         val_loss = _validation_loss(model, data.validation, sched, cfg, conditional)
         result.train_losses.append(train_loss)
         result.val_losses.append(val_loss)
-        monitored = val_loss if data.validation else train_loss
+        monitored = val_loss if len(data.validation[0]) else train_loss
         if monitored < best_val - 1e-12:
             best_val = monitored
             best_state = model.state_dict()
@@ -216,9 +219,8 @@ def train_unconditional(data: DatasetSplit, cfg: TrainConfig, *,
                         sched: NoiseSchedule,
                         net_cfg: NetConfig | None = None) -> TrainResult:
     """Stage 1: epsilon-matching on unconditional contexts, observed entries only."""
-    n_nodes = data.train[0][0].n_nodes if data.train else 0
     if net_cfg is None:
-        net_cfg = NetConfig(n_nodes=n_nodes)
+        net_cfg = NetConfig(n_nodes=data.train[0].shape[1])
     model = NeuralDenoiser(net_cfg, seed=cfg.seed)
     return _fit(model, data, cfg, sched, conditional=False)
 
@@ -234,9 +236,8 @@ def finetune_conditional(backend: NeuralDenoiser | None, data: DatasetSplit,
     if backend is None:
         warnings.warn("fine-tuning from random weights: stage 1 was skipped",
                       stacklevel=2)
-        n_nodes = data.train[0][0].n_nodes if data.train else 0
         if net_cfg is None:
-            net_cfg = NetConfig(n_nodes=n_nodes)
+            net_cfg = NetConfig(n_nodes=data.train[0].shape[1])
         model = NeuralDenoiser(net_cfg, seed=cfg.seed)
     else:
         model = backend.clone()

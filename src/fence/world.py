@@ -57,7 +57,8 @@ class GaussianOracleWorld:
     observed_idx: tuple[int, ...] = ()
     observed_val: tuple[float, ...] = ()
     seed: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
+    # factors of this law; init=False so dataclasses.replace starts a fresh one
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         dim = self.n_nodes * self.n_steps
@@ -103,7 +104,7 @@ class GaussianOracleWorld:
 
     def observe(self, indices, values) -> "GaussianOracleWorld":
         return replace(self, observed_idx=tuple(int(i) for i in indices),
-                       observed_val=tuple(float(v) for v in values), _cache={})
+                       observed_val=tuple(float(v) for v in values))
 
     # -- conditional moments -----------------------------------------------
 
@@ -211,6 +212,8 @@ def make_gaussian_world(n_nodes: int, n_steps: int, spatial_corr: float,
         )
     if n_nodes < 1 or n_steps < 1:
         raise InvalidInputError("world needs at least one node and one step")
+    if not math.isfinite(mean):
+        raise InvalidInputError(f"mean must be finite, got {mean}")
     if n_nodes * n_steps > MAX_WORLD_CELLS:
         raise InvalidInputError(
             f"world of {n_nodes} nodes x {n_steps} steps exceeds {MAX_WORLD_CELLS} "

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fence import load_grid_csv, load_mask_csv, save_grid_csv, save_mask_csv, MaskMatrix
+from fence import (GuidanceConfig, InvalidInputError, MaskMatrix, TrainConfig, load_grid_csv,
+                   load_mask_csv, make_gaussian_world, save_grid_csv, save_mask_csv)
 from fence.cli import build_parser, main
 from fence.masking import MaskPatternConfig, mask_sr_tc
 
@@ -496,11 +497,76 @@ def test_bad_flags_exit_2(argv):
     ("guidance", "scope = nodes"),
     ("sampler", "anchoring = pin"),
     ("experiment", "backend = orcale"),
+    ("guidance", "lambda_max = inf"),
+    ("guidance", "lambda_ref = inf"),
+    ("world", "mean = nan"),
 ])
 def test_bad_config_values_exit_2(tmp_path, section, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"[{section}]\n{line}\n")
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("section, line", [
+    ("data", "length = 0"),
+    ("data", "length = -3"),
+    ("training", "lr_uncond = inf"),
+    ("training", "weight_decay_cond = nan"),
+    ("training", "weight_decay_uncond = -1"),
+    ("world", "mean = nan"),
+])
+def test_unrunnable_neural_values_exit_2_before_training(tmp_path, capsys, monkeypatch,
+                                                         section, line):
+    monkeypatch.setattr("fence.cli.train_unconditional",
+                        lambda *a, **k: pytest.fail("stage 1 started"))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"[experiment]\nbackend = neural\n\n[{section}]\n{line}\n")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    key = line.split(" = ")[0].removesuffix("_uncond").removesuffix("_cond")
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_nonpositive_synth_length_exits_2(tmp_path, capsys, length):
+    spec = tmp_path / "world.spec"
+    spec.write_text(WORLD_SPEC)
+    assert main(["synth", "--spec", str(spec), "--length", length,
+                 "--out", str(tmp_path / "series.csv")]) == 2
+    assert "length" in capsys.readouterr().err
+
+
+def test_repeated_oracle_spec_key_exits_2_naming_its_line(tmp_path, capsys):
+    spec = tmp_path / "world.spec"
+    spec.write_text(WORLD_SPEC + "nodes = 5\n")
+    assert main(["synth", "--spec", str(spec), "--length", "4",
+                 "--out", str(tmp_path / "series.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"{spec}:7" in err and "'nodes'" in err
+    assert not (tmp_path / "series.csv").exists()
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("build, runnable", [
+    (lambda x: TrainConfig(lr=x), lambda x: 0.0 < x < math.inf),
+    (lambda x: TrainConfig(weight_decay=x), lambda x: 0.0 <= x < math.inf),
+    (lambda x: GuidanceConfig(lambda_max=x), lambda x: 1.0 <= x < math.inf),
+    (lambda x: GuidanceConfig(lambda_ref=x), lambda x: 1.0 < x < math.inf),
+    (lambda x: make_gaussian_world(2, 3, 0.5, 0.6, mean=x), math.isfinite),
+], ids=["lr", "weight_decay", "lambda_max", "lambda_ref", "world_mean"])
+def test_unrunnable_numbers_are_rejected_at_construction(build, runnable):
+    @settings(max_examples=200, deadline=None)
+    @given(FLOATS)
+    def check(x):
+        if runnable(x):
+            build(x)
+        else:
+            with pytest.raises(InvalidInputError):
+                build(x)
+
+    check()
 
 
 def test_series_shorter_than_a_training_window_exits_2(tmp_path):

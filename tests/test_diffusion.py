@@ -4,7 +4,6 @@ import pytest
 from fence import (
     InvalidInputError,
     NoiseSchedule,
-    TrafficGrid,
     noise_from_score,
     q_sample,
     quadratic_schedule,
@@ -82,8 +81,6 @@ def test_q_sample_closed_form():
     abar = sched.alpha_bar_at(k)
     np.testing.assert_allclose(got, np.sqrt(abar) * x0 + np.sqrt(1 - abar) * noise,
                                rtol=0, atol=0)
-    # accepts a TrafficGrid as well
-    np.testing.assert_array_equal(q_sample(TrafficGrid(x0), k, noise, sched), got)
 
 
 def test_reverse_mean_formula():

@@ -46,13 +46,6 @@ def test_mask_entries_must_be_binary():
         MaskMatrix([[0.5, 1]])
 
 
-def test_mask_check_matches():
-    m = MaskMatrix(np.ones((2, 3)))
-    m.check_matches(TrafficGrid(np.zeros((2, 3))))
-    with pytest.raises(DataError):
-        m.check_matches(TrafficGrid(np.zeros((3, 2))))
-
-
 def test_graph_spec_validates_communities():
     adj = np.ones((4, 4)) - np.eye(4)
     g = GraphSpec(adj, node_communities=((0, 2), (1, 3)))
@@ -66,19 +59,22 @@ def test_graph_spec_validates_communities():
 
 
 def test_observed_stats():
-    mask = MaskMatrix([[1, 0], [0, 1]])
+    mask = np.array([[1, 0], [0, 1]])
     mean, std = observed_stats(np.array([[2.0, 99.0], [99.0, 4.0]]), mask)
     assert mean == 3.0 and std == 1.0
     with pytest.raises(DataError):
-        observed_stats(np.zeros((2, 2)), MaskMatrix(np.zeros((2, 2))))
+        observed_stats(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_sliding_windows_count_and_content():
     series = np.arange(20, dtype=float).reshape(2, 10)
     wins = sliding_windows(series, window=4, stride=2)
-    assert len(wins) == 4
-    np.testing.assert_array_equal(wins[1].values, series[:, 2:6])
-    assert len(sliding_windows(series, window=10)) == 1
+    assert wins.shape == (4, 2, 4)
+    for i, win in enumerate(wins):
+        np.testing.assert_array_equal(win, series[:, 2 * i:2 * i + 4])
+    # a view of the series, not a copy per window
+    assert np.shares_memory(wins, series) and not wins.flags.writeable
+    assert sliding_windows(series, window=10).shape == (1, 2, 10)
     with pytest.raises(InvalidInputError):
         sliding_windows(series, window=11)
     with pytest.raises(InvalidInputError):
@@ -98,27 +94,27 @@ def test_chronological_split_fractions_and_remainder():
 
 
 def test_dataset_split_validation():
-    g = TrafficGrid(np.zeros((2, 3)))
-    m = MaskMatrix(np.ones((2, 3)))
-    split = DatasetSplit(train=((g, m),), validation=(), normalization=(0.0, 1.0))
+    g, m = np.zeros((1, 2, 3)), np.ones((1, 2, 3))
+    none = (np.empty((0, 2, 3)),) * 2
+    split = DatasetSplit(train=(g, m), validation=none, normalization=(0.0, 1.0))
     assert split.normalization == (0.0, 1.0)
+    assert not split.train[0].flags.writeable
     with pytest.raises(InvalidInputError):
-        DatasetSplit(train=(), validation=(), normalization=(0.0, 0.0))
-    bad = MaskMatrix(np.ones((3, 3)))
-    with pytest.raises(DataError):
-        DatasetSplit(train=((g, bad),), validation=(), normalization=(0.0, 1.0))
+        DatasetSplit(train=none, validation=none, normalization=(0.0, 0.0))
+    for values, masks in [(g, np.ones((1, 3, 3))), (g[0], m[0]),
+                          (np.full((1, 2, 3), np.inf), m)]:
+        with pytest.raises(DataError):
+            DatasetSplit(train=(values, masks), validation=none, normalization=(0.0, 1.0))
 
 
 def test_grid_csv_round_trip_with_missing(tmp_path):
-    values = np.array([[1.5, 2.25], [-3.0, 0.0]])
-    mask = MaskMatrix([[1, 0], [1, 1]])
+    values = np.array([[1.5, np.nan], [-3.0, 0.0]])
     path = tmp_path / "g.csv"
-    save_grid_csv(path, values, mask)
+    save_grid_csv(path, values)
+    assert path.read_text().splitlines()[1] == "1.5,nan"
     got, got_mask = load_grid_csv(path)
-    np.testing.assert_array_equal(got_mask.entries, mask.entries)
-    assert np.isnan(got[0, 1])
-    np.testing.assert_array_equal(got[got_mask.entries == 1],
-                                  values[mask.entries == 1])
+    np.testing.assert_array_equal(got_mask.entries, [[1, 0], [1, 1]])
+    np.testing.assert_array_equal(got, values)
 
 
 def test_grid_csv_exact_float_round_trip(tmp_path):

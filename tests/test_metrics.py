@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from fence import InvalidInputError, MaskMatrix, TrafficGrid, crps, crps_masked, point_metrics
+from fence import InvalidInputError, crps, crps_masked, point_metrics
 from fence.metrics import MAPE_TRUTH_FLOOR, QUANTILE_LEVELS
 
 
 def test_perfect_prediction_is_zero():
-    pred = TrafficGrid([[1.0, 2.0]])
-    mask = MaskMatrix([[1, 1]])
+    pred = np.array([[1.0, 2.0]])
+    mask = np.array([[1, 1]])
     assert point_metrics(pred, pred, mask) == (0.0, 0.0, 0.0)
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -203,6 +204,18 @@ def test_observe_validation():
         world.observe([0, 0], [1.0, 2.0])
     with pytest.raises(InvalidInputError):
         world.observe([0], [np.nan])
+
+
+
+def test_replaced_world_scores_like_a_fresh_one():
+    world = make_gaussian_world(2, 3, 0.5, 0.6)
+    sched = quadratic_schedule(10)
+    x = np.random.default_rng(4).standard_normal(world.dim)
+    before = world.score(x, 5, sched)  # fills the world's cached factors
+    moved = replace(world, mean=np.full(world.dim, 3.0))
+    fresh = make_gaussian_world(2, 3, 0.5, 0.6, mean=3.0)
+    np.testing.assert_array_equal(moved.score(x, 5, sched), fresh.score(x, 5, sched))
+    np.testing.assert_array_equal(world.score(x, 5, sched), before)
 
 
 def test_observations_from_mask():

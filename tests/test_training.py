@@ -7,10 +7,8 @@ from fence import (
     DatasetSplit,
     DivergenceError,
     InvalidInputError,
-    MaskMatrix,
     NetConfig,
     NeuralDenoiser,
-    TrafficGrid,
     TrainConfig,
     finetune_conditional,
     make_gaussian_world,
@@ -20,15 +18,16 @@ from fence import (
 from fence.config import resolve_config, training_from
 from fence.training import Adam, _draw, _lr_at, _stacked_loss
 from fence import autodiff as ad
+from fence.backends import ConditioningContext
 
 
 def tiny_split(n_windows=10, n_nodes=3, window=6, seed=0):
     world = make_gaussian_world(n_nodes, window, 0.5, 0.6)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    ones = MaskMatrix(np.ones((n_nodes, window), dtype=np.int64))
-    wins = tuple((TrafficGrid(world.sample_clean(rng)), ones)
-                 for _ in range(n_windows))
-    return DatasetSplit(train=wins[:-2], validation=wins[-2:-1],
+    values = np.stack([world.sample_clean(rng) for _ in range(n_windows)])
+    masks = np.ones(values.shape)
+    return DatasetSplit(train=(values[:-2], masks[:-2]),
+                        validation=(values[-2:-1], masks[-2:-1]),
                         normalization=(0.0, 1.0))
 
 
@@ -137,8 +136,8 @@ def _one_tape_per_window(model, draws):
     """Reference for the stacked loss: one batch-of-one tape per window, each
     scaled by its weight total and the batch size, summed window by window."""
     total = None
-    for k, x_k, eps, ctx, weights in draws:
-        eps_hat, _ = model.forward_tensor(x_k[None], k, ctx)
+    for k, x_k, eps, observed, keep, weights in draws:
+        eps_hat, _ = model.forward_tensor(x_k[None], k, ConditioningContext(observed, keep))
         diff = ad.subtract(eps_hat, ad.constant(eps))
         masked = ad.multiply(ad.multiply(diff, diff), ad.constant(weights))
         piece = ad.scale(ad.sum_all(masked),
@@ -153,7 +152,7 @@ def test_stacked_minibatch_matches_one_tape_per_window(conditional):
     sched = quadratic_schedule(20)
     model = NeuralDenoiser(NetConfig(n_nodes=4, d_model=8), seed=2)
     rng = np.random.Generator(np.random.Philox(key=7))
-    draws = [_draw(window, sched, rng, conditional) for window in split.train]
+    draws = [_draw(v, m, sched, rng, conditional) for v, m in zip(*split.train)]
     params = model.parameters()
     reference = _one_tape_per_window(model, draws)
     ad.backward(reference)
@@ -165,6 +164,38 @@ def test_stacked_minibatch_matches_one_tape_per_window(conditional):
     for name, t in params.items():
         err = np.linalg.norm(t.grad - expected[name])
         assert err <= 1e-12 * np.linalg.norm(expected[name]), name
+
+
+def test_training_builds_one_context_per_forward_and_no_grid(monkeypatch):
+    import fence.training
+    from fence.grid import MaskMatrix, TrafficGrid
+
+    calls = {}
+
+    def counting(owner, name, key):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(ConditioningContext, "__post_init__", "context")
+    counting(TrafficGrid, "__post_init__", "grid")
+    counting(MaskMatrix, "__post_init__", "mask")
+    counting(NeuralDenoiser, "forward_tensor", "forward")
+    counting(fence.training, "mask_sr_tc", "remask")
+    split = tiny_split()
+    net = NetConfig(n_nodes=3, d_model=8, n_layers=1, n_heads=2)
+    stage1 = train_unconditional(split, smoke_cfg(epochs=2), sched=quadratic_schedule(20),
+                                 net_cfg=net)
+    # 8 train windows in minibatches of 4, and one validation chunk, per epoch
+    assert calls == {"context": 6, "forward": 6}
+    finetune_conditional(stage1.model, split, smoke_cfg(epochs=2),
+                         sched=quadratic_schedule(20), net_cfg=net)
+    # stage 2 re-hides entries of each of the 9 windows per epoch; the only
+    # mask wrapper is the one the mask generator returns
+    assert calls == {"context": 12, "forward": 12, "remask": 18, "mask": 18}
 
 
 def _state_digest(model) -> str:
@@ -204,7 +235,7 @@ def test_divergence_reports_step():
 
 def test_empty_training_split_rejected():
     split = tiny_split()
-    empty = DatasetSplit(train=(), validation=split.validation,
+    empty = DatasetSplit(train=(np.empty((0, 3, 6)),) * 2, validation=split.validation,
                          normalization=(0.0, 1.0))
     with pytest.raises(InvalidInputError):
         train_unconditional(empty, smoke_cfg(), sched=quadratic_schedule(20),

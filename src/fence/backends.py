@@ -95,16 +95,17 @@ def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule) -> n
     Entry (i, j) is the mean absolute correlation between the T coordinates
     of node i and those of node j; rows are normalized to sum to 1 so the
     matrix plays the same role as the network's spatial attention export.
+    An observed cell's noised marginal is independent of every other cell,
+    so besides each cell's correlation of 1 with itself only the hidden
+    pairs enter, as abar |Sigma_c[a, b]| / (s_a s_b) with s_a the step-k
+    standard deviation of cell a.
     """
     abar = sched.alpha_bar_at(k)
-    # the step-k marginal covariance abar S + (1 - abar) I, turned into
-    # absolute correlations in place
-    corr = abar * world.conditional_moments()[1]
-    corr.flat[::world.dim + 1] += 1.0 - abar
-    std = np.sqrt(np.diag(corr))
-    np.abs(np.divide(corr, np.outer(std, std), out=corr), out=corr)
-    n, t = world.n_nodes, world.n_steps
-    blocks = corr.reshape(n, t, n, t).mean(axis=(1, 3))
+    var, spread, member = world.affinity_terms()
+    # each hidden cell's 1/s at step k, placed in its node's column
+    scaled = member / np.sqrt(abar * var + (1.0 - abar))[:, None]
+    blocks = abar * (scaled.T @ (spread @ scaled))
+    blocks.flat[::world.n_nodes + 1] += world.n_steps
     return blocks / blocks.sum(axis=1, keepdims=True)
 
 

@@ -205,7 +205,7 @@ def _impute_from_args(args, n_samples: int):
     if args.oracle:
         if args.checkpoint_cond or args.checkpoint_uncond:
             raise ConfigError("--oracle and checkpoints are mutually exclusive")
-        # compare shapes before the world's dense covariance is built
+        # compare shapes before the world is built
         spec = read_world_spec(args.oracle)
         shape = (spec["world"]["nodes"], spec["world"]["steps"])
         if values.shape != shape:

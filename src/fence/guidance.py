@@ -74,8 +74,9 @@ class GuidanceConfig:
             t = getattr(self, name)
             if not (0.0 < t < 1.0):
                 raise InvalidInputError(f"{name} must lie in (0, 1), got {t}")
-        if not (self.alpha_scale > 0.0):
-            raise InvalidInputError(f"alpha_scale must be > 0, got {self.alpha_scale}")
+        if not (0.0 < self.alpha_scale < math.inf):
+            raise InvalidInputError(
+                f"alpha_scale must be finite and > 0, got {self.alpha_scale}")
         if not (1.0 <= self.lambda_max < math.inf):
             raise InvalidInputError(
                 f"lambda_max must be finite and >= 1, got {self.lambda_max}")
@@ -134,7 +135,12 @@ def calibrated_constants(cfg: GuidanceConfig, sched: NoiseSchedule) -> tuple[flo
         return 0.0, 0.0
     delta = calibrate_delta(cfg, sched.n_steps)
     sigma2_t1 = sched.sigma2_at(step_at_time(cfg.t1, sched.n_steps))
-    return delta, calibrate_tau(cfg, delta, sigma2_t1)
+    tau = calibrate_tau(cfg, delta, sigma2_t1)
+    if not math.isfinite(tau):
+        raise InvalidInputError(
+            f"alpha_scale = {cfg.alpha_scale} is too small: the update temperature "
+            f"tau = 2 sigma^2 delta / alpha_scale overflows")
+    return delta, tau
 
 
 def guidance_scale(log_posterior, pi: float, lambda_max: float):

@@ -1,12 +1,19 @@
 """Synthetic jointly-Gaussian spatial-temporal worlds with closed-form scores.
 
 A world is N(m, Sigma) over grids flattened node-major (index = node*T + t),
-with Sigma the Kronecker product of a ring-graph spatial kernel rho_s^hops
-and an AR-style temporal kernel rho_t^|dt|. Because every marginal of the
-forward noising process stays Gaussian and is diagonal in the eigenbasis of
-its clean law, the unconditional and conditional scores used by the sampler
+with Sigma = K_s (x) K_t the Kronecker product of a ring-graph spatial kernel
+K_s = rho_s^hops (N x N) and an AR-style temporal kernel K_t = rho_t^|dt|
+(T x T). The world stores the two factors. Every marginal of the forward
+noising process stays Gaussian and is diagonal in the eigenbasis of its
+clean law, so the unconditional and conditional scores used by the sampler
 are exact here, which is what lets the guidance formulas be checked to
-floating-point accuracy.
+floating-point accuracy:
+
+- the prior's eigenbasis is U_s (x) U_t, from one eigh of each factor, so a
+  score costs O(NT(N+T)) per grid instead of O((NT)^2);
+- the conditional law pins the observed cells, whose noised marginal is
+  N(sqrt(abar) v_o, (1-abar) I) whatever the step, so only its hidden block,
+  the Schur complement, is decomposed.
 """
 
 from __future__ import annotations
@@ -28,8 +35,10 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-# the largest N*T a world may have: the oracle keeps dense (NT)^2 float64
-# matrices, 128 MiB each at this size (a 40x48 world has 1920 cells)
+# the largest N*T a world may have: the conditional law (the Schur complement
+# on the hidden cells and its eigenbasis) and the exact sampler's Cholesky
+# factor are dense, up to (NT)^2 float64 each, 128 MiB at this size (a 40x48
+# world has 1920 cells)
 MAX_WORLD_CELLS = 4096
 
 
@@ -48,12 +57,17 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GaussianOracleWorld:
-    """Exact Gaussian law over an N x T grid, optionally with observations."""
+    """Exact Gaussian law over an N x T grid, optionally with observations.
+
+    The prior covariance is spatial (x) temporal; only the (N, N) and (T, T)
+    factors are stored, and ``cov`` builds the dense product on first use.
+    """
 
     n_nodes: int
     n_steps: int
     mean: np.ndarray
-    cov: np.ndarray
+    spatial: np.ndarray
+    temporal: np.ndarray
     observed_idx: tuple[int, ...] = ()
     observed_val: tuple[float, ...] = ()
     seed: int = 0
@@ -63,15 +77,28 @@ class GaussianOracleWorld:
     def __post_init__(self):
         dim = self.n_nodes * self.n_steps
         mean = _read_only(self.mean)
-        cov = _read_only(self.cov)
-        if mean.shape != (dim,) or cov.shape != (dim, dim):
-            raise InvalidInputError(
-                f"mean/cov must have dimension {dim}, got {mean.shape} and {cov.shape}"
-            )
-        if not np.allclose(cov, cov.T, atol=1e-12):
-            raise InvalidInputError("covariance must be symmetric")
+        if mean.shape != (dim,):
+            raise InvalidInputError(f"mean must have dimension {dim}, got {mean.shape}")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        # Sigma is symmetric positive definite when both factors are; the
+        # eigenpairs that check it are the prior's eigenbasis
+        prior = []
+        for name, size in (("spatial", self.n_nodes), ("temporal", self.n_steps)):
+            factor = _read_only(getattr(self, name))
+            if factor.shape != (size, size):
+                raise InvalidInputError(
+                    f"{name} factor must be {size}x{size}, got {factor.shape}")
+            if not (np.isfinite(factor).all() and np.allclose(factor, factor.T, atol=1e-12)):
+                raise InvalidInputError(
+                    f"covariance must be finite and symmetric: its {name} factor is not")
+            w, u = eigh(factor)
+            if not w[0] > 0.0:
+                raise InvalidInputError(
+                    f"covariance is not positive definite: its {name} factor has "
+                    f"eigenvalue {w[0]:.3g}")
+            object.__setattr__(self, name, factor)
+            prior += [w, u]
+        self._cache["prior"] = tuple(prior)
         idx = tuple(int(i) for i in self.observed_idx)
         if len(set(idx)) != len(idx) or any(not (0 <= i < dim) for i in idx):
             raise InvalidInputError("observed indices must be distinct and in range")
@@ -82,16 +109,22 @@ class GaussianOracleWorld:
             raise InvalidInputError("observed values must be finite")
         object.__setattr__(self, "observed_idx", idx)
         object.__setattr__(self, "observed_val", vals)
-        try:
-            self._cache["chol"] = cho_factor(cov, lower=True)
-        except LinAlgError as exc:
-            raise InvalidInputError(f"covariance is not positive definite: {exc}") from exc
 
     # -- structure ---------------------------------------------------------
 
     @property
     def dim(self) -> int:
         return self.n_nodes * self.n_steps
+
+    @property
+    def cov(self) -> np.ndarray:
+        """The dense read-only prior covariance spatial (x) temporal, built on
+        first use by the Schur conditioning or the exact sampler."""
+        if "cov" not in self._cache:
+            cov = np.kron(self.spatial, self.temporal)
+            cov.setflags(write=False)
+            self._cache["cov"] = cov
+        return self._cache["cov"]
 
     @property
     def hidden_idx(self) -> np.ndarray:
@@ -106,21 +139,21 @@ class GaussianOracleWorld:
         return replace(self, observed_idx=tuple(int(i) for i in indices),
                        observed_val=tuple(float(v) for v in values))
 
-    # -- conditional moments -----------------------------------------------
+    # -- conditional law -----------------------------------------------------
 
-    def conditional_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Full-dimensional read-only (mean, cov) after conditioning on the
-        observations; the world's own mean and cov when nothing is observed.
-
-        Observed coordinates are pinned: mean equals the observed value and
-        their covariance rows/columns are zero (Schur complement on the
-        hidden block).
-        """
-        if not self.observed_idx:
-            return self.mean, self.cov
-        if "cond" not in self._cache:
+    def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(mean_c, obs, hid, cov_hh), read-only: the conditional mean over
+        every cell, the observed and hidden cells, and the conditional
+        covariance of the hidden cells (a Schur complement). With nothing
+        observed, every cell is hidden and this is the prior."""
+        if "schur" not in self._cache:
             obs = np.asarray(self.observed_idx, dtype=np.intp)
             hid = self.hidden_idx
+            for a in (obs, hid):
+                a.setflags(write=False)
+            if not self.observed_idx:
+                self._cache["schur"] = (self.mean, obs, hid, self.cov)
+                return self._cache["schur"]
             v = np.asarray(self.observed_val)
             s_oo = self.cov[np.ix_(obs, obs)]
             s_ho = self.cov[np.ix_(hid, obs)]
@@ -133,40 +166,80 @@ class GaussianOracleWorld:
             mean_c = self.mean.copy()
             mean_c[hid] = self.mean[hid] + s_ho @ gain
             mean_c[obs] = v
-            cov_c = np.zeros_like(self.cov)
-            cov_c[np.ix_(hid, hid)] = (
-                self.cov[np.ix_(hid, hid)] - s_ho @ cho_solve(f_oo, s_ho.T)
-            )
+            cov_hh = self.cov[np.ix_(hid, hid)] - s_ho @ cho_solve(f_oo, s_ho.T)
             mean_c.setflags(write=False)
+            cov_hh.setflags(write=False)
+            self._cache["schur"] = (mean_c, obs, hid, cov_hh)
+        return self._cache["schur"]
+
+    def conditional_moments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Full-dimensional read-only (mean, cov) after conditioning on the
+        observations; the world's own mean and cov when nothing is observed.
+
+        Observed coordinates are pinned: mean equals the observed value and
+        their covariance rows/columns are zero (Schur complement on the
+        hidden block).
+        """
+        if not self.observed_idx:
+            return self.mean, self.cov
+        mean_c, _, hid, cov_hh = self._schur()
+        if "cond" not in self._cache:
+            cov_c = np.zeros((self.dim, self.dim))
+            cov_c[np.ix_(hid, hid)] = cov_hh
             cov_c.setflags(write=False)
-            self._cache["cond"] = (mean_c, cov_c)
-        return self._cache["cond"]
+            self._cache["cond"] = cov_c
+        return mean_c, self._cache["cond"]
+
+    def _hidden_eigen(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, U) with cov_hh = U diag(w) U^T, one eigh per world."""
+        if "hidden eigen" not in self._cache:
+            self._cache["hidden eigen"] = eigh(self._schur()[3])
+        return self._cache["hidden eigen"]
+
+    def affinity_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(var, spread, member), read-only and cached: the step-independent
+        parts of the conditional law's noised correlations. var is diag
+        cov_hh, spread is |cov_hh| with a zero diagonal, and member is the
+        (hidden, N) one-hot node of each hidden cell."""
+        if "affinity" not in self._cache:
+            _, _, hid, cov_hh = self._schur()
+            spread = np.abs(cov_hh)
+            np.fill_diagonal(spread, 0.0)
+            member = np.zeros((hid.size, self.n_nodes))
+            member[np.arange(hid.size), hid // self.n_steps] = 1.0
+            terms = (np.diag(cov_hh).copy(), spread, member)
+            for a in terms:
+                a.setflags(write=False)
+            self._cache["affinity"] = terms
+        return self._cache["affinity"]
 
     # -- noised marginals ----------------------------------------------------
 
-    def _eigen(self, conditional: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(m', w, U) of the clean law with cov = U diag(w) U^T, one eigh per law.
+    def _coords(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
+                conditional: bool) -> tuple[np.ndarray, np.ndarray]:
+        """(z, v): the residuals x - sqrt(abar) m' of the grids in x_k (one
+        row each) in the eigenbasis of the clean law, and their step-k
+        variances abar w + 1 - abar.
 
-        Every noised marginal abar Sigma' + (1-abar) I has the same
-        eigenvectors U and the eigenvalues abar w + 1 - abar, so this one
-        decomposition serves every step.
+        Every noised marginal abar Sigma' + (1-abar) I has the eigenvectors of
+        Sigma', so one decomposition per law serves every step. Conditional
+        coordinates list the observed cells (w = 0) before the hidden block's
+        eigenbasis.
         """
-        conditional = bool(conditional and self.observed_idx)
-        key = ("eigen", conditional)
-        if key not in self._cache:
-            m, s = self.conditional_moments() if conditional else (self.mean, self.cov)
-            w, u = eigh(s)
-            self._cache[key] = (m, w, u)
-        return self._cache[key]
-
-    def _scaled_coords(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
-                       conditional: bool):
-        """(U, z, v): residuals z = (x - sqrt(abar) m')^T U, one row per grid
-        in x_k, and the variances v."""
-        m, w, u = self._eigen(conditional)
         abar = sched.alpha_bar_at(k)
         x = np.asarray(x_k, dtype=np.float64).reshape(-1, self.dim)
-        return u, (x - math.sqrt(abar) * m) @ u, abar * w + (1.0 - abar)
+        if conditional and self.observed_idx:
+            mean, obs, hid, _ = self._schur()
+            w, u = self._hidden_eigen()
+            r = x - math.sqrt(abar) * mean
+            z = np.concatenate([r[:, obs], r[:, hid] @ u], axis=1)
+            w = np.concatenate([np.zeros(obs.size), w])
+        else:
+            w_s, u_s, w_t, u_t = self._cache["prior"]
+            r = (x - math.sqrt(abar) * self.mean).reshape(-1, self.n_nodes, self.n_steps)
+            z = (u_s.T @ r @ u_t).reshape(len(x), self.dim)
+            w = np.outer(w_s, w_t).reshape(self.dim)
+        return z, abar * w + (1.0 - abar)
 
     def marginal_moments(self, k: int, sched: NoiseSchedule,
                          conditional: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -179,15 +252,24 @@ class GaussianOracleWorld:
               conditional: bool = False) -> np.ndarray:
         """Exact gradient of log p_k at x_k, in the shape of x_k.
 
-        x_k is one flat NT vector or a (B, NT) stack of them; the whole stack
-        costs two matrix products.
+        x_k is one flat NT vector or a (B, NT) stack of them. On an observed
+        cell the conditional score is -(x_o - sqrt(abar) v_o) / (1 - abar).
         """
-        u, z, v = self._scaled_coords(x_k, k, sched, conditional)
-        return -((z / v) @ u.T).reshape(np.shape(x_k))
+        z, v = self._coords(x_k, k, sched, conditional)
+        y = z / v
+        if conditional and self.observed_idx:
+            _, obs, hid, _ = self._schur()
+            out = np.empty_like(y)
+            out[:, obs] = y[:, :obs.size]
+            out[:, hid] = y[:, obs.size:] @ self._hidden_eigen()[1].T
+        else:
+            _, u_s, _, u_t = self._cache["prior"]
+            out = u_s @ y.reshape(-1, self.n_nodes, self.n_steps) @ u_t.T
+        return -out.reshape(np.shape(x_k))
 
     def marginal_logpdf(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
                         conditional: bool = False) -> float:
-        _, z, v = self._scaled_coords(x_k, k, sched, conditional)
+        z, v = self._coords(x_k, k, sched, conditional)
         z = z.reshape(self.dim)
         quad = float(z @ (z / v))
         logdet = float(np.sum(np.log(v)))
@@ -196,7 +278,14 @@ class GaussianOracleWorld:
     # -- exact sampling ------------------------------------------------------
 
     def sample_clean(self, rng: np.random.Generator) -> np.ndarray:
-        """One exact draw from the prior N(m, Sigma), as an N x T grid."""
+        """One exact draw from the prior N(m, Sigma), as an N x T grid,
+        through the dense Cholesky factor of ``cov`` (built on the first draw)."""
+        if "chol" not in self._cache:
+            try:
+                self._cache["chol"] = cho_factor(self.cov, lower=True)
+            except LinAlgError as exc:
+                raise InvalidInputError(
+                    f"covariance is not positive definite: {exc}") from exc
         c, lower = self._cache["chol"]
         z = rng.standard_normal(self.dim)
         return self.flat_to_grid(self.mean + np.tril(c) @ z)
@@ -228,10 +317,8 @@ def make_gaussian_world(n_nodes: int, n_steps: int, spatial_corr: float,
         spatial = np.eye(n_nodes)
     if temporal_corr == 0.0:
         temporal = np.eye(n_steps)
-    cov = np.kron(spatial, temporal)
-    dim = n_nodes * n_steps
-    return GaussianOracleWorld(n_nodes, n_steps, np.full(dim, float(mean)), cov,
-                               seed=int(seed))
+    return GaussianOracleWorld(n_nodes, n_steps, np.full(n_nodes * n_steps, float(mean)),
+                               spatial, temporal, seed=int(seed))
 
 
 def observations_from_mask(values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

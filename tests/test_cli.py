@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,23 @@ def test_impute_on_an_oversized_oracle_world_exits_2(tmp_path, capsys):
     assert main(["impute", "--grid", str(grid), "--oracle", str(spec),
                  "--out", str(tmp_path / "out.csv")]) == 2
     assert "dense (NT)^2 covariance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["impute", "run"])
+def test_non_positive_definite_oracle_world_exits_2(tmp_path, capsys, command):
+    # on a 3-node ring, rho_s = -0.9 gives the spatial factor the eigenvalue 1 - 1.8
+    if command == "impute":
+        grid, spec = tmp_path / "grid.csv", tmp_path / "world.spec"
+        save_grid_csv(grid, np.zeros((3, 4)))
+        spec.write_text(WORLD_SPEC.replace("rho_s = 0.5", "rho_s = -0.9"))
+        argv = ["impute", "--grid", str(grid), "--oracle", str(spec),
+                "--out", str(tmp_path / "out.csv")]
+    else:
+        cfg = tmp_path / "npd.cfg"
+        cfg.write_text(TINY_CONFIG.replace("rho_s = 0.5", "rho_s = -0.9"))
+        argv = ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 2
+    assert "covariance is not positive definite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("nodes", [3, 100000000])
@@ -507,6 +525,18 @@ def test_bad_config_values_exit_2(tmp_path, section, line):
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("alpha_scale", ["1e-320", "inf"])
+def test_unusable_alpha_scale_exits_2_without_a_warning(tmp_path, capsys, alpha_scale):
+    # 1e-320 is finite, but the update temperature 2 sigma^2 delta / alpha_scale is not
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG + f"\n[guidance]\nmode = fence\nalpha_scale = {alpha_scale}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert "alpha_scale" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, line", [
     ("data", "length = 0"),
     ("data", "length = -3"),
@@ -554,8 +584,9 @@ FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     (lambda x: TrainConfig(weight_decay=x), lambda x: 0.0 <= x < math.inf),
     (lambda x: GuidanceConfig(lambda_max=x), lambda x: 1.0 <= x < math.inf),
     (lambda x: GuidanceConfig(lambda_ref=x), lambda x: 1.0 < x < math.inf),
+    (lambda x: GuidanceConfig(alpha_scale=x), lambda x: 0.0 < x < math.inf),
     (lambda x: make_gaussian_world(2, 3, 0.5, 0.6, mean=x), math.isfinite),
-], ids=["lr", "weight_decay", "lambda_max", "lambda_ref", "world_mean"])
+], ids=["lr", "weight_decay", "lambda_max", "lambda_ref", "alpha_scale", "world_mean"])
 def test_unrunnable_numbers_are_rejected_at_construction(build, runnable):
     @settings(max_examples=200, deadline=None)
     @given(FLOATS)

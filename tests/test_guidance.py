@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,14 @@ def test_calibrated_constants_inert_at_full_confidence():
     assert delta > 0 and tau > 0
     sigma2 = sched.sigma2_at(step_at_time(0.5, 50))
     assert tau == pytest.approx(2 * sigma2 * delta / 10.0, rel=1e-15)
+
+
+def test_calibrated_constants_reject_an_overflowing_tau():
+    # alpha_scale = 1e-320 is finite and positive, but tau = 2 sigma^2 delta / 1e-320 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="alpha_scale"):
+            calibrated_constants(GuidanceConfig(alpha_scale=1e-320), quadratic_schedule(8))
 
 
 def test_guidance_scale_law():

@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, eigh
 
 from fence import (
     ConditioningContext,
@@ -59,9 +60,10 @@ def test_flat_layout_is_node_major():
 
 
 def test_schur_conditioning_two_node_example():
-    # Sigma = [[1, .5], [.5, 1]]; observe coordinate 1 at v
-    cov = np.array([[1.0, 0.5], [0.5, 1.0]])
-    world = GaussianOracleWorld(n_nodes=2, n_steps=1, mean=np.zeros(2), cov=cov)
+    # Sigma = [[1, .5], [.5, 1]] (x) [[1]]; observe coordinate 1 at v
+    world = GaussianOracleWorld(n_nodes=2, n_steps=1, mean=np.zeros(2),
+                                spatial=np.array([[1.0, 0.5], [0.5, 1.0]]),
+                                temporal=np.ones((1, 1)))
     v = 1.6
     observed = world.observe([1], [v])
     mean_c, cov_c = observed.conditional_moments()
@@ -282,17 +284,113 @@ def _dense_node_affinity(world, k, sched):
     return blocks / blocks.sum(axis=1, keepdims=True)
 
 
-def test_node_affinity_matches_the_dense_formula_bit_for_bit():
+def test_node_affinity_matches_the_dense_formula():
     world = make_gaussian_world(6, 8, 0.6, 0.7)
     rng = np.random.default_rng(14)
     obs = np.sort(rng.choice(world.dim, size=world.dim // 2, replace=False))
     observed = world.observe(obs, rng.standard_normal(obs.size))
     sched = quadratic_schedule(50)
-    # the prior law (nothing observed) and a conditional one
+    # the prior law (nothing observed) and a conditional one; the cached
+    # hidden block sums in another order than the dense pass
     for w in (world, observed):
         for k in range(1, 51):
-            np.testing.assert_array_equal(node_affinity(w, k, sched),
-                                          _dense_node_affinity(w, k, sched))
+            np.testing.assert_allclose(node_affinity(w, k, sched),
+                                       _dense_node_affinity(w, k, sched), rtol=0, atol=1e-13)
+
+
+def _dense_score_and_logpdf(world, x, k, sched, conditional):
+    """The former dense path: one eigh of the whole (NT, NT) covariance of the
+    law, kron(K_s, K_t) for the prior and the full Schur Sigma_c otherwise."""
+    if conditional:
+        m, s = world.conditional_moments()
+    else:
+        m, s = world.mean, np.kron(world.spatial, world.temporal)
+    w, u = eigh(s)
+    abar = sched.alpha_bar_at(k)
+    v = abar * w + (1.0 - abar)
+    z = (np.atleast_2d(x) - math.sqrt(abar) * m) @ u
+    score = -((z / v) @ u.T).reshape(np.shape(x))
+    logpdf = -0.5 * ((z * z / v).sum(axis=1) + np.log(v).sum()
+                     + world.dim * math.log(2.0 * math.pi))
+    return score, logpdf
+
+
+def _close(got, ref, rel=1e-10):
+    got, ref = np.asarray(got), np.asarray(ref)
+    return np.abs(got - ref).max() <= rel * max(np.abs(ref).max(), 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), t=st.integers(1, 6), rho_s=st.floats(-0.45, 0.95),
+       rho_t=st.floats(-0.95, 0.95), observed=st.sampled_from(["none", "random", "all but one"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_factored_oracle_matches_the_dense_reference(n, t, rho_s, rho_t, observed, seed):
+    rng = np.random.default_rng(seed)
+    world = make_gaussian_world(n, t, rho_s, rho_t, mean=float(rng.normal()))
+    count = {"none": 0, "random": int(rng.integers(0, world.dim)),
+             "all but one": world.dim - 1}[observed]
+    idx = rng.choice(world.dim, size=count, replace=False)
+    world = world.observe(idx, rng.standard_normal(count))
+    sched = quadratic_schedule(20)
+    x = 2.0 * rng.standard_normal((3, world.dim))
+    for k in (1, 10, 20):
+        for conditional in (False, True):
+            ref_score, ref_logpdf = _dense_score_and_logpdf(world, x, k, sched, conditional)
+            assert _close(world.score(x, k, sched, conditional), ref_score)
+            assert _close(world.score(x[0], k, sched, conditional), ref_score[0])
+            assert _close(world.marginal_logpdf(x[0], k, sched, conditional), ref_logpdf[0])
+        assert _close(node_affinity(world, k, sched), _dense_node_affinity(world, k, sched))
+
+
+def test_fully_observed_world_still_runs():
+    world = make_gaussian_world(3, 4, 0.5, 0.6)
+    values = np.random.default_rng(16).standard_normal((3, 4))
+    observed = world.observe(range(world.dim), values.reshape(-1))
+    sched = quadratic_schedule(8)
+    x = np.random.default_rng(17).standard_normal((2, world.dim))
+    for k in (1, 8):
+        abar = sched.alpha_bar_at(k)
+        np.testing.assert_allclose(observed.score(x, k, sched, conditional=True),
+                                   -(x - math.sqrt(abar) * values.reshape(-1)) / (1 - abar),
+                                   rtol=1e-14)
+        assert math.isfinite(observed.marginal_logpdf(x[0], k, sched, conditional=True))
+        np.testing.assert_array_equal(node_affinity(observed, k, sched), np.eye(3))
+    backend = OracleBackend(observed, sched)
+    result = impute(backend, backend, TrafficGrid(values), MaskMatrix(np.ones((3, 4))), sched,
+                    GuidanceConfig(mode="fence"), n_clusters=2, n_samples=2, seed=3)
+    assert np.isfinite(result.samples).all()
+
+
+def test_imputing_decomposes_nothing_larger_than_the_hidden_block(monkeypatch):
+    # structure, not timing: the prior is decomposed through its factors, the
+    # conditional law through its hidden block, and observe() factors nothing dense
+    import fence.world as world_mod
+
+    eighs, cholesky = [], []
+
+    def recorded(log, real):
+        def call(a, *args, **kwargs):
+            log.append(np.shape(a))
+            return real(a, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(world_mod, "eigh", recorded(eighs, world_mod.eigh))
+    monkeypatch.setattr(world_mod, "cho_factor", recorded(cholesky, world_mod.cho_factor))
+    world = make_gaussian_world(20, 24, 0.8, 0.9)
+    rng = np.random.default_rng(18)
+    truth = rng.standard_normal((20, 24))
+    mask = (rng.random((20, 24)) > 0.3).astype(np.int64)
+    hidden = int((mask == 0).sum())
+    idx, vals = observations_from_mask(truth, mask)
+    observed = world.observe(idx, vals)
+    assert all(shape[0] < world.dim for shape in cholesky)
+    sched = quadratic_schedule(5)
+    backend = OracleBackend(observed, sched)
+    impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
+           GuidanceConfig(mode="fence"), n_clusters=3, n_samples=2, seed=6)
+    assert max(shape[0] for shape in eighs) == hidden
+    assert eighs.count((hidden, hidden)) == 1
+    assert all(shape[0] < world.dim for shape in cholesky)
 
 
 def test_batched_oracle_predict_matches_single_rows():

@@ -1,10 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 Just enough machinery for the denoiser network: broadcast-aware arithmetic,
-batched matmul, softmax, relu, and reshape/transpose. The
-graph is the tape: every op returns a fresh node holding its parents and
-vector-Jacobian callbacks, and backward() walks the nodes in reverse
-topological order. Inside ``no_record()`` nodes keep no parents, so
+batched matmul, reshape/transpose, and two fused blocks, multi-head
+``attention`` and the two-layer perceptron ``mlp``. The graph is the tape:
+every op returns a fresh node holding its parents and vector-Jacobian
+callbacks, and backward() walks the nodes in reverse topological order. A
+fused block is one node with a hand-derived VJP; it runs the same numpy
+calls on the same views as the chain of small ops it replaces, so its
+values and gradients are bit-identical to that chain's, at a fraction of
+the per-node cost. Inside ``no_record()`` nodes keep no parents, so
 inference holds no activation longer than the next op needs it.
 Framework-free on purpose so the gradients themselves are testable against
 finite differences.
@@ -12,6 +16,7 @@ finite differences.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -21,7 +26,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "Tensor", "parameter", "constant", "add", "subtract", "multiply", "matmul",
-    "reshape", "transpose", "relu", "softmax", "sum_all", "scale",
+    "reshape", "transpose", "softmax", "attention", "mlp", "sum_all", "scale",
     "backward", "zero_grads", "no_record",
 ]
 
@@ -121,21 +126,106 @@ def transpose(a: Tensor, axes: tuple) -> Tensor:
     return Tensor(a.value.transpose(axes), ((a, lambda g: g.transpose(inverse)),))
 
 
-def relu(a: Tensor) -> Tensor:
-    keep = a.value > 0.0
-    return Tensor(np.where(keep, a.value, 0.0), ((a, lambda g: g * keep),))
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of an array.
+
+    The row max is a running ``np.maximum`` over the last-axis slices, which
+    is exact like ``max(axis=-1)`` but faster for rows as short as an
+    attention window; the sum keeps numpy's own order.
+    """
+    top = scores[..., 0]
+    for j in range(1, scores.shape[-1]):
+        top = np.maximum(top, scores[..., j])
+    e = np.exp(scores - top[..., None])
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis; the max shift is constant w.r.t. gradients."""
-    shifted = a.value - a.value.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+def _fused(value, parents, backprop) -> Tensor:
+    """One tape node over several parents.
 
-    def vjp(g, s=s):
-        return (g - np.sum(g * s, axis=-1, keepdims=True)) * s
+    backprop(g) returns the grad of every parent at once. backward asks for
+    them one parent at a time, in order, skipping parents without grads, so
+    the first VJP it calls runs backprop and the last one drops what is left.
+    """
+    live = [i for i, p in enumerate(parents) if p.requires_grad]
+    grads: list = []
 
-    return Tensor(s, ((a, vjp),))
+    def take(i):
+        def vjp(g):
+            if i == live[0]:
+                grads[:] = backprop(g)
+            grad, grads[i] = grads[i], None
+            if i == live[-1]:
+                grads.clear()
+            return grad
+        return vjp
+
+    return Tensor(value, tuple((p, take(i)) for i, p in enumerate(parents)))
+
+
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor,
+              heads: int) -> tuple[Tensor, np.ndarray]:
+    """Multi-head self-attention over axis -2 of h (..., L, d) as one node.
+
+    Covers the q/k/v projections, the head split, the scaled scores, the
+    softmax, the value mix, the head merge and the output projection.
+    Returns the output tensor (..., L, d) and the probabilities
+    (..., heads, L, L). h takes its q, k and v grads as three parent
+    entries, in that order, so it sums them as the unfused chain did.
+    """
+    *lead, length, d = h.value.shape
+    dh = d // heads
+    m = len(lead)
+    swap = (*range(m), m + 1, m, m + 2)  # (..., L, heads, dh) <-> (..., heads, L, dh)
+    last_two = (*range(m + 1), m + 2, m + 1)
+    split_shape, merged_shape = (*lead, length, heads, dh), (*lead, length, d)
+    c = 1.0 / math.sqrt(dh)
+    q, k, v = ((h.value @ w.value).reshape(split_shape).transpose(swap)
+               for w in (Wq, Wk, Wv))
+    k_t = k.transpose(last_two)
+    probs = softmax((q @ k_t) * c)
+    merged = (probs @ v).transpose(swap).reshape(merged_shape)
+    out = merged @ Wo.value
+
+    def backprop(g):
+        g_merged = g @ _swap(Wo.value)
+        g_Wo = _unbroadcast(_swap(merged) @ g, Wo.value.shape)
+        g_mix = g_merged.reshape(split_shape).transpose(swap)
+        g_probs = g_mix @ _swap(v)
+        g_v = _swap(probs) @ g_mix
+        g_scores = (g_probs - np.sum(g_probs * probs, axis=-1, keepdims=True)) * probs * c
+        g_q = g_scores @ _swap(k_t)
+        g_k = (_swap(q) @ g_scores).transpose(last_two)
+        g_h, g_w = [], []
+        for g_x, w in ((g_q, Wq), (g_k, Wk), (g_v, Wv)):
+            g_proj = g_x.transpose(swap).reshape(merged_shape)
+            g_h.append(g_proj @ _swap(w.value))
+            g_w.append(_unbroadcast(_swap(h.value) @ g_proj, w.value.shape))
+        return (*g_h, *g_w, g_Wo)
+
+    return _fused(out, (h, h, h, Wq, Wk, Wv, Wo), backprop), probs
+
+
+def mlp(h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
+    """relu(h W1 + b1) W2 + b2 as one node."""
+    hidden = h.value @ W1.value + b1.value
+    keep = hidden > 0.0
+    hidden = np.where(keep, hidden, 0.0)
+    out = hidden @ W2.value + b2.value
+
+    def backprop(g):
+        g_hidden = (g @ _swap(W2.value)) * keep
+        return (g_hidden @ _swap(W1.value),
+                _unbroadcast(_swap(h.value) @ g_hidden, W1.value.shape),
+                _unbroadcast(g_hidden, b1.value.shape),
+                _unbroadcast(_swap(hidden) @ g, W2.value.shape),
+                _unbroadcast(g, b2.value.shape))
+
+    return _fused(out, (h, W1, b1, W2, b2), backprop)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -178,9 +268,14 @@ def backward(loss: Tensor):
             if not parent.requires_grad:
                 continue
             g = vjp(node.grad)
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.value)
-            parent.grad = parent.grad + g
+            if parent.grad is not None:
+                parent.grad = parent.grad + g
+            elif parent.parents:
+                parent.grad = g
+            else:
+                # a leaf keeps its grad past backward: give it its own
+                # writable array, never a view shared with another node
+                parent.grad = np.array(g, dtype=np.float64)
         if node.parents:
             node.grad = None
 

@@ -136,10 +136,11 @@ def calibrated_constants(cfg: GuidanceConfig, sched: NoiseSchedule) -> tuple[flo
     delta = calibrate_delta(cfg, sched.n_steps)
     sigma2_t1 = sched.sigma2_at(step_at_time(cfg.t1, sched.n_steps))
     tau = calibrate_tau(cfg, delta, sigma2_t1)
-    if not math.isfinite(tau):
+    # posterior_update runs at k >= 2 and multiplies by tau / (2 sigma_k^2)
+    if not math.isfinite(tau / (2.0 * float(sched.sigma2[1:].min()))):
         raise InvalidInputError(
             f"alpha_scale = {cfg.alpha_scale} is too small: the update temperature "
-            f"tau = 2 sigma^2 delta / alpha_scale overflows")
+            f"tau = 2 sigma^2 delta / alpha_scale, or tau / (2 sigma_k^2), overflows")
     return delta, tau
 
 

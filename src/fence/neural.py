@@ -151,23 +151,8 @@ class NeuralDenoiser(DenoiserBackend):
     def _attention(self, h: ad.Tensor, prefix: str) -> tuple[ad.Tensor, np.ndarray]:
         """Multi-head self-attention over axis -2 of (..., L, d); returns probs."""
         p = self.params
-        *lead, length, d = h.shape
-        heads = self.cfg.n_heads
-        dh = d // heads
-        m = len(lead)
-        swap = (*range(m), m + 1, m, m + 2)  # (..., L, heads, dh) <-> (..., heads, L, dh)
-
-        def split(name):
-            proj = ad.matmul(h, p[f"{prefix}/{name}"])
-            return ad.transpose(ad.reshape(proj, (*lead, length, heads, dh)), swap)
-
-        q, k, v = split("Wq"), split("Wk"), split("Wv")
-        k_t = ad.transpose(k, (*range(m + 1), m + 2, m + 1))
-        scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))
-        probs = ad.softmax(scores)  # (..., heads, L, L)
-        mixed = ad.transpose(ad.matmul(probs, v), swap)
-        out = ad.matmul(ad.reshape(mixed, (*lead, length, d)), p[f"{prefix}/Wo"])
-        return out, probs.value
+        return ad.attention(h, p[f"{prefix}/Wq"], p[f"{prefix}/Wk"], p[f"{prefix}/Wv"],
+                            p[f"{prefix}/Wo"], self.cfg.n_heads)
 
     def forward_tensor(self, x_k: np.ndarray, k,
                        ctx: ConditioningContext) -> tuple[ad.Tensor, np.ndarray]:
@@ -213,10 +198,10 @@ class NeuralDenoiser(DenoiserBackend):
         h = ad.add(h, ad.reshape(p["node_embed"], (1, n, 1, d)))
 
         # attention runs over axis -2 of the 4-D activations rather than on
-        # reshaped (B*N, T, d) copies: extra reshape nodes on the tape would
-        # change the order in which backward sums gradients. Each residual
-        # branch is dropped once it is added into h, so without a tape it is
-        # freed before the next attention runs
+        # reshaped (B*N, T, d) copies: that adds no reshape nodes or copies,
+        # and keeps every matmul on the views the checkpoints were pinned
+        # with. Each residual branch is dropped once it is added into h, so
+        # without a tape it is freed before the next attention runs
         spatial_probs = None
         for i in range(self.cfg.n_layers):
             # temporal attention per (row, node), then spatial per (row, slice)
@@ -225,14 +210,12 @@ class NeuralDenoiser(DenoiserBackend):
             attn_out, spatial_probs = self._attention(h_sp, f"layer{i}/spatial")
             h = ad.transpose(ad.add(h_sp, attn_out), (0, 2, 1, 3))
             del h_sp, attn_out
-            ff = ad.add(ad.matmul(h, p[f"layer{i}/ffn/1/W"]), p[f"layer{i}/ffn/1/b"])
-            ff = ad.add(ad.matmul(ad.relu(ff), p[f"layer{i}/ffn/2/W"]),
-                        p[f"layer{i}/ffn/2/b"])
+            ff = ad.mlp(h, p[f"layer{i}/ffn/1/W"], p[f"layer{i}/ffn/1/b"],
+                        p[f"layer{i}/ffn/2/W"], p[f"layer{i}/ffn/2/b"])
             h = ad.add(h, ff)
             del ff
 
-        head = ad.relu(ad.add(ad.matmul(h, p["head/1/W"]), p["head/1/b"]))
-        eps = ad.add(ad.matmul(head, p["head/2/W"]), p["head/2/b"])
+        eps = ad.mlp(h, p["head/1/W"], p["head/1/b"], p["head/2/W"], p["head/2/b"])
         eps = ad.reshape(eps, (b, n, t))
         # (B, T, heads, N, N) -> one row-stochastic (N, N) per batch row
         attn = spatial_probs.mean(axis=(1, 2))

@@ -525,9 +525,10 @@ def test_bad_config_values_exit_2(tmp_path, section, line):
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("alpha_scale", ["1e-320", "inf"])
+@pytest.mark.parametrize("alpha_scale", ["1e-320", "1e-310", "inf"])
 def test_unusable_alpha_scale_exits_2_without_a_warning(tmp_path, capsys, alpha_scale):
-    # 1e-320 is finite, but the update temperature 2 sigma^2 delta / alpha_scale is not
+    # 1e-320 is finite, but the update temperature 2 sigma^2 delta / alpha_scale
+    # is not; at 1e-310 tau is finite, but tau / (2 sigma_k^2) is not
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CONFIG + f"\n[guidance]\nmode = fence\nalpha_scale = {alpha_scale}\n")
     with warnings.catch_warnings(record=True) as caught:
@@ -535,6 +536,14 @@ def test_unusable_alpha_scale_exits_2_without_a_warning(tmp_path, capsys, alpha_
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert [str(w.message) for w in caught] == []
     assert "alpha_scale" in capsys.readouterr().err
+
+
+def test_small_alpha_scale_still_runs(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG + "\n[guidance]\nmode = fence\nalpha_scale = 1e-3\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("section, line", [

@@ -198,6 +198,29 @@ def test_training_builds_one_context_per_forward_and_no_grid(monkeypatch):
     assert calls == {"context": 12, "forward": 12, "remask": 18, "mask": 18}
 
 
+def test_training_tape_has_one_node_per_block(monkeypatch):
+    # each attention and each perceptron is one fused node: the minibatch
+    # loss of the default network records 39 nodes (145 when every matmul,
+    # add, reshape, softmax and relu inside them was a node of its own)
+    built = [0]
+    init = ad.Tensor.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    split = tiny_split(n_windows=5, n_nodes=6, window=12)
+    model = NeuralDenoiser(NetConfig(n_nodes=6), seed=0)
+    rng = np.random.Generator(np.random.Philox(key=7))
+    draws = [_draw(v, m, quadratic_schedule(50), rng, True) for v, m in zip(*split.train)]
+    monkeypatch.setattr(ad.Tensor, "__init__", counting)
+    loss = _stacked_loss(model, draws)
+    assert built[0] == 39
+    # 33 of them are the forward: 15 embed the inputs, 8 per layer, 2 for the
+    # head. The walk of backward passes all but the 5 constants, and the weights
+    assert len(ad._topological_order(loss)) == 39 - 5 + len(model.parameters())
+
+
 def _state_digest(model) -> str:
     h = hashlib.sha256()
     for name, value in sorted(model.state_dict().items()):

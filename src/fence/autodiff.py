@@ -3,13 +3,15 @@
 Just enough machinery for the denoiser network: broadcast-aware arithmetic,
 batched matmul, reshape/transpose, and two fused blocks, multi-head
 ``attention`` and the two-layer perceptron ``mlp``. The graph is the tape:
-every op returns a fresh node holding its parents and vector-Jacobian
-callbacks, and backward() walks the nodes in reverse topological order. A
-fused block is one node with a hand-derived VJP; it runs the same numpy
-calls on the same views as the chain of small ops it replaces, so its
-values and gradients are bit-identical to that chain's, at a fraction of
-the per-node cost. Inside ``no_record()`` nodes keep no parents, so
-inference holds no activation longer than the next op needs it.
+every op returns one fresh node ``Tensor(value, parents, backprop)``, where
+``parents`` is a tuple of Tensors and ``backprop(g)`` maps the node's grad
+to one grad per parent, in parent order. backward() walks the nodes in
+reverse topological order and calls each node's backprop once. A fused
+block runs the same numpy calls on the same views as the chain of small
+ops it replaces, so its values and gradients are bit-identical to that
+chain's, at a fraction of the per-node cost. Inside ``no_record()`` nodes
+keep neither parents nor backprop, so inference holds no activation longer
+than the next op needs it.
 Framework-free on purpose so the gradients themselves are testable against
 finite differences.
 """
@@ -44,14 +46,16 @@ def no_record():
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "parents", "requires_grad")
+    __slots__ = ("value", "grad", "parents", "backprop", "requires_grad")
 
-    def __init__(self, value, parents=(), requires_grad=False):
+    def __init__(self, value, parents=(), backprop=None, requires_grad=False):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
-        # parents: tuple of (Tensor, vjp) where vjp maps output-grad -> parent-grad
-        self.parents = parents if _RECORDING.get() else ()
-        self.requires_grad = requires_grad or any(p.requires_grad for p, _ in self.parents)
+        if not _RECORDING.get():
+            parents, backprop = (), None
+        self.parents = parents
+        self.backprop = backprop
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
 
     @property
     def shape(self):
@@ -80,50 +84,45 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.value + b.value, (
-        (a, lambda g: _unbroadcast(g, a.value.shape)),
-        (b, lambda g: _unbroadcast(g, b.value.shape)),
-    ))
-    return out
+    return Tensor(a.value + b.value, (a, b), lambda g: (
+        _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)))
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.value - b.value, (
-        (a, lambda g: _unbroadcast(g, a.value.shape)),
-        (b, lambda g: _unbroadcast(-g, b.value.shape)),
-    ))
+    return Tensor(a.value - b.value, (a, b), lambda g: (
+        _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)))
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
-    return Tensor(a.value * b.value, (
-        (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-        (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
-    ))
+    return Tensor(a.value * b.value, (a, b), lambda g: (
+        _unbroadcast(g * b.value, a.value.shape), _unbroadcast(g * a.value, b.value.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return Tensor(a.value * c, ((a, lambda g: g * c),))
+    return Tensor(a.value * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Batched matrix product with numpy broadcasting over leading axes."""
-    out = Tensor(a.value @ b.value, (
-        (a, lambda g: _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape)),
-        (b, lambda g: _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape)),
-    ))
-    return out
+    return Tensor(a.value @ b.value, (a, b), lambda g: (
+        _unbroadcast(g @ _swap(b.value), a.value.shape),
+        _unbroadcast(_swap(a.value) @ g, b.value.shape)))
 
 
 def reshape(a: Tensor, shape: tuple) -> Tensor:
     old = a.value.shape
-    return Tensor(a.value.reshape(shape), ((a, lambda g: g.reshape(old)),))
+    return Tensor(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
 
 
 def transpose(a: Tensor, axes: tuple) -> Tensor:
     inverse = tuple(np.argsort(axes))
-    return Tensor(a.value.transpose(axes), ((a, lambda g: g.transpose(inverse)),))
+    return Tensor(a.value.transpose(axes), (a,), lambda g: (g.transpose(inverse),))
 
 
 def softmax(scores: np.ndarray) -> np.ndarray:
@@ -140,33 +139,6 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _fused(value, parents, backprop) -> Tensor:
-    """One tape node over several parents.
-
-    backprop(g) returns the grad of every parent at once. backward asks for
-    them one parent at a time, in order, skipping parents without grads, so
-    the first VJP it calls runs backprop and the last one drops what is left.
-    """
-    live = [i for i, p in enumerate(parents) if p.requires_grad]
-    grads: list = []
-
-    def take(i):
-        def vjp(g):
-            if i == live[0]:
-                grads[:] = backprop(g)
-            grad, grads[i] = grads[i], None
-            if i == live[-1]:
-                grads.clear()
-            return grad
-        return vjp
-
-    return Tensor(value, tuple((p, take(i)) for i, p in enumerate(parents)))
-
-
-def _swap(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
-
-
 def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor,
               heads: int) -> tuple[Tensor, np.ndarray]:
     """Multi-head self-attention over axis -2 of h (..., L, d) as one node.
@@ -174,8 +146,9 @@ def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor,
     Covers the q/k/v projections, the head split, the scaled scores, the
     softmax, the value mix, the head merge and the output projection.
     Returns the output tensor (..., L, d) and the probabilities
-    (..., heads, L, L). h takes its q, k and v grads as three parent
-    entries, in that order, so it sums them as the unfused chain did.
+    (..., heads, L, L). h is listed as a parent three times, taking its q,
+    k and v grads in that order, so backward sums them as the unfused chain
+    did.
     """
     *lead, length, d = h.value.shape
     dh = d // heads
@@ -207,7 +180,7 @@ def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor,
             g_w.append(_unbroadcast(_swap(h.value) @ g_proj, w.value.shape))
         return (*g_h, *g_w, g_Wo)
 
-    return _fused(out, (h, h, h, Wq, Wk, Wv, Wo), backprop), probs
+    return Tensor(out, (h, h, h, Wq, Wk, Wv, Wo), backprop), probs
 
 
 def mlp(h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
@@ -225,12 +198,12 @@ def mlp(h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
                 _unbroadcast(_swap(hidden) @ g, W2.value.shape),
                 _unbroadcast(g, b2.value.shape))
 
-    return _fused(out, (h, W1, b1, W2, b2), backprop)
+    return Tensor(out, (h, W1, b1, W2, b2), backprop)
 
 
 def sum_all(a: Tensor) -> Tensor:
     shape = a.value.shape
-    return Tensor(a.value.sum(), ((a, lambda g: np.broadcast_to(g, shape)),))
+    return Tensor(a.value.sum(), (a,), lambda g: (np.broadcast_to(g, shape),))
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
@@ -246,7 +219,7 @@ def _topological_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent, _ in node.parents:
+        for parent in node.parents:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     return order
@@ -255,19 +228,19 @@ def _topological_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor):
     """Accumulate d(loss)/d(leaf) into .grad of every reachable leaf.
 
-    An interior node's grad is dropped once its VJPs have run, so the walk
-    holds only the grads of the frontier it has not passed yet.
+    Each interior node's backprop runs once, and its grad is dropped right
+    after, so the walk holds only the grads of the frontier it has not
+    passed yet. A parent listed twice sums its grads in parent order.
     """
     if loss.value.shape != ():
         raise InvalidInputError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     loss.grad = np.ones(())
     for node in reversed(_topological_order(loss)):
-        if node.grad is None:
+        if not node.parents:
             continue
-        for parent, vjp in node.parents:
+        for parent, g in zip(node.parents, node.backprop(node.grad)):
             if not parent.requires_grad:
                 continue
-            g = vjp(node.grad)
             if parent.grad is not None:
                 parent.grad = parent.grad + g
             elif parent.parents:
@@ -276,8 +249,7 @@ def backward(loss: Tensor):
                 # a leaf keeps its grad past backward: give it its own
                 # writable array, never a view shared with another node
                 parent.grad = np.array(g, dtype=np.float64)
-        if node.parents:
-            node.grad = None
+        node.grad = None
 
 
 def zero_grads(tensors) -> None:

@@ -101,7 +101,7 @@ def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule) -> n
     standard deviation of cell a.
     """
     abar = sched.alpha_bar_at(k)
-    var, spread, member = world.affinity_terms()
+    var, spread, member = world.affinity_terms
     # each hidden cell's 1/s at step k, placed in its node's column
     scaled = member / np.sqrt(abar * var + (1.0 - abar))[:, None]
     blocks = abar * (scaled.T @ (spread @ scaled))

@@ -79,11 +79,10 @@ def _ring_graph(n_nodes: int) -> GraphSpec:
     return GraphSpec(adjacency=adjacency)
 
 
-def _synth_series(world, length: int) -> np.ndarray:
+def _synth_series(world, length: int, rng: np.random.Generator) -> np.ndarray:
     """Concatenate independent world draws into an N x length series."""
     if length < 1:
         raise InvalidInputError(f"series length must be >= 1, got {length}")
-    rng = np.random.Generator(np.random.Philox(key=world.seed))
     reps = math.ceil(length / world.n_steps)
     blocks = [world.sample_clean(rng) for _ in range(reps)]
     return np.concatenate(blocks, axis=1)[:, :length]
@@ -126,7 +125,8 @@ def _training_split(series, entries, window: int, stride: int,
 
 def cmd_synth(args) -> int:
     world = load_world_spec(args.spec)
-    series = _synth_series(world, args.length)
+    rng = np.random.Generator(np.random.Philox(key=world.seed))
+    series = _synth_series(world, args.length, rng)
     save_grid_csv(args.out, series)
     print(f"wrote {world.n_nodes}x{args.length} series to {args.out}")
     return 0
@@ -306,8 +306,11 @@ def cmd_evaluate(args) -> int:
 
 # -- full pipeline ------------------------------------------------------------
 
-def _pipeline_backends(cfg, world, sched, truth_values, mask):
-    """Returns (backend_cond, backend_uncond, mean, std) for the run command."""
+def _pipeline_backends(cfg, world, sched, truth_values, mask, rng):
+    """Returns (backend_cond, backend_uncond, mean, std) for the run command.
+
+    The neural backend trains on a series drawn from ``rng``, the stream the
+    truth was drawn from, after the truth, so it never trains on the truth."""
     if cfg["experiment"]["backend"] == "oracle":
         idx, vals = observations_from_mask(truth_values, mask.entries)
         observed_world = world.observe(idx, vals)
@@ -317,7 +320,7 @@ def _pipeline_backends(cfg, world, sched, truth_values, mask):
     # both stages' settings are checked before either stage trains
     (tcfg1, net_cfg1), (tcfg2, net_cfg2) = (training_from(cfg, stage, world.n_nodes)
                                             for stage in STAGES)
-    series = _synth_series(world, cfg["data"]["length"])
+    series = _synth_series(world, cfg["data"]["length"], rng)
     split = _training_split(series, np.ones(series.shape, dtype=np.int64),
                             world.n_steps, cfg["data"]["stride"])
     stage1 = train_unconditional(split, tcfg1, sched=sched, net_cfg=net_cfg1)
@@ -329,6 +332,11 @@ def _pipeline_backends(cfg, world, sched, truth_values, mask):
 def cmd_run(args) -> int:
     file_values = parse_config_file(args.config) if args.config else None
     cfg = resolve_config(file_values, args.preset)
+    s = cfg["sampler"]
+    # the point metrics need one sample and the CRPS two
+    for key, least in (("samples", 1), ("crps_samples", 2)):
+        if s[key] < least:
+            raise ConfigError(f"[sampler] {key} must be >= {least}, got {s[key]}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, out_dir / "config.resolved")
@@ -337,7 +345,8 @@ def cmd_run(args) -> int:
     sched = schedule_from(cfg)
     gcfg, n_clusters = guidance_from(cfg)
 
-    truth = world.sample_clean(np.random.Generator(np.random.Philox(key=world.seed)))
+    rng = np.random.Generator(np.random.Philox(key=world.seed))
+    truth = world.sample_clean(rng)
     m = cfg["mask"]
     mask = _make_mask(MaskPatternConfig(m["pattern"], m["alpha"],
                                         min(m["patch"], world.n_steps),
@@ -348,10 +357,9 @@ def cmd_run(args) -> int:
         raise ConfigError(f"the mask drawn with [mask] seed = {m['seed']} and"
                           f" alpha = {m['alpha']} hides no cell; change either")
     backend, backend_uncond, mean, std = _pipeline_backends(
-        cfg, world, sched, truth, mask)
+        cfg, world, sched, truth, mask, rng)
 
     observed = TrafficGrid((truth - mean) * (mask.entries == 1) / std)
-    s = cfg["sampler"]
     # trajectory i depends only on (seed, i): the point-metric and the CRPS
     # ensembles are both prefixes of one run
     result = impute(backend, backend_uncond, observed, mask, sched, gcfg,

@@ -19,7 +19,8 @@ floating-point accuracy:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigh, LinAlgError
@@ -61,6 +62,8 @@ class GaussianOracleWorld:
 
     The prior covariance is spatial (x) temporal; only the (N, N) and (T, T)
     factors are stored, and ``cov`` builds the dense product on first use.
+    Factors of the law are cached properties, so ``observe`` and
+    ``dataclasses.replace`` start a world without them.
     """
 
     n_nodes: int
@@ -71,8 +74,6 @@ class GaussianOracleWorld:
     observed_idx: tuple[int, ...] = ()
     observed_val: tuple[float, ...] = ()
     seed: int = 0
-    # factors of this law; init=False so dataclasses.replace starts a fresh one
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         dim = self.n_nodes * self.n_steps
@@ -98,7 +99,7 @@ class GaussianOracleWorld:
                     f"eigenvalue {w[0]:.3g}")
             object.__setattr__(self, name, factor)
             prior += [w, u]
-        self._cache["prior"] = tuple(prior)
+        object.__setattr__(self, "_prior", tuple(prior))
         idx = tuple(int(i) for i in self.observed_idx)
         if len(set(idx)) != len(idx) or any(not (0 <= i < dim) for i in idx):
             raise InvalidInputError("observed indices must be distinct and in range")
@@ -116,15 +117,13 @@ class GaussianOracleWorld:
     def dim(self) -> int:
         return self.n_nodes * self.n_steps
 
-    @property
+    @cached_property
     def cov(self) -> np.ndarray:
         """The dense read-only prior covariance spatial (x) temporal, built on
         first use by the Schur conditioning or the exact sampler."""
-        if "cov" not in self._cache:
-            cov = np.kron(self.spatial, self.temporal)
-            cov.setflags(write=False)
-            self._cache["cov"] = cov
-        return self._cache["cov"]
+        cov = np.kron(self.spatial, self.temporal)
+        cov.setflags(write=False)
+        return cov
 
     @property
     def hidden_idx(self) -> np.ndarray:
@@ -141,36 +140,34 @@ class GaussianOracleWorld:
 
     # -- conditional law -----------------------------------------------------
 
+    @cached_property
     def _schur(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(mean_c, obs, hid, cov_hh), read-only: the conditional mean over
         every cell, the observed and hidden cells, and the conditional
         covariance of the hidden cells (a Schur complement). With nothing
         observed, every cell is hidden and this is the prior."""
-        if "schur" not in self._cache:
-            obs = np.asarray(self.observed_idx, dtype=np.intp)
-            hid = self.hidden_idx
-            for a in (obs, hid):
-                a.setflags(write=False)
-            if not self.observed_idx:
-                self._cache["schur"] = (self.mean, obs, hid, self.cov)
-                return self._cache["schur"]
-            v = np.asarray(self.observed_val)
-            s_oo = self.cov[np.ix_(obs, obs)]
-            s_ho = self.cov[np.ix_(hid, obs)]
-            try:
-                f_oo = cho_factor(s_oo, lower=True)
-            except LinAlgError as exc:
-                raise InvalidInputError(
-                    f"observed covariance block is singular: {exc}") from exc
-            gain = cho_solve(f_oo, (v - self.mean[obs]))
-            mean_c = self.mean.copy()
-            mean_c[hid] = self.mean[hid] + s_ho @ gain
-            mean_c[obs] = v
-            cov_hh = self.cov[np.ix_(hid, hid)] - s_ho @ cho_solve(f_oo, s_ho.T)
-            mean_c.setflags(write=False)
-            cov_hh.setflags(write=False)
-            self._cache["schur"] = (mean_c, obs, hid, cov_hh)
-        return self._cache["schur"]
+        obs = np.asarray(self.observed_idx, dtype=np.intp)
+        hid = self.hidden_idx
+        for a in (obs, hid):
+            a.setflags(write=False)
+        if not self.observed_idx:
+            return self.mean, obs, hid, self.cov
+        v = np.asarray(self.observed_val)
+        s_oo = self.cov[np.ix_(obs, obs)]
+        s_ho = self.cov[np.ix_(hid, obs)]
+        try:
+            f_oo = cho_factor(s_oo, lower=True)
+        except LinAlgError as exc:
+            raise InvalidInputError(
+                f"observed covariance block is singular: {exc}") from exc
+        gain = cho_solve(f_oo, (v - self.mean[obs]))
+        mean_c = self.mean.copy()
+        mean_c[hid] = self.mean[hid] + s_ho @ gain
+        mean_c[obs] = v
+        cov_hh = self.cov[np.ix_(hid, hid)] - s_ho @ cho_solve(f_oo, s_ho.T)
+        mean_c.setflags(write=False)
+        cov_hh.setflags(write=False)
+        return mean_c, obs, hid, cov_hh
 
     def conditional_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-dimensional read-only (mean, cov) after conditioning on the
@@ -182,36 +179,32 @@ class GaussianOracleWorld:
         """
         if not self.observed_idx:
             return self.mean, self.cov
-        mean_c, _, hid, cov_hh = self._schur()
-        if "cond" not in self._cache:
-            cov_c = np.zeros((self.dim, self.dim))
-            cov_c[np.ix_(hid, hid)] = cov_hh
-            cov_c.setflags(write=False)
-            self._cache["cond"] = cov_c
-        return mean_c, self._cache["cond"]
+        mean_c, _, hid, cov_hh = self._schur
+        cov_c = np.zeros((self.dim, self.dim))
+        cov_c[np.ix_(hid, hid)] = cov_hh
+        cov_c.setflags(write=False)
+        return mean_c, cov_c
 
+    @cached_property
     def _hidden_eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, U) with cov_hh = U diag(w) U^T, one eigh per world."""
-        if "hidden eigen" not in self._cache:
-            self._cache["hidden eigen"] = eigh(self._schur()[3])
-        return self._cache["hidden eigen"]
+        return eigh(self._schur[3])
 
+    @cached_property
     def affinity_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(var, spread, member), read-only and cached: the step-independent
-        parts of the conditional law's noised correlations. var is diag
-        cov_hh, spread is |cov_hh| with a zero diagonal, and member is the
+        """(var, spread, member), read-only: the step-independent parts of
+        the conditional law's noised correlations. var is diag cov_hh,
+        spread is |cov_hh| with a zero diagonal, and member is the
         (hidden, N) one-hot node of each hidden cell."""
-        if "affinity" not in self._cache:
-            _, _, hid, cov_hh = self._schur()
-            spread = np.abs(cov_hh)
-            np.fill_diagonal(spread, 0.0)
-            member = np.zeros((hid.size, self.n_nodes))
-            member[np.arange(hid.size), hid // self.n_steps] = 1.0
-            terms = (np.diag(cov_hh).copy(), spread, member)
-            for a in terms:
-                a.setflags(write=False)
-            self._cache["affinity"] = terms
-        return self._cache["affinity"]
+        _, _, hid, cov_hh = self._schur
+        spread = np.abs(cov_hh)
+        np.fill_diagonal(spread, 0.0)
+        member = np.zeros((hid.size, self.n_nodes))
+        member[np.arange(hid.size), hid // self.n_steps] = 1.0
+        terms = (np.diag(cov_hh).copy(), spread, member)
+        for a in terms:
+            a.setflags(write=False)
+        return terms
 
     # -- noised marginals ----------------------------------------------------
 
@@ -229,13 +222,13 @@ class GaussianOracleWorld:
         abar = sched.alpha_bar_at(k)
         x = np.asarray(x_k, dtype=np.float64).reshape(-1, self.dim)
         if conditional and self.observed_idx:
-            mean, obs, hid, _ = self._schur()
-            w, u = self._hidden_eigen()
+            mean, obs, hid, _ = self._schur
+            w, u = self._hidden_eigen
             r = x - math.sqrt(abar) * mean
             z = np.concatenate([r[:, obs], r[:, hid] @ u], axis=1)
             w = np.concatenate([np.zeros(obs.size), w])
         else:
-            w_s, u_s, w_t, u_t = self._cache["prior"]
+            w_s, u_s, w_t, u_t = self._prior
             r = (x - math.sqrt(abar) * self.mean).reshape(-1, self.n_nodes, self.n_steps)
             z = (u_s.T @ r @ u_t).reshape(len(x), self.dim)
             w = np.outer(w_s, w_t).reshape(self.dim)
@@ -258,12 +251,12 @@ class GaussianOracleWorld:
         z, v = self._coords(x_k, k, sched, conditional)
         y = z / v
         if conditional and self.observed_idx:
-            _, obs, hid, _ = self._schur()
+            _, obs, hid, _ = self._schur
             out = np.empty_like(y)
             out[:, obs] = y[:, :obs.size]
-            out[:, hid] = y[:, obs.size:] @ self._hidden_eigen()[1].T
+            out[:, hid] = y[:, obs.size:] @ self._hidden_eigen[1].T
         else:
-            _, u_s, _, u_t = self._cache["prior"]
+            _, u_s, _, u_t = self._prior
             out = u_s @ y.reshape(-1, self.n_nodes, self.n_steps) @ u_t.T
         return -out.reshape(np.shape(x_k))
 
@@ -277,18 +270,19 @@ class GaussianOracleWorld:
 
     # -- exact sampling ------------------------------------------------------
 
+    @cached_property
+    def _chol(self) -> np.ndarray:
+        """The lower Cholesky factor of ``cov``, built on the first draw."""
+        try:
+            return np.tril(cho_factor(self.cov, lower=True)[0])
+        except LinAlgError as exc:
+            raise InvalidInputError(f"covariance is not positive definite: {exc}") from exc
+
     def sample_clean(self, rng: np.random.Generator) -> np.ndarray:
         """One exact draw from the prior N(m, Sigma), as an N x T grid,
-        through the dense Cholesky factor of ``cov`` (built on the first draw)."""
-        if "chol" not in self._cache:
-            try:
-                self._cache["chol"] = cho_factor(self.cov, lower=True)
-            except LinAlgError as exc:
-                raise InvalidInputError(
-                    f"covariance is not positive definite: {exc}") from exc
-        c, lower = self._cache["chol"]
+        through the dense Cholesky factor of ``cov``."""
         z = rng.standard_normal(self.dim)
-        return self.flat_to_grid(self.mean + np.tril(c) @ z)
+        return self.flat_to_grid(self.mean + self._chol @ z)
 
 
 def make_gaussian_world(n_nodes: int, n_steps: int, spatial_corr: float,

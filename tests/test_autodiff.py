@@ -109,12 +109,12 @@ def _softmax_chain(a):
     """The softmax node the attention chain used: max shift, exp, normalize."""
     s = np.exp(a.value - a.value.max(axis=-1, keepdims=True))
     s = s / s.sum(axis=-1, keepdims=True)
-    return ad.Tensor(s, ((a, lambda g: (g - np.sum(g * s, axis=-1, keepdims=True)) * s),))
+    return ad.Tensor(s, (a,), lambda g: ((g - np.sum(g * s, axis=-1, keepdims=True)) * s,))
 
 
 def _relu_chain(a):
     keep = a.value > 0.0
-    return ad.Tensor(np.where(keep, a.value, 0.0), ((a, lambda g: g * keep),))
+    return ad.Tensor(np.where(keep, a.value, 0.0), (a,), lambda g: (g * keep,))
 
 
 def _attention_chain(h, Wq, Wk, Wv, Wo, heads):
@@ -267,7 +267,8 @@ def test_no_record_builds_no_tape():
     a = ad.parameter(np.array([1.0, -2.0]))
     with ad.no_record():
         quiet = ad.sum_all(ad.multiply(a, a))
-    assert quiet.parents == () and not quiet.requires_grad
+    # no backprop closure either: it would hold the op's inputs alive
+    assert quiet.parents == () and quiet.backprop is None and not quiet.requires_grad
     assert quiet.value == 5.0
     loud = ad.sum_all(ad.multiply(a, a))  # recording resumes on exit
     ad.backward(loud)
@@ -278,21 +279,24 @@ def _reference_grads(loss):
     """The walk of backward without dropping anything: every node's grad, by id."""
     grads = {id(loss): np.ones(())}
     for node in reversed(ad._topological_order(loss)):
-        if id(node) not in grads:
+        if id(node) not in grads or not node.parents:
             continue
-        for parent, vjp in node.parents:
+        for parent, g in zip(node.parents, node.backprop(grads[id(node)])):
             if parent.requires_grad:
-                g = vjp(grads[id(node)])
                 grads[id(parent)] = grads.get(id(parent), np.zeros_like(parent.value)) + g
     return grads
 
 
-def test_backward_drops_interior_grads_and_keeps_leaf_grads():
+def _network_loss():
     model = NeuralDenoiser(NetConfig(n_nodes=3, d_model=8, n_layers=2, n_heads=2), seed=1)
     rng = np.random.default_rng(21)
     ctx = conditional_context(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))
     eps_hat, _ = model.forward_tensor(rng.standard_normal((2, 3, 5)), 4, ctx)
-    loss = ad.sum_all(ad.multiply(eps_hat, eps_hat))
+    return model, ad.sum_all(ad.multiply(eps_hat, eps_hat))
+
+
+def test_backward_drops_interior_grads_and_keeps_leaf_grads():
+    model, loss = _network_loss()
     nodes = ad._topological_order(loss)
     expected = _reference_grads(loss)
     ad.backward(loss)
@@ -301,3 +305,18 @@ def test_backward_drops_interior_grads_and_keeps_leaf_grads():
     for leaf in leaves:
         assert np.array_equal(leaf.grad, expected[id(leaf)])
     assert all(node.grad is None for node in nodes if node.parents)
+
+
+def test_backward_calls_each_backprop_once():
+    # the network reuses nodes: h feeds attention three times and every
+    # residual add, and eps_hat is both factors of the loss
+    _, loss = _network_loss()
+    interior = [node for node in ad._topological_order(loss) if node.parents]
+    calls = {id(node): 0 for node in interior}
+    for node in interior:
+        def counted(g, node=node, backprop=node.backprop):
+            calls[id(node)] += 1
+            return backprop(g)
+        node.backprop = counted
+    ad.backward(loss)
+    assert set(calls.values()) == {1}

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from fence import (GuidanceConfig, InvalidInputError, MaskMatrix, TrainConfig, load_grid_csv,
                    load_mask_csv, make_gaussian_world, save_grid_csv, save_mask_csv)
 from fence.cli import build_parser, main
+from fence.config import parse_config_file, resolve_config, world_from
 from fence.masking import MaskPatternConfig, mask_sr_tc
 
 TINY_CONFIG = """\
@@ -553,6 +554,8 @@ def test_small_alpha_scale_still_runs(tmp_path):
     ("training", "weight_decay_cond = nan"),
     ("training", "weight_decay_uncond = -1"),
     ("world", "mean = nan"),
+    ("sampler", "samples = 0"),
+    ("sampler", "crps_samples = 1"),
 ])
 def test_unrunnable_neural_values_exit_2_before_training(tmp_path, capsys, monkeypatch,
                                                          section, line):
@@ -563,6 +566,29 @@ def test_unrunnable_neural_values_exit_2_before_training(tmp_path, capsys, monke
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     key = line.split(" = ")[0].removesuffix("_uncond").removesuffix("_cond")
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+def test_neural_run_never_trains_on_its_evaluation_truth(tmp_path, monkeypatch):
+    class Captured(Exception):
+        pass
+
+    def capture(split, *args, **kwargs):
+        raise Captured(split)
+
+    monkeypatch.setattr("fence.cli.train_unconditional", capture)
+    cfg = tmp_path / "neural.cfg"
+    cfg.write_text("[experiment]\nbackend = neural\n")
+    with pytest.raises(Captured) as caught:
+        main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+    split = caught.value.args[0]
+    world = world_from(resolve_config(parse_config_file(cfg)))
+    truth = world.sample_clean(np.random.Generator(np.random.Philox(key=world.seed)))
+    mean, std = split.normalization
+    for values, _ in (split.train, split.validation):
+        assert len(values)
+        gaps = np.abs(values - (truth - mean) / std).max(axis=(1, 2))
+        assert gaps.min() > 1e-3
 
 
 @pytest.mark.parametrize("length", ["0", "-3"])

@@ -177,7 +177,7 @@ def test_oracle_cache_does_not_grow_with_step_count():
         backend = OracleBackend(observed, sched)
         impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
                GuidanceConfig(), n_samples=2, seed=4)
-        arrays, todo = [], list(observed._cache.values())
+        arrays, todo = [], list(vars(observed).values())
         while todo:
             item = todo.pop()
             if isinstance(item, tuple):

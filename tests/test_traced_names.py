@@ -41,10 +41,50 @@ print(json.dumps({"missing": missing, "lost": sorted(rec.lost),
 """
 
 
-def test_perfbench_traces_every_layer_of_a_fence_impute():
+TRACED_TRAINING_STEP = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import numpy as np
+import fence.cli
+import spans
+from fence import NetConfig, NeuralDenoiser, conditional_context
+from fence import autodiff as ad
+from fence.training import Adam
+
+rec = spans.Recorder()
+missing = spans.install(rec)
+model = NeuralDenoiser(NetConfig(n_nodes=3, d_model=4, n_layers=1, n_heads=2), seed=1)
+rng = np.random.default_rng(2)
+ctx = conditional_context(rng.standard_normal((3, 4)), rng.integers(0, 2, (3, 4)))
+eps_hat, _ = model.forward_tensor(rng.standard_normal((2, 3, 4)), 3, ctx)
+ad.backward(ad.sum_all(ad.multiply(eps_hat, eps_hat)))
+Adam(model.parameters(), lr=1e-3).step()
+metrics = rec.metrics()
+print(json.dumps({"missing": missing, "lost": sorted(rec.lost),
+                  "nodes": metrics["autodiff.nodes"],
+                  "forwards": metrics["neural.forward.calls"],
+                  "backwards": metrics["autodiff.backward.calls"],
+                  "adam_steps": metrics["training.adam_step.calls"]}))
+"""
+
+
+def _traced(script: str) -> dict:
     out = subprocess.run(
-        [sys.executable, "-c", TRACED_IMPUTE, str(ROOT / "src"), str(ROOT / "perfbench")],
+        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "perfbench")],
         capture_output=True, text=True, timeout=120, check=True)
-    got = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_perfbench_traces_every_layer_of_a_fence_impute():
     steps = 5
-    assert got == {"missing": [], "lost": [], "updates": steps - 1, "scales": steps}
+    assert _traced(TRACED_IMPUTE) == {"missing": [], "lost": [], "updates": steps - 1,
+                                      "scales": steps}
+
+
+def test_perfbench_traces_a_neural_training_step():
+    # the tape's node counter wraps Tensor.__init__, so a change of its
+    # signature or of backward's would zero the neural per-layer metrics
+    got = _traced(TRACED_TRAINING_STEP)
+    assert got.pop("nodes") > 0
+    assert got == {"missing": [], "lost": [], "forwards": 1, "backwards": 1,
+                   "adam_steps": 1}

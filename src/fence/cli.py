@@ -288,8 +288,9 @@ def cmd_evaluate(args) -> int:
     if args.ensemble_prefix:
         prefix = Path(args.ensemble_prefix)
         files = sorted(prefix.parent.glob(prefix.name + "_sample_*.csv"))
-        if not files:
-            raise DataError(f"no ensemble files match {prefix}_sample_*.csv")
+        if len(files) < 2:
+            raise DataError(f"CRPS needs at least 2 ensemble files matching"
+                            f" {prefix}_sample_*.csv, found {len(files)}")
         stack = np.stack([_load_evaluated(f, entries) for f in files])
         crps_value = crps_masked(stack, truth, entries)
     _write_report(args.out, mae, rmse, mape, crps_value)

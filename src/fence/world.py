@@ -3,17 +3,20 @@
 A world is N(m, Sigma) over grids flattened node-major (index = node*T + t),
 with Sigma = K_s (x) K_t the Kronecker product of a ring-graph spatial kernel
 K_s = rho_s^hops (N x N) and an AR-style temporal kernel K_t = rho_t^|dt|
-(T x T). The world stores the two factors. Every marginal of the forward
-noising process stays Gaussian and is diagonal in the eigenbasis of its
-clean law, so the unconditional and conditional scores used by the sampler
-are exact here, which is what lets the guidance formulas be checked to
-floating-point accuracy:
+(T x T). The world stores the two factors and never builds Sigma. Every
+marginal of the forward noising process stays Gaussian and is diagonal in
+the eigenbasis of its clean law, so the unconditional and conditional
+scores used by the sampler are exact here, which is what lets the guidance
+formulas be checked to floating-point accuracy:
 
 - the prior's eigenbasis is U_s (x) U_t, from one eigh of each factor, so a
   score costs O(NT(N+T)) per grid instead of O((NT)^2);
 - the conditional law pins the observed cells, whose noised marginal is
   N(sqrt(abar) v_o, (1-abar) I) whatever the step, so only its hidden block,
-  the Schur complement, is decomposed.
+  the Schur complement, is decomposed; each block of Sigma it reads is
+  gathered from the factors;
+- an exact draw is m + L_s Z L_t^T, with L_s and L_t the Cholesky factors
+  of K_s and K_t, which is (L_s (x) L_t) z.
 """
 
 from __future__ import annotations
@@ -37,9 +40,8 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # the largest N*T a world may have: the conditional law (the Schur complement
-# on the hidden cells and its eigenbasis) and the exact sampler's Cholesky
-# factor are dense, up to (NT)^2 float64 each, 128 MiB at this size (a 40x48
-# world has 1920 cells)
+# on the hidden cells and its eigenbasis) is dense, up to (NT)^2 float64 each,
+# 128 MiB at this size (a 40x48 world has 1920 cells)
 MAX_WORLD_CELLS = 4096
 
 
@@ -61,9 +63,9 @@ class GaussianOracleWorld:
     """Exact Gaussian law over an N x T grid, optionally with observations.
 
     The prior covariance is spatial (x) temporal; only the (N, N) and (T, T)
-    factors are stored, and ``cov`` builds the dense product on first use.
-    Factors of the law are cached properties, so ``observe`` and
-    ``dataclasses.replace`` start a world without them.
+    factors are stored. Factors of the conditional law are cached
+    properties, so ``observe`` and ``dataclasses.replace`` start a world
+    without them.
     """
 
     n_nodes: int
@@ -81,9 +83,11 @@ class GaussianOracleWorld:
         if mean.shape != (dim,):
             raise InvalidInputError(f"mean must have dimension {dim}, got {mean.shape}")
         object.__setattr__(self, "mean", mean)
-        # Sigma is symmetric positive definite when both factors are; the
-        # eigenpairs that check it are the prior's eigenbasis
-        prior = []
+        # Sigma is symmetric positive definite when both factors are, which
+        # their Cholesky factorization checks (eigh can report a tiny positive
+        # eigenvalue for a singular factor); the eigenpairs are the prior's
+        # eigenbasis and the Cholesky factors the draw's
+        prior, lower = [], []
         for name, size in (("spatial", self.n_nodes), ("temporal", self.n_steps)):
             factor = _read_only(getattr(self, name))
             if factor.shape != (size, size):
@@ -93,13 +97,16 @@ class GaussianOracleWorld:
                 raise InvalidInputError(
                     f"covariance must be finite and symmetric: its {name} factor is not")
             w, u = eigh(factor)
-            if not w[0] > 0.0:
+            try:
+                lower.append(np.linalg.cholesky(factor))
+            except LinAlgError:
                 raise InvalidInputError(
-                    f"covariance is not positive definite: its {name} factor has "
-                    f"eigenvalue {w[0]:.3g}")
+                    f"covariance is not positive definite: its {name} factor is not "
+                    f"(smallest eigenvalue {w[0]:.3g})") from None
             object.__setattr__(self, name, factor)
             prior += [w, u]
         object.__setattr__(self, "_prior", tuple(prior))
+        object.__setattr__(self, "_lower", tuple(lower))
         idx = tuple(int(i) for i in self.observed_idx)
         if len(set(idx)) != len(idx) or any(not (0 <= i < dim) for i in idx):
             raise InvalidInputError("observed indices must be distinct and in range")
@@ -117,22 +124,18 @@ class GaussianOracleWorld:
     def dim(self) -> int:
         return self.n_nodes * self.n_steps
 
-    @cached_property
-    def cov(self) -> np.ndarray:
-        """The dense read-only prior covariance spatial (x) temporal, built on
-        first use by the Schur conditioning or the exact sampler."""
-        cov = np.kron(self.spatial, self.temporal)
-        cov.setflags(write=False)
-        return cov
-
     @property
     def hidden_idx(self) -> np.ndarray:
         mask = np.ones(self.dim, dtype=bool)
         mask[list(self.observed_idx)] = False
         return np.flatnonzero(mask)
 
-    def flat_to_grid(self, vec: np.ndarray) -> np.ndarray:
-        return np.asarray(vec, dtype=np.float64).reshape(self.n_nodes, self.n_steps)
+    def _prior_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Sigma[rows][:, cols] from the factors, one product per entry as
+        np.kron computes it."""
+        t = self.n_steps
+        return (self.spatial[np.ix_(rows // t, cols // t)]
+                * self.temporal[np.ix_(rows % t, cols % t)])
 
     def observe(self, indices, values) -> "GaussianOracleWorld":
         return replace(self, observed_idx=tuple(int(i) for i in indices),
@@ -150,35 +153,32 @@ class GaussianOracleWorld:
         hid = self.hidden_idx
         for a in (obs, hid):
             a.setflags(write=False)
-        if not self.observed_idx:
-            return self.mean, obs, hid, self.cov
-        v = np.asarray(self.observed_val)
-        s_oo = self.cov[np.ix_(obs, obs)]
-        s_ho = self.cov[np.ix_(hid, obs)]
-        try:
-            f_oo = cho_factor(s_oo, lower=True)
-        except LinAlgError as exc:
-            raise InvalidInputError(
-                f"observed covariance block is singular: {exc}") from exc
-        gain = cho_solve(f_oo, (v - self.mean[obs]))
-        mean_c = self.mean.copy()
-        mean_c[hid] = self.mean[hid] + s_ho @ gain
-        mean_c[obs] = v
-        cov_hh = self.cov[np.ix_(hid, hid)] - s_ho @ cho_solve(f_oo, s_ho.T)
-        mean_c.setflags(write=False)
+        mean_c, cov_hh = self.mean, self._prior_block(hid, hid)
+        if obs.size:
+            v = np.asarray(self.observed_val)
+            s_ho = self._prior_block(hid, obs)
+            try:
+                f_oo = cho_factor(self._prior_block(obs, obs), lower=True)
+            except LinAlgError as exc:
+                raise InvalidInputError(
+                    f"observed covariance block is singular: {exc}") from exc
+            gain = cho_solve(f_oo, (v - self.mean[obs]))
+            mean_c = self.mean.copy()
+            mean_c[hid] = self.mean[hid] + s_ho @ gain
+            mean_c[obs] = v
+            cov_hh -= s_ho @ cho_solve(f_oo, s_ho.T)
+            mean_c.setflags(write=False)
         cov_hh.setflags(write=False)
         return mean_c, obs, hid, cov_hh
 
     def conditional_moments(self) -> tuple[np.ndarray, np.ndarray]:
         """Full-dimensional read-only (mean, cov) after conditioning on the
-        observations; the world's own mean and cov when nothing is observed.
+        observations; the prior when nothing is observed.
 
         Observed coordinates are pinned: mean equals the observed value and
         their covariance rows/columns are zero (Schur complement on the
         hidden block).
         """
-        if not self.observed_idx:
-            return self.mean, self.cov
         mean_c, _, hid, cov_hh = self._schur
         cov_c = np.zeros((self.dim, self.dim))
         cov_c[np.ix_(hid, hid)] = cov_hh
@@ -236,9 +236,11 @@ class GaussianOracleWorld:
 
     def marginal_moments(self, k: int, sched: NoiseSchedule,
                          conditional: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(mean, covariance) of x_k ~ N(sqrt(abar) m', abar Sigma' + (1-abar) I)."""
+        """(mean, covariance) of x_k ~ N(sqrt(abar) m', abar Sigma' + (1-abar) I),
+        dense: a reference for tests."""
         abar = sched.alpha_bar_at(k)
-        m, s = self.conditional_moments() if conditional else (self.mean, self.cov)
+        m, s = self.conditional_moments() if conditional else (
+            self.mean, np.kron(self.spatial, self.temporal))
         return math.sqrt(abar) * m, abar * s + (1.0 - abar) * np.eye(self.dim)
 
     def score(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
@@ -270,19 +272,13 @@ class GaussianOracleWorld:
 
     # -- exact sampling ------------------------------------------------------
 
-    @cached_property
-    def _chol(self) -> np.ndarray:
-        """The lower Cholesky factor of ``cov``, built on the first draw."""
-        try:
-            return np.tril(cho_factor(self.cov, lower=True)[0])
-        except LinAlgError as exc:
-            raise InvalidInputError(f"covariance is not positive definite: {exc}") from exc
-
     def sample_clean(self, rng: np.random.Generator) -> np.ndarray:
-        """One exact draw from the prior N(m, Sigma), as an N x T grid,
-        through the dense Cholesky factor of ``cov``."""
-        z = rng.standard_normal(self.dim)
-        return self.flat_to_grid(self.mean + self._chol @ z)
+        """One exact draw from the prior N(m, Sigma), as an N x T grid:
+        m + L_s Z L_t^T, which is m + (L_s (x) L_t) z for z = vec Z."""
+        shape = (self.n_nodes, self.n_steps)
+        l_s, l_t = self._lower
+        z = rng.standard_normal(self.dim).reshape(shape)
+        return self.mean.reshape(shape) + l_s @ z @ l_t.T
 
 
 def make_gaussian_world(n_nodes: int, n_steps: int, spatial_corr: float,
@@ -300,7 +296,7 @@ def make_gaussian_world(n_nodes: int, n_steps: int, spatial_corr: float,
     if n_nodes * n_steps > MAX_WORLD_CELLS:
         raise InvalidInputError(
             f"world of {n_nodes} nodes x {n_steps} steps exceeds {MAX_WORLD_CELLS} "
-            f"cells: its dense (NT)^2 covariance would need "
+            f"cells: its conditional law's dense hidden block could need "
             f"{8 * (n_nodes * n_steps) ** 2 / 2 ** 30:.3g} GiB")
     spatial = np.power(float(spatial_corr), ring_hops(n_nodes)) if n_nodes > 1 \
         else np.ones((1, 1))

@@ -206,6 +206,18 @@ def test_evaluate_rejects_ensemble_members_of_another_shape(tmp_path, capsys):
     assert "ens_sample_1.csv" in err and "(3, 2)" in err
 
 
+def test_evaluate_rejects_a_one_member_ensemble(tmp_path, capsys):
+    # a one-member ensemble on disk is a data problem: CRPS needs two
+    argv = _evaluate_files(tmp_path, "t0,t1,t2\n1.0,2.0,3.0\n4.0,5.0,6.0\n",
+                           np.ones((2, 3), dtype=np.int64))
+    save_grid_csv(tmp_path / "truth.csv", np.zeros((2, 3)))
+    save_grid_csv(tmp_path / "ens_sample_000.csv", np.ones((2, 3)))
+    assert main(argv + ["--ensemble-prefix", str(tmp_path / "ens")]) == 3
+    err = capsys.readouterr().err
+    assert "ens_sample_*.csv" in err and "found 1" in err
+    assert not (tmp_path / "metrics.csv").exists()
+
+
 def test_impute_needs_exactly_one_backend_source(tmp_path):
     grid = tmp_path / "grid.csv"
     save_grid_csv(grid, np.zeros((3, 4)))
@@ -228,12 +240,12 @@ def test_oversized_oracle_world_exits_2(tmp_path, capsys, nodes, steps):
                     .replace("steps = 4", f"steps = {steps}"))
     assert main(["synth", "--spec", str(spec), "--length", "4",
                  "--out", str(tmp_path / "series.csv")]) == 2
-    assert "dense (NT)^2 covariance" in capsys.readouterr().err
+    assert "dense hidden block" in capsys.readouterr().err
     cfg = tmp_path / "big.cfg"
     cfg.write_text(TINY_CONFIG.replace("nodes = 3", f"nodes = {nodes}")
                    .replace("steps = 4", f"steps = {steps}"))
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
-    assert "dense (NT)^2 covariance" in capsys.readouterr().err
+    assert "dense hidden block" in capsys.readouterr().err
 
 
 def test_impute_on_an_oversized_oracle_world_exits_2(tmp_path, capsys):
@@ -245,7 +257,7 @@ def test_impute_on_an_oversized_oracle_world_exits_2(tmp_path, capsys):
                     .replace("steps = 4", "steps = 241"))
     assert main(["impute", "--grid", str(grid), "--oracle", str(spec),
                  "--out", str(tmp_path / "out.csv")]) == 2
-    assert "dense (NT)^2 covariance" in capsys.readouterr().err
+    assert "dense hidden block" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["impute", "run"])
@@ -263,6 +275,41 @@ def test_non_positive_definite_oracle_world_exits_2(tmp_path, capsys, command):
         argv = ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]
     assert main(argv) == 2
     assert "covariance is not positive definite" in capsys.readouterr().err
+
+
+def _oracle_argv(tmp_path, command, nodes, rho_s):
+    """argv of ``command`` on the test world spec (synth, impute --oracle) or
+    the tiny run config, with ``nodes`` and ``rho_s`` swapped in."""
+    def edit(text):
+        return text.replace("nodes = 3", f"nodes = {nodes}").replace(
+            "rho_s = 0.5", f"rho_s = {rho_s}")
+
+    spec, cfg, grid = (tmp_path / n for n in ("world.spec", "tiny.cfg", "grid.csv"))
+    spec.write_text(edit(WORLD_SPEC))
+    cfg.write_text(edit(TINY_CONFIG))
+    values = np.zeros((nodes, 4))
+    values[1] = np.nan  # node 1 is hidden
+    save_grid_csv(grid, values)
+    out = str(tmp_path / "out.csv")
+    return {"synth": ["synth", "--spec", str(spec), "--length", "4", "--out", out],
+            "impute": ["impute", "--grid", str(grid), "--oracle", str(spec),
+                       "--steps", "4", "--samples", "2", "--out", out],
+            "run": ["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]}[command]
+
+
+@pytest.mark.parametrize("command", ["synth", "impute", "run"])
+def test_singular_oracle_world_exits_2_from_every_command(tmp_path, capsys, command):
+    # on a 3-node ring, rho_s = -0.5 makes every row of the spatial factor sum
+    # to 0; eigh still reports a smallest eigenvalue of about +1.1e-15
+    assert main(_oracle_argv(tmp_path, command, 3, -0.5)) == 2
+    assert "spatial factor is not" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "impute", "run"])
+def test_four_node_ring_at_minus_half_still_runs(tmp_path, command):
+    # the same rho_s on 4 nodes: the spatial factor's smallest eigenvalue is 0.25
+    assert main(_oracle_argv(tmp_path, command, 4, -0.5)) == 0
 
 
 @pytest.mark.parametrize("nodes", [3, 100000000])

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 from scipy.linalg import cho_factor, cho_solve, eigh
 
@@ -40,7 +40,10 @@ def test_world_covariance_is_kron_of_ring_and_ar():
     hops = ring_hops(3)
     spatial = 0.5 ** hops
     temporal = np.array([[1.0, 0.25], [0.25, 1.0]])
-    np.testing.assert_allclose(world.cov, np.kron(spatial, temporal), rtol=0, atol=0)
+    np.testing.assert_array_equal(world.spatial, spatial)
+    np.testing.assert_array_equal(world.temporal, temporal)
+    # nothing observed: the conditional law is the prior
+    np.testing.assert_array_equal(world.conditional_moments()[1], np.kron(spatial, temporal))
     assert world.dim == 6
     with pytest.raises(InvalidInputError):
         make_gaussian_world(3, 2, spatial_corr=1.0, temporal_corr=0.2)
@@ -48,15 +51,19 @@ def test_world_covariance_is_kron_of_ring_and_ar():
 
 def test_zero_correlation_gives_identity():
     world = make_gaussian_world(3, 2, spatial_corr=0.0, temporal_corr=0.0)
-    np.testing.assert_array_equal(world.cov, np.eye(6))
+    np.testing.assert_array_equal(world.conditional_moments()[1], np.eye(6))
 
 
 def test_flat_layout_is_node_major():
     world = make_gaussian_world(2, 3, 0.5, 0.5)
     grid = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    flat = grid.reshape(world.dim)
-    np.testing.assert_array_equal(flat, [1, 2, 3, 4, 5, 6])
-    np.testing.assert_array_equal(world.flat_to_grid(flat), grid)
+    idx, vals = observations_from_mask(grid, np.ones((2, 3)))
+    np.testing.assert_array_equal(idx, range(6))
+    np.testing.assert_array_equal(vals, [1, 2, 3, 4, 5, 6])
+    # cell (node n, step t) is flat index n*T + t: observing it pins it there
+    mean_c, _ = world.observe([1 * 3 + 2], [7.0]).conditional_moments()
+    assert mean_c.reshape(2, 3)[1, 2] == 7.0
+    assert world.sample_clean(np.random.default_rng(0)).shape == (2, 3)
 
 
 def test_schur_conditioning_two_node_example():
@@ -76,7 +83,9 @@ def test_schur_conditioning_two_node_example():
 def test_conditional_moments_are_read_only_and_share_the_prior():
     world = make_gaussian_world(2, 3, 0.5, 0.5)
     mean, cov = world.conditional_moments()
-    assert mean is world.mean and cov is world.cov  # nothing observed: no copy
+    # nothing observed: the prior
+    np.testing.assert_array_equal(mean, world.mean)
+    np.testing.assert_array_equal(cov, np.kron(world.spatial, world.temporal))
     mean_c, cov_c = world.observe([1], [0.4]).conditional_moments()
     for a in (mean, cov, mean_c, cov_c):
         with pytest.raises(ValueError):
@@ -91,9 +100,10 @@ def test_conditional_moments_match_scipy_regression():
     observed = world.observe(obs_idx, obs_val)
     mean_c, cov_c = observed.conditional_moments()
     hid = observed.hidden_idx
-    s_hh = world.cov[np.ix_(hid, hid)]
-    s_ho = world.cov[np.ix_(hid, obs_idx)]
-    s_oo = world.cov[np.ix_(obs_idx, obs_idx)]
+    prior = np.kron(world.spatial, world.temporal)
+    s_hh = prior[np.ix_(hid, hid)]
+    s_ho = prior[np.ix_(hid, obs_idx)]
+    s_oo = prior[np.ix_(obs_idx, obs_idx)]
     expect_mean = s_ho @ np.linalg.solve(s_oo, obs_val)
     expect_cov = s_hh - s_ho @ np.linalg.solve(s_oo, s_ho.T)
     np.testing.assert_allclose(mean_c[hid], expect_mean, atol=1e-12)
@@ -105,8 +115,8 @@ def test_marginal_moments_interpolate_to_prior():
     sched = quadratic_schedule(50)
     mean_k, cov_k = world.marginal_moments(50, sched, conditional=False)
     abar = sched.alpha_bar_at(50)
-    np.testing.assert_allclose(cov_k, abar * world.cov + (1 - abar) * np.eye(4),
-                               atol=1e-15)
+    prior = np.kron(world.spatial, world.temporal)
+    np.testing.assert_allclose(cov_k, abar * prior + (1 - abar) * np.eye(4), atol=1e-15)
     np.testing.assert_allclose(mean_k, np.sqrt(abar) * world.mean, atol=1e-15)
 
 
@@ -146,7 +156,8 @@ def test_scores_match_dense_cholesky_reference():
     observed = world.observe(obs, rng.standard_normal(obs.size))
     sched = quadratic_schedule(50)
     x = rng.standard_normal(world.dim)
-    laws = {False: (world.mean, world.cov), True: observed.conditional_moments()}
+    laws = {False: (world.mean, np.kron(world.spatial, world.temporal)),
+            True: observed.conditional_moments()}
     for conditional, (m, s) in laws.items():
         ref_score, ref_logpdf, score, logpdf = [], [], [], []
         for k in range(1, 51):
@@ -177,14 +188,7 @@ def test_oracle_cache_does_not_grow_with_step_count():
         backend = OracleBackend(observed, sched)
         impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
                GuidanceConfig(), n_samples=2, seed=4)
-        arrays, todo = [], list(vars(observed).values())
-        while todo:
-            item = todo.pop()
-            if isinstance(item, tuple):
-                todo.extend(item)
-            elif isinstance(item, np.ndarray):
-                arrays.append(item)
-        return sum(a.size >= world.dim ** 2 for a in arrays)
+        return sum(a.size >= world.dim ** 2 for a in _arrays(observed))
 
     assert dense_arrays_after_impute(10) == dense_arrays_after_impute(50)
 
@@ -195,7 +199,118 @@ def test_sample_clean_covariance_statistics():
     flat = np.stack([world.sample_clean(rng).reshape(world.dim)
                      for _ in range(4000)])
     emp = np.cov(flat.T)
-    assert np.abs(emp - world.cov).max() < 0.12
+    assert np.abs(emp - np.kron(world.spatial, world.temporal)).max() < 0.12
+
+
+def _dense_draw(world, rng):
+    """Reference draw through one dense Cholesky factor of the whole prior."""
+    chol = np.linalg.cholesky(np.kron(world.spatial, world.temporal))
+    z = rng.standard_normal(world.dim)
+    return (world.mean + chol @ z).reshape(world.n_nodes, world.n_steps)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (3, 4), (6, 12), (20, 24)])
+def test_sample_clean_matches_the_dense_cholesky_draw(shape):
+    # L_s Z L_t^T is (L_s (x) L_t) z = chol(K_s (x) K_t) z on the same stream
+    world = make_gaussian_world(*shape, 0.7, 0.8, mean=-0.6, seed=3)
+    for key in range(3):
+        got = world.sample_clean(np.random.Generator(np.random.Philox(key=key)))
+        ref = _dense_draw(world, np.random.Generator(np.random.Philox(key=key)))
+        assert got.shape == shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@settings(max_examples=120, deadline=None)
+@given(nodes=st.integers(1, 8), rho_s=st.integers(-99, 99).map(lambda c: c / 100))
+@example(nodes=3, rho_s=-0.5)  # a singular ring whose eigh reports +1.1e-15
+def test_every_accepted_world_can_be_drawn_from(nodes, rho_s):
+    try:
+        world = make_gaussian_world(nodes, 4, rho_s, 0.6)
+    except InvalidInputError:
+        return
+    np.linalg.cholesky(np.kron(world.spatial, world.temporal))  # the dense draw's factor
+    assert np.isfinite(world.sample_clean(np.random.default_rng(0))).all()
+
+
+def test_singular_temporal_factor_is_rejected_naming_it():
+    # singular along (1, -1, 1), yet eigh reports a smallest eigenvalue of +1.1e-15
+    temporal = np.array([[1.0, 0.5, -0.5], [0.5, 1.0, 0.5], [-0.5, 0.5, 1.0]])
+    with pytest.raises(InvalidInputError, match="temporal factor is not"):
+        GaussianOracleWorld(2, 3, np.zeros(6), np.eye(2), temporal)
+
+
+@pytest.mark.parametrize("observed", [[], [0, 5, 6, 13, 29], list(range(1, 30))])
+def test_schur_reads_its_blocks_from_the_factors_as_kron_does(observed):
+    # every entry is the one product np.kron computes, so the conditional
+    # law is bit-identical to Schur conditioning on the dense prior
+    world = make_gaussian_world(5, 6, 0.6, 0.7, mean=0.2)
+    world = world.observe(observed, np.linspace(-1.0, 1.0, len(observed)))
+    prior = np.kron(world.spatial, world.temporal)
+    mean_c, obs, hid, cov_hh = world._schur
+    for rows in (obs, hid):
+        for cols in (obs, hid):
+            np.testing.assert_array_equal(world._prior_block(rows, cols),
+                                          prior[np.ix_(rows, cols)])
+    ref_mean, ref_cov = world.mean.copy(), prior[np.ix_(hid, hid)]
+    if obs.size:
+        s_ho = prior[np.ix_(hid, obs)]
+        f_oo = cho_factor(prior[np.ix_(obs, obs)], lower=True)
+        ref_mean[hid] = world.mean[hid] + s_ho @ cho_solve(
+            f_oo, np.asarray(world.observed_val) - world.mean[obs])
+        ref_mean[obs] = world.observed_val
+        ref_cov = ref_cov - s_ho @ cho_solve(f_oo, s_ho.T)
+    np.testing.assert_array_equal(mean_c, ref_mean)
+    np.testing.assert_array_equal(cov_hh, ref_cov)
+
+
+def _arrays(world):
+    arrays, todo = [], list(vars(world).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            todo.extend(item)
+        elif isinstance(item, np.ndarray):
+            arrays.append(item)
+    return arrays
+
+
+def test_an_observed_world_holds_no_array_of_the_whole_prior():
+    world = make_gaussian_world(4, 5, 0.6, 0.7).observe([3], [0.5])
+    sched = quadratic_schedule(10)
+    x = np.random.default_rng(19).standard_normal((2, world.dim))
+    for conditional in (False, True):
+        world.score(x, 4, sched, conditional)
+    node_affinity(world, 4, sched)
+    world.sample_clean(np.random.default_rng(20))
+    assert world.__dict__.keys() >= {"_schur", "_hidden_eigen", "affinity_terms"}
+    assert all(a.shape != (world.dim, world.dim) for a in _arrays(world))
+
+
+def test_cho_factor_runs_once_per_observed_world_and_never_to_draw(monkeypatch):
+    import fence.world as world_mod
+
+    shapes = []
+    real = world_mod.cho_factor
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(world_mod, "cho_factor", counted)
+    world = make_gaussian_world(4, 5, 0.6, 0.7)
+    sched = quadratic_schedule(10)
+    x = np.random.default_rng(21).standard_normal((2, world.dim))
+    for key in range(3):
+        world.sample_clean(np.random.Generator(np.random.Philox(key=key)))
+    node_affinity(world, 4, sched)
+    assert shapes == []
+    for observed in (world.observe([0, 7], [1.0, -1.0]), world.observe([2], [0.3])):
+        for k in (1, 4):
+            observed.score(x, k, sched, conditional=True)
+            node_affinity(observed, k, sched)
+        observed.conditional_moments()
+        observed.sample_clean(np.random.default_rng(22))
+    assert shapes == [(2, 2), (1, 1)]
 
 
 def test_observe_validation():

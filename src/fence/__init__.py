@@ -11,14 +11,15 @@ from .diffusion import (NoiseSchedule, noise_from_score, q_sample,
                         sincos_embedding)
 from .errors import (ConfigError, DataError, DivergenceError, FenceError,
                      InvalidInputError)
-from .grid import (DatasetSplit, GraphSpec, MaskMatrix, TrafficGrid,
+from .grid import (DatasetSplit, MaskMatrix, TrafficGrid,
                    chronological_split, load_grid_csv, load_mask_csv,
                    observed_stats, save_grid_csv, save_mask_csv, sliding_windows)
 from .guidance import (GuidanceConfig, calibrate_delta, calibrate_tau,
                        calibrated_constants, combine_scores, guidance_gradient_norm,
                        guidance_scale, mode_from_string, posterior_update,
                        step_at_time)
-from .masking import MaskPatternConfig, mask_sc_tc, mask_sr_tc, patch_bounds
+from .masking import (MaskPatternConfig, mask_sc_tc, mask_sr_tc, patch_bounds,
+                      ring_communities)
 from .metrics import crps, crps_masked, point_metrics
 from .neural import NetConfig, NeuralDenoiser
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -39,13 +40,14 @@ __all__ = [
     "reverse_mean", "reverse_step", "sincos_embedding",
     "ConfigError", "DataError", "DivergenceError", "FenceError",
     "InvalidInputError",
-    "DatasetSplit", "GraphSpec", "MaskMatrix", "TrafficGrid",
+    "DatasetSplit", "MaskMatrix", "TrafficGrid",
     "chronological_split", "load_grid_csv", "load_mask_csv",
     "observed_stats", "save_grid_csv", "save_mask_csv", "sliding_windows",
     "GuidanceConfig", "calibrate_delta", "calibrate_tau",
     "calibrated_constants", "combine_scores", "guidance_gradient_norm",
     "guidance_scale", "mode_from_string", "posterior_update", "step_at_time",
     "MaskPatternConfig", "mask_sc_tc", "mask_sr_tc", "patch_bounds",
+    "ring_communities",
     "crps", "crps_masked", "point_metrics",
     "NetConfig", "NeuralDenoiser",
     "load_checkpoint", "save_checkpoint",

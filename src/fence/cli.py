@@ -20,15 +20,15 @@ from .config import (PRESETS, SCHEMA, STAGES, guidance_from, load_world_spec,
                      parse_config_file, read_world_spec, resolve_config, schedule_from,
                      training_from, world_from, write_resolved)
 from .errors import ConfigError, DataError, DivergenceError, InvalidInputError
-from .grid import (DatasetSplit, GraphSpec, MaskMatrix, TrafficGrid,
-                   chronological_split, load_grid_csv, load_mask_csv,
-                   observed_stats, save_grid_csv, save_mask_csv, sliding_windows)
-from .masking import MaskPatternConfig, mask_sc_tc, mask_sr_tc
+from .grid import (DatasetSplit, MaskMatrix, TrafficGrid, chronological_split,
+                   load_grid_csv, load_mask_csv, observed_stats, save_grid_csv,
+                   save_mask_csv, sliding_windows)
+from .masking import MaskPatternConfig, mask_sc_tc, mask_sr_tc, ring_communities
 from .metrics import crps_masked, point_metrics
 from .neural import NeuralDenoiser
 from .sampler import emit_trace, impute
 from .training import finetune_conditional, train_unconditional
-from .world import observations_from_mask, ring_hops
+from .world import observations_from_mask
 
 __all__ = ["main"]
 
@@ -41,6 +41,7 @@ _IMPUTE_FLAGS = (("experiment", ("seed",)), ("sampler", ("samples", "anchoring")
                  *_SAMPLING)
 _TRACE_FLAGS = (("experiment", ("seed",)), ("sampler", ("anchoring",)), *_SAMPLING)
 _TRAIN_FLAGS = (("data", ("stride",)), ("training", None), ("schedule", None))
+_MASK_FLAGS = (("mask", None),)
 
 
 def _flag_keys(groups, stage=None):
@@ -74,11 +75,6 @@ def _cfg_from(args, groups, stage=None) -> dict:
     return cfg
 
 
-def _ring_graph(n_nodes: int) -> GraphSpec:
-    adjacency = (ring_hops(n_nodes) == 1).astype(np.float64)
-    return GraphSpec(adjacency=adjacency)
-
-
 def _synth_series(world, length: int, rng: np.random.Generator) -> np.ndarray:
     """Concatenate independent world draws into an N x length series."""
     if length < 1:
@@ -91,10 +87,9 @@ def _synth_series(world, length: int, rng: np.random.Generator) -> np.ndarray:
 def _load_masked(path, mask_path) -> tuple[np.ndarray, np.ndarray]:
     """Grid values and mask entries, with the optional mask CSV applied and
     every unobserved cell zero-filled."""
-    values, raw_mask = load_grid_csv(path)
-    entries = raw_mask.entries
+    values, entries = load_grid_csv(path)
     if mask_path:
-        extra = load_mask_csv(mask_path).entries
+        extra = load_mask_csv(mask_path)
         if extra.shape != entries.shape:
             raise DataError(f"--mask shape {extra.shape} vs grid {entries.shape}")
         entries = entries * extra
@@ -132,21 +127,21 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _make_mask(cfg: MaskPatternConfig, n_nodes: int, length: int) -> MaskMatrix:
-    """An SR-TC mask, or an SC-TC mask over the communities of a ring graph."""
+def _make_mask(m: dict, n_nodes: int, length: int) -> np.ndarray:
+    """The entries of the [mask] section's mask of an n_nodes x length grid:
+    SR-TC, or SC-TC over the communities of a ring. The patch is cut to the
+    series length."""
+    cfg = MaskPatternConfig(m["pattern"], m["alpha"], min(m["patch"], length),
+                            m["communities"] or None, m["seed"])
     if cfg.pattern == "SC-TC":
-        return mask_sc_tc(_ring_graph(n_nodes), length, cfg)
-    return mask_sr_tc(n_nodes, length, cfg)
+        return mask_sc_tc(ring_communities(n_nodes, cfg), length, cfg).entries
+    return mask_sr_tc(n_nodes, length, cfg).entries
 
 
 def cmd_mask(args) -> int:
-    cfg = MaskPatternConfig(args.pattern, args.alpha, args.patch,
-                            args.communities, args.seed)
-    if args.nodes is None:
-        raise ConfigError("--nodes is required")
-    mask = _make_mask(cfg, args.nodes, args.length)
+    mask = _make_mask(_cfg_from(args, _MASK_FLAGS)["mask"], args.nodes, args.length)
     save_mask_csv(args.out, mask)
-    observed = float(np.mean(mask.entries))
+    observed = float(np.mean(mask))
     print(f"wrote {args.pattern} mask to {args.out} (observed fraction {observed:.3f})")
     return 0
 
@@ -199,7 +194,6 @@ def _impute_from_args(args, n_samples: int):
     sched = schedule_from(cfg)
     gcfg, n_clusters = guidance_from(cfg)
     values, mask_entries = _load_masked(args.grid, args.mask)
-    mask = MaskMatrix(mask_entries)
 
     mean, std = 0.0, 1.0
     if args.oracle:
@@ -228,8 +222,8 @@ def _impute_from_args(args, n_samples: int):
             raise ConfigError(f"mode {args.mode!r} needs --checkpoint-cond")
         work_grid = TrafficGrid((values - mean) * (mask_entries == 1) / std)
 
-    result = impute(backend, backend_uncond, work_grid, mask, sched, gcfg,
-                    n_clusters=n_clusters, n_samples=n_samples, seed=args.seed,
+    result = impute(backend, backend_uncond, work_grid, MaskMatrix(mask_entries), sched,
+                    gcfg, n_clusters=n_clusters, n_samples=n_samples, seed=args.seed,
                     anchoring=args.anchoring)
     return result, mean, std
 
@@ -280,7 +274,9 @@ def _load_evaluated(path, entries: np.ndarray) -> np.ndarray:
 
 
 def cmd_evaluate(args) -> int:
-    entries = load_mask_csv(args.eval_mask).entries
+    entries = load_mask_csv(args.eval_mask)
+    if not entries.any():
+        raise DataError(f"{args.eval_mask}: the eval mask selects no cell")
     pred = _load_evaluated(args.pred, entries)
     truth = _load_evaluated(args.truth, entries)
     mae, rmse, mape = point_metrics(pred, truth, entries)
@@ -313,7 +309,7 @@ def _pipeline_backends(cfg, world, sched, truth_values, mask, rng):
     The neural backend trains on a series drawn from ``rng``, the stream the
     truth was drawn from, after the truth, so it never trains on the truth."""
     if cfg["experiment"]["backend"] == "oracle":
-        idx, vals = observations_from_mask(truth_values, mask.entries)
+        idx, vals = observations_from_mask(truth_values, mask)
         observed_world = world.observe(idx, vals)
         oracle = OracleBackend(observed_world, sched)
         return oracle, oracle, 0.0, 1.0
@@ -349,28 +345,25 @@ def cmd_run(args) -> int:
     rng = np.random.Generator(np.random.Philox(key=world.seed))
     truth = world.sample_clean(rng)
     m = cfg["mask"]
-    mask = _make_mask(MaskPatternConfig(m["pattern"], m["alpha"],
-                                        min(m["patch"], world.n_steps),
-                                        m["communities"] or None, m["seed"]),
-                      world.n_nodes, world.n_steps)
-    if mask.entries.all():
+    mask = _make_mask(m, world.n_nodes, world.n_steps)
+    if mask.all():
         # checked before training: there would be nothing to impute or score
         raise ConfigError(f"the mask drawn with [mask] seed = {m['seed']} and"
                           f" alpha = {m['alpha']} hides no cell; change either")
     backend, backend_uncond, mean, std = _pipeline_backends(
         cfg, world, sched, truth, mask, rng)
 
-    observed = TrafficGrid((truth - mean) * (mask.entries == 1) / std)
+    observed = TrafficGrid((truth - mean) * (mask == 1) / std)
     # trajectory i depends only on (seed, i): the point-metric and the CRPS
     # ensembles are both prefixes of one run
-    result = impute(backend, backend_uncond, observed, mask, sched, gcfg,
+    result = impute(backend, backend_uncond, observed, MaskMatrix(mask), sched, gcfg,
                     n_clusters=n_clusters,
                     n_samples=max(s["samples"], s["crps_samples"]),
                     seed=cfg["experiment"]["seed"], anchoring=s["anchoring"])
     point = result.head(s["samples"])
     emit_trace(point, out_dir / "trace.csv")
 
-    eval_mask = 1 - mask.entries
+    eval_mask = 1 - mask
     prediction = point.mean_imputation * std + mean
     mae, rmse, mape = point_metrics(prediction, truth, eval_mask)
     stack = result.head(s["crps_samples"]).samples * std + mean
@@ -396,11 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("mask", help="generate an SR-TC or SC-TC mask CSV")
-    _add_schema_args(p, (("mask", ("pattern", "patch")),))
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--communities", type=int, default=None)
-    p.add_argument("--seed", type=SCHEMA["mask"]["seed"][0], default=MaskPatternConfig.seed)
-    p.add_argument("--nodes", type=int, default=None)
+    _add_schema_args(p, _MASK_FLAGS)
+    p.add_argument("--nodes", type=int, required=True)
     p.add_argument("--length", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_mask)

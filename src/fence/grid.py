@@ -1,9 +1,10 @@
-"""Core grid, mask, graph, and dataset containers plus CSV round-trips.
+"""Grid and mask containers, training windows, and CSV round-trips.
 
 A grid is an N-nodes by T-steps matrix of finite float64 readings. Missing
 entries never live inside a grid as sentinels; they are carried by a
-companion mask (1 = observed, 0 = missing). All containers are immutable
-after construction and safe for concurrent reads.
+companion mask (1 = observed, 0 = missing). The CSV loaders validate a file
+and return plain float64 arrays; all containers are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .errors import DataError, InvalidInputError
 __all__ = [
     "TrafficGrid",
     "MaskMatrix",
-    "GraphSpec",
     "DatasetSplit",
     "observed_stats",
     "sliding_windows",
@@ -37,6 +36,13 @@ def _frozen_matrix(values, what: str) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DataError(f"{what} must be a nonempty 2-D matrix, got shape {arr.shape}")
     arr.setflags(write=False)
+    return arr
+
+
+def _binary_matrix(entries) -> np.ndarray:
+    arr = _frozen_matrix(entries, "mask")
+    if not ((arr == 0.0) | (arr == 1.0)).all():
+        raise DataError("mask entries must be exactly 0 or 1")
     return arr
 
 
@@ -58,14 +64,6 @@ class TrafficGrid:
             raise DataError("grid contains non-finite entries")
         object.__setattr__(self, "values", arr)
 
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class MaskMatrix:
@@ -74,45 +72,7 @@ class MaskMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _frozen_matrix(self.entries, "mask")
-        bad = ~((arr == 0.0) | (arr == 1.0))
-        if bad.any():
-            raise DataError("mask entries must be exactly 0 or 1")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.entries.shape[1]
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """Sensor graph: nonnegative weighted adjacency, optional node communities."""
-
-    adjacency: np.ndarray
-    node_communities: tuple[tuple[int, ...], ...] | None = None
-
-    def __post_init__(self):
-        adj = _frozen_matrix(self.adjacency, "adjacency")
-        if adj.shape[0] != adj.shape[1]:
-            raise DataError(f"adjacency must be square, got {adj.shape}")
-        if not np.isfinite(adj).all() or (adj < 0).any():
-            raise DataError("adjacency must be finite and nonnegative")
-        object.__setattr__(self, "adjacency", adj)
-        if self.node_communities is not None:
-            comms = tuple(tuple(int(i) for i in group) for group in self.node_communities)
-            flat = sorted(i for group in comms for i in group)
-            if flat != list(range(self.n_nodes)):
-                raise DataError("communities must be disjoint and cover every node")
-            object.__setattr__(self, "node_communities", comms)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        object.__setattr__(self, "entries", _binary_matrix(self.entries))
 
 
 @dataclass(frozen=True)
@@ -197,15 +157,58 @@ def _header(n_steps: int) -> list[str]:
     return [f"t{j}" for j in range(n_steps)]
 
 
-def _checked_header(path: Path, header: list[str]) -> int:
-    """The column count of a t0,t1,... header row; DataError otherwise."""
-    if not header or header != _header(len(header)):
+def _write_table(path, table: np.ndarray, cell) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_header(table.shape[1]))
+        for row in table.tolist():
+            writer.writerow(cell(v) for v in row)
+
+
+def _read_table(path, cell) -> np.ndarray:
+    """The node rows under a t0,t1,... header, each token parsed by ``cell``;
+    DataError, naming the file, on anything else."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header, body = rows[0], rows[1:]
+    n_steps = len(header)
+    if not header or header != _header(n_steps):
         raise DataError(f"{path}: header must be t0,t1,..., got {header[:4]}...")
-    return len(header)
+    if not body:
+        raise DataError(f"{path}: no node rows")
+    table = np.empty((len(body), n_steps))
+    for i, row in enumerate(body):
+        if len(row) != n_steps:
+            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {n_steps}")
+        for j, token in enumerate(row):
+            try:
+                table[i, j] = cell(token.strip())
+            except ValueError as exc:
+                raise DataError(f"{path}: {exc} at row {i}, col {j}") from None
+    return table
 
 
-def _open_writer(path):
-    return open(path, "w", encoding="utf-8", newline="")
+def _grid_cell(token: str) -> float:
+    if token == "" or token.lower() == "nan":
+        return math.nan
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"bad value {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
+def _mask_cell(token: str) -> float:
+    if token not in ("0", "1"):
+        raise ValueError(f"mask cell must be 0 or 1, got {token!r}")
+    return float(token)
 
 
 def save_grid_csv(path, values: np.ndarray) -> None:
@@ -213,72 +216,19 @@ def save_grid_csv(path, values: np.ndarray) -> None:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"grid must be 2-D, got shape {arr.shape}")
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(arr.shape[1]))
-        for row in arr.tolist():
-            writer.writerow(repr(v) for v in row)
+    _write_table(path, arr, repr)
 
 
-def _read_rows(path: Path) -> list[list[str]]:
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
-
-
-def load_grid_csv(path) -> tuple[np.ndarray, MaskMatrix]:
+def load_grid_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a grid CSV; returns (values with NaN at raw-missing cells, raw mask)."""
-    path = Path(path)
-    rows = _read_rows(path)
-    if not rows:
-        raise DataError(f"{path}: empty grid file")
-    n_steps = _checked_header(path, rows[0])
-    body = rows[1:]
-    if not body:
-        raise DataError(f"{path}: no node rows")
-    values = np.empty((len(body), n_steps))
-    mask = np.ones((len(body), n_steps))
-    for i, row in enumerate(body):
-        if len(row) != n_steps:
-            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {n_steps}")
-        for j, cell in enumerate(row):
-            token = cell.strip()
-            if token == "" or token.lower() == "nan":
-                values[i, j] = np.nan
-                mask[i, j] = 0.0
-                continue
-            try:
-                values[i, j] = float(token)
-            except ValueError as exc:
-                raise DataError(f"{path}: bad value {token!r} at row {i}, col {j}") from exc
-            if not math.isfinite(values[i, j]):
-                raise DataError(f"{path}: non-finite value {token!r} at row {i}, col {j}")
-    return values, MaskMatrix(mask)
+    values = _read_table(path, _grid_cell)
+    return values, np.isfinite(values).astype(np.float64)
 
 
-def save_mask_csv(path, mask: MaskMatrix) -> None:
-    with _open_writer(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(mask.n_steps))
-        for i in range(mask.n_nodes):
-            writer.writerow(str(int(v)) for v in mask.entries[i])
+def save_mask_csv(path, mask: np.ndarray) -> None:
+    """Write a nonempty 2-D array of 0/1 entries; DataError on anything else."""
+    _write_table(path, _binary_matrix(mask), int)
 
 
-def load_mask_csv(path) -> MaskMatrix:
-    path = Path(path)
-    rows = _read_rows(path)
-    if len(rows) < 2:
-        raise DataError(f"{path}: empty mask file")
-    n_steps = _checked_header(path, rows[0])
-    entries = np.empty((len(rows) - 1, n_steps))
-    for i, row in enumerate(rows[1:]):
-        if len(row) != n_steps:
-            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {n_steps}")
-        for j, cell in enumerate(row):
-            token = cell.strip()
-            if token not in ("0", "1"):
-                raise DataError(f"{path}: mask cell must be 0 or 1, got {token!r}")
-            entries[i, j] = float(token)
-    return MaskMatrix(entries)
+def load_mask_csv(path) -> np.ndarray:
+    return _read_table(path, _mask_cell)

@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clustering import kmeans
 from .errors import InvalidInputError
-from .grid import GraphSpec, MaskMatrix
+from .grid import MaskMatrix
+from .world import ring_hops
 
-__all__ = ["MaskPatternConfig", "mask_sr_tc", "mask_sc_tc", "patch_bounds"]
+__all__ = ["MaskPatternConfig", "mask_sr_tc", "mask_sc_tc", "patch_bounds",
+           "ring_communities"]
 
 PATTERNS = ("SR-TC", "SC-TC")
 
@@ -50,7 +53,9 @@ def patch_bounds(length: int, patch_length: int) -> list[tuple[int, int]]:
     ]
 
 
-def _check_length(length: int, cfg: MaskPatternConfig):
+def _check_shape(n_nodes: int, length: int, cfg: MaskPatternConfig):
+    if n_nodes < 1:
+        raise InvalidInputError(f"node count must be >= 1, got {n_nodes}")
     if length < cfg.patch_length:
         raise InvalidInputError(
             f"series length {length} shorter than patch length {cfg.patch_length}"
@@ -59,7 +64,7 @@ def _check_length(length: int, cfg: MaskPatternConfig):
 
 def mask_sr_tc(n_nodes: int, length: int, cfg: MaskPatternConfig) -> MaskMatrix:
     """Independent (node, patch) masking with probability missing_rate."""
-    _check_length(length, cfg)
+    _check_shape(n_nodes, length, cfg)
     bounds = patch_bounds(length, cfg.patch_length)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     hit = rng.random((n_nodes, len(bounds))) < cfg.missing_rate
@@ -69,38 +74,42 @@ def mask_sr_tc(n_nodes: int, length: int, cfg: MaskPatternConfig) -> MaskMatrix:
     return MaskMatrix(entries)
 
 
-def _communities(graph: GraphSpec, cfg: MaskPatternConfig) -> list[tuple[int, ...]]:
-    if graph.node_communities is not None:
-        return [tuple(c) for c in graph.node_communities]
+def ring_communities(n_nodes: int, cfg: MaskPatternConfig) -> tuple[tuple[int, ...], ...]:
+    """cfg.n_communities groups of a ring's nodes, from k-means on its
+    adjacency rows seeded by cfg.seed (the paper leaves community formation
+    open)."""
+    if n_nodes < 1:
+        raise InvalidInputError(f"node count must be >= 1, got {n_nodes}")
     if cfg.n_communities is None:
+        raise InvalidInputError("SC-TC needs n_communities in the config")
+    if cfg.n_communities > n_nodes:
         raise InvalidInputError(
-            "SC-TC needs node_communities on the graph or n_communities in the config"
+            f"n_communities {cfg.n_communities} exceeds node count {n_nodes}"
         )
-    if cfg.n_communities > graph.n_nodes:
-        raise InvalidInputError(
-            f"n_communities {cfg.n_communities} exceeds node count {graph.n_nodes}"
-        )
-    # paper leaves community formation open; cluster adjacency profiles
-    from .clustering import kmeans
-
-    labels, _ = kmeans(np.asarray(graph.adjacency, dtype=np.float64),
-                       cfg.n_communities, seed=cfg.seed)
+    adjacency = (ring_hops(n_nodes) == 1).astype(np.float64)
+    labels, _ = kmeans(adjacency, cfg.n_communities, seed=cfg.seed)
     groups: dict[int, list[int]] = {}
     for node, lab in enumerate(labels):
         groups.setdefault(int(lab), []).append(node)
-    return [tuple(groups[lab]) for lab in sorted(groups)]
+    return tuple(tuple(groups[lab]) for lab in sorted(groups))
 
 
-def mask_sc_tc(graph: GraphSpec, length: int, cfg: MaskPatternConfig) -> MaskMatrix:
-    """Community-synchronized masking: one draw per (patch, community) block."""
-    _check_length(length, cfg)
-    comms = _communities(graph, cfg)
+def mask_sc_tc(communities, length: int, cfg: MaskPatternConfig) -> MaskMatrix:
+    """Community-synchronized masking: one draw per (patch, community) block.
+
+    ``communities`` are disjoint node groups that together cover nodes
+    0..N-1 of an N-node grid."""
+    comms = [list(group) for group in communities]
+    n_nodes = sum(map(len, comms))
+    if sorted(i for group in comms for i in group) != list(range(n_nodes)):
+        raise InvalidInputError("communities must be disjoint and cover nodes 0..N-1")
+    _check_shape(n_nodes, length, cfg)
     bounds = patch_bounds(length, cfg.patch_length)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
     hit = rng.random((len(bounds), len(comms))) < cfg.missing_rate
-    entries = np.ones((graph.n_nodes, length), dtype=np.int64)
+    entries = np.ones((n_nodes, length), dtype=np.int64)
     for p, (lo, hi) in enumerate(bounds):
         for c, members in enumerate(comms):
             if hit[p, c]:
-                entries[list(members), lo:hi] = 0
+                entries[members, lo:hi] = 0
     return MaskMatrix(entries)

@@ -16,7 +16,6 @@ from scipy import stats
 import fence.autodiff as ad
 from fence import (
     ContaminatedBackend,
-    GraphSpec,
     GuidanceConfig,
     MaskMatrix,
     MaskPatternConfig,
@@ -267,11 +266,7 @@ def test_criterion_08_mask_statistics():
     deterministic = np.array_equal(mask.entries, again.entries)
 
     communities = tuple(tuple(range(6 * j, 6 * j + 6)) for j in range(5))
-    adj = np.zeros((30, 30))
-    for i in range(30):
-        adj[i, (i + 1) % 30] = adj[(i + 1) % 30, i] = 1.0
-    graph = GraphSpec(adj, node_communities=communities)
-    sc = mask_sc_tc(graph, 24, MaskPatternConfig("SC-TC", 0.6, 4, seed=9))
+    sc = mask_sc_tc(communities, 24, MaskPatternConfig("SC-TC", 0.6, 4, seed=9))
     synced = all(
         np.all(sc.entries[list(members)][:, lo:hi]
                == sc.entries[members[0], lo:hi])

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import math
 import re
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fence import (GuidanceConfig, InvalidInputError, MaskMatrix, TrainConfig, load_grid_csv,
+from fence import (GuidanceConfig, InvalidInputError, TrainConfig, load_grid_csv,
                    load_mask_csv, make_gaussian_world, save_grid_csv, save_mask_csv)
 from fence.cli import build_parser, main
 from fence.config import parse_config_file, resolve_config, world_from
 from fence.masking import MaskPatternConfig, mask_sr_tc
+from fence.sampler import impute
 
 TINY_CONFIG = """\
 [experiment]
@@ -117,7 +119,7 @@ def test_synth_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     values, mask = load_grid_csv(a)
     assert values.shape == (3, 6)
-    assert (mask.entries == 1).all()
+    assert (mask == 1).all()
 
 
 def test_mask_seed_controls_output(tmp_path):
@@ -130,8 +132,54 @@ def test_mask_seed_controls_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     assert a.read_bytes() != c.read_bytes()
     mask = load_mask_csv(a)
-    assert mask.entries.shape == (5, 12)
-    assert set(np.unique(mask.entries)) <= {0, 1}
+    assert mask.shape == (5, 12)
+    assert set(np.unique(mask)) <= {0, 1}
+
+
+# sha256 of `fence mask --pattern SC-TC` on 9 nodes by community count, as
+# written before the communities were passed to mask_sc_tc directly
+SC_TC_DIGESTS = {
+    1: "64905e110699dc3296549f3928b15771e261695703da9b1e7e83d0659cb6b7c4",
+    2: "ec54e71dc2e3b95ef3a489bf9f6f35fd1631b6cbadf5b7fd11cad3ae9c73c8d2",
+    3: "e68235b4cbe08b2a20db3b35813cda87ef0c1ce3ef08750e99de2dff06cf1a57",
+}
+
+
+@pytest.mark.parametrize("communities", sorted(SC_TC_DIGESTS))
+def test_sc_tc_mask_file_is_pinned(tmp_path, communities):
+    out = tmp_path / "m.csv"
+    assert main(["mask", "--pattern", "SC-TC", "--alpha", "0.5", "--patch", "2",
+                 "--communities", str(communities), "--nodes", "9", "--length", "10",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SC_TC_DIGESTS[communities]
+
+
+@pytest.mark.parametrize("pattern", ["SR-TC", "SC-TC"])
+@pytest.mark.parametrize("nodes", ["-1", "0"])
+def test_mask_with_no_nodes_exits_2_naming_the_node_count(tmp_path, capsys, pattern, nodes):
+    out = tmp_path / "m.csv"
+    assert main(["mask", "--pattern", pattern, "--communities", "1", "--nodes", nodes,
+                 "--length", "4", "--patch", "2", "--out", str(out)]) == 2
+    assert f"node count must be >= 1, got {nodes}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mask_and_run_draw_the_same_mask_from_the_same_settings(tmp_path, monkeypatch):
+    # `fence mask` takes its defaults from [mask], as `fence run` does
+    drawn = []
+
+    def recording_impute(backend, backend_uncond, observed, mask, *args, **kwargs):
+        drawn.append(mask.entries)
+        return impute(backend, backend_uncond, observed, mask, *args, **kwargs)
+
+    monkeypatch.setattr("fence.cli.impute", recording_impute)
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG.replace("alpha = 0.5\npatch = 2\nseed = 2\n", ""))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    out = tmp_path / "m.csv"
+    assert main(["mask", "--nodes", "3", "--length", "4", "--out", str(out)]) == 0
+    assert not drawn[0].all()
+    np.testing.assert_array_equal(load_mask_csv(out), drawn[0])
 
 
 def test_evaluate_hand_example(tmp_path):
@@ -140,7 +188,7 @@ def test_evaluate_hand_example(tmp_path):
     emask = tmp_path / "emask.csv"
     save_grid_csv(pred, np.array([[1.0, 2.0], [3.0, 4.0]]))
     save_grid_csv(truth, np.array([[2.0, 2.0], [5.0, 4.0]]))
-    save_mask_csv(emask, MaskMatrix(np.array([[1, 0], [1, 0]])))
+    save_mask_csv(emask, np.array([[1, 0], [1, 0]]))
     out = tmp_path / "metrics.csv"
     per_node = tmp_path / "per_node.csv"
     assert main(["evaluate", "--pred", str(pred), "--truth", str(truth),
@@ -162,7 +210,7 @@ def _evaluate_files(tmp_path, pred_text, emask):
     pred, truth, mask = (tmp_path / n for n in ("pred.csv", "truth.csv", "emask.csv"))
     pred.write_text(pred_text)
     save_grid_csv(truth, np.array([[2.0, 2.0], [5.0, 4.0]]))
-    save_mask_csv(mask, MaskMatrix(np.array(emask)))
+    save_mask_csv(mask, np.array(emask))
     return ["evaluate", "--pred", str(pred), "--truth", str(truth),
             "--eval-mask", str(mask), "--out", str(tmp_path / "metrics.csv")]
 
@@ -195,6 +243,14 @@ def test_evaluate_names_any_empty_evaluated_cell(tmp_path_factory, position, tok
     with contextlib.redirect_stderr(err):
         assert main(argv) == 3
     assert f"row {position // 2}, col {position % 2}" in err.getvalue()
+
+
+def test_evaluate_rejects_an_eval_mask_that_selects_no_cell(tmp_path, capsys):
+    # a problem with the mask file's contents, not with a flag
+    argv = _evaluate_files(tmp_path, "t0,t1\n1.0,2.0\n3.0,4.0\n", [[0, 0], [0, 0]])
+    assert main(argv) == 3
+    assert "emask.csv" in capsys.readouterr().err
+    assert not (tmp_path / "metrics.csv").exists()
 
 
 def test_evaluate_rejects_ensemble_members_of_another_shape(tmp_path, capsys):
@@ -337,7 +393,7 @@ def test_impute_oracle_end_to_end(tmp_path):
     mask_path = tmp_path / "mask.csv"
     entries = np.ones((3, 4), dtype=np.int64)
     entries[1, :] = 0
-    save_mask_csv(mask_path, MaskMatrix(entries))
+    save_mask_csv(mask_path, entries)
     out = tmp_path / "imputed.csv"
     trace = tmp_path / "trace.csv"
     assert main(["impute", "--grid", str(series), "--mask", str(mask_path),
@@ -355,7 +411,7 @@ def test_impute_oracle_reads_the_spec_once(tmp_path, monkeypatch):
     spec.write_text(WORLD_SPEC)
     grid, mask = tmp_path / "grid.csv", tmp_path / "mask.csv"
     save_grid_csv(grid, np.zeros((3, 4)))
-    save_mask_csv(mask, MaskMatrix(np.ones((3, 4), dtype=np.int64)))
+    save_mask_csv(mask, np.ones((3, 4), dtype=np.int64))
     reads = []
     read_text = Path.read_text
 
@@ -437,7 +493,7 @@ def test_out_of_range_seed_exits_2_naming_its_key(tmp_path, capsys, value):
         cfg.write_text(f"[{section}]\nseed = {value}\n")
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
         assert f"[{section}] seed" in capsys.readouterr().err
-    for argv in (["mask", "--alpha", "0.5", "--length", "4", "--out", "m"],
+    for argv in (["mask", "--nodes", "3", "--length", "4", "--out", "m"],
                  ["impute", "--grid", "g", "--out", "o"],
                  ["trace", "--grid", "g", "--trace-out", "t"],
                  ["train-uncond", "--data", "d", "--out", "o"],
@@ -487,7 +543,7 @@ def test_trace_subcommand(tmp_path):
     mask_path = tmp_path / "mask.csv"
     entries = np.ones((3, 4), dtype=np.int64)
     entries[0, :] = 0
-    save_mask_csv(mask_path, MaskMatrix(entries))
+    save_mask_csv(mask_path, entries)
     trace = tmp_path / "trace.csv"
     assert main(["trace", "--grid", str(series), "--mask", str(mask_path),
                  "--oracle", str(spec), "--steps", "8",
@@ -511,9 +567,9 @@ NET_DEFAULTS = {"mask": None, "window": 12, "stride": 1, "batch": 8, "d_model": 
 CLI_SURFACE = [
     (["synth", "--spec", "s", "--length", "5", "--out", "o"],
      {"spec": "s", "length": 5, "out": "o"}),
-    (["mask", "--alpha", "0.5", "--length", "4", "--out", "o"],
-     {"pattern": "SR-TC", "alpha": 0.5, "patch": 12, "communities": None, "seed": 0,
-      "nodes": None, "length": 4, "out": "o"}),
+    (["mask", "--nodes", "3", "--length", "4", "--out", "o"],
+     {"pattern": "SR-TC", "alpha": 0.8, "patch": 12, "communities": 0, "seed": 1,
+      "nodes": 3, "length": 4, "out": "o"}),
     (["train-uncond", "--data", "d", "--out", "o"],
      {"data": "d", "out": "o", "epochs": 150, "lr": 2e-3, "patience": 20,
       "weight_decay": 1e-6, **NET_DEFAULTS, **SCHEDULE_DEFAULTS}),
@@ -550,7 +606,8 @@ def test_cli_defaults_are_pinned(argv, expected):
     ["trace", "--grid", "g", "--trace-out", "t", "--variance-mode", "sigma"],
     ["impute", "--grid", "g", "--out", "o", "--anchoring", "pin"],
     ["train-uncond", "--data", "d", "--out", "o", "--variance-mode", "sigma"],
-    ["mask", "--alpha", "0.5", "--length", "4", "--out", "o", "--pattern", "X"],
+    ["mask", "--nodes", "3", "--length", "4", "--out", "o", "--pattern", "X"],
+    ["mask", "--length", "4", "--out", "o"],
 ])
 def test_bad_flags_exit_2(argv):
     with pytest.raises(SystemExit) as exc:

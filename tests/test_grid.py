@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from fence import (
     DataError,
     DatasetSplit,
-    GraphSpec,
     InvalidInputError,
     MaskMatrix,
     TrafficGrid,
@@ -22,7 +22,7 @@ from fence import (
 def test_grid_is_immutable_float64():
     g = TrafficGrid([[1, 2], [3, 4]])
     assert g.values.dtype == np.float64
-    assert g.n_nodes == 2 and g.n_steps == 2
+    assert g.values.shape == (2, 2)
     with pytest.raises(ValueError):
         g.values[0, 0] = 9.0
 
@@ -44,18 +44,6 @@ def test_mask_entries_must_be_binary():
         MaskMatrix([[0, 2]])
     with pytest.raises(DataError):
         MaskMatrix([[0.5, 1]])
-
-
-def test_graph_spec_validates_communities():
-    adj = np.ones((4, 4)) - np.eye(4)
-    g = GraphSpec(adj, node_communities=((0, 2), (1, 3)))
-    assert g.n_nodes == 4
-    with pytest.raises(DataError):
-        GraphSpec(adj, node_communities=((0, 1), (1, 2, 3)))
-    with pytest.raises(DataError):
-        GraphSpec(np.ones((2, 3)))
-    with pytest.raises(DataError):
-        GraphSpec(-adj)
 
 
 def test_observed_stats():
@@ -113,7 +101,8 @@ def test_grid_csv_round_trip_with_missing(tmp_path):
     save_grid_csv(path, values)
     assert path.read_text().splitlines()[1] == "1.5,nan"
     got, got_mask = load_grid_csv(path)
-    np.testing.assert_array_equal(got_mask.entries, [[1, 0], [1, 1]])
+    assert got_mask.dtype == np.float64
+    np.testing.assert_array_equal(got_mask, [[1, 0], [1, 1]])
     np.testing.assert_array_equal(got, values)
 
 
@@ -125,6 +114,27 @@ def test_grid_csv_exact_float_round_trip(tmp_path):
     got, _ = load_grid_csv(path)
     # repr round-trips float64 bit-exactly
     np.testing.assert_array_equal(got, values)
+
+
+SHAPES = array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, SHAPES, elements=st.floats(allow_infinity=False)),
+       arrays(np.int64, SHAPES, elements=st.integers(0, 1)))
+def test_grids_with_holes_and_masks_load_back_bit_exactly(tmp_path_factory, values, mask):
+    root = tmp_path_factory.mktemp("csv")
+    save_grid_csv(root / "g.csv", values)
+    save_mask_csv(root / "m.csv", mask)
+    got, got_mask = load_grid_csv(root / "g.csv")
+    holes = np.isnan(values)
+    np.testing.assert_array_equal(np.isnan(got), holes)
+    np.testing.assert_array_equal(got_mask, ~holes)
+    # bit patterns, so -0.0 and subnormals count too
+    np.testing.assert_array_equal(got[~holes].view(np.int64), values[~holes].view(np.int64))
+    got = load_mask_csv(root / "m.csv")
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, mask)
 
 
 def test_grid_csv_errors(tmp_path):
@@ -144,14 +154,25 @@ def test_grid_csv_errors(tmp_path):
 
 
 def test_mask_csv_round_trip(tmp_path):
-    mask = MaskMatrix([[1, 0, 1], [0, 0, 1]])
+    mask = np.array([[1, 0, 1], [0, 0, 1]])
     path = tmp_path / "m.csv"
     save_mask_csv(path, mask)
+    assert path.read_text() == "t0,t1,t2\n1,0,1\n0,0,1\n"
     got = load_mask_csv(path)
-    np.testing.assert_array_equal(got.entries, mask.entries)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(got, mask)
     path.write_text("t0\n2\n")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="m.csv: mask cell must be 0 or 1, got '2' at row 0"):
         load_mask_csv(path)
+
+
+@pytest.mark.parametrize("mask", [[[0, 2]], [[0.5, 1.0]], [[np.nan, 1.0]], [1, 0, 1],
+                                  np.zeros((0, 3)), [[[1]]]])
+def test_save_mask_csv_rejects_all_but_a_2d_binary_array(tmp_path, mask):
+    path = tmp_path / "m.csv"
+    with pytest.raises(DataError):
+        save_mask_csv(path, np.asarray(mask))
+    assert not path.exists()
 
 
 def test_mask_csv_header_is_checked(tmp_path):
@@ -177,7 +198,7 @@ def test_mask_csv_loads_only_under_a_t_header(tmp_path_factory, header):
     path.write_text(",".join(header) + "\n" + ",".join(["1"] * len(header)) + "\n",
                     encoding="utf-8")
     if header == [f"t{j}" for j in range(len(header))]:
-        assert load_mask_csv(path).entries.shape == (1, len(header))
+        assert load_mask_csv(path).shape == (1, len(header))
     else:
         with pytest.raises(DataError, match="header"):
             load_mask_csv(path)

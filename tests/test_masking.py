@@ -2,20 +2,13 @@ import numpy as np
 import pytest
 
 from fence import (
-    GraphSpec,
     InvalidInputError,
     MaskPatternConfig,
     mask_sc_tc,
     mask_sr_tc,
     patch_bounds,
+    ring_communities,
 )
-
-
-def ring(n):
-    adj = np.zeros((n, n))
-    for i in range(n):
-        adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
-    return adj
 
 
 def test_config_validation():
@@ -67,32 +60,52 @@ def test_sr_tc_extremes_and_short_series():
 
 
 def test_sc_tc_blocks_follow_declared_communities():
-    graph = GraphSpec(ring(6), node_communities=((0, 1, 2), (3, 4, 5)))
+    communities = ((0, 1, 2), (3, 4, 5))
     cfg = MaskPatternConfig("SC-TC", 0.5, 4, seed=9)
-    mask = mask_sc_tc(graph, 12, cfg)
+    mask = mask_sc_tc(communities, 12, cfg)
     for lo, hi in patch_bounds(12, 4):
         block = mask.entries[:, lo:hi]
-        for members in graph.node_communities:
+        for members in communities:
             rows = block[list(members)]
             # all nodes of a community share one fate per patch
             assert np.all(rows == rows[0])
 
 
 def test_sc_tc_needs_some_community_source():
-    graph = GraphSpec(ring(6))
-    cfg = MaskPatternConfig("SC-TC", 0.5, 4)
     with pytest.raises(InvalidInputError):
-        mask_sc_tc(graph, 12, cfg)
-    cfg2 = MaskPatternConfig("SC-TC", 0.5, 4, n_communities=2, seed=1)
-    mask = mask_sc_tc(graph, 12, cfg2)
-    assert mask.entries.shape == (6, 12)
+        ring_communities(6, MaskPatternConfig("SC-TC", 0.5, 4))
+    communities = ring_communities(6, MaskPatternConfig("SC-TC", 0.5, 4, n_communities=2,
+                                                        seed=1))
+    assert len(communities) == 2
+    assert mask_sc_tc(communities, 12, MaskPatternConfig("SC-TC", 0.5, 4)).entries.shape \
+        == (6, 12)
     with pytest.raises(InvalidInputError):
-        mask_sc_tc(graph, 12, MaskPatternConfig("SC-TC", 0.5, 4, n_communities=7))
+        ring_communities(6, MaskPatternConfig("SC-TC", 0.5, 4, n_communities=7))
+
+
+@pytest.mark.parametrize("communities", [
+    ((0, 1), (1, 2, 3)),   # node 1 in two groups
+    ((0, 1), (3,)),        # node 2 in none
+    ((1, 2), (3,)),        # node 0 in none
+    (),                    # no node at all
+])
+def test_sc_tc_rejects_groups_that_are_not_a_partition(communities):
+    with pytest.raises(InvalidInputError):
+        mask_sc_tc(communities, 8, MaskPatternConfig("SC-TC", 0.5, 4))
+
+
+@pytest.mark.parametrize("n_nodes", [0, -1])
+def test_generators_reject_a_node_count_below_one(n_nodes):
+    cfg = MaskPatternConfig("SC-TC", 0.5, 4, n_communities=1)
+    with pytest.raises(InvalidInputError, match=f"node count must be >= 1, got {n_nodes}"):
+        mask_sr_tc(n_nodes, 8, cfg)
+    with pytest.raises(InvalidInputError, match=f"node count must be >= 1, got {n_nodes}"):
+        ring_communities(n_nodes, cfg)
 
 
 def test_sc_tc_determinism():
-    graph = GraphSpec(ring(8), node_communities=((0, 1, 2, 3), (4, 5, 6, 7)))
+    communities = ((0, 1, 2, 3), (4, 5, 6, 7))
     cfg = MaskPatternConfig("SC-TC", 0.4, 5, seed=21)
-    a = mask_sc_tc(graph, 23, cfg)
-    b = mask_sc_tc(graph, 23, cfg)
+    a = mask_sc_tc(communities, 23, cfg)
+    b = mask_sc_tc(communities, 23, cfg)
     np.testing.assert_array_equal(a.entries, b.entries)

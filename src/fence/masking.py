@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import kmeans
 from .errors import InvalidInputError
 from .grid import MaskMatrix
-from .world import ring_hops
 
 __all__ = ["MaskPatternConfig", "mask_sr_tc", "mask_sc_tc", "patch_bounds",
            "ring_communities"]
@@ -75,9 +73,8 @@ def mask_sr_tc(n_nodes: int, length: int, cfg: MaskPatternConfig) -> MaskMatrix:
 
 
 def ring_communities(n_nodes: int, cfg: MaskPatternConfig) -> tuple[tuple[int, ...], ...]:
-    """cfg.n_communities groups of a ring's nodes, from k-means on its
-    adjacency rows seeded by cfg.seed (the paper leaves community formation
-    open)."""
+    """cfg.n_communities contiguous arcs of a ring's nodes, as equal in size
+    as they can be (the paper leaves community formation open)."""
     if n_nodes < 1:
         raise InvalidInputError(f"node count must be >= 1, got {n_nodes}")
     if cfg.n_communities is None:
@@ -86,12 +83,8 @@ def ring_communities(n_nodes: int, cfg: MaskPatternConfig) -> tuple[tuple[int, .
         raise InvalidInputError(
             f"n_communities {cfg.n_communities} exceeds node count {n_nodes}"
         )
-    adjacency = (ring_hops(n_nodes) == 1).astype(np.float64)
-    labels, _ = kmeans(adjacency, cfg.n_communities, seed=cfg.seed)
-    groups: dict[int, list[int]] = {}
-    for node, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(node)
-    return tuple(tuple(groups[lab]) for lab in sorted(groups))
+    return tuple(tuple(arc.tolist())
+                 for arc in np.array_split(np.arange(n_nodes), cfg.n_communities))
 
 
 def mask_sc_tc(communities, length: int, cfg: MaskPatternConfig) -> MaskMatrix:

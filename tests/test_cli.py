@@ -136,12 +136,12 @@ def test_mask_seed_controls_output(tmp_path):
     assert set(np.unique(mask)) <= {0, 1}
 
 
-# sha256 of `fence mask --pattern SC-TC` on 9 nodes by community count, as
-# written before the communities were passed to mask_sc_tc directly
+# sha256 of `fence mask --pattern SC-TC` on 9 nodes by community count, with
+# the communities as contiguous arcs of the ring
 SC_TC_DIGESTS = {
     1: "64905e110699dc3296549f3928b15771e261695703da9b1e7e83d0659cb6b7c4",
-    2: "ec54e71dc2e3b95ef3a489bf9f6f35fd1631b6cbadf5b7fd11cad3ae9c73c8d2",
-    3: "e68235b4cbe08b2a20db3b35813cda87ef0c1ce3ef08750e99de2dff06cf1a57",
+    2: "3880808f72e85027823cb9fa0cb91eeadd6939b1ceeae5ecbaa1d58a2c024606",
+    3: "6206ddb266569059b930aed6425a164869327b9af8063c717485a62dbb382e1a",
 }
 
 
@@ -356,7 +356,7 @@ def _oracle_argv(tmp_path, command, nodes, rho_s):
 @pytest.mark.parametrize("command", ["synth", "impute", "run"])
 def test_singular_oracle_world_exits_2_from_every_command(tmp_path, capsys, command):
     # on a 3-node ring, rho_s = -0.5 makes every row of the spatial factor sum
-    # to 0; eigh still reports a smallest eigenvalue of about +1.1e-15
+    # to 0; scipy's eigh reported a smallest eigenvalue of +1.1e-15 there
     assert main(_oracle_argv(tmp_path, command, 3, -0.5)) == 2
     assert "spatial factor is not" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()

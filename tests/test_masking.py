@@ -83,6 +83,20 @@ def test_sc_tc_needs_some_community_source():
         ring_communities(6, MaskPatternConfig("SC-TC", 0.5, 4, n_communities=7))
 
 
+@pytest.mark.parametrize("n_nodes", [1, 6, 9, 20])
+def test_ring_communities_are_arcs_of_the_ring(n_nodes):
+    # each community is a run of neighbouring nodes, and the runs differ in
+    # size by at most one node
+    for count in range(1, n_nodes + 1):
+        communities = ring_communities(
+            n_nodes, MaskPatternConfig("SC-TC", 0.5, 4, n_communities=count, seed=3))
+        assert len(communities) == count
+        assert [i for arc in communities for i in arc] == list(range(n_nodes))
+        for arc in communities:
+            assert list(arc) == list(range(arc[0], arc[0] + len(arc)))
+        assert max(map(len, communities)) - min(map(len, communities)) <= 1
+
+
 @pytest.mark.parametrize("communities", [
     ((0, 1), (1, 2, 3)),   # node 1 in two groups
     ((0, 1), (3,)),        # node 2 in none

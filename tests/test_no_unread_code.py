@@ -18,7 +18,6 @@ PACKAGE = ROOT / "src" / "fence"
 ALLOWED = {
     "beta_at": "criterion 3 pins beta_25 of the default schedule",
     "crps": "criterion 9 checks the one-cell CRPS against its closed form",
-    "marginal_moments": "dense reference for score and marginal_logpdf in test_oracle",
     "marginal_logpdf": "test_oracle checks it against scipy's multivariate normal",
     "ContaminatedBackend": "criterion 11's contaminated bed",
     "scale": "criterion 10 and the one-tape-per-window training reference scale a loss",

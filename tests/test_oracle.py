@@ -25,6 +25,7 @@ from fence import (
     ring_hops,
     unconditional_context,
 )
+import fence.world as world_mod
 from fence.world import GaussianOracleWorld
 
 
@@ -110,10 +111,19 @@ def test_conditional_moments_match_scipy_regression():
     np.testing.assert_allclose(cov_c[np.ix_(hid, hid)], expect_cov, atol=1e-12)
 
 
+def _marginal_moments(world, k, sched, conditional=False):
+    """Dense (mean, covariance) of x_k ~ N(sqrt(abar) m', abar Sigma' + (1-abar) I),
+    the reference for score and marginal_logpdf."""
+    abar = sched.alpha_bar_at(k)
+    m, s = world.conditional_moments() if conditional else (
+        world.mean, np.kron(world.spatial, world.temporal))
+    return math.sqrt(abar) * m, abar * s + (1.0 - abar) * np.eye(world.dim)
+
+
 def test_marginal_moments_interpolate_to_prior():
     world = make_gaussian_world(2, 2, 0.3, 0.5)
     sched = quadratic_schedule(50)
-    mean_k, cov_k = world.marginal_moments(50, sched, conditional=False)
+    mean_k, cov_k = _marginal_moments(world, 50, sched, conditional=False)
     abar = sched.alpha_bar_at(50)
     prior = np.kron(world.spatial, world.temporal)
     np.testing.assert_allclose(cov_k, abar * prior + (1 - abar) * np.eye(4), atol=1e-15)
@@ -142,7 +152,7 @@ def test_marginal_logpdf_matches_scipy():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(4)
     k = 17
-    mean_k, cov_k = world.marginal_moments(k, sched, conditional=False)
+    mean_k, cov_k = _marginal_moments(world, k, sched, conditional=False)
     expect = stats.multivariate_normal(mean_k, cov_k).logpdf(x)
     assert world.marginal_logpdf(x, k, sched, False) == pytest.approx(expect, rel=1e-12)
 
@@ -222,7 +232,7 @@ def test_sample_clean_matches_the_dense_cholesky_draw(shape):
 
 @settings(max_examples=120, deadline=None)
 @given(nodes=st.integers(1, 8), rho_s=st.integers(-99, 99).map(lambda c: c / 100))
-@example(nodes=3, rho_s=-0.5)  # a singular ring whose eigh reports +1.1e-15
+@example(nodes=3, rho_s=-0.5)  # a singular ring; scipy's eigh reported +1.1e-15
 def test_every_accepted_world_can_be_drawn_from(nodes, rho_s):
     try:
         world = make_gaussian_world(nodes, 4, rho_s, 0.6)
@@ -233,7 +243,7 @@ def test_every_accepted_world_can_be_drawn_from(nodes, rho_s):
 
 
 def test_singular_temporal_factor_is_rejected_naming_it():
-    # singular along (1, -1, 1), yet eigh reports a smallest eigenvalue of +1.1e-15
+    # singular along (1, -1, 1), yet scipy's eigh reported a smallest eigenvalue of +1.1e-15
     temporal = np.array([[1.0, 0.5, -0.5], [0.5, 1.0, 0.5], [-0.5, 0.5, 1.0]])
     with pytest.raises(InvalidInputError, match="temporal factor is not"):
         GaussianOracleWorld(2, 3, np.zeros(6), np.eye(2), temporal)
@@ -242,7 +252,7 @@ def test_singular_temporal_factor_is_rejected_naming_it():
 @pytest.mark.parametrize("observed", [[], [0, 5, 6, 13, 29], list(range(1, 30))])
 def test_schur_reads_its_blocks_from_the_factors_as_kron_does(observed):
     # every entry is the one product np.kron computes, so the conditional
-    # law is bit-identical to Schur conditioning on the dense prior
+    # law is bit-identical to whitened Schur conditioning on the dense prior
     world = make_gaussian_world(5, 6, 0.6, 0.7, mean=0.2)
     world = world.observe(observed, np.linspace(-1.0, 1.0, len(observed)))
     prior = np.kron(world.spatial, world.temporal)
@@ -253,14 +263,47 @@ def test_schur_reads_its_blocks_from_the_factors_as_kron_does(observed):
                                           prior[np.ix_(rows, cols)])
     ref_mean, ref_cov = world.mean.copy(), prior[np.ix_(hid, hid)]
     if obs.size:
-        s_ho = prior[np.ix_(hid, obs)]
-        f_oo = cho_factor(prior[np.ix_(obs, obs)], lower=True)
-        ref_mean[hid] = world.mean[hid] + s_ho @ cho_solve(
-            f_oo, np.asarray(world.observed_val) - world.mean[obs])
+        lower = world_mod.cho_factor(prior[np.ix_(obs, obs)])
+        w = world_mod.cho_solve(lower, np.column_stack(
+            [prior[np.ix_(obs, hid)], np.asarray(world.observed_val) - world.mean[obs]]))
+        ref_mean[hid] = world.mean[hid] + w[:, :hid.size].T @ w[:, -1]
         ref_mean[obs] = world.observed_val
-        ref_cov = ref_cov - s_ho @ cho_solve(f_oo, s_ho.T)
+        ref_cov = ref_cov - w[:, :hid.size].T @ w[:, :hid.size]
     np.testing.assert_array_equal(mean_c, ref_mean)
     np.testing.assert_array_equal(cov_hh, ref_cov)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), t=st.integers(1, 6), rho_s=st.floats(-0.45, 0.95),
+       rho_t=st.floats(-0.95, 0.95), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_schur_matches_scipys_cholesky_conditioning(n, t, rho_s, rho_t, share, seed):
+    # an independent reference: scipy's cho_factor/cho_solve on the dense prior
+    rng = np.random.default_rng(seed)
+    world = make_gaussian_world(n, t, rho_s, rho_t, mean=float(rng.normal()))
+    count = int(round(share * world.dim))
+    obs = np.sort(rng.choice(world.dim, size=count, replace=False))
+    vals = rng.standard_normal(count)
+    mean_c, _, hid, cov_hh = world.observe(obs, vals)._schur
+    prior = np.kron(world.spatial, world.temporal)
+    ref_mean, ref_cov = world.mean.copy(), prior[np.ix_(hid, hid)]
+    if count:
+        s_ho = prior[np.ix_(hid, obs)]
+        f_oo = cho_factor(prior[np.ix_(obs, obs)], lower=True)
+        ref_mean[hid] += s_ho @ cho_solve(f_oo, vals - world.mean[obs])
+        ref_mean[obs] = vals
+        ref_cov = ref_cov - s_ho @ cho_solve(f_oo, s_ho.T)
+    np.testing.assert_allclose(mean_c, ref_mean, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(cov_hh, ref_cov, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("share", [0.3, 0.5, 0.7, 0.9])
+def test_conditional_covariance_is_exactly_symmetric(share):
+    world = make_gaussian_world(20, 24, 0.8, 0.9, mean=0.2)
+    rng = np.random.default_rng(23)
+    obs = np.flatnonzero(rng.random(world.dim) < share)
+    cov_hh = world.observe(obs, rng.standard_normal(obs.size))._schur[3]
+    np.testing.assert_array_equal(cov_hh, cov_hh.T)
 
 
 def _arrays(world):
@@ -287,8 +330,6 @@ def test_an_observed_world_holds_no_array_of_the_whole_prior():
 
 
 def test_cho_factor_runs_once_per_observed_world_and_never_to_draw(monkeypatch):
-    import fence.world as world_mod
-
     shapes = []
     real = world_mod.cho_factor
 
@@ -391,7 +432,7 @@ def test_node_affinity_is_row_stochastic():
 
 def _dense_node_affinity(world, k, sched):
     # the former formula, from the dense step-k marginal covariance
-    _, cov_k = world.marginal_moments(k, sched, conditional=True)
+    _, cov_k = _marginal_moments(world, k, sched, conditional=True)
     std = np.sqrt(np.diag(cov_k))
     corr = np.abs(cov_k / np.outer(std, std))
     n, t = world.n_nodes, world.n_steps
@@ -479,8 +520,6 @@ def test_fully_observed_world_still_runs():
 def test_imputing_decomposes_nothing_larger_than_the_hidden_block(monkeypatch):
     # structure, not timing: the prior is decomposed through its factors, the
     # conditional law through its hidden block, and observe() factors nothing dense
-    import fence.world as world_mod
-
     eighs, cholesky = [], []
 
     def recorded(log, real):

@@ -1,4 +1,7 @@
-"""Command-line pipeline: synth, mask, train, impute, evaluate, trace, run.
+"""Command-line pipeline: synth, mask, train, impute, evaluate, run.
+
+Every grid CSV the commands read or write is in data units; only
+``_impute_in_data_units`` sees a network's model units (x - mean) / std.
 
 Exit codes: 0 success, 2 configuration problems, 3 data problems,
 4 numerical divergence.
@@ -9,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -39,7 +43,6 @@ __all__ = ["main"]
 _SAMPLING = (("schedule", None), ("guidance", None))
 _IMPUTE_FLAGS = (("experiment", ("seed",)), ("sampler", ("samples", "anchoring")),
                  *_SAMPLING)
-_TRACE_FLAGS = (("experiment", ("seed",)), ("sampler", ("anchoring",)), *_SAMPLING)
 _TRAIN_FLAGS = (("data", ("stride",)), ("training", None), ("schedule", None))
 _MASK_FLAGS = (("mask", None),)
 
@@ -189,13 +192,15 @@ def cmd_finetune_cond(args) -> int:
     return _train(args, "cond", partial(finetune_conditional, backend), (mean, std))
 
 
-def _impute_from_args(args, n_samples: int):
-    cfg = _cfg_from(args, _SAMPLING)
-    sched = schedule_from(cfg)
-    gcfg, n_clusters = guidance_from(cfg)
-    values, mask_entries = _load_masked(args.grid, args.mask)
+def _oracle(world, sched, values, mask) -> OracleBackend:
+    """The oracle backend of ``world`` conditioned on the observed cells of
+    ``values``."""
+    return OracleBackend(world.observe(*observations_from_mask(values, mask)), sched)
 
-    mean, std = 0.0, 1.0
+
+def _impute_backends(args, values, mask, sched, gcfg):
+    """(backend_cond, backend_uncond, mean, std) from --oracle or the
+    checkpoint pair; the oracle works in data units."""
     if args.oracle:
         if args.checkpoint_cond or args.checkpoint_uncond:
             raise ConfigError("--oracle and checkpoints are mutually exclusive")
@@ -205,44 +210,48 @@ def _impute_from_args(args, n_samples: int):
         if values.shape != shape:
             raise InvalidInputError(
                 f"grid shape {values.shape} does not match the oracle spec's {shape}")
-        world = load_world_spec(spec)
-        idx, vals = observations_from_mask(values, mask_entries)
-        observed_world = world.observe(idx, vals)
-        backend = backend_uncond = OracleBackend(observed_world, sched)
-        work_grid = TrafficGrid(values)
+        oracle = _oracle(load_world_spec(spec), sched, values, mask)
+        return oracle, oracle, 0.0, 1.0
+    if not args.checkpoint_uncond:
+        raise ConfigError("need --checkpoint-uncond (or --oracle)")
+    backend_uncond, mean, std = _load_model(args.checkpoint_uncond)
+    if args.checkpoint_cond:
+        backend, *stats = _load_model(args.checkpoint_cond)
+        if stats != [mean, std]:
+            raise DataError(f"{args.checkpoint_uncond} and {args.checkpoint_cond} differ"
+                            f" in norm/mean, norm/std: {[mean, std]} vs {stats}")
+    elif gcfg.mode == "none":
+        backend = None
     else:
-        if not args.checkpoint_uncond:
-            raise ConfigError("need --checkpoint-uncond (or --oracle)")
-        backend_uncond, mean, std = _load_model(args.checkpoint_uncond)
-        if args.checkpoint_cond:
-            backend, mean, std = _load_model(args.checkpoint_cond)
-        elif gcfg.mode == "none":
-            backend = None
-        else:
-            raise ConfigError(f"mode {args.mode!r} needs --checkpoint-cond")
-        work_grid = TrafficGrid((values - mean) * (mask_entries == 1) / std)
+        raise ConfigError(f"mode {args.mode!r} needs --checkpoint-cond")
+    return backend, backend_uncond, mean, std
 
-    result = impute(backend, backend_uncond, work_grid, MaskMatrix(mask_entries), sched,
-                    gcfg, n_clusters=n_clusters, n_samples=n_samples, seed=args.seed,
-                    anchoring=args.anchoring)
-    return result, mean, std
+
+def _impute_in_data_units(backends, values, mask, sched, gcfg, n_clusters, **sampling):
+    """``impute`` on the observed cells of data-unit ``values``: they are
+    normalized with the backends' (mean, std), and the samples come back in
+    data units."""
+    backend, backend_uncond, mean, std = backends
+    observed = TrafficGrid((values - mean) * (mask == 1) / std)
+    result = impute(backend, backend_uncond, observed, MaskMatrix(mask), sched, gcfg,
+                    n_clusters=n_clusters, **sampling)
+    return replace(result, samples=result.samples * std + mean)
 
 
 def cmd_impute(args) -> int:
-    result, mean, std = _impute_from_args(args, args.samples)
-    imputed = result.mean_imputation * std + mean
-    save_grid_csv(args.out, imputed)
+    cfg = _cfg_from(args, _SAMPLING)
+    sched = schedule_from(cfg)
+    gcfg, n_clusters = guidance_from(cfg)
+    values, mask = _load_masked(args.grid, args.mask)
+    backends = _impute_backends(args, values, mask, sched, gcfg)
+    result = _impute_in_data_units(backends, values, mask, sched, gcfg, n_clusters,
+                                   n_samples=args.samples, seed=args.seed,
+                                   anchoring=args.anchoring)
+    save_grid_csv(args.out, result.mean_imputation)
     if args.trace_out:
         emit_trace(result, args.trace_out)
         print(f"wrote trace {args.trace_out}")
     print(f"wrote mean imputation over {args.samples} samples to {args.out}")
-    return 0
-
-
-def cmd_trace(args) -> int:
-    result, _, _ = _impute_from_args(args, 1)
-    emit_trace(result, args.trace_out)
-    print(f"wrote single-trajectory trace {args.trace_out}")
     return 0
 
 
@@ -309,20 +318,18 @@ def _pipeline_backends(cfg, world, sched, truth_values, mask, rng):
     The neural backend trains on a series drawn from ``rng``, the stream the
     truth was drawn from, after the truth, so it never trains on the truth."""
     if cfg["experiment"]["backend"] == "oracle":
-        idx, vals = observations_from_mask(truth_values, mask)
-        observed_world = world.observe(idx, vals)
-        oracle = OracleBackend(observed_world, sched)
+        oracle = _oracle(world, sched, truth_values, mask)
         return oracle, oracle, 0.0, 1.0
 
-    # both stages' settings are checked before either stage trains
-    (tcfg1, net_cfg1), (tcfg2, net_cfg2) = (training_from(cfg, stage, world.n_nodes)
-                                            for stage in STAGES)
+    # both stages' settings are checked before either stage trains; stage 2
+    # takes the network shape from stage 1's model
+    (tcfg1, net_cfg1), (tcfg2, _) = (training_from(cfg, stage, world.n_nodes)
+                                     for stage in STAGES)
     series = _synth_series(world, cfg["data"]["length"], rng)
     split = _training_split(series, np.ones(series.shape, dtype=np.int64),
                             world.n_steps, cfg["data"]["stride"])
     stage1 = train_unconditional(split, tcfg1, sched=sched, net_cfg=net_cfg1)
-    stage2 = finetune_conditional(stage1.model, split, tcfg2, sched=sched,
-                                  net_cfg=net_cfg2)
+    stage2 = finetune_conditional(stage1.model, split, tcfg2, sched=sched)
     return stage2.model, stage1.model, *split.normalization
 
 
@@ -350,24 +357,19 @@ def cmd_run(args) -> int:
         # checked before training: there would be nothing to impute or score
         raise ConfigError(f"the mask drawn with [mask] seed = {m['seed']} and"
                           f" alpha = {m['alpha']} hides no cell; change either")
-    backend, backend_uncond, mean, std = _pipeline_backends(
-        cfg, world, sched, truth, mask, rng)
-
-    observed = TrafficGrid((truth - mean) * (mask == 1) / std)
+    backends = _pipeline_backends(cfg, world, sched, truth, mask, rng)
     # trajectory i depends only on (seed, i): the point-metric and the CRPS
     # ensembles are both prefixes of one run
-    result = impute(backend, backend_uncond, observed, MaskMatrix(mask), sched, gcfg,
-                    n_clusters=n_clusters,
-                    n_samples=max(s["samples"], s["crps_samples"]),
-                    seed=cfg["experiment"]["seed"], anchoring=s["anchoring"])
+    result = _impute_in_data_units(backends, truth, mask, sched, gcfg, n_clusters,
+                                   n_samples=max(s["samples"], s["crps_samples"]),
+                                   seed=cfg["experiment"]["seed"],
+                                   anchoring=s["anchoring"])
     point = result.head(s["samples"])
     emit_trace(point, out_dir / "trace.csv")
 
     eval_mask = 1 - mask
-    prediction = point.mean_imputation * std + mean
-    mae, rmse, mape = point_metrics(prediction, truth, eval_mask)
-    stack = result.head(s["crps_samples"]).samples * std + mean
-    crps_value = crps_masked(stack, truth, eval_mask)
+    mae, rmse, mape = point_metrics(point.mean_imputation, truth, eval_mask)
+    crps_value = crps_masked(result.head(s["crps_samples"]).samples, truth, eval_mask)
     _write_report(out_dir / "report.csv", mae, rmse, mape, crps_value)
     print(f"report in {out_dir}")
     return 0
@@ -411,24 +413,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", default=None, help="stage-1 checkpoint")
     p.set_defaults(func=cmd_finetune_cond)
 
-    def add_impute_args(p, flags):
-        p.add_argument("--grid", required=True, help="observed grid CSV")
-        p.add_argument("--mask", default=None, help="observation mask CSV")
-        p.add_argument("--oracle", default=None, help="Gaussian world spec file")
-        p.add_argument("--checkpoint-cond", default=None)
-        p.add_argument("--checkpoint-uncond", default=None)
-        _add_schema_args(p, flags)
-
     p = sub.add_parser("impute", help="run the guided reverse sampler")
-    add_impute_args(p, _IMPUTE_FLAGS)
+    p.add_argument("--grid", required=True, help="observed grid CSV")
+    p.add_argument("--mask", default=None, help="observation mask CSV")
+    p.add_argument("--oracle", default=None, help="Gaussian world spec file")
+    p.add_argument("--checkpoint-cond", default=None)
+    p.add_argument("--checkpoint-uncond", default=None)
+    _add_schema_args(p, _IMPUTE_FLAGS)
     p.add_argument("--out", required=True, help="mean imputation CSV")
     p.add_argument("--trace-out", default=None)
     p.set_defaults(func=cmd_impute)
-
-    p = sub.add_parser("trace", help="single-trajectory run, trace only")
-    add_impute_args(p, _TRACE_FLAGS)
-    p.add_argument("--trace-out", required=True)
-    p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("evaluate", help="metrics from prediction vs truth")
     p.add_argument("--pred", required=True)

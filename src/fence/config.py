@@ -116,9 +116,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "patience_cond": (int, 10, "stage-2 early-stop patience"),
         "weight_decay_cond": (float, 1e-5, "stage-2 L2 coefficient"),
         "batch": (int, TrainConfig.batch_size, "windows per optimizer step"),
-        "d_model": (int, NetConfig.d_model, "model width"),
-        "layers": (int, NetConfig.n_layers, "attention blocks"),
-        "heads": (int, NetConfig.n_heads, "attention heads"),
+        "d_model": (int, NetConfig.d_model, "model width (set by --init in stage 2)"),
+        "layers": (int, NetConfig.n_layers, "attention blocks (set by --init in stage 2)"),
+        "heads": (int, NetConfig.n_heads, "attention heads (set by --init in stage 2)"),
         "seed": (_seed, TrainConfig.seed, "init and shuffling seed"),
     },
 }

@@ -70,7 +70,6 @@ class TrainResult:
     train_losses: list[float] = field(default_factory=list)
     val_losses: list[float] = field(default_factory=list)
     best_epoch: int = -1
-    stopped_early: bool = False
 
 
 class Adam:
@@ -209,7 +208,6 @@ def _fit(model, data: DatasetSplit, cfg: TrainConfig, sched: NoiseSchedule,
         else:
             since_best += 1
             if cfg.patience and since_best >= cfg.patience:
-                result.stopped_early = True
                 break
     result.model = NeuralDenoiser.from_state_dict(best_state)
     return result

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -10,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fence import (GuidanceConfig, InvalidInputError, TrainConfig, load_grid_csv,
-                   load_mask_csv, make_gaussian_world, save_grid_csv, save_mask_csv)
+from fence import (GuidanceConfig, InvalidInputError, NetConfig, NeuralDenoiser,
+                   TrainConfig, load_grid_csv, load_mask_csv, make_gaussian_world,
+                   save_checkpoint, save_grid_csv, save_mask_csv)
 from fence.cli import build_parser, main
 from fence.config import parse_config_file, resolve_config, world_from
 from fence.masking import MaskPatternConfig, mask_sr_tc
@@ -397,13 +399,56 @@ def test_impute_oracle_end_to_end(tmp_path):
     out = tmp_path / "imputed.csv"
     trace = tmp_path / "trace.csv"
     assert main(["impute", "--grid", str(series), "--mask", str(mask_path),
-                 "--oracle", str(spec), "--steps", "8", "--samples", "2",
+                 "--oracle", str(spec), "--steps", "8", "--samples", "1",
                  "--out", str(out), "--trace-out", str(trace)]) == 0
     values, _ = load_grid_csv(out)
     assert values.shape == (3, 4)
     assert np.isfinite(values).all()
-    assert trace.read_text().startswith("traj,k,node,lambda,")
-    assert (tmp_path / "trace_sample_0.csv").exists()
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "traj,k,node,lambda,log_posterior,guidance_norm,cluster_id"
+    assert len(lines) == 1 + 1 * 8 * 3  # S * K * N rows
+    sample, _ = load_grid_csv(tmp_path / "trace_sample_0.csv")
+    np.testing.assert_array_equal(sample, values)
+
+
+def _save_neural_checkpoint(path, mean, std, seed=0):
+    state = NeuralDenoiser(NetConfig(n_nodes=3, d_model=8, n_layers=1, n_heads=2),
+                           seed=seed).state_dict()
+    save_checkpoint(path, {**state, "norm/mean": np.float64(mean),
+                           "norm/std": np.float64(std)})
+
+
+def test_neural_impute_writes_its_samples_in_data_units(tmp_path):
+    # the mean imputation is the mean of the sample files, all in data units
+    grid, mask = tmp_path / "grid.csv", tmp_path / "mask.csv"
+    save_grid_csv(grid, 50.0 + np.arange(12.0).reshape(3, 4))
+    save_mask_csv(mask, np.array([[1, 0, 1, 1], [0, 0, 1, 1], [1, 1, 1, 0]]))
+    ckpt = tmp_path / "model.fence"
+    _save_neural_checkpoint(ckpt, 50.0, 4.0)
+    out, trace = tmp_path / "imputed.csv", tmp_path / "trace.csv"
+    assert main(["impute", "--grid", str(grid), "--mask", str(mask), "--steps", "6",
+                 "--samples", "3", "--checkpoint-uncond", str(ckpt),
+                 "--checkpoint-cond", str(ckpt), "--out", str(out),
+                 "--trace-out", str(trace)]) == 0
+    imputed, _ = load_grid_csv(out)
+    samples = np.stack([load_grid_csv(tmp_path / f"trace_sample_{i}.csv")[0]
+                        for i in range(3)])
+    np.testing.assert_allclose(samples.mean(axis=0), imputed, rtol=0, atol=1e-12)
+
+
+def test_checkpoint_pair_with_different_normalizations_exits_3(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    save_grid_csv(grid, np.full((3, 4), 50.0))
+    uncond, cond = tmp_path / "uncond.fence", tmp_path / "cond.fence"
+    _save_neural_checkpoint(uncond, 50.2, 1.0)
+    _save_neural_checkpoint(cond, 0.0, 1.0, seed=1)
+    out = tmp_path / "out.csv"
+    assert main(["impute", "--grid", str(grid), "--steps", "4",
+                 "--checkpoint-uncond", str(uncond), "--checkpoint-cond", str(cond),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(uncond) in err and str(cond) in err and "norm/mean" in err
+    assert not out.exists()
 
 
 def test_impute_oracle_reads_the_spec_once(tmp_path, monkeypatch):
@@ -495,7 +540,6 @@ def test_out_of_range_seed_exits_2_naming_its_key(tmp_path, capsys, value):
         assert f"[{section}] seed" in capsys.readouterr().err
     for argv in (["mask", "--nodes", "3", "--length", "4", "--out", "m"],
                  ["impute", "--grid", "g", "--out", "o"],
-                 ["trace", "--grid", "g", "--trace-out", "t"],
                  ["train-uncond", "--data", "d", "--out", "o"],
                  ["finetune-cond", "--data", "d", "--out", "o"]):
         assert _exit_code(argv + ["--seed", value]) == 2
@@ -534,25 +578,6 @@ def test_any_integer_seed_exits_0_or_2(tmp_path_factory, seed):
         assert "[mask] seed" in err.getvalue() and "alpha" in err.getvalue()
 
 
-def test_trace_subcommand(tmp_path):
-    spec = tmp_path / "world.spec"
-    spec.write_text(WORLD_SPEC)
-    series = tmp_path / "series.csv"
-    assert main(["synth", "--spec", str(spec), "--length", "4",
-                 "--out", str(series)]) == 0
-    mask_path = tmp_path / "mask.csv"
-    entries = np.ones((3, 4), dtype=np.int64)
-    entries[0, :] = 0
-    save_mask_csv(mask_path, entries)
-    trace = tmp_path / "trace.csv"
-    assert main(["trace", "--grid", str(series), "--mask", str(mask_path),
-                 "--oracle", str(spec), "--steps", "8",
-                 "--trace-out", str(trace)]) == 0
-    lines = trace.read_text().splitlines()
-    assert lines[0] == "traj,k,node,lambda,log_posterior,guidance_norm,cluster_id"
-    assert len(lines) == 1 + 8 * 3
-
-
 SCHEDULE_DEFAULTS = {"steps": 50, "beta1": 1e-4, "beta_k": 0.5,
                      "variance_mode": "beta_tilde"}
 GUIDANCE_DEFAULTS = {"mode": "fence", "pi": 0.5, "lambda_ref": 1.6, "t0": 0.8,
@@ -579,9 +604,6 @@ CLI_SURFACE = [
     (["impute", "--grid", "g", "--out", "o"],
      {"grid": "g", "out": "o", "trace_out": None, "samples": 10, **BACKEND_DEFAULTS,
       **SCHEDULE_DEFAULTS, **GUIDANCE_DEFAULTS}),
-    (["trace", "--grid", "g", "--trace-out", "t"],
-     {"grid": "g", "trace_out": "t", **BACKEND_DEFAULTS, **SCHEDULE_DEFAULTS,
-      **GUIDANCE_DEFAULTS}),
     (["evaluate", "--pred", "p", "--truth", "t", "--eval-mask", "e", "--out", "o"],
      {"pred": "p", "truth": "t", "eval_mask": "e", "ensemble_prefix": None, "out": "o",
       "per_node_out": None}),
@@ -600,10 +622,10 @@ def test_cli_defaults_are_pinned(argv, expected):
 
 @pytest.mark.parametrize("argv", [
     ["impute", "--grid", "g", "--out", "o", "--threads", "2"],
-    ["trace", "--grid", "g", "--trace-out", "t", "--threads", "2"],
+    ["trace", "--grid", "g", "--trace-out", "t"],
     ["run", "--threads", "2"],
     ["impute", "--grid", "g", "--out", "o", "--scope", "nodes"],
-    ["trace", "--grid", "g", "--trace-out", "t", "--variance-mode", "sigma"],
+    ["impute", "--grid", "g", "--out", "o", "--variance-mode", "sigma"],
     ["impute", "--grid", "g", "--out", "o", "--anchoring", "pin"],
     ["train-uncond", "--data", "d", "--out", "o", "--variance-mode", "sigma"],
     ["mask", "--nodes", "3", "--length", "4", "--out", "o", "--pattern", "X"],
@@ -613,6 +635,18 @@ def test_bad_flags_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_readme_documents_exactly_the_subcommands():
+    # every `fence <command>` line of README's command blocks names a
+    # subcommand, and every subcommand has one
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = readme.read_text(encoding="utf-8").split("```")[1::2]
+    documented = {line.split()[1] for block in blocks for line in block.splitlines()
+                  if line.startswith("fence ")}
+    subparsers, = (a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(subparsers.choices)
 
 
 @pytest.mark.parametrize("section, line", [
@@ -671,6 +705,59 @@ def test_unrunnable_neural_values_exit_2_before_training(tmp_path, capsys, monke
     key = line.split(" = ")[0].removesuffix("_uncond").removesuffix("_cond")
     assert key in capsys.readouterr().err
     assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+NEURAL_CONFIG = """\
+[experiment]
+backend = neural
+seed = 5
+
+[world]
+nodes = 3
+steps = 4
+mean = 50
+seed = 3
+
+[data]
+length = 24
+
+[mask]
+alpha = 0.5
+patch = 2
+seed = 2
+
+[schedule]
+steps = 6
+
+[sampler]
+samples = 3
+crps_samples = 3
+
+[training]
+epochs_uncond = 2
+epochs_cond = 1
+d_model = 8
+layers = 1
+heads = 2
+"""
+
+
+def test_neural_run_scores_the_samples_it_writes(tmp_path):
+    # report.csv's MAE is that of the mean of the trace_sample_*.csv files,
+    # which are in data units like the truth
+    cfg = tmp_path / "neural.cfg"
+    cfg.write_text(NEURAL_CONFIG)
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    world = world_from(resolve_config(parse_config_file(cfg)))
+    truth = world.sample_clean(np.random.Generator(np.random.Philox(key=world.seed)))
+    hidden = mask_sr_tc(3, 4, MaskPatternConfig("SR-TC", 0.5, 2, seed=2)).entries == 0
+    samples = np.stack([load_grid_csv(out / f"trace_sample_{i}.csv")[0]
+                        for i in range(3)])
+    mae = np.abs(samples.mean(axis=0) - truth)[hidden].mean()
+    report = (out / "report.csv").read_text().splitlines()
+    assert report[0].startswith("mae,")
+    assert float(report[1].split(",")[0]) == pytest.approx(mae, rel=1e-9, abs=0)
 
 
 def test_neural_run_never_trains_on_its_evaluation_truth(tmp_path, monkeypatch):

@@ -4,10 +4,10 @@ The sampler only ever sees this interface, so the exact Gaussian oracle and
 the trained network are interchangeable. Every call takes a batch: x_k is
 (B, N, T), one noisy grid per trajectory, and all rows share the step and
 the context, so one call advances a whole ensemble. Conditioning is
-carried by the context: an unconditional context has zeroed observations
-and mask, which for the oracle selects the prior marginal and for the
-network reproduces the empty-conditioning convention used during stage-1
-training.
+carried by the context alone: the oracle conditions its world on the
+observed cells, the network reads them; an unconditional context has zeroed
+observations and mask, which for the oracle selects the prior marginal and
+for the network reproduces the stage-1 empty-conditioning convention.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .diffusion import NoiseSchedule, noise_from_score
 from .errors import InvalidInputError
-from .world import GaussianOracleWorld
+from .world import GaussianOracleWorld, observations_from_mask
 
 __all__ = [
     "ConditioningContext",
@@ -110,29 +110,37 @@ def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule) -> n
 
 
 class OracleBackend(DenoiserBackend):
-    """Wraps a Gaussian world as a denoiser: eps = -sqrt(1-abar) * exact score.
+    """Wraps an unobserved Gaussian world as a denoiser: eps = -sqrt(1-abar) *
+    exact score of the world conditioned on the context's observed cells.
 
-    The world's own observation set is what conditional contexts condition
-    on; an unconditional context selects the prior marginal instead and
+    The last context and its conditioned world are kept, so one ``impute``
+    conditions once. An unconditional context selects the prior marginal and
     exports no affinity, since only the conditional one drives clustering.
     """
 
     def __init__(self, world: GaussianOracleWorld, sched: NoiseSchedule):
+        if world.observed_idx:
+            raise InvalidInputError("OracleBackend takes an unobserved world: the context"
+                                    " carries the observations")
         self.world = world
         self.sched = sched
+        self._last = (None, None)
 
     def predict(self, x_k, k, ctx):
         x = np.asarray(x_k, dtype=np.float64)
         grid = (self.world.n_nodes, self.world.n_steps)
-        if x.ndim != 3 or x.shape[1:] != grid:
-            raise InvalidInputError(f"expected a batch of {grid} grids, got {x.shape}")
-        conditional = not ctx.is_unconditional
-        score = self.world.score(x.reshape(len(x), -1), k, self.sched, conditional)
+        if x.ndim != 3 or x.shape[1:] != grid or ctx.mask.shape != grid:
+            raise InvalidInputError(f"expected a batch of {grid} grids and a {grid}"
+                                    f" context, got {x.shape} and {ctx.mask.shape}")
+        world = self.world
+        if not ctx.is_unconditional:
+            if self._last[0] is not ctx:
+                self._last = (ctx, world.observe(*observations_from_mask(ctx.observed, ctx.mask)))
+            world = self._last[1]
+        score = world.score(x.reshape(len(x), -1), k, self.sched)
         eps = noise_from_score(score.reshape(x.shape), k, self.sched)
-        if not conditional:
-            return eps, None
         # the affinity depends on the step alone: one matrix for all rows
-        return eps, node_affinity(self.world, k, self.sched)
+        return eps, None if ctx.is_unconditional else node_affinity(world, k, self.sched)
 
 
 class ContaminatedBackend(DenoiserBackend):

@@ -30,9 +30,8 @@ from .grid import (DatasetSplit, MaskMatrix, TrafficGrid, chronological_split,
 from .masking import MaskPatternConfig, mask_sc_tc, mask_sr_tc, ring_communities
 from .metrics import crps_masked, point_metrics
 from .neural import NeuralDenoiser
-from .sampler import emit_trace, impute
+from .sampler import cluster_count, emit_trace, impute
 from .training import finetune_conditional, train_unconditional
-from .world import observations_from_mask
 
 __all__ = ["main"]
 
@@ -192,15 +191,10 @@ def cmd_finetune_cond(args) -> int:
     return _train(args, "cond", partial(finetune_conditional, backend), (mean, std))
 
 
-def _oracle(world, sched, values, mask) -> OracleBackend:
-    """The oracle backend of ``world`` conditioned on the observed cells of
-    ``values``."""
-    return OracleBackend(world.observe(*observations_from_mask(values, mask)), sched)
-
-
-def _impute_backends(args, values, mask, sched, gcfg):
+def _impute_backends(args, values, sched, gcfg):
     """(backend_cond, backend_uncond, mean, std) from --oracle or the
-    checkpoint pair; the oracle works in data units."""
+    checkpoint pair, each checked against the shape of the grid ``values``;
+    the oracle works in data units."""
     if args.oracle:
         if args.checkpoint_cond or args.checkpoint_uncond:
             raise ConfigError("--oracle and checkpoints are mutually exclusive")
@@ -210,7 +204,7 @@ def _impute_backends(args, values, mask, sched, gcfg):
         if values.shape != shape:
             raise InvalidInputError(
                 f"grid shape {values.shape} does not match the oracle spec's {shape}")
-        oracle = _oracle(load_world_spec(spec), sched, values, mask)
+        oracle = OracleBackend(load_world_spec(spec), sched)
         return oracle, oracle, 0.0, 1.0
     if not args.checkpoint_uncond:
         raise ConfigError("need --checkpoint-uncond (or --oracle)")
@@ -224,6 +218,12 @@ def _impute_backends(args, values, mask, sched, gcfg):
         backend = None
     else:
         raise ConfigError(f"mode {args.mode!r} needs --checkpoint-cond")
+    # the network is built for any window length but not for any node count
+    for path, model in ((args.checkpoint_uncond, backend_uncond),
+                        (args.checkpoint_cond, backend)):
+        if model is not None and model.cfg.n_nodes != len(values):
+            raise InvalidInputError(f"{path} was built for {model.cfg.n_nodes} nodes,"
+                                    f" the grid has {len(values)}")
     return backend, backend_uncond, mean, std
 
 
@@ -243,7 +243,7 @@ def cmd_impute(args) -> int:
     sched = schedule_from(cfg)
     gcfg, n_clusters = guidance_from(cfg)
     values, mask = _load_masked(args.grid, args.mask)
-    backends = _impute_backends(args, values, mask, sched, gcfg)
+    backends = _impute_backends(args, values, sched, gcfg)
     result = _impute_in_data_units(backends, values, mask, sched, gcfg, n_clusters,
                                    n_samples=args.samples, seed=args.seed,
                                    anchoring=args.anchoring)
@@ -312,13 +312,13 @@ def cmd_evaluate(args) -> int:
 
 # -- full pipeline ------------------------------------------------------------
 
-def _pipeline_backends(cfg, world, sched, truth_values, mask, rng):
+def _pipeline_backends(cfg, world, sched, rng):
     """Returns (backend_cond, backend_uncond, mean, std) for the run command.
 
     The neural backend trains on a series drawn from ``rng``, the stream the
     truth was drawn from, after the truth, so it never trains on the truth."""
     if cfg["experiment"]["backend"] == "oracle":
-        oracle = _oracle(world, sched, truth_values, mask)
+        oracle = OracleBackend(world, sched)
         return oracle, oracle, 0.0, 1.0
 
     # both stages' settings are checked before either stage trains; stage 2
@@ -348,6 +348,8 @@ def cmd_run(args) -> int:
     world = world_from(cfg)
     sched = schedule_from(cfg)
     gcfg, n_clusters = guidance_from(cfg)
+    # checked before training, as impute would check it after
+    n_clusters = cluster_count(n_clusters, world.n_nodes)
 
     rng = np.random.Generator(np.random.Philox(key=world.seed))
     truth = world.sample_clean(rng)
@@ -357,7 +359,7 @@ def cmd_run(args) -> int:
         # checked before training: there would be nothing to impute or score
         raise ConfigError(f"the mask drawn with [mask] seed = {m['seed']} and"
                           f" alpha = {m['alpha']} hides no cell; change either")
-    backends = _pipeline_backends(cfg, world, sched, truth, mask, rng)
+    backends = _pipeline_backends(cfg, world, sched, rng)
     # trajectory i depends only on (seed, i): the point-metric and the CRPS
     # ensembles are both prefixes of one run
     result = _impute_in_data_units(backends, truth, mask, sched, gcfg, n_clusters,

@@ -28,7 +28,7 @@ from .grid import MaskMatrix, TrafficGrid, save_grid_csv
 from .guidance import (GuidanceConfig, calibrated_constants, combine_scores,
                        guidance_gradient_norm, posterior_update)
 
-__all__ = ["ImputationResult", "impute", "emit_trace"]
+__all__ = ["ImputationResult", "cluster_count", "impute", "emit_trace"]
 
 ANCHORING_MODES = ("free", "clamp")
 # seeds key Philox streams: [0, 2**64) keeps the per-step k-means key
@@ -92,6 +92,16 @@ def _step_labels(attn: np.ndarray | None, n_samples: int, n_nodes: int,
     return np.broadcast_to(np.stack(labels), (n_samples, n_nodes))
 
 
+def cluster_count(n_clusters: int | None, n_nodes: int) -> int:
+    """The k-means cluster count of an n_nodes grid: n_clusters, or the
+    default when it is None; InvalidInputError outside [1, n_nodes]."""
+    if n_clusters is None:
+        n_clusters = default_cluster_count(n_nodes)
+    if not (1 <= n_clusters <= n_nodes):
+        raise InvalidInputError(f"n_clusters must lie in [1, {n_nodes}], got {n_clusters}")
+    return n_clusters
+
+
 def _predict(backend: DenoiserBackend, x, k, ctx):
     try:
         return backend.predict(x, k, ctx)
@@ -123,12 +133,8 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
     if gcfg.mode != "none" and backend is None:
         raise InvalidInputError(f"mode {gcfg.mode!r} needs a conditional backend")
     s, (n, t), n_steps = n_samples, values.shape, sched.n_steps
-    if n_clusters is None:
-        n_clusters = default_cluster_count(n)
-    if not (1 <= n_clusters <= n):
-        raise InvalidInputError(f"n_clusters must lie in [1, {n}], got {n_clusters}")
     # the global and per-node scopes are the one- and N-cluster partitions
-    n_clusters = {"global": 1, "per_node": n}.get(gcfg.scope, n_clusters)
+    n_clusters = {"global": 1, "per_node": n}.get(gcfg.scope, cluster_count(n_clusters, n))
     delta, tau = calibrated_constants(gcfg, sched) if gcfg.mode == "fence" else (0.0, 0.0)
     # masked values must not leak into conditioning
     masked_values = values * (entries == 1)

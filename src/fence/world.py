@@ -224,20 +224,20 @@ class GaussianOracleWorld:
 
     # -- noised marginals ----------------------------------------------------
 
-    def _coords(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
-                conditional: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _coords(self, x_k: np.ndarray, k: int,
+                sched: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
         """(z, v): the residuals x - sqrt(abar) m' of the grids in x_k (one
         row each) in the eigenbasis of the clean law, and their step-k
         variances abar w + 1 - abar.
 
         Every noised marginal abar Sigma' + (1-abar) I has the eigenvectors of
-        Sigma', so one decomposition per law serves every step. Conditional
-        coordinates list the observed cells (w = 0) before the hidden block's
-        eigenbasis.
+        Sigma', so one decomposition per law serves every step. A world with
+        observations lists the observed cells (w = 0) before the hidden
+        block's eigenbasis; one without uses the prior's Kronecker basis.
         """
         abar = sched.alpha_bar_at(k)
         x = np.asarray(x_k, dtype=np.float64).reshape(-1, self.dim)
-        if conditional and self.observed_idx:
+        if self.observed_idx:
             mean, obs, hid, _ = self._schur
             w, u = self._hidden_eigen
             r = x - math.sqrt(abar) * mean
@@ -250,16 +250,16 @@ class GaussianOracleWorld:
             w = np.outer(w_s, w_t).reshape(self.dim)
         return z, abar * w + (1.0 - abar)
 
-    def score(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
-              conditional: bool = False) -> np.ndarray:
-        """Exact gradient of log p_k at x_k, in the shape of x_k.
+    def score(self, x_k: np.ndarray, k: int, sched: NoiseSchedule) -> np.ndarray:
+        """Exact gradient of log p_k at x_k under this world's own law: the
+        conditional law given its observations, the prior when it has none.
 
         x_k is one flat NT vector or a (B, NT) stack of them. On an observed
-        cell the conditional score is -(x_o - sqrt(abar) v_o) / (1 - abar).
+        cell the score is -(x_o - sqrt(abar) v_o) / (1 - abar).
         """
-        z, v = self._coords(x_k, k, sched, conditional)
+        z, v = self._coords(x_k, k, sched)
         y = z / v
-        if conditional and self.observed_idx:
+        if self.observed_idx:
             _, obs, hid, _ = self._schur
             out = np.empty_like(y)
             out[:, obs] = y[:, :obs.size]
@@ -269,9 +269,8 @@ class GaussianOracleWorld:
             out = u_s @ y.reshape(-1, self.n_nodes, self.n_steps) @ u_t.T
         return -out.reshape(np.shape(x_k))
 
-    def marginal_logpdf(self, x_k: np.ndarray, k: int, sched: NoiseSchedule,
-                        conditional: bool = False) -> float:
-        z, v = self._coords(x_k, k, sched, conditional)
+    def marginal_logpdf(self, x_k: np.ndarray, k: int, sched: NoiseSchedule) -> float:
+        z, v = self._coords(x_k, k, sched)
         z = z.reshape(self.dim)
         quad = float(z @ (z / v))
         logdet = float(np.sum(np.log(v)))

@@ -163,7 +163,7 @@ def test_criterion_04_hidden_node_sampling_matches_schur_moments():
     idx, vals = observations_from_mask(truth, mask)
     observed_world = world.observe(idx, vals)
     sched = quadratic_schedule(50, variance_mode="beta")
-    backend = OracleBackend(observed_world, sched)
+    backend = OracleBackend(world, sched)
     result = impute(backend, backend, TrafficGrid(truth * mask), MaskMatrix(mask),
                     sched, GuidanceConfig(mode="cfg", fixed_lambda=1.0),
                     n_samples=500, seed=0)
@@ -188,9 +188,8 @@ def test_criterion_05_mode_identities():
     mask = np.ones((6, 12), dtype=np.int64)
     mask[0, :] = 0
     mask[3, 4:] = 0
-    idx, vals = observations_from_mask(truth, mask)
     sched = quadratic_schedule(50)
-    backend = OracleBackend(world.observe(idx, vals), sched)
+    backend = OracleBackend(world, sched)
     observed, m = TrafficGrid(truth * mask), MaskMatrix(mask)
 
     def run(gcfg, n_clusters=None):
@@ -342,8 +341,7 @@ def test_criterion_11_feedback_vs_fixed_scale_report():
     for seed in range(20):
         truth = world.sample_clean(
             np.random.Generator(np.random.Philox(key=1000 + seed)))
-        idx, vals = observations_from_mask(truth, mask)
-        oracle = OracleBackend(world.observe(idx, vals), sched)
+        oracle = OracleBackend(world, sched)
         contaminated = ContaminatedBackend(oracle, 0.5)
         observed = TrafficGrid(truth * mask)
         for gcfg, bucket in (

@@ -411,8 +411,8 @@ def test_impute_oracle_end_to_end(tmp_path):
     np.testing.assert_array_equal(sample, values)
 
 
-def _save_neural_checkpoint(path, mean, std, seed=0):
-    state = NeuralDenoiser(NetConfig(n_nodes=3, d_model=8, n_layers=1, n_heads=2),
+def _save_neural_checkpoint(path, mean, std, seed=0, nodes=3):
+    state = NeuralDenoiser(NetConfig(n_nodes=nodes, d_model=8, n_layers=1, n_heads=2),
                            seed=seed).state_dict()
     save_checkpoint(path, {**state, "norm/mean": np.float64(mean),
                            "norm/std": np.float64(std)})
@@ -448,6 +448,26 @@ def test_checkpoint_pair_with_different_normalizations_exits_3(tmp_path, capsys)
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert str(uncond) in err and str(cond) in err and "norm/mean" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("uncond_nodes, cond_nodes", [(3, 3), (5, 3)])
+def test_checkpoints_for_another_node_count_exit_2_before_sampling(
+        tmp_path, capsys, monkeypatch, uncond_nodes, cond_nodes):
+    monkeypatch.setattr("fence.cli.impute", lambda *a, **k: pytest.fail("sampling started"))
+    grid = tmp_path / "grid.csv"
+    save_grid_csv(grid, np.zeros((5, 4)))
+    uncond, cond = tmp_path / "uncond.fence", tmp_path / "cond.fence"
+    _save_neural_checkpoint(uncond, 0.0, 1.0, nodes=uncond_nodes)
+    _save_neural_checkpoint(cond, 0.0, 1.0, seed=1, nodes=cond_nodes)
+    out = tmp_path / "out.csv"
+    assert main(["impute", "--grid", str(grid), "--steps", "6",
+                 "--checkpoint-uncond", str(uncond), "--checkpoint-cond", str(cond),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    named = uncond if uncond_nodes != 5 else cond
+    assert f"{named} was built for 3 nodes, the grid has 5" in err
+    assert "reverse step" not in err
     assert not out.exists()
 
 
@@ -704,6 +724,19 @@ def test_unrunnable_neural_values_exit_2_before_training(tmp_path, capsys, monke
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     key = line.split(" = ")[0].removesuffix("_uncond").removesuffix("_cond")
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "o" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("clusters", ["0", "7"])
+def test_run_rejects_a_cluster_count_beyond_the_nodes_before_training(
+        tmp_path, capsys, monkeypatch, clusters):
+    monkeypatch.setattr("fence.cli.train_unconditional",
+                        lambda *a, **k: pytest.fail("stage 1 started"))
+    cfg = tmp_path / "clusters.cfg"
+    cfg.write_text("[experiment]\nbackend = neural\n\n[world]\nnodes = 3\n\n"
+                   f"[guidance]\nclusters = {clusters}\n")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert f"n_clusters must lie in [1, 3], got {clusters}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 

@@ -111,19 +111,34 @@ def test_conditional_moments_match_scipy_regression():
     np.testing.assert_allclose(cov_c[np.ix_(hid, hid)], expect_cov, atol=1e-12)
 
 
-def _marginal_moments(world, k, sched, conditional=False):
+def _law(world):
+    """Dense (mean, covariance) of the world's own law: kron(K_s, K_t) for a
+    world with no observations, the full Schur Sigma_c otherwise."""
+    if world.observed_idx:
+        return world.conditional_moments()
+    return world.mean, np.kron(world.spatial, world.temporal)
+
+
+def _marginal_moments(world, k, sched):
     """Dense (mean, covariance) of x_k ~ N(sqrt(abar) m', abar Sigma' + (1-abar) I),
     the reference for score and marginal_logpdf."""
     abar = sched.alpha_bar_at(k)
-    m, s = world.conditional_moments() if conditional else (
-        world.mean, np.kron(world.spatial, world.temporal))
+    m, s = _law(world)
     return math.sqrt(abar) * m, abar * s + (1.0 - abar) * np.eye(world.dim)
+
+
+def _context(world, idx, vals):
+    """The conditional context whose observed cells are world.observe(idx, vals)'s."""
+    values, mask = np.zeros(world.dim), np.zeros(world.dim, dtype=np.int64)
+    values[idx], mask[idx] = vals, 1
+    shape = (world.n_nodes, world.n_steps)
+    return conditional_context(values.reshape(shape), mask.reshape(shape))
 
 
 def test_marginal_moments_interpolate_to_prior():
     world = make_gaussian_world(2, 2, 0.3, 0.5)
     sched = quadratic_schedule(50)
-    mean_k, cov_k = _marginal_moments(world, 50, sched, conditional=False)
+    mean_k, cov_k = _marginal_moments(world, 50, sched)
     abar = sched.alpha_bar_at(50)
     prior = np.kron(world.spatial, world.temporal)
     np.testing.assert_allclose(cov_k, abar * prior + (1 - abar) * np.eye(4), atol=1e-15)
@@ -131,18 +146,18 @@ def test_marginal_moments_interpolate_to_prior():
 
 
 def test_score_matches_finite_differences():
-    world = make_gaussian_world(2, 3, 0.5, 0.7).observe([0, 3], [1.0, -0.5])
+    prior = make_gaussian_world(2, 3, 0.5, 0.7)
     sched = quadratic_schedule(50)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(6)
-    for conditional in (False, True):
-        score = world.score(x, 10, sched, conditional)
+    for world in (prior, prior.observe([0, 3], [1.0, -0.5])):
+        score = world.score(x, 10, sched)
         h = 1e-6
         for i in range(6):
             xp = x.copy(); xp[i] += h
             xm = x.copy(); xm[i] -= h
-            fd = (world.marginal_logpdf(xp, 10, sched, conditional)
-                  - world.marginal_logpdf(xm, 10, sched, conditional)) / (2 * h)
+            fd = (world.marginal_logpdf(xp, 10, sched)
+                  - world.marginal_logpdf(xm, 10, sched)) / (2 * h)
             assert score[i] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
@@ -152,9 +167,9 @@ def test_marginal_logpdf_matches_scipy():
     rng = np.random.default_rng(6)
     x = rng.standard_normal(4)
     k = 17
-    mean_k, cov_k = _marginal_moments(world, k, sched, conditional=False)
+    mean_k, cov_k = _marginal_moments(world, k, sched)
     expect = stats.multivariate_normal(mean_k, cov_k).logpdf(x)
-    assert world.marginal_logpdf(x, k, sched, False) == pytest.approx(expect, rel=1e-12)
+    assert world.marginal_logpdf(x, k, sched) == pytest.approx(expect, rel=1e-12)
 
 
 def test_scores_match_dense_cholesky_reference():
@@ -166,9 +181,8 @@ def test_scores_match_dense_cholesky_reference():
     observed = world.observe(obs, rng.standard_normal(obs.size))
     sched = quadratic_schedule(50)
     x = rng.standard_normal(world.dim)
-    laws = {False: (world.mean, np.kron(world.spatial, world.temporal)),
-            True: observed.conditional_moments()}
-    for conditional, (m, s) in laws.items():
+    for law in (world, observed):
+        m, s = _law(law)
         ref_score, ref_logpdf, score, logpdf = [], [], [], []
         for k in range(1, 51):
             abar = sched.alpha_bar_at(k)
@@ -178,8 +192,8 @@ def test_scores_match_dense_cholesky_reference():
             logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
             ref_logpdf.append(-0.5 * (resid @ cho_solve(factor, resid) + logdet
                                       + world.dim * math.log(2 * math.pi)))
-            score.append(observed.score(x, k, sched, conditional))
-            logpdf.append(observed.marginal_logpdf(x, k, sched, conditional))
+            score.append(law.score(x, k, sched))
+            logpdf.append(law.marginal_logpdf(x, k, sched))
         for got, ref in ((score, ref_score), (logpdf, ref_logpdf)):
             ref = np.asarray(ref)
             assert np.abs(np.asarray(got) - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -192,13 +206,12 @@ def test_oracle_cache_does_not_grow_with_step_count():
         truth = world.sample_clean(np.random.Generator(np.random.Philox(key=2)))
         mask = np.ones((4, 3), dtype=np.int64)
         mask[0] = 0
-        idx = np.flatnonzero(mask.reshape(-1) == 1)
-        observed = world.observe(idx, truth.reshape(-1)[idx])
         sched = quadratic_schedule(n_steps)
-        backend = OracleBackend(observed, sched)
+        backend = OracleBackend(world, sched)
         impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
                GuidanceConfig(), n_samples=2, seed=4)
-        return sum(a.size >= world.dim ** 2 for a in _arrays(observed))
+        # the world the backend conditioned on the context
+        return sum(a.size >= world.dim ** 2 for a in _arrays(backend._last[1]))
 
     assert dense_arrays_after_impute(10) == dense_arrays_after_impute(50)
 
@@ -321,8 +334,7 @@ def test_an_observed_world_holds_no_array_of_the_whole_prior():
     world = make_gaussian_world(4, 5, 0.6, 0.7).observe([3], [0.5])
     sched = quadratic_schedule(10)
     x = np.random.default_rng(19).standard_normal((2, world.dim))
-    for conditional in (False, True):
-        world.score(x, 4, sched, conditional)
+    world.score(x, 4, sched)
     node_affinity(world, 4, sched)
     world.sample_clean(np.random.default_rng(20))
     assert world.__dict__.keys() >= {"_schur", "_hidden_eigen", "affinity_terms"}
@@ -347,7 +359,7 @@ def test_cho_factor_runs_once_per_observed_world_and_never_to_draw(monkeypatch):
     assert shapes == []
     for observed in (world.observe([0, 7], [1.0, -1.0]), world.observe([2], [0.3])):
         for k in (1, 4):
-            observed.score(x, k, sched, conditional=True)
+            observed.score(x, k, sched)
             node_affinity(observed, k, sched)
         observed.conditional_moments()
         observed.sample_clean(np.random.default_rng(22))
@@ -399,18 +411,19 @@ def test_conditioning_context_invariants():
 
 
 def test_oracle_backend_returns_noise_scaled_score():
-    world = make_gaussian_world(2, 3, 0.5, 0.5).observe([0], [1.0])
+    prior = make_gaussian_world(2, 3, 0.5, 0.5)
+    world = prior.observe([0], [1.0])
     sched = quadratic_schedule(50)
-    backend = OracleBackend(world, sched)
+    backend = OracleBackend(prior, sched)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((1, 2, 3))
     k = 12
-    eps_c, attn = backend.predict(x, k, conditional_context(np.ones((2, 3)), np.ones((2, 3))))
-    score = world.score(x.reshape(-1), k, sched, conditional=True)
+    eps_c, attn = backend.predict(x, k, _context(prior, [0], [1.0]))
+    score = world.score(x.reshape(-1), k, sched)
     np.testing.assert_allclose(
         eps_c, noise_from_score(score.reshape(1, 2, 3), k, sched), atol=1e-14)
     eps_u, _ = backend.predict(x, k, unconditional_context(2, 3))
-    score_u = world.score(x.reshape(-1), k, sched, conditional=False)
+    score_u = prior.score(x.reshape(-1), k, sched)
     np.testing.assert_allclose(
         eps_u, noise_from_score(score_u.reshape(1, 2, 3), k, sched), atol=1e-14)
     assert attn.shape == (2, 2)  # one matrix shared by every row
@@ -419,6 +432,85 @@ def test_oracle_backend_returns_noise_scaled_score():
         backend.predict(np.zeros((1, 3, 2)), k, unconditional_context(3, 2))
     with pytest.raises(InvalidInputError):
         backend.predict(np.zeros((2, 3)), k, unconditional_context(2, 3))  # no batch axis
+
+
+def _eps(world, x, k, sched):
+    """The exact noise prediction of the world's own law for the batch x."""
+    score = world.score(x.reshape(len(x), -1), k, sched)
+    return noise_from_score(score.reshape(x.shape), k, sched)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), t=st.integers(1, 5), rho_s=st.floats(-0.45, 0.95),
+       rho_t=st.floats(-0.95, 0.95), observed=st.sampled_from(["none", "random", "all"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_oracle_backend_conditions_on_the_context_it_is_given(n, t, rho_s, rho_t,
+                                                              observed, seed):
+    rng = np.random.default_rng(seed)
+    world = make_gaussian_world(n, t, rho_s, rho_t, mean=float(rng.normal()))
+    values = 2.0 * rng.standard_normal((n, t))
+    mask = {"none": np.zeros((n, t)), "random": rng.integers(0, 2, (n, t)),
+            "all": np.ones((n, t))}[observed].astype(np.int64)
+    sched = quadratic_schedule(10)
+    backend = OracleBackend(world, sched)
+    conditioned = world.observe(*observations_from_mask(values, mask))
+    x = 2.0 * rng.standard_normal((3, n, t))
+    for k in (10, 5, 1):
+        eps, attn = backend.predict(x, k, conditional_context(values, mask))
+        np.testing.assert_allclose(eps, _eps(conditioned, x, k, sched), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(attn, node_affinity(conditioned, k, sched),
+                                   rtol=0, atol=1e-12)
+        eps_u, attn_u = backend.predict(x, k, unconditional_context(n, t))
+        np.testing.assert_allclose(eps_u, _eps(world, x, k, sched), rtol=0, atol=1e-12)
+        assert attn_u is None
+
+
+def test_one_oracle_backend_gives_each_context_its_own_law():
+    world = make_gaussian_world(3, 4, 0.6, 0.7, mean=0.3)
+    sched = quadratic_schedule(20)
+    backend = OracleBackend(world, sched)
+    x = np.random.default_rng(24).standard_normal((2, 3, 4))
+    laws = [([0, 5], [1.0, -0.5]), ([3, 4, 11], [0.2, 0.3, -1.0])]
+    contexts = [_context(world, idx, vals) for idx, vals in laws]
+    for k in (20, 19, 18):
+        for ctx, (idx, vals) in zip(contexts, laws):
+            conditioned = world.observe(idx, vals)
+            eps, attn = backend.predict(x, k, ctx)
+            np.testing.assert_allclose(eps, _eps(conditioned, x, k, sched),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(attn, node_affinity(conditioned, k, sched),
+                                       rtol=0, atol=1e-12)
+
+
+def test_oracle_backend_rejects_an_observed_world_and_a_context_of_another_shape():
+    world = make_gaussian_world(2, 3, 0.5, 0.5)
+    sched = quadratic_schedule(10)
+    with pytest.raises(InvalidInputError, match="unobserved world"):
+        OracleBackend(world.observe([0], [1.0]), sched)
+    backend = OracleBackend(world.observe([], []), sched)  # nothing observed: the prior
+    with pytest.raises(InvalidInputError, match="context"):
+        backend.predict(np.zeros((1, 2, 3)), 4, conditional_context(np.ones((3, 2)),
+                                                                    np.ones((3, 2))))
+
+
+def test_oracle_impute_conditions_the_world_once(monkeypatch):
+    observed = []
+    real = GaussianOracleWorld.observe
+
+    def counted(self, indices, values):
+        observed.append(len(indices))
+        return real(self, indices, values)
+
+    monkeypatch.setattr(GaussianOracleWorld, "observe", counted)
+    world = make_gaussian_world(4, 5, 0.6, 0.7)
+    truth = world.sample_clean(np.random.Generator(np.random.Philox(key=3)))
+    mask = np.ones((4, 5), dtype=np.int64)
+    mask[1, 2:] = 0
+    sched = quadratic_schedule(20)
+    backend = OracleBackend(world, sched)
+    impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
+           GuidanceConfig(mode="fence"), n_clusters=2, n_samples=3, seed=5)
+    assert observed == [17]
 
 
 def test_node_affinity_is_row_stochastic():
@@ -432,7 +524,7 @@ def test_node_affinity_is_row_stochastic():
 
 def _dense_node_affinity(world, k, sched):
     # the former formula, from the dense step-k marginal covariance
-    _, cov_k = _marginal_moments(world, k, sched, conditional=True)
+    _, cov_k = _marginal_moments(world, k, sched)
     std = np.sqrt(np.diag(cov_k))
     corr = np.abs(cov_k / np.outer(std, std))
     n, t = world.n_nodes, world.n_steps
@@ -454,13 +546,10 @@ def test_node_affinity_matches_the_dense_formula():
                                        _dense_node_affinity(w, k, sched), rtol=0, atol=1e-13)
 
 
-def _dense_score_and_logpdf(world, x, k, sched, conditional):
+def _dense_score_and_logpdf(world, x, k, sched):
     """The former dense path: one eigh of the whole (NT, NT) covariance of the
-    law, kron(K_s, K_t) for the prior and the full Schur Sigma_c otherwise."""
-    if conditional:
-        m, s = world.conditional_moments()
-    else:
-        m, s = world.mean, np.kron(world.spatial, world.temporal)
+    world's own law."""
+    m, s = _law(world)
     w, u = eigh(s)
     abar = sched.alpha_bar_at(k)
     v = abar * w + (1.0 - abar)
@@ -482,19 +571,19 @@ def _close(got, ref, rel=1e-10):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_factored_oracle_matches_the_dense_reference(n, t, rho_s, rho_t, observed, seed):
     rng = np.random.default_rng(seed)
-    world = make_gaussian_world(n, t, rho_s, rho_t, mean=float(rng.normal()))
-    count = {"none": 0, "random": int(rng.integers(0, world.dim)),
-             "all but one": world.dim - 1}[observed]
-    idx = rng.choice(world.dim, size=count, replace=False)
-    world = world.observe(idx, rng.standard_normal(count))
+    prior = make_gaussian_world(n, t, rho_s, rho_t, mean=float(rng.normal()))
+    count = {"none": 0, "random": int(rng.integers(0, prior.dim)),
+             "all but one": prior.dim - 1}[observed]
+    idx = rng.choice(prior.dim, size=count, replace=False)
+    world = prior.observe(idx, rng.standard_normal(count))
     sched = quadratic_schedule(20)
     x = 2.0 * rng.standard_normal((3, world.dim))
     for k in (1, 10, 20):
-        for conditional in (False, True):
-            ref_score, ref_logpdf = _dense_score_and_logpdf(world, x, k, sched, conditional)
-            assert _close(world.score(x, k, sched, conditional), ref_score)
-            assert _close(world.score(x[0], k, sched, conditional), ref_score[0])
-            assert _close(world.marginal_logpdf(x[0], k, sched, conditional), ref_logpdf[0])
+        for law in (prior, world):
+            ref_score, ref_logpdf = _dense_score_and_logpdf(law, x, k, sched)
+            assert _close(law.score(x, k, sched), ref_score)
+            assert _close(law.score(x[0], k, sched), ref_score[0])
+            assert _close(law.marginal_logpdf(x[0], k, sched), ref_logpdf[0])
         assert _close(node_affinity(world, k, sched), _dense_node_affinity(world, k, sched))
 
 
@@ -506,12 +595,12 @@ def test_fully_observed_world_still_runs():
     x = np.random.default_rng(17).standard_normal((2, world.dim))
     for k in (1, 8):
         abar = sched.alpha_bar_at(k)
-        np.testing.assert_allclose(observed.score(x, k, sched, conditional=True),
+        np.testing.assert_allclose(observed.score(x, k, sched),
                                    -(x - math.sqrt(abar) * values.reshape(-1)) / (1 - abar),
                                    rtol=1e-14)
-        assert math.isfinite(observed.marginal_logpdf(x[0], k, sched, conditional=True))
+        assert math.isfinite(observed.marginal_logpdf(x[0], k, sched))
         np.testing.assert_array_equal(node_affinity(observed, k, sched), np.eye(3))
-    backend = OracleBackend(observed, sched)
+    backend = OracleBackend(world, sched)
     result = impute(backend, backend, TrafficGrid(values), MaskMatrix(np.ones((3, 4))), sched,
                     GuidanceConfig(mode="fence"), n_clusters=2, n_samples=2, seed=3)
     assert np.isfinite(result.samples).all()
@@ -539,7 +628,7 @@ def test_imputing_decomposes_nothing_larger_than_the_hidden_block(monkeypatch):
     observed = world.observe(idx, vals)
     assert all(shape[0] < world.dim for shape in cholesky)
     sched = quadratic_schedule(5)
-    backend = OracleBackend(observed, sched)
+    backend = OracleBackend(world, sched)
     impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
            GuidanceConfig(mode="fence"), n_clusters=3, n_samples=2, seed=6)
     assert max(shape[0] for shape in eighs) == hidden
@@ -548,11 +637,11 @@ def test_imputing_decomposes_nothing_larger_than_the_hidden_block(monkeypatch):
 
 
 def test_batched_oracle_predict_matches_single_rows():
-    world = make_gaussian_world(5, 6, 0.6, 0.7).observe([0, 7, 13], [1.0, -0.5, 0.2])
+    world = make_gaussian_world(5, 6, 0.6, 0.7)
     sched = quadratic_schedule(50)
     backend = OracleBackend(world, sched)
     x = np.random.default_rng(15).standard_normal((7, 5, 6))
-    for ctx in (conditional_context(np.ones((5, 6)), np.ones((5, 6))),
+    for ctx in (_context(world, [0, 7, 13], [1.0, -0.5, 0.2]),
                 unconditional_context(5, 6)):
         for k in (1, 23, 50):
             eps, attn = backend.predict(x, k, ctx)
@@ -586,9 +675,8 @@ def test_oracle_impute_builds_one_affinity_per_step(monkeypatch):
     truth = world.sample_clean(np.random.Generator(np.random.Philox(key=3)))
     mask = np.ones((4, 5), dtype=np.int64)
     mask[1, 2:] = 0
-    idx, vals = observations_from_mask(truth, mask)
     sched = quadratic_schedule(20)
-    backend = OracleBackend(world.observe(idx, vals), sched)
+    backend = OracleBackend(world, sched)
     impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
            GuidanceConfig(mode="fence"), n_clusters=2, n_samples=3, seed=5)
     assert steps == list(range(20, 0, -1))
@@ -610,9 +698,8 @@ def test_oracle_impute_runs_one_kmeans_per_step(monkeypatch):
     truth = world.sample_clean(np.random.Generator(np.random.Philox(key=3)))
     mask = np.ones((4, 5), dtype=np.int64)
     mask[1, 2:] = 0
-    idx, vals = observations_from_mask(truth, mask)
     sched = quadratic_schedule(20)
-    backend = OracleBackend(world.observe(idx, vals), sched)
+    backend = OracleBackend(world, sched)
     result = impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
                     GuidanceConfig(mode="fence"), n_clusters=2, n_samples=5, seed=5)
     assert seeds == [(5 << 32) + k for k in range(20, 0, -1)]
@@ -620,13 +707,13 @@ def test_oracle_impute_runs_one_kmeans_per_step(monkeypatch):
 
 
 def test_contaminated_backend_blends_predictions():
-    world = make_gaussian_world(2, 2, 0.5, 0.5).observe([0], [1.0])
+    world = make_gaussian_world(2, 2, 0.5, 0.5)
     sched = quadratic_schedule(50)
     inner = OracleBackend(world, sched)
     tainted = ContaminatedBackend(inner, pi_true=0.3)
     rng = np.random.default_rng(10)
     x = rng.standard_normal((3, 2, 2))
-    ctx = conditional_context(np.ones((2, 2)), np.ones((2, 2)))
+    ctx = _context(world, [0], [1.0])
     eps_t, _ = tainted.predict(x, 5, ctx)
     eps_c, _ = inner.predict(x, 5, ctx)
     eps_u, _ = inner.predict(x, 5, unconditional_context(2, 2))

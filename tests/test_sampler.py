@@ -31,10 +31,8 @@ def oracle_setup(n=4, t=3, hidden_node=0, seed=1):
     truth = world.sample_clean(rng)
     mask = np.ones((n, t), dtype=np.int64)
     mask[hidden_node, :] = 0
-    idx = np.flatnonzero(mask.reshape(-1) == 1)
-    observed_world = world.observe(idx, truth.reshape(-1)[idx])
     sched = quadratic_schedule(50)
-    backend = OracleBackend(observed_world, sched)
+    backend = OracleBackend(world, sched)
     return backend, TrafficGrid(truth), MaskMatrix(mask), sched
 
 

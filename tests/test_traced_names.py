@@ -21,7 +21,7 @@ import numpy as np
 import fence.cli
 import spans
 from fence import (GuidanceConfig, MaskMatrix, OracleBackend, TrafficGrid,
-                   make_gaussian_world, observations_from_mask, quadratic_schedule)
+                   make_gaussian_world, quadratic_schedule)
 from fence import sampler
 
 rec = spans.Recorder()
@@ -31,13 +31,15 @@ truth = world.sample_clean(np.random.default_rng(1))
 mask = np.ones((4, 3), dtype=np.int64)
 mask[0] = 0
 sched = quadratic_schedule(5)
-backend = OracleBackend(world.observe(*observations_from_mask(truth, mask)), sched)
+backend = OracleBackend(world, sched)
 sampler.impute(backend, backend, TrafficGrid(truth * mask), MaskMatrix(mask), sched,
                GuidanceConfig(mode="fence"), n_clusters=2, n_samples=2, seed=3)
 metrics = rec.metrics()
 print(json.dumps({"missing": missing, "lost": sorted(rec.lost),
                   "updates": metrics["guidance.posterior_update.calls"],
-                  "scales": metrics["clustering.scales.calls"]}))
+                  "scales": metrics["clustering.scales.calls"],
+                  "predict_cond": metrics["backends.predict_cond.calls"],
+                  "predict_uncond": metrics["backends.predict_uncond.calls"]}))
 """
 
 
@@ -77,8 +79,11 @@ def _traced(script: str) -> dict:
 
 def test_perfbench_traces_every_layer_of_a_fence_impute():
     steps = 5
+    # spans._by_context names each predict by the context's is_unconditional:
+    # one conditional and one unconditional call per step
     assert _traced(TRACED_IMPUTE) == {"missing": [], "lost": [], "updates": steps - 1,
-                                      "scales": steps}
+                                      "scales": steps, "predict_cond": steps,
+                                      "predict_uncond": steps}
 
 
 def test_perfbench_traces_a_neural_training_step():

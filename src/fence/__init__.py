@@ -3,8 +3,7 @@ imputation of spatial-temporal grids, with an exactly-verifiable Gaussian
 oracle backend and a small trainable denoiser."""
 
 from .backends import (ConditioningContext, ContaminatedBackend, DenoiserBackend,
-                       OracleBackend, conditional_context, node_affinity,
-                       unconditional_context)
+                       OracleBackend, node_affinity, unconditional_context)
 from .clustering import cluster_scales, default_cluster_count, kmeans
 from .diffusion import (NoiseSchedule, noise_from_score, q_sample,
                         quadratic_schedule, reverse_mean, reverse_step,
@@ -33,8 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditioningContext", "ContaminatedBackend", "DenoiserBackend",
-    "OracleBackend", "conditional_context", "node_affinity",
-    "unconditional_context",
+    "OracleBackend", "node_affinity", "unconditional_context",
     "cluster_scales", "default_cluster_count", "kmeans",
     "NoiseSchedule", "noise_from_score", "q_sample", "quadratic_schedule",
     "reverse_mean", "reverse_step", "sincos_embedding",

@@ -23,7 +23,6 @@ from .world import GaussianOracleWorld, observations_from_mask
 
 __all__ = [
     "ConditioningContext",
-    "conditional_context",
     "unconditional_context",
     "DenoiserBackend",
     "OracleBackend",
@@ -37,7 +36,10 @@ class ConditioningContext:
     """What the denoiser may look at besides the noisy sample itself.
 
     ``observed`` and ``mask`` are (N, T), or (B, N, T) with one context per
-    batch row; only training builds the stacked form.
+    batch row; only training builds the stacked form. The context keeps its
+    own read-only copies: ``observed`` is ``values * (mask == 1)``, so a
+    value under mask 0 never reaches a backend, and ``mask`` is the float64
+    0/1 array the network reads. The caller's arrays are left as they were.
     """
 
     observed: np.ndarray
@@ -54,27 +56,18 @@ class ConditioningContext:
             )
         if not np.isin(mask, (0, 1)).all():
             raise InvalidInputError("mask entries must be 0 or 1")
-        if self.is_unconditional and (np.any(obs != 0.0) or np.any(mask != 0)):
-            raise InvalidInputError(
-                "unconditional context must carry zero observations and zero mask"
-            )
-        obs.setflags(write=False)
-        mask = mask.astype(np.int64)
-        mask.setflags(write=False)
-        object.__setattr__(self, "observed", obs)
-        object.__setattr__(self, "mask", mask)
-
-
-def conditional_context(values: np.ndarray, mask: np.ndarray) -> ConditioningContext:
-    """Context carrying x^o = values*mask (unobserved entries zeroed)."""
-    vals = np.asarray(values, dtype=np.float64)
-    m = np.asarray(mask)
-    return ConditioningContext(vals * (m == 1), m)
+        if self.is_unconditional and np.any(mask != 0):
+            raise InvalidInputError("unconditional context must carry a zero mask")
+        obs = obs * (mask == 1)
+        mask = mask.astype(np.float64)
+        for name, arr in (("observed", obs), ("mask", mask)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def unconditional_context(n_nodes: int, n_steps: int) -> ConditioningContext:
     zeros = np.zeros((n_nodes, n_steps))
-    return ConditioningContext(zeros, zeros.astype(np.int64), is_unconditional=True)
+    return ConditioningContext(zeros, zeros, is_unconditional=True)
 
 
 class DenoiserBackend(ABC):

@@ -104,6 +104,10 @@ def _training_split(series, entries, window: int, stride: int,
     the observed entries of the training segment."""
     seg_values = chronological_split(series)
     seg_masks = chronological_split(entries)
+    # a window the training segment cannot hold is a settings error, whatever the data
+    if seg_values[0].shape[1] < window:
+        raise InvalidInputError(f"the training segment has {seg_values[0].shape[1]} slices,"
+                                f" fewer than the window {window}")
     mean, std = stats or observed_stats(seg_values[0], seg_masks[0])
 
     def windows(values, mask, step):
@@ -229,10 +233,10 @@ def _impute_backends(args, values, sched, gcfg):
 
 def _impute_in_data_units(backends, values, mask, sched, gcfg, n_clusters, **sampling):
     """``impute`` on the observed cells of data-unit ``values``: they are
-    normalized with the backends' (mean, std), and the samples come back in
-    data units."""
+    normalized with the backends' (mean, std), the sampler's context hides
+    the rest, and the samples come back in data units."""
     backend, backend_uncond, mean, std = backends
-    observed = TrafficGrid((values - mean) * (mask == 1) / std)
+    observed = TrafficGrid((values - mean) / std)
     result = impute(backend, backend_uncond, observed, MaskMatrix(mask), sched, gcfg,
                     n_clusters=n_clusters, **sampling)
     return replace(result, samples=result.samples * std + mean)

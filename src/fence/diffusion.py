@@ -52,6 +52,10 @@ class NoiseSchedule:
             raise InvalidInputError(f"variance_mode must be one of {VARIANCE_MODES}")
         alpha = 1.0 - beta
         alpha_bar = np.cumprod(alpha)
+        # at alpha_bar_1 = 1 the reverse variances of steps 1 and 2 are 0/0 and 0
+        if not alpha_bar[0] < 1.0:
+            raise InvalidInputError(f"beta_1 = {float(beta[0])!r} is too small:"
+                                    " 1 - beta_1 rounds to 1 in float64")
         if not (np.diff(alpha_bar) < 0).all():
             raise InvalidInputError("alpha_bar must be strictly decreasing")
         if self.variance_mode == "beta":

@@ -111,7 +111,12 @@ def observed_stats(values: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
     sel = arr[np.asarray(mask) == 1]
     if sel.size == 0:
         raise DataError("no observed entries to compute statistics from")
-    return float(sel.mean()), float(sel.std())
+    # equal entries can leave a rounding-error std: 1.4e-17 for 72 copies of 0.1
+    std = float(sel.std())
+    if sel.min() == sel.max() or not std > 0:
+        raise DataError(f"the {sel.size} observed entries have no spread (standard"
+                        f" deviation {std!r}): nothing to normalize by")
+    return float(sel.mean()), std
 
 
 def sliding_windows(series: np.ndarray, window: int, stride: int = 1) -> np.ndarray:

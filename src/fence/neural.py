@@ -180,8 +180,7 @@ class NeuralDenoiser(DenoiserBackend):
         p = self.params
         d = self.cfg.d_model
 
-        feats = np.stack(np.broadcast_arrays(x, ctx.observed,
-                                             ctx.mask.astype(np.float64)), axis=-1)
+        feats = np.stack(np.broadcast_arrays(x, ctx.observed, ctx.mask), axis=-1)
         h = ad.add(ad.matmul(ad.constant(feats), p["in_proj/W"]), p["in_proj/b"])
 
         # one (1, EMBED) row per step, projected one row at a time, so a row's

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backends import DenoiserBackend, conditional_context, unconditional_context
+from .backends import ConditioningContext, DenoiserBackend, unconditional_context
 from .clustering import cluster_scales, default_cluster_count, kmeans
 from .diffusion import NoiseSchedule, q_sample, reverse_mean, reverse_step
 from .errors import DivergenceError, FenceError, InvalidInputError
@@ -116,14 +116,13 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
            anchoring: str = "free") -> ImputationResult:
     """Generate an ensemble of imputed grids plus its per-step trace.
 
-    ``observed`` carries the known values (anything under mask == 0 is
-    ignored); conditioning enters through the conditional backend, and with
-    anchoring="clamp" also by re-imposing observed coordinates each step.
+    ``observed`` carries the known values; the conditioning context built
+    from it and ``mask`` zeroes everything under mask 0, so hidden values
+    reach neither backend nor the clamp anchor. Conditioning enters through
+    the conditional backend, and with anchoring="clamp" also by re-imposing
+    the observed coordinates each step.
     """
-    values = np.asarray(observed.values, dtype=np.float64)
-    entries = np.asarray(mask.entries)
-    if values.shape != entries.shape:
-        raise InvalidInputError(f"grid {values.shape} vs mask {entries.shape}")
+    ctx_cond = ConditioningContext(observed.values, mask.entries)
     if anchoring not in ANCHORING_MODES:
         raise InvalidInputError(f"anchoring must be one of {ANCHORING_MODES}")
     if n_samples < 1:
@@ -132,18 +131,15 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
         raise InvalidInputError(f"seed must lie in [0, 2**64), got {seed}")
     if gcfg.mode != "none" and backend is None:
         raise InvalidInputError(f"mode {gcfg.mode!r} needs a conditional backend")
-    s, (n, t), n_steps = n_samples, values.shape, sched.n_steps
+    s, (n, t), n_steps = n_samples, ctx_cond.observed.shape, sched.n_steps
     # the global and per-node scopes are the one- and N-cluster partitions
     n_clusters = {"global": 1, "per_node": n}.get(gcfg.scope, cluster_count(n_clusters, n))
     delta, tau = calibrated_constants(gcfg, sched) if gcfg.mode == "fence" else (0.0, 0.0)
-    # masked values must not leak into conditioning
-    masked_values = values * (entries == 1)
 
     rngs = [np.random.Generator(np.random.Philox(key=seed ^ traj)) for traj in range(s)]
     x = np.stack([rng.standard_normal((n, t)) for rng in rngs])
     # the tracked log-posterior of every node of every trajectory, from log p = 0
     logp = np.zeros((s, n))
-    ctx_cond = conditional_context(masked_values, entries)
     ctx_uncond = unconditional_context(n, t)
     lam_trace, logp_trace, gnorm_trace = (np.empty((s, n_steps, n)) for _ in range(3))
     cluster_trace = np.full((s, n_steps, n), -1, dtype=np.int64)
@@ -174,11 +170,11 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
             # the noise draw is full-shape to keep the stream mask-independent
             noise = np.stack([rng.standard_normal((n, t)) for rng in rngs])
             if k > 1:
-                anchor = q_sample(np.broadcast_to(masked_values, noise.shape),
+                anchor = q_sample(np.broadcast_to(ctx_cond.observed, noise.shape),
                                   k - 1, noise, sched)
             else:
-                anchor = masked_values
-            x_next = np.where(entries == 1, anchor, x_next)
+                anchor = ctx_cond.observed
+            x_next = np.where(ctx_cond.mask.astype(bool), anchor, x_next)
 
         diverged = np.flatnonzero(~np.isfinite(x_next).all(axis=(1, 2)))
         if diverged.size:

@@ -121,17 +121,15 @@ def _draw(values, mask, sched: NoiseSchedule, rng, conditional: bool):
     """One window's training inputs from its (N, T) values and mask rows:
     draws its step k, noise, and (stage 2) re-hidden entries from rng, in
     that order. Returns (k, x_k, eps, context observations, context mask,
-    loss weights)."""
+    loss weights); the observations are the window's values, which the
+    stacked context zeroes under the context mask (all zero in stage 1)."""
     k = int(rng.integers(1, sched.n_steps + 1))
     eps = rng.standard_normal(values.shape)
     if conditional:
         keep, weights = _remask(mask, rng)
-        observed = values * (keep == 1)
     else:
-        # the unconditional context: zero observations under a zero mask
-        observed = keep = np.zeros(values.shape)
-        weights = mask
-    return k, q_sample(values, k, eps, sched), eps, observed, keep, weights
+        keep, weights = np.zeros(values.shape), mask
+    return k, q_sample(values, k, eps, sched), eps, values, keep, weights
 
 
 def _stacked_loss(model: NeuralDenoiser, draws) -> ad.Tensor:

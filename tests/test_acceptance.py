@@ -35,7 +35,7 @@ from fence import (
     posterior_update,
     quadratic_schedule,
 )
-from fence.backends import conditional_context
+from fence.backends import ConditioningContext
 from fence.diffusion import q_sample
 from fence.world import observations_from_mask
 
@@ -305,7 +305,7 @@ def test_criterion_10_denoiser_gradients_match_finite_differences():
     clean = rng.standard_normal((2, 4))
     eps = rng.standard_normal((2, 4))
     mask = np.array([[1, 1, 0, 0], [0, 1, 1, 0]], dtype=np.int64)
-    ctx = conditional_context(clean * mask, mask)
+    ctx = ConditioningContext(clean * mask, mask)
     x_k = q_sample(clean, 17, eps, sched)
 
     def loss():

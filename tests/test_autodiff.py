@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fence import NetConfig, NeuralDenoiser, conditional_context
+from fence import ConditioningContext, NetConfig, NeuralDenoiser
 from fence import autodiff as ad
 
 
@@ -218,7 +218,7 @@ def test_leaf_grads_are_writable_and_unshared():
     ad.backward(ad.sum_all(c))
     model = NeuralDenoiser(NetConfig(n_nodes=3, d_model=8, n_layers=1, n_heads=2), seed=2)
     rng = np.random.default_rng(26)
-    ctx = conditional_context(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))
+    ctx = ConditioningContext(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))
     eps_hat, _ = model.forward_tensor(rng.standard_normal((2, 3, 5)), 4, ctx)
     ad.backward(ad.sum_all(ad.multiply(eps_hat, eps_hat)))
     leaves = [a, b, c, *model.parameters().values()]
@@ -290,7 +290,7 @@ def _reference_grads(loss):
 def _network_loss():
     model = NeuralDenoiser(NetConfig(n_nodes=3, d_model=8, n_layers=2, n_heads=2), seed=1)
     rng = np.random.default_rng(21)
-    ctx = conditional_context(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))
+    ctx = ConditioningContext(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))
     eps_hat, _ = model.forward_tensor(rng.standard_normal((2, 3, 5)), 4, ctx)
     return model, ad.sum_all(ad.multiply(eps_hat, eps_hat))
 

@@ -5,16 +5,18 @@ import io
 import math
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fence import (GuidanceConfig, InvalidInputError, NetConfig, NeuralDenoiser,
-                   TrainConfig, load_grid_csv, load_mask_csv, make_gaussian_world,
+from fence import (GuidanceConfig, ImputationResult, InvalidInputError, NetConfig,
+                   NeuralDenoiser, OracleBackend, TrainConfig, load_grid_csv,
+                   load_mask_csv, make_gaussian_world, quadratic_schedule,
                    save_checkpoint, save_grid_csv, save_mask_csv)
-from fence.cli import build_parser, main
+from fence.cli import _impute_in_data_units, build_parser, main
 from fence.config import parse_config_file, resolve_config, world_from
 from fence.masking import MaskPatternConfig, mask_sr_tc
 from fence.sampler import impute
@@ -669,6 +671,15 @@ def test_readme_documents_exactly_the_subcommands():
     assert documented == set(subparsers.choices)
 
 
+def test_readme_layout_names_every_module():
+    # the Layout table has one row per module of the package, and no other
+    root = Path(__file__).resolve().parent.parent
+    layout = (root / "README.md").read_text(encoding="utf-8").split("## Layout")[1]
+    listed = set(re.findall(r"^\| `(\w+\.py)` \|", layout, flags=re.M))
+    modules = {p.name for p in (root / "src" / "fence").glob("*.py")} - {"__init__.py"}
+    assert listed == modules
+
+
 @pytest.mark.parametrize("section, line", [
     ("sampler", "threads = 2"),
     ("guidance", "scope = nodes"),
@@ -864,6 +875,53 @@ def test_series_shorter_than_a_training_window_exits_2(tmp_path):
     save_grid_csv(data, np.zeros((3, 15)))  # 9-slice training segment, window 12
     assert main(["train-uncond", "--data", str(data), "--out", str(tmp_path / "m.fence"),
                  "--epochs", "1"]) == 2
+
+
+def test_series_with_no_spread_exits_3(tmp_path, capsys):
+    data = tmp_path / "const.csv"
+    save_grid_csv(data, np.full((3, 40), 5.0))
+    assert main(["train-uncond", "--data", str(data), "--window", "4", "--epochs", "1",
+                 "--out", str(tmp_path / "m.fence")]) == 3
+    assert "no spread" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["fence", "cfg:1"])
+def test_beta_1_that_rounds_to_no_noise_exits_2(tmp_path, capsys, mode):
+    # 1 - 1e-17 is 1.0 in float64, so alpha_bar_1 = 1 and sigma^2_2 = 0
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG.replace("[schedule]\n", "[schedule]\nbeta1 = 1e-17\n")
+                   + f"\n[guidance]\nmode = {mode}\n")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "beta_1 = 1e-17" in capsys.readouterr().err
+    grid, spec = tmp_path / "grid.csv", tmp_path / "world.spec"
+    save_grid_csv(grid, np.ones((3, 4)))
+    spec.write_text(WORLD_SPEC)
+    assert main(["impute", "--grid", str(grid), "--oracle", str(spec), "--beta1", "1e-17",
+                 "--mode", mode, "--out", str(tmp_path / "out.csv")]) == 2
+    assert "beta_1 = 1e-17" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("anchoring", ["free", "clamp"])
+@pytest.mark.parametrize("backend", ["oracle", "neural"])
+def test_hidden_cells_never_reach_a_backend(backend, anchoring):
+    # the sampler's context zeroes every hidden cell, so whatever a hidden
+    # cell holds changes no bit of the result
+    sched = quadratic_schedule(6)
+    if backend == "oracle":
+        oracle = OracleBackend(make_gaussian_world(3, 4, 0.5, 0.6, mean=1.0, seed=2), sched)
+        backends = (oracle, oracle, 0.0, 1.0)
+    else:
+        net = NetConfig(n_nodes=3, d_model=8, n_layers=1, n_heads=2)
+        backends = (NeuralDenoiser(net, seed=1), NeuralDenoiser(net, seed=0), 50.0, 4.0)
+    rng = np.random.Generator(np.random.Philox(key=8))
+    mask = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=np.float64)
+    observed = np.where(mask == 1, 50.0 + 4.0 * rng.standard_normal((3, 4)), 0.0)
+    filled = np.where(mask == 1, observed, rng.uniform(-1e3, 1e3, (3, 4)))
+    zero, noise = (_impute_in_data_units(backends, v, mask, sched, GuidanceConfig(), None,
+                                         n_samples=3, seed=5, anchoring=anchoring)
+                   for v in (observed, filled))
+    for f in fields(ImputationResult):
+        assert getattr(zero, f.name).tobytes() == getattr(noise, f.name).tobytes(), f.name
 
 
 # arbitrary text, and bytes that need not decode as UTF-8 at all

@@ -7,7 +7,6 @@ from fence import (
     InvalidInputError,
     NetConfig,
     NeuralDenoiser,
-    conditional_context,
     unconditional_context,
 )
 
@@ -31,7 +30,7 @@ def test_predict_shapes_and_attention_rows():
     model = small_model()
     rng = np.random.default_rng(30)
     x = rng.standard_normal((2, 3, 5))
-    ctx = conditional_context(x[0], np.ones((3, 5)))
+    ctx = ConditioningContext(x[0], np.ones((3, 5)))
     eps, attn = model.predict(x, 7, ctx)
     assert eps.shape == (2, 3, 5)
     assert attn.shape == (2, 3, 3)
@@ -44,7 +43,7 @@ def test_batched_forward_equals_single_row_forwards():
     model = NeuralDenoiser(NetConfig(n_nodes=3, d_model=8, n_layers=2, n_heads=2), seed=6)
     rng = np.random.default_rng(34)
     x = rng.standard_normal((6, 3, 5))
-    ctx = conditional_context(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))
+    ctx = ConditioningContext(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))
     eps, attn = model.predict(x, 9, ctx)
     for i in range(len(x)):
         one, one_attn = model.predict(x[i:i + 1], 9, ctx)
@@ -60,10 +59,10 @@ def test_per_row_steps_and_contexts_equal_one_row_forwards():
     rng = np.random.default_rng(35)
     x = rng.standard_normal((4, 3, 5))
     ks = np.array([1, 9, 9, 40])
-    ctxs = [conditional_context(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5))),
+    ctxs = [ConditioningContext(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5))),
             unconditional_context(3, 5),
-            conditional_context(rng.standard_normal((3, 5)), np.ones((3, 5))),
-            conditional_context(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))]
+            ConditioningContext(rng.standard_normal((3, 5)), np.ones((3, 5))),
+            ConditioningContext(rng.standard_normal((3, 5)), rng.integers(0, 2, (3, 5)))]
     stacked = ConditioningContext(np.stack([c.observed for c in ctxs]),
                                   np.stack([c.mask for c in ctxs]))
     eps, attn = model.forward_tensor(x, ks, stacked)
@@ -87,7 +86,7 @@ def test_predict_deterministic_and_context_sensitive():
     rng = np.random.default_rng(31)
     x = rng.standard_normal((1, 3, 4))
     values = rng.standard_normal((3, 4))
-    ctx = conditional_context(values, np.ones((3, 4)))
+    ctx = ConditioningContext(values, np.ones((3, 4)))
     a, _ = model.predict(x, 5, ctx)
     b, _ = model.predict(x, 5, ctx)
     np.testing.assert_array_equal(a, b)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fence import (
     InvalidInputError,
@@ -48,6 +49,28 @@ def test_schedule_validation():
         NoiseSchedule(np.array([0.1, 1.5]))
     with pytest.raises(InvalidInputError):
         NoiseSchedule(np.array([0.1, 0.2]), variance_mode="exotic")
+
+
+def test_beta_1_that_rounds_to_no_noise_is_rejected():
+    # 1 - 1e-17 is 1.0 in float64: alpha_bar_1 = 1 leaves sigma^2_1 = 0/0
+    with pytest.raises(InvalidInputError, match="beta_1 = 1e-17"):
+        quadratic_schedule(50, 1e-17)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_steps=st.integers(2, 60),
+       beta1=st.floats(0.0, 0.9, exclude_min=True),
+       spread=st.floats(0.0, 1.0),
+       mode=st.sampled_from(["beta_tilde", "beta"]))
+@example(n_steps=50, beta1=1e-17, spread=0.5, mode="beta_tilde")
+def test_every_accepted_schedule_has_positive_noise(n_steps, beta1, spread, mode):
+    beta_k = beta1 + spread * (0.99 - beta1)
+    try:
+        sched = quadratic_schedule(n_steps, beta1, beta_k, mode)
+    except InvalidInputError:
+        return
+    assert (1.0 - sched.alpha_bar > 0).all()
+    assert (sched.sigma2[1:] > 0).all()
 
 
 def test_step_accessors_are_one_based():

@@ -54,6 +54,16 @@ def test_observed_stats():
         observed_stats(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("value", [5.0, 0.1])  # numpy gives 71 copies of 0.1 a std of 4e-17
+def test_observed_stats_rejects_observations_with_no_spread(value):
+    values = np.full((3, 24), value)
+    values[0, 0] = 99.0  # hidden
+    mask = np.ones((3, 24))
+    mask[0, 0] = 0
+    with pytest.raises(DataError, match="no spread"):
+        observed_stats(values, mask)
+
+
 def test_sliding_windows_count_and_content():
     series = np.arange(20, dtype=float).reshape(2, 10)
     wins = sliding_windows(series, window=4, stride=2)

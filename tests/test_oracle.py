@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.linalg import cho_factor, cho_solve, eigh
 
@@ -15,7 +16,6 @@ from fence import (
     MaskMatrix,
     OracleBackend,
     TrafficGrid,
-    conditional_context,
     impute,
     make_gaussian_world,
     node_affinity,
@@ -132,7 +132,7 @@ def _context(world, idx, vals):
     values, mask = np.zeros(world.dim), np.zeros(world.dim, dtype=np.int64)
     values[idx], mask[idx] = vals, 1
     shape = (world.n_nodes, world.n_steps)
-    return conditional_context(values.reshape(shape), mask.reshape(shape))
+    return ConditioningContext(values.reshape(shape), mask.reshape(shape))
 
 
 def test_marginal_moments_interpolate_to_prior():
@@ -397,7 +397,7 @@ def test_observations_from_mask():
 
 
 def test_conditioning_context_invariants():
-    ctx = conditional_context(np.array([[1.0, 2.0]]), np.array([[1, 0]]))
+    ctx = ConditioningContext(np.array([[1.0, 2.0]]), np.array([[1, 0]]))
     np.testing.assert_array_equal(ctx.observed, [[1.0, 0.0]])
     assert not ctx.is_unconditional
     un = unconditional_context(1, 2)
@@ -408,6 +408,26 @@ def test_conditioning_context_invariants():
         ConditioningContext(np.ones((1, 2)), np.ones((1, 2)), is_unconditional=True)
     with pytest.raises(InvalidInputError):
         ConditioningContext(np.ones((1, 2)), np.full((1, 2), 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.one_of(st.tuples(st.integers(1, 6), st.integers(1, 6)),
+                       st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 6))),
+       mask_dtype=st.sampled_from([np.int64, np.float64]), data=st.data())
+def test_context_keeps_its_own_zero_filled_copy(shape, mask_dtype, data):
+    values = data.draw(arrays(np.float64, shape,
+                              elements=st.floats(allow_nan=False, allow_infinity=False)))
+    mask = data.draw(arrays(mask_dtype, shape, elements=st.sampled_from([0, 1])))
+    given_values, given_mask = values.copy(), mask.copy()
+    ctx = ConditioningContext(values, mask)
+    assert ctx.observed.tobytes() == (values * (mask == 1)).tobytes()
+    assert ctx.mask.dtype == np.float64
+    np.testing.assert_array_equal(ctx.mask, mask)
+    assert not ctx.observed.flags.writeable and not ctx.mask.flags.writeable
+    # the caller's arrays are neither frozen nor changed
+    assert values.flags.writeable and mask.flags.writeable
+    assert values.tobytes() == given_values.tobytes()
+    assert mask.tobytes() == given_mask.tobytes()
 
 
 def test_oracle_backend_returns_noise_scaled_score():
@@ -456,7 +476,7 @@ def test_oracle_backend_conditions_on_the_context_it_is_given(n, t, rho_s, rho_t
     conditioned = world.observe(*observations_from_mask(values, mask))
     x = 2.0 * rng.standard_normal((3, n, t))
     for k in (10, 5, 1):
-        eps, attn = backend.predict(x, k, conditional_context(values, mask))
+        eps, attn = backend.predict(x, k, ConditioningContext(values, mask))
         np.testing.assert_allclose(eps, _eps(conditioned, x, k, sched), rtol=0, atol=1e-12)
         np.testing.assert_allclose(attn, node_affinity(conditioned, k, sched),
                                    rtol=0, atol=1e-12)
@@ -489,7 +509,7 @@ def test_oracle_backend_rejects_an_observed_world_and_a_context_of_another_shape
         OracleBackend(world.observe([0], [1.0]), sched)
     backend = OracleBackend(world.observe([], []), sched)  # nothing observed: the prior
     with pytest.raises(InvalidInputError, match="context"):
-        backend.predict(np.zeros((1, 2, 3)), 4, conditional_context(np.ones((3, 2)),
+        backend.predict(np.zeros((1, 2, 3)), 4, ConditioningContext(np.ones((3, 2)),
                                                                     np.ones((3, 2))))
 
 

@@ -49,7 +49,7 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import numpy as np
 import fence.cli
 import spans
-from fence import NetConfig, NeuralDenoiser, conditional_context
+from fence import ConditioningContext, NetConfig, NeuralDenoiser
 from fence import autodiff as ad
 from fence.training import Adam
 
@@ -57,7 +57,7 @@ rec = spans.Recorder()
 missing = spans.install(rec)
 model = NeuralDenoiser(NetConfig(n_nodes=3, d_model=4, n_layers=1, n_heads=2), seed=1)
 rng = np.random.default_rng(2)
-ctx = conditional_context(rng.standard_normal((3, 4)), rng.integers(0, 2, (3, 4)))
+ctx = ConditioningContext(rng.standard_normal((3, 4)), rng.integers(0, 2, (3, 4)))
 eps_hat, _ = model.forward_tensor(rng.standard_normal((2, 3, 4)), 3, ctx)
 ad.backward(ad.sum_all(ad.multiply(eps_hat, eps_hat)))
 Adam(model.parameters(), lr=1e-3).step()

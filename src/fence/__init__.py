@@ -19,7 +19,7 @@ from .guidance import (GuidanceConfig, calibrate_delta, calibrate_tau,
                        step_at_time)
 from .masking import (MaskPatternConfig, mask_sc_tc, mask_sr_tc, patch_bounds,
                       ring_communities)
-from .metrics import crps, crps_masked, point_metrics
+from .metrics import crps_masked, point_metrics
 from .neural import NetConfig, NeuralDenoiser
 from .checkpoint import load_checkpoint, save_checkpoint
 from .sampler import ImputationResult, emit_trace, impute
@@ -46,7 +46,7 @@ __all__ = [
     "guidance_scale", "mode_from_string", "posterior_update", "step_at_time",
     "MaskPatternConfig", "mask_sc_tc", "mask_sr_tc", "patch_bounds",
     "ring_communities",
-    "crps", "crps_masked", "point_metrics",
+    "crps_masked", "point_metrics",
     "NetConfig", "NeuralDenoiser",
     "load_checkpoint", "save_checkpoint",
     "ImputationResult", "emit_trace", "impute",

@@ -28,7 +28,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "Tensor", "parameter", "constant", "add", "subtract", "multiply", "matmul",
-    "reshape", "transpose", "softmax", "attention", "mlp", "sum_all", "scale",
+    "reshape", "transpose", "softmax", "attention", "mlp", "sum_all",
     "backward", "zero_grads", "no_record",
 ]
 
@@ -56,14 +56,6 @@ class Tensor:
         self.parents = parents
         self.backprop = backprop
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
 
 
 def parameter(value) -> Tensor:
@@ -101,11 +93,6 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
 def multiply(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.value * b.value, (a, b), lambda g: (
         _unbroadcast(g * b.value, a.value.shape), _unbroadcast(g * a.value, b.value.shape)))
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return Tensor(a.value * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration problems, 3 data problems,
 from __future__ import annotations
 
 import argparse
+import glob
 import math
 import sys
 from dataclasses import replace
@@ -161,8 +162,11 @@ def _save_model(path, model: NeuralDenoiser, mean: float, std: float):
 
 def _load_model(path) -> tuple[NeuralDenoiser, float, float]:
     state = load_checkpoint(path)
-    mean = np.asarray(state.pop("norm/mean", 0.0))
-    std = np.asarray(state.pop("norm/std", 1.0))
+    for name in ("norm/mean", "norm/std"):
+        if name not in state:
+            raise DataError(f"{path}: checkpoint misses {name!r}")
+    mean = np.asarray(state.pop("norm/mean"))
+    std = np.asarray(state.pop("norm/std"))
     if mean.shape or std.shape or not (np.isfinite(mean) and np.isfinite(std) and std > 0):
         raise DataError(f"{path}: norm/mean and norm/std must be finite scalars"
                         f" with std > 0, got {mean.tolist()!r} and {std.tolist()!r}")
@@ -296,7 +300,7 @@ def cmd_evaluate(args) -> int:
     crps_value = float("nan")
     if args.ensemble_prefix:
         prefix = Path(args.ensemble_prefix)
-        files = sorted(prefix.parent.glob(prefix.name + "_sample_*.csv"))
+        files = sorted(prefix.parent.glob(glob.escape(prefix.name) + "_sample_*.csv"))
         if len(files) < 2:
             raise DataError(f"CRPS needs at least 2 ensemble files matching"
                             f" {prefix}_sample_*.csv, found {len(files)}")

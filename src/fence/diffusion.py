@@ -156,7 +156,8 @@ def reverse_step(
     sched: NoiseSchedule,
     rngs: Sequence[np.random.Generator],
 ) -> np.ndarray:
-    """Sample x_{k-1} = mean + sigma_k z; the final step (k=1) is noiseless.
+    """Sample x_{k-1} = mean + sigma_k z; the final step (k=1) is noiseless,
+    and every schedule NoiseSchedule accepts has sigma_k > 0 at k >= 2.
 
     x_k and mean are stacks with one row per trajectory, and row i draws its
     noise from rngs[i] alone, so a row does not depend on the others.
@@ -169,11 +170,8 @@ def reverse_step(
     k = sched._check_step(k)
     if k == 1:
         return mean.copy()
-    sigma2 = sched.sigma2_at(k)
-    if sigma2 == 0.0:
-        return mean.copy()
     z = np.stack([rng.standard_normal(mean.shape[1:]) for rng in rngs])
-    return mean + np.sqrt(sigma2) * z
+    return mean + np.sqrt(sched.sigma2_at(k)) * z
 
 
 def sincos_embedding(position, dim: int) -> np.ndarray:

@@ -94,8 +94,6 @@ def mode_from_string(text: str) -> tuple[str, float]:
             return "cfg", float(text[4:])
         except ValueError:
             raise ConfigError(f"bad fixed scale in mode {text!r}") from None
-    if text == "cfg":
-        return "cfg", 1.0
     raise ConfigError(f"mode must be fence, none, or cfg:<lambda>, got {text!r}")
 
 
@@ -113,8 +111,6 @@ def calibrate_delta(cfg: GuidanceConfig, n_steps: int) -> float:
     does not make the scale cross lambda_ref at t0: the tracked state starts
     at log p = 0, where lambda = 1/pi.
     """
-    if cfg.lambda_ref <= 1.0:
-        raise InvalidInputError(f"lambda_ref must be > 1, got {cfg.lambda_ref}")
     if cfg.pi >= 1.0:
         raise InvalidInputError("delta is undefined at pi=1 (log of zero); "
                                 "full confidence needs no calibration")

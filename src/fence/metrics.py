@@ -10,8 +10,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-__all__ = ["point_metrics", "crps", "crps_masked", "MAPE_TRUTH_FLOOR",
-           "QUANTILE_LEVELS"]
+__all__ = ["point_metrics", "crps_masked", "MAPE_TRUTH_FLOOR", "QUANTILE_LEVELS"]
 
 # entries with |truth| below this (denormalized flow units) are excluded
 # from MAPE; percentage error at zero flow is undefined
@@ -65,21 +64,12 @@ def _crps_cells(stack: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return total / len(QUANTILE_LEVELS)
 
 
-def crps(samples, truth: float) -> float:
-    """Discrete CRPS: (1/19) sum_i 2 L_{0.05i} with empirical quantiles.
-
-    L_a(q, x) = (a - 1{x < q}) (x - q); quantiles are linear-interpolation
-    empirical quantiles of the sample. The 19-level grid follows the
-    source formulation even though ensembles typically carry ~100 draws.
-    """
-    s = np.asarray(samples, dtype=np.float64).reshape(-1, 1)
-    return float(_crps_cells(s, np.array([float(truth)]))[0])
-
-
 def crps_masked(sample_stack, truth, eval_mask) -> float:
     """Mean CRPS over entries where eval_mask == 1.
 
     sample_stack has shape (S, N, T): one generated grid per ensemble member.
+    A cell's CRPS is (1/19) sum_i 2 L_{0.05i}, L_a(q, x) = (a - 1{x < q}) (x - q),
+    at the linear-interpolation empirical quantiles q of its samples.
     """
     stack = np.asarray(sample_stack, dtype=np.float64)
     t = np.asarray(truth, dtype=np.float64)

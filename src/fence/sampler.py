@@ -82,8 +82,7 @@ def _step_labels(attn: np.ndarray | None, n_samples: int, n_nodes: int,
     # one k-means stream per step and one run per affinity matrix: a single
     # (N, N) matrix shared by every trajectory, or one per row of (S, N, N)
     attn = np.asarray(attn)
-    if attn.shape not in ((n_nodes, n_nodes), (1, n_nodes, n_nodes),
-                          (n_samples, n_nodes, n_nodes)):
+    if attn.shape not in ((n_nodes, n_nodes), (n_samples, n_nodes, n_nodes)):
         raise InvalidInputError(
             f"backend affinity at reverse step {k} has shape {attn.shape}; expected"
             f" ({n_nodes}, {n_nodes}) or ({n_samples}, {n_nodes}, {n_nodes})")

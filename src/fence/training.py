@@ -212,11 +212,9 @@ def _fit(model, data: DatasetSplit, cfg: TrainConfig, sched: NoiseSchedule,
 
 
 def train_unconditional(data: DatasetSplit, cfg: TrainConfig, *,
-                        sched: NoiseSchedule,
-                        net_cfg: NetConfig | None = None) -> TrainResult:
-    """Stage 1: epsilon-matching on unconditional contexts, observed entries only."""
-    if net_cfg is None:
-        net_cfg = NetConfig(n_nodes=data.train[0].shape[1])
+                        sched: NoiseSchedule, net_cfg: NetConfig) -> TrainResult:
+    """Stage 1 from random weights of net_cfg's shape, seeded by cfg.seed:
+    epsilon-matching on unconditional contexts, observed entries only."""
     model = NeuralDenoiser(net_cfg, seed=cfg.seed)
     return _fit(model, data, cfg, sched, conditional=False)
 

@@ -290,7 +290,8 @@ class GaussianOracleWorld:
 def make_gaussian_world(n_nodes: int, n_steps: int, spatial_corr: float,
                         temporal_corr: float, mean: float = 0.0,
                         seed: int = 0) -> GaussianOracleWorld:
-    """Kronecker world: Sigma = (rho_s^hops on a ring) x (rho_t^|dt|)."""
+    """Kronecker world: Sigma = (rho_s^hops on a ring) x (rho_t^|dt|);
+    one node or step has the factor [[1]], and rho = 0 the identity."""
     if not (abs(spatial_corr) < 1.0 and abs(temporal_corr) < 1.0):
         raise InvalidInputError(
             f"correlations must satisfy |rho| < 1, got {spatial_corr}, {temporal_corr}"
@@ -304,15 +305,10 @@ def make_gaussian_world(n_nodes: int, n_steps: int, spatial_corr: float,
             f"world of {n_nodes} nodes x {n_steps} steps exceeds {MAX_WORLD_CELLS} "
             f"cells: its conditional law's dense hidden block could need "
             f"{8 * (n_nodes * n_steps) ** 2 / 2 ** 30:.3g} GiB")
-    spatial = np.power(float(spatial_corr), ring_hops(n_nodes)) if n_nodes > 1 \
-        else np.ones((1, 1))
+    # numpy's 0.0 ** 0 is 1.0, so rho = 0 needs no case: its tables are the identity
+    spatial = np.power(float(spatial_corr), ring_hops(n_nodes))
     dt = np.abs(np.arange(n_steps)[:, None] - np.arange(n_steps)[None, :])
-    temporal = np.power(float(temporal_corr), dt) if n_steps > 1 else np.ones((1, 1))
-    # 0^0 corners of the power tables must be 1
-    if spatial_corr == 0.0:
-        spatial = np.eye(n_nodes)
-    if temporal_corr == 0.0:
-        temporal = np.eye(n_steps)
+    temporal = np.power(float(temporal_corr), dt)
     return GaussianOracleWorld(n_nodes, n_steps, np.full(n_nodes * n_steps, float(mean)),
                                spatial, temporal, seed=int(seed))
 

@@ -119,7 +119,7 @@ def _relu_chain(a):
 
 def _attention_chain(h, Wq, Wk, Wv, Wo, heads):
     """Multi-head attention as 17 small nodes."""
-    *lead, length, d = h.shape
+    *lead, length, d = h.value.shape
     dh = d // heads
     m = len(lead)
     swap = (*range(m), m + 1, m, m + 2)
@@ -129,7 +129,7 @@ def _attention_chain(h, Wq, Wk, Wv, Wo, heads):
 
     q, k, v = split(Wq), split(Wk), split(Wv)
     k_t = ad.transpose(k, (*range(m + 1), m + 2, m + 1))
-    probs = _softmax_chain(ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh)))
+    probs = _softmax_chain(ad.multiply(ad.matmul(q, k_t), ad.constant(1.0 / math.sqrt(dh))))
     mixed = ad.transpose(ad.matmul(probs, v), swap)
     return ad.matmul(ad.reshape(mixed, (*lead, length, d)), Wo), probs.value
 
@@ -202,7 +202,7 @@ def test_scale_and_shared_subexpression():
     a = ad.parameter(rng.standard_normal((3,)))
 
     def build():
-        doubled = ad.scale(a, 2.0)
+        doubled = ad.multiply(a, ad.constant(2.0))
         # a appears on two paths; gradients must accumulate
         return ad.sum_all(ad.multiply(doubled, a))
 

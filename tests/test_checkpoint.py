@@ -119,12 +119,14 @@ def _drop_hparams(state):
     lambda s: s.update({"norm/mean": np.array([0.0, 1.0])}),
     lambda s: s.update({"norm/std": np.float64(np.inf)}),
     lambda s: s.update({"norm/std": np.float64(0.0)}),
+    lambda s: s.pop("norm/mean"),
+    lambda s: s.pop("norm/std"),
     lambda s: s.pop("node_embed"),
     lambda s: s.update({"node_embed": np.zeros((3, 4))}),
     lambda s: s.update({"stray/tensor": np.zeros(2)}),
 ], ids=["no-hparams", "vector-hparam", "nan-hparam", "fractional-hparam",
         "heads-do-not-divide", "vector-norm-mean", "infinite-norm-std", "zero-norm-std",
-        "missing-tensor", "misshapen-tensor", "stray-tensor"])
+        "no-norm-mean", "no-norm-std", "missing-tensor", "misshapen-tensor", "stray-tensor"])
 def test_checkpoint_that_is_not_a_model_exits_3(tmp_path, edit):
     model = NeuralDenoiser(NetConfig(n_nodes=2, d_model=4, n_layers=1, n_heads=2))
     state = model.state_dict()

@@ -13,13 +13,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fence import (GuidanceConfig, ImputationResult, InvalidInputError, NetConfig,
-                   NeuralDenoiser, OracleBackend, TrainConfig, load_grid_csv,
-                   load_mask_csv, make_gaussian_world, quadratic_schedule,
-                   save_checkpoint, save_grid_csv, save_mask_csv)
+                   NeuralDenoiser, OracleBackend, TrainConfig, load_checkpoint,
+                   load_grid_csv, load_mask_csv, make_gaussian_world,
+                   quadratic_schedule, save_checkpoint, save_grid_csv, save_mask_csv)
 from fence.cli import _impute_in_data_units, build_parser, main
 from fence.config import parse_config_file, resolve_config, world_from
 from fence.masking import MaskPatternConfig, mask_sr_tc
 from fence.sampler import impute
+from fence.training import train_unconditional
 
 TINY_CONFIG = """\
 [experiment]
@@ -276,6 +277,26 @@ def test_evaluate_rejects_a_one_member_ensemble(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ens_sample_*.csv" in err and "found 1" in err
     assert not (tmp_path / "metrics.csv").exists()
+
+
+def test_evaluate_reads_an_ensemble_prefix_with_glob_characters_literally(tmp_path):
+    spec, series = tmp_path / "world.spec", tmp_path / "series.csv"
+    spec.write_text(WORLD_SPEC)
+    assert main(["synth", "--spec", str(spec), "--length", "4", "--out", str(series)]) == 0
+    mask = tmp_path / "mask.csv"
+    save_mask_csv(mask, np.array([[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]]))
+    (tmp_path / "out[1]").mkdir()
+    out, trace = tmp_path / "out[1]" / "imputed.csv", tmp_path / "out[1]" / "tr[a].csv"
+    assert main(["impute", "--grid", str(series), "--mask", str(mask), "--oracle", str(spec),
+                 "--steps", "8", "--samples", "3", "--out", str(out),
+                 "--trace-out", str(trace)]) == 0
+    emask = tmp_path / "emask.csv"
+    save_mask_csv(emask, 1 - load_mask_csv(mask))
+    report = tmp_path / "metrics.csv"
+    assert main(["evaluate", "--pred", str(out), "--truth", str(series), "--eval-mask",
+                 str(emask), "--ensemble-prefix", str(tmp_path / "out[1]" / "tr[a]"),
+                 "--out", str(report)]) == 0
+    assert math.isfinite(float(report.read_text().splitlines()[1].split(",")[3]))
 
 
 def test_impute_needs_exactly_one_backend_source(tmp_path):
@@ -688,6 +709,7 @@ def test_readme_layout_names_every_module():
     ("guidance", "lambda_max = inf"),
     ("guidance", "lambda_ref = inf"),
     ("world", "mean = nan"),
+    ("guidance", "mode = cfg"),
 ])
 def test_bad_config_values_exit_2(tmp_path, section, line):
     cfg = tmp_path / "bad.cfg"
@@ -875,6 +897,71 @@ def test_series_shorter_than_a_training_window_exits_2(tmp_path):
     save_grid_csv(data, np.zeros((3, 15)))  # 9-slice training segment, window 12
     assert main(["train-uncond", "--data", str(data), "--out", str(tmp_path / "m.fence"),
                  "--epochs", "1"]) == 2
+
+
+def _series(tmp_path, steps, seed=0):
+    data = tmp_path / "series.csv"
+    save_grid_csv(data, np.random.default_rng(seed).standard_normal((3, steps)))
+    return data
+
+
+def test_divergent_training_exits_4_without_a_checkpoint(tmp_path, capsys):
+    out = tmp_path / "m.fence"
+    with np.errstate(over="ignore", invalid="ignore"):  # the blow-up itself
+        assert main(["train-uncond", "--data", str(_series(tmp_path, 60)), "--window", "4",
+                     "--lr", "1e18", "--d-model", "4", "--layers", "1", "--heads", "2",
+                     "--epochs", "2", "--out", str(out)]) == 4
+    assert "diverged at step" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_finetune_without_init_builds_the_width_of_its_flags(tmp_path):
+    out = tmp_path / "m.fence"
+    with pytest.warns(UserWarning, match="fine-tuning from random weights"):
+        assert main(["finetune-cond", "--data", str(_series(tmp_path, 40)), "--window", "4",
+                     "--d-model", "6", "--layers", "1", "--heads", "2", "--epochs", "1",
+                     "--out", str(out)]) == 0
+    assert load_checkpoint(out)["node_embed"].shape == (3, 6)
+
+
+def test_fence_impute_without_a_conditional_checkpoint_exits_2(tmp_path, capsys):
+    grid, ckpt = tmp_path / "grid.csv", tmp_path / "uncond.fence"
+    save_grid_csv(grid, np.zeros((3, 4)))
+    _save_neural_checkpoint(ckpt, 0.0, 1.0)
+    out = tmp_path / "out.csv"
+    assert main(["impute", "--grid", str(grid), "--checkpoint-uncond", str(ckpt),
+                 "--mode", "fence", "--out", str(out)]) == 2
+    assert "--checkpoint-cond" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_training_mask_of_another_shape_exits_3(tmp_path):
+    mask = tmp_path / "mask.csv"
+    save_mask_csv(mask, np.ones((3, 30), dtype=np.int64))
+    assert main(["train-uncond", "--data", str(_series(tmp_path, 40)), "--mask", str(mask),
+                 "--window", "4", "--epochs", "1", "--out", str(tmp_path / "m.fence")]) == 3
+
+
+def test_validation_segment_shorter_than_the_window_monitors_the_training_loss(
+        tmp_path, monkeypatch):
+    # 40 slices leave an 8-slice validation segment, shorter than the window 12
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(train_unconditional(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr("fence.cli.train_unconditional", recording)
+    out = tmp_path / "m.fence"
+    assert main(["train-uncond", "--data", str(_series(tmp_path, 40)), "--window", "12",
+                 "--d-model", "4", "--layers", "1", "--heads", "2", "--epochs", "3",
+                 "--lr", "3e-2", "--out", str(out)]) == 0
+    result, = results
+    assert np.isnan(result.val_losses).all()
+    # the training loss is lowest after the second epoch, which a NaN
+    # validation loss could never select
+    assert result.best_epoch == int(np.argmin(result.train_losses)) == 1
+    assert out.exists()
 
 
 def test_series_with_no_spread_exits_3(tmp_path, capsys):

@@ -73,6 +73,20 @@ def test_every_accepted_schedule_has_positive_noise(n_steps, beta1, spread, mode
     assert (sched.sigma2[1:] > 0).all()
 
 
+@settings(max_examples=300, deadline=None)
+@given(beta=st.lists(st.floats(0.0, 1.0) | st.floats(1e-17, 1e-15), min_size=2, max_size=60),
+       mode=st.sampled_from(["beta_tilde", "beta"]))
+def test_every_accepted_beta_array_has_positive_noise(beta, mode):
+    # reverse_step draws noise at every k >= 2, so no accepted schedule may
+    # have a zero reverse variance there; betas near 1e-16 are where 1 - beta
+    # starts to round to 1
+    try:
+        sched = NoiseSchedule(np.array(beta), mode)
+    except InvalidInputError:
+        return
+    assert (sched.sigma2[1:] > 0).all()
+
+
 def test_step_accessors_are_one_based():
     sched = quadratic_schedule(10)
     assert sched.beta_at(1) == sched.beta[0]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fence import InvalidInputError, crps, crps_masked, point_metrics
+from fence import InvalidInputError, crps_masked, point_metrics
 from fence.metrics import MAPE_TRUTH_FLOOR, QUANTILE_LEVELS
 
 
@@ -68,6 +68,11 @@ def test_mae_never_exceeds_rmse():
         truth = rng.standard_normal((n, t)) * rng.uniform(0.1, 10)
         mae, rmse, _ = point_metrics(pred, truth, np.ones((n, t)))
         assert mae <= rmse + 1e-12
+
+
+def crps(samples, truth):
+    """CRPS of one cell: crps_masked on an (S, 1, 1) stack."""
+    return crps_masked(np.reshape(samples, (-1, 1, 1)), np.full((1, 1), truth), np.ones((1, 1)))
 
 
 def test_crps_zero_at_degenerate_truth():

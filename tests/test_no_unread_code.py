@@ -17,10 +17,8 @@ PACKAGE = ROOT / "src" / "fence"
 # names only the acceptance criteria or the dense-reference tests read
 ALLOWED = {
     "beta_at": "criterion 3 pins beta_25 of the default schedule",
-    "crps": "criterion 9 checks the one-cell CRPS against its closed form",
     "marginal_logpdf": "test_oracle checks it against scipy's multivariate normal",
     "ContaminatedBackend": "criterion 11's contaminated bed",
-    "scale": "criterion 10 and the one-tape-per-window training reference scale a loss",
 }
 
 

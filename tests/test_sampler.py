@@ -169,7 +169,8 @@ class _ReshapedAffinityBackend(DenoiserBackend):
 @pytest.mark.parametrize("reshape, shape", [
     (lambda a: np.stack([a, a]), (2, 4, 4)),  # neither one matrix nor one per row
     (lambda a: a[:, :2], (4, 2)),             # not N x N
-], ids=["two-stacked", "not-square"])
+    (lambda a: a[None], (1, 4, 4)),           # one stacked matrix for three rows
+], ids=["two-stacked", "not-square", "one-stacked"])
 def test_affinity_of_the_wrong_shape_names_step_and_shape(reshape, shape):
     backend, truth, mask, sched = oracle_setup()
     bad = _ReshapedAffinityBackend(backend, reshape)

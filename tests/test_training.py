@@ -139,8 +139,8 @@ def _one_tape_per_window(model, draws):
         eps_hat, _ = model.forward_tensor(x_k[None], k, ConditioningContext(observed, keep))
         diff = ad.subtract(eps_hat, ad.constant(eps))
         masked = ad.multiply(ad.multiply(diff, diff), ad.constant(weights))
-        piece = ad.scale(ad.sum_all(masked),
-                         1.0 / (max(float(weights.sum()), 1.0) * len(draws)))
+        piece = ad.multiply(ad.sum_all(masked), ad.constant(
+            1.0 / (max(float(weights.sum()), 1.0) * len(draws))))
         total = piece if total is None else ad.add(total, piece)
     return total
 

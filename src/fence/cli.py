@@ -162,11 +162,10 @@ def _save_model(path, model: NeuralDenoiser, mean: float, std: float):
 
 def _load_model(path) -> tuple[NeuralDenoiser, float, float]:
     state = load_checkpoint(path)
-    for name in ("norm/mean", "norm/std"):
-        if name not in state:
-            raise DataError(f"{path}: checkpoint misses {name!r}")
-    mean = np.asarray(state.pop("norm/mean"))
-    std = np.asarray(state.pop("norm/std"))
+    try:
+        mean, std = np.asarray(state.pop("norm/mean")), np.asarray(state.pop("norm/std"))
+    except KeyError as e:
+        raise DataError(f"{path}: checkpoint misses {e.args[0]!r}") from None
     if mean.shape or std.shape or not (np.isfinite(mean) and np.isfinite(std) and std > 0):
         raise DataError(f"{path}: norm/mean and norm/std must be finite scalars"
                         f" with std > 0, got {mean.tolist()!r} and {std.tolist()!r}")

@@ -1,4 +1,4 @@
-"""tools/reach.py reports which statements of src/fence a test run reaches."""
+"""tools/reach.py reports which lines of src/fence a test run reaches."""
 
 import json
 import subprocess
@@ -17,7 +17,7 @@ def test_reach_of_the_metrics_tests(tmp_path):
     out = tmp_path / "reach.json"
     run = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "reach.py"), str(ROOT / "tests" / "test_metrics.py"),
-         "--workloads", "none", "--out", str(out)],
+         "--no-workloads", "--out", str(out)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     report = json.loads(out.read_text(encoding="utf-8"))

@@ -1,22 +1,26 @@
-"""Which statements of src/fence the tests and the benchmark workloads reach.
+"""Which lines of src/fence the tests and the benchmark workloads reach.
 
-    python tools/reach.py tests --workloads all --out reach.json
-    python tools/reach.py tests/test_metrics.py --workloads none --out reach.json
+    python tools/reach.py tests --out reach.json
+    python tools/reach.py tests/test_metrics.py --no-workloads --out reach.json
 
 A ``sys.settrace`` line trace records every line of src/fence that runs,
-first while each perfbench workload runs (``--workloads``, default all),
-then while pytest runs on the given paths, if any. A workload's inputs and
-plan come from ``perfbench/workloads.build`` (``--seed``, default 5) in a
-temporary directory; every command of every round runs through
-``fence.cli.main`` after its ``out`` directory is made. Nothing under
-perfbench/ is written.
+first while each perfbench workload runs (unless ``--no-workloads``), then
+while pytest runs on the given paths, if any. A workload's inputs and plan
+come from ``perfbench/workloads.build`` (seed ``SEED``) in a temporary
+directory; every command of every round runs through ``fence.cli.main``
+after its ``out`` directory is made. Nothing under perfbench/ is written.
 
-The JSON report names, for each module, the first line of every statement
-that nothing reached (``unreached``) and of every statement that pytest
-reached but no workload did (``tests_only``). A compound statement counts as
-reached when its header or any statement inside it ran; docstrings are not
-statements. The workloads run first, so the statements that run on import
+The executable lines of a module are the lines its compiled code objects
+carry bytecode for (``co_lines()``), as ``python -m trace --missing`` counts
+them: docstrings and bare ``else:``/``try:`` headers are not among them. The
+JSON report names, for each module, the executable lines that nothing
+reached (``unreached``) and those that pytest reached but no workload did
+(``tests_only``). The workloads run first, so the lines that run on import
 count as reached by them.
+
+Only this process is traced. Code that a test runs only in a child process
+(the tests that start ``python`` or ``fence`` in a subprocess) counts as
+unreached, so check those tests before deleting a line the report lists.
 
 Standard library only. Tracing makes the test suite about 2.5x slower: 58 s
 against 24 s for its 393 tests on a 2-core machine.
@@ -25,7 +29,6 @@ against 24 s for its 393 tests on a 2-core machine.
 from __future__ import annotations
 
 import argparse
-import ast
 import contextlib
 import json
 import os
@@ -36,10 +39,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fence"
 WORKLOADS = ("oracle-windows", "oracle-ensemble", "neural-staged")
+SEED = 5
 
 
 class LineTrace:
-    """Lines of PACKAGE that ran, one set per phase."""
+    """(file, line) pairs of PACKAGE that ran, one set per phase."""
 
     def __init__(self):
         self.hits: dict[str, set[tuple[str, int]]] = {}
@@ -67,54 +71,17 @@ class LineTrace:
         return {line for file, line in self.hits.get(name, ()) if file == str(path)}
 
 
-def _is_docstring(node: ast.stmt) -> bool:
-    return (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str))
+def executable_lines(path: Path) -> set[int]:
+    """Lines that carry bytecode in the module or any code object nested in it."""
+    lines, codes = set(), [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        lines.update(line for _, _, line in code.co_lines() if line)
+        codes.extend(c for c in code.co_consts if isinstance(c, type(code)))
+    return lines
 
 
-def _bodies(node: ast.AST):
-    """The statement lists directly inside a node, handler and case bodies included."""
-    for _, items in ast.iter_fields(node):
-        if isinstance(items, list):
-            if items and isinstance(items[0], ast.stmt):
-                yield items
-            for item in items:
-                if isinstance(item, (ast.ExceptHandler, ast.match_case)):
-                    yield item.body
-
-
-def statements(body, documented=True) -> list[tuple]:
-    """The (first line, header lines, inner statements) tree of a statement
-    list, without docstrings and global/nonlocal declarations."""
-    tree = []
-    for i, node in enumerate(body):
-        if (i == 0 and documented and _is_docstring(node)) or isinstance(
-                node, (ast.Global, ast.Nonlocal)):
-            continue
-        bodies = list(_bodies(node))
-        start = min([d.lineno for d in getattr(node, "decorator_list", ())] + [node.lineno])
-        end = min(b[0].lineno for b in bodies) - 1 if bodies else node.end_lineno
-        doc = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        tree.append((start, range(start, max(end, start) + 1),
-                     [entry for b in bodies for entry in statements(b, doc)]))
-    return tree
-
-
-def first_lines(tree) -> set[int]:
-    return {line for start, _, inner in tree for line in (start, *first_lines(inner))}
-
-
-def reached(tree, lines: set[int]) -> set[int]:
-    """First lines of the statements that ran: the header, or anything inside."""
-    done: set[int] = set()
-    for start, header, inner in tree:
-        below = reached(inner, lines)
-        if below or any(line in lines for line in header):
-            done |= below | {start}
-    return done
-
-
-def run_workloads(names, seed: int, trace: LineTrace) -> list[str]:
+def run_workloads(trace: LineTrace) -> list[str]:
     """Run every command of each workload's plan; the failed commands."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     failures = []
@@ -122,8 +89,8 @@ def run_workloads(names, seed: int, trace: LineTrace) -> list[str]:
         import workloads
         import fence.cli
 
-        for name in names:
-            plan = workloads.build(name, seed, Path(tmp) / name)
+        for name in WORKLOADS:
+            plan = workloads.build(name, SEED, Path(tmp) / name)
             for ops in plan["rounds"]:
                 for op in ops:
                     Path(op["out"]).mkdir(parents=True, exist_ok=True)
@@ -138,14 +105,13 @@ def run_workloads(names, seed: int, trace: LineTrace) -> list[str]:
 def report(trace: LineTrace) -> dict:
     modules = {}
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = statements(ast.parse(path.read_text(encoding="utf-8")).body)
-        by_workloads = reached(tree, trace.lines("workloads", path))
-        by_tests = reached(tree, trace.lines("tests", path))
-        firsts = sorted(first_lines(tree))
+        executable = executable_lines(path)
+        by_workloads = trace.lines("workloads", path)
+        by_tests = trace.lines("tests", path)
         modules[path.name] = {
-            "statements": len(firsts),
-            "unreached": [s for s in firsts if s not in by_workloads | by_tests],
-            "tests_only": [s for s in firsts if s in by_tests - by_workloads],
+            "executable": len(executable),
+            "unreached": sorted(executable - by_workloads - by_tests),
+            "tests_only": sorted(executable & by_tests - by_workloads),
         }
     return modules
 
@@ -153,16 +119,13 @@ def report(trace: LineTrace) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("pytest_paths", nargs="*", help="paths pytest runs under the trace")
-    parser.add_argument("--workloads", nargs="+", default=["all"],
-                        choices=("all", "none", *WORKLOADS))
-    parser.add_argument("--seed", type=int, default=5, help="perfbench workload seed")
+    parser.add_argument("--no-workloads", action="store_true",
+                        help="do not run the perfbench workloads")
     parser.add_argument("--out", required=True, help="JSON report path")
     args = parser.parse_args(argv)
-    names = () if "none" in args.workloads else (
-        WORKLOADS if "all" in args.workloads else tuple(args.workloads))
 
     trace = LineTrace()
-    failures = run_workloads(names, args.seed, trace) if names else []
+    failures = [] if args.no_workloads else run_workloads(trace)
     pytest_exit = None
     if args.pytest_paths:
         import pytest
@@ -172,11 +135,11 @@ def main(argv=None) -> int:
                                            *args.pytest_paths]))
     modules = report(trace)
     Path(args.out).write_text(json.dumps({
-        "workloads": list(names), "seed": args.seed, "failed_commands": failures,
-        "pytest_paths": args.pytest_paths, "pytest_exit": pytest_exit,
-        "modules": modules}, indent=1) + "\n", encoding="utf-8")
+        "workloads": [] if args.no_workloads else list(WORKLOADS), "seed": SEED,
+        "failed_commands": failures, "pytest_paths": args.pytest_paths,
+        "pytest_exit": pytest_exit, "modules": modules}, indent=1) + "\n", encoding="utf-8")
     for name, entry in modules.items():
-        print(f"{name:16s} {entry['statements']:4d} statements"
+        print(f"{name:16s} {entry['executable']:4d} lines"
               f" {len(entry['unreached']):4d} unreached"
               f" {len(entry['tests_only']):4d} tests only", file=sys.stderr)
     return 1 if failures or pytest_exit else 0

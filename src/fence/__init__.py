@@ -4,7 +4,7 @@ oracle backend and a small trainable denoiser."""
 
 from .backends import (ConditioningContext, ContaminatedBackend, DenoiserBackend,
                        OracleBackend, node_affinity, unconditional_context)
-from .clustering import cluster_scales, default_cluster_count, kmeans
+from .clustering import cluster_scales, kmeans
 from .diffusion import (NoiseSchedule, noise_from_score, q_sample,
                         quadratic_schedule, reverse_mean, reverse_step,
                         sincos_embedding)
@@ -33,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConditioningContext", "ContaminatedBackend", "DenoiserBackend",
     "OracleBackend", "node_affinity", "unconditional_context",
-    "cluster_scales", "default_cluster_count", "kmeans",
+    "cluster_scales", "kmeans",
     "NoiseSchedule", "noise_from_score", "q_sample", "quadratic_schedule",
     "reverse_mean", "reverse_step", "sincos_embedding",
     "ConfigError", "DataError", "DivergenceError", "FenceError",

@@ -21,6 +21,7 @@ import numpy as np
 
 from .backends import OracleBackend
 from .checkpoint import load_checkpoint, save_checkpoint
+from .clustering import cluster_count
 from .config import (PRESETS, SCHEMA, STAGES, guidance_from, load_world_spec,
                      parse_config_file, read_world_spec, resolve_config, schedule_from,
                      training_from, world_from, write_resolved)
@@ -31,7 +32,7 @@ from .grid import (DatasetSplit, MaskMatrix, TrafficGrid, chronological_split,
 from .masking import MaskPatternConfig, mask_sc_tc, mask_sr_tc, ring_communities
 from .metrics import crps_masked, point_metrics
 from .neural import NeuralDenoiser
-from .sampler import cluster_count, emit_trace, impute
+from .sampler import emit_trace, impute
 from .training import finetune_conditional, train_unconditional
 
 __all__ = ["main"]

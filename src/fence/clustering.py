@@ -15,18 +15,21 @@ import numpy as np
 from .errors import InvalidInputError
 from .guidance import GuidanceConfig, guidance_scale
 
-__all__ = [
-    "default_cluster_count",
-    "kmeans",
-    "cluster_scales",
-]
+__all__ = ["cluster_count", "kmeans", "cluster_scales"]
 
 NODES_PER_CLUSTER = 20  # default cluster count: N / NODES_PER_CLUSTER, rounded
 KMEANS_MAX_ITER = 20  # Lloyd iterations at most
 
 
-def default_cluster_count(n_nodes: int) -> int:
-    return max(1, int(math.floor(n_nodes / NODES_PER_CLUSTER + 0.5)))
+def cluster_count(n_clusters: int | None, n_nodes: int) -> int:
+    """The k-means cluster count of an n_nodes grid: n_clusters, or when it is
+    None N / NODES_PER_CLUSTER rounded half up and at least 1;
+    InvalidInputError outside [1, n_nodes]."""
+    if n_clusters is None:
+        n_clusters = max(1, int(math.floor(n_nodes / NODES_PER_CLUSTER + 0.5)))
+    if not (1 <= n_clusters <= n_nodes):
+        raise InvalidInputError(f"n_clusters must lie in [1, {n_nodes}], got {n_clusters}")
+    return n_clusters
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:

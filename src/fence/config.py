@@ -1,18 +1,19 @@
 """Experiment configuration: flat `key = value` files with [section] headers.
 
+One reader parses config files and oracle specs (whose lines are [world] keys
+with no header); any other line, and an unknown or repeated section or key,
+is a ConfigError naming the file and line.
+
 Every key is declared in SCHEMA with its type and default; the command-line
 flags of the schedule, guidance, sampler and training settings are generated
 from it too. Defaults the library already declares (GuidanceConfig,
 TrainConfig, NetConfig, quadratic_schedule, impute) are read from there.
-Unknown sections or keys are hard errors so typos cannot silently fall back
-to defaults. `format_resolved` materializes every default in a canonical
-order; feeding the resolved file back in reproduces the exact same
-configuration.
+`format_resolved` materializes every default in a canonical order; feeding
+the resolved file back in reproduces the exact same configuration.
 """
 
 from __future__ import annotations
 
-import configparser
 import inspect
 from pathlib import Path
 
@@ -142,27 +143,50 @@ PRESETS: dict[str, dict[tuple[str, str], str]] = {
 }
 
 
-def parse_config_file(path) -> dict[str, dict[str, str]]:
-    """Raw string values from the file, validated against SCHEMA names."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str  # keys are case-sensitive
+def _read_settings(path, kind: str, section: str | None = None) -> dict[str, dict[str, str]]:
+    """Raw values by section: `key = value`, blank and `#` lines, and (when
+    ``section`` is None) one `[section]` header per section; every key of an
+    oracle spec is in ``section``. Else a ConfigError names `path:line`."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (configparser.Error, UnicodeDecodeError) as exc:
+        content = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise DataError(f"{kind} not found: {path}") from None
+    except UnicodeDecodeError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    headers = section is None
     out: dict[str, dict[str, str]] = {}
-    for section in parser.sections():
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, value in parser.items(section):
-            if key not in SCHEMA[section]:
-                raise ConfigError(f"unknown config key {key!r} in section [{section}]")
-            out.setdefault(section, {})[key] = value
+    for lineno, line in enumerate(content.splitlines(), 1):
+        text, where = line.strip(), f"{path}:{lineno}"
+        if not text or text.startswith("#"):
+            continue
+        if text.startswith("[") and text.endswith("]"):
+            section = text[1:-1]
+            if not headers:
+                raise ConfigError(f"{where}: an oracle spec has no [section] headers")
+            if section not in SCHEMA:
+                raise ConfigError(f"{where}: unknown config section [{section}]")
+            if section in out:
+                raise ConfigError(f"{where}: config section [{section}] given twice")
+            out[section] = {}
+            continue
+        key, eq, value = text.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ConfigError(f"{where}: expected key = value, got {line!r}")
+        if section is None:
+            raise ConfigError(f"{where}: key {key!r} comes before any [section] header")
+        if key not in SCHEMA[section]:
+            raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
+        keys = out.setdefault(section, {})
+        if key in keys:
+            raise ConfigError(f"{where}: key {key!r} of [{section}] given twice")
+        keys[key] = value
     return out
+
+
+def parse_config_file(path) -> dict[str, dict[str, str]]:
+    """Raw string values of a config file, by section."""
+    return _read_settings(path, "config file")
 
 
 def resolve_config(file_values: dict | None = None,
@@ -261,31 +285,10 @@ def training_from(cfg: dict, stage: str, n_nodes: int) -> tuple[TrainConfig, Net
 
 
 def read_world_spec(path) -> dict[str, dict]:
-    """Oracle spec file: flat `key = value` lines, no sections, keys of [world].
+    """Oracle spec file: `key = value` lines of [world] keys, with no header.
 
     Returns the resolved config; no world is built."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"oracle spec not found: {path}")
-    try:
-        content = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(content.splitlines(), 1):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        if "=" not in text:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key, _, value = text.partition("=")
-        key = key.strip()
-        if key not in SCHEMA["world"]:
-            raise ConfigError(f"{path}:{lineno}: unknown oracle key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: oracle key {key!r} given twice")
-        values[key] = value
-    return resolve_config({"world": values})
+    return resolve_config(_read_settings(path, "oracle spec", "world"))
 
 
 def load_world_spec(spec) -> GaussianOracleWorld:

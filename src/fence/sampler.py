@@ -21,14 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from .backends import ConditioningContext, DenoiserBackend, unconditional_context
-from .clustering import cluster_scales, default_cluster_count, kmeans
+from .clustering import cluster_count, cluster_scales, kmeans
 from .diffusion import NoiseSchedule, q_sample, reverse_mean, reverse_step
 from .errors import DivergenceError, FenceError, InvalidInputError
 from .grid import MaskMatrix, TrafficGrid, save_grid_csv
 from .guidance import (GuidanceConfig, calibrated_constants, combine_scores,
                        guidance_gradient_norm, posterior_update)
 
-__all__ = ["ImputationResult", "cluster_count", "impute", "emit_trace"]
+__all__ = ["ImputationResult", "impute", "emit_trace"]
 
 ANCHORING_MODES = ("free", "clamp")
 # seeds key Philox streams: [0, 2**64) keeps the per-step k-means key
@@ -91,16 +91,6 @@ def _step_labels(attn: np.ndarray | None, n_samples: int, n_nodes: int,
     return np.broadcast_to(np.stack(labels), (n_samples, n_nodes))
 
 
-def cluster_count(n_clusters: int | None, n_nodes: int) -> int:
-    """The k-means cluster count of an n_nodes grid: n_clusters, or the
-    default when it is None; InvalidInputError outside [1, n_nodes]."""
-    if n_clusters is None:
-        n_clusters = default_cluster_count(n_nodes)
-    if not (1 <= n_clusters <= n_nodes):
-        raise InvalidInputError(f"n_clusters must lie in [1, {n_nodes}], got {n_clusters}")
-    return n_clusters
-
-
 def _predict(backend: DenoiserBackend, x, k, ctx):
     try:
         return backend.predict(x, k, ctx)
@@ -108,6 +98,7 @@ def _predict(backend: DenoiserBackend, x, k, ctx):
         raise type(exc)(f"backend failed at reverse step {k}: {exc}") from exc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite samples raise DivergenceError
 def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
            observed: TrafficGrid, mask: MaskMatrix, sched: NoiseSchedule,
            gcfg: GuidanceConfig, n_clusters: int | None = None,

@@ -179,6 +179,7 @@ def _validation_loss(model, windows, sched, cfg, conditional) -> float:
     return total / len(values)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss raises DivergenceError
 def _fit(model, data: DatasetSplit, cfg: TrainConfig, sched: NoiseSchedule,
          conditional: bool) -> TrainResult:
     if not len(data.train[0]):

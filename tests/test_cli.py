@@ -17,7 +17,8 @@ from fence import (GuidanceConfig, ImputationResult, InvalidInputError, NetConfi
                    load_grid_csv, load_mask_csv, make_gaussian_world,
                    quadratic_schedule, save_checkpoint, save_grid_csv, save_mask_csv)
 from fence.cli import _impute_in_data_units, build_parser, main
-from fence.config import parse_config_file, resolve_config, world_from
+from fence.config import (SCHEMA, format_resolved, parse_config_file, resolve_config,
+                          world_from)
 from fence.masking import MaskPatternConfig, mask_sr_tc
 from fence.sampler import impute
 from fence.training import train_unconditional
@@ -76,6 +77,8 @@ def test_missing_files_exit_3(tmp_path):
     assert main(["evaluate", "--pred", str(tmp_path / "nope.csv"),
                  "--truth", str(tmp_path / "nope.csv"),
                  "--eval-mask", str(tmp_path / "nope.csv"),
+                 "--out", str(out)]) == 3
+    assert main(["synth", "--spec", str(tmp_path / "missing.spec"), "--length", "4",
                  "--out", str(out)]) == 3
 
 
@@ -191,9 +194,10 @@ def test_evaluate_hand_example(tmp_path):
     pred = tmp_path / "pred.csv"
     truth = tmp_path / "truth.csv"
     emask = tmp_path / "emask.csv"
-    save_grid_csv(pred, np.array([[1.0, 2.0], [3.0, 4.0]]))
-    save_grid_csv(truth, np.array([[2.0, 2.0], [5.0, 4.0]]))
-    save_mask_csv(emask, np.array([[1, 0], [1, 0]]))
+    # node 2 has no evaluated cell: it changes no metric and gets no per-node row
+    save_grid_csv(pred, np.array([[1.0, 2.0], [3.0, 4.0], [7.0, 8.0]]))
+    save_grid_csv(truth, np.array([[2.0, 2.0], [5.0, 4.0], [6.0, 9.0]]))
+    save_mask_csv(emask, np.array([[1, 0], [1, 0], [0, 0]]))
     out = tmp_path / "metrics.csv"
     per_node = tmp_path / "per_node.csv"
     assert main(["evaluate", "--pred", str(pred), "--truth", str(truth),
@@ -207,7 +211,7 @@ def test_evaluate_hand_example(tmp_path):
     assert float(mape) == pytest.approx(0.45, rel=1e-12)
     assert crps == "nan"
     rows = per_node.read_text().splitlines()
-    assert rows[0] == "node,mae,rmse,mape"
+    assert rows[0] == "node,mae,rmse,mape" and len(rows) == 3
     assert rows[1].startswith("0,1.0,") and rows[2].startswith("1,2.0,")
 
 
@@ -710,6 +714,10 @@ def test_readme_layout_names_every_module():
     ("guidance", "lambda_ref = inf"),
     ("world", "mean = nan"),
     ("guidance", "mode = cfg"),
+    ("guidance", "clusters = x"),
+    ("DEFAULT", "seed = 7"),
+    ("experiment", "backend: oracle"),
+    ("experiment", "; note"),
 ])
 def test_bad_config_values_exit_2(tmp_path, section, line):
     cfg = tmp_path / "bad.cfg"
@@ -867,6 +875,64 @@ def test_repeated_oracle_spec_key_exits_2_naming_its_line(tmp_path, capsys):
     assert not (tmp_path / "series.csv").exists()
 
 
+@pytest.mark.parametrize("kind, text, line", [
+    ("config", "[experiment]\nseed = 1\n\n[nonsense]\nx = 1\n", 4),
+    ("config", "# a comment\n[guidance]\nbogus = 1\n", 3),
+    ("config", "[world]\nnodes = 3\n  nodes = 4\n", 3),
+    ("config", "[world]\nnodes = 3\n[mask]\n[world]\n", 4),
+    ("config", "[world]\nnodes 3\n", 2),
+    ("config", "\nnodes = 3\n[world]\n", 2),
+    ("spec", WORLD_SPEC + "bogus = 1\n", 7),
+    ("spec", WORLD_SPEC.replace("mean", "steps = 5\nmean"), 5),
+    ("spec", "[world]\n" + WORLD_SPEC, 1),
+    ("spec", "nodes = 3\nsteps: 4\n", 2),
+], ids=["unknown-section", "unknown-key", "repeated-key", "repeated-section",
+        "no-equals", "key-before-header", "spec-unknown-key", "spec-repeated-key",
+        "spec-header", "spec-no-equals"])
+def test_settings_file_errors_name_their_line(tmp_path, capsys, kind, text, line):
+    # a spec has no headers, so an unknown or repeated section there is a header
+    path = tmp_path / f"bad.{kind}"
+    path.write_text(text)
+    if kind == "config":
+        argv = ["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]
+    else:
+        argv = ["synth", "--spec", str(path), "--length", "4", "--out", str(tmp_path / "s")]
+    assert main(argv) == 2
+    assert f"{path}:{line}: " in capsys.readouterr().err
+
+
+def _schema_values(key, parse):
+    """Strategy of one SCHEMA key's resolved values."""
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    if key == "mode":
+        return st.sampled_from(["fence", "none"]) | floats.map(lambda x: f"cfg:{x!r}")
+    if key == "clusters":
+        return st.just("auto") | st.integers(1, 10**6).map(str)
+    if hasattr(parse, "choices"):
+        return st.sampled_from(parse.choices)
+    if parse is float:
+        return floats
+    if parse is int:
+        return st.integers(-10**9, 10**9)
+    return st.integers(0, 2**64 - 1)  # seeds
+
+
+def test_resolved_config_reads_back_unchanged(tmp_path):
+    path = tmp_path / "config.resolved"
+    configs = st.fixed_dictionaries({
+        section: st.fixed_dictionaries({key: _schema_values(key, parse)
+                                        for key, (parse, _, _) in keys.items()})
+        for section, keys in SCHEMA.items()})
+
+    @settings(max_examples=100, deadline=None)
+    @given(configs)
+    def check(cfg):
+        path.write_text(format_resolved(cfg), encoding="utf-8")
+        assert resolve_config(parse_config_file(path)) == cfg
+
+    check()
+
+
 FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0])
 
@@ -907,12 +973,29 @@ def _series(tmp_path, steps, seed=0):
 
 def test_divergent_training_exits_4_without_a_checkpoint(tmp_path, capsys):
     out = tmp_path / "m.fence"
-    with np.errstate(over="ignore", invalid="ignore"):  # the blow-up itself
-        assert main(["train-uncond", "--data", str(_series(tmp_path, 60)), "--window", "4",
-                     "--lr", "1e18", "--d-model", "4", "--layers", "1", "--heads", "2",
-                     "--epochs", "2", "--out", str(out)]) == 4
+    assert main(["train-uncond", "--data", str(_series(tmp_path, 60)), "--window", "4",
+                 "--lr", "1e18", "--d-model", "4", "--layers", "1", "--heads", "2",
+                 "--epochs", "2", "--out", str(out)]) == 4
     assert "diverged at step" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-uncond", "impute"])
+def test_divergence_prints_only_its_error_line(tmp_path, capsys, command):
+    # both loops turn a non-finite value into a DivergenceError, so numpy's
+    # overflow warnings on the way there would only repeat it
+    if command == "train-uncond":
+        argv = ["train-uncond", "--data", str(_series(tmp_path, 60)), "--window", "4",
+                "--lr", "1e18", "--d-model", "4", "--layers", "1", "--heads", "2",
+                "--out", str(tmp_path / "m.fence")]
+    else:
+        argv = _impute_grid_argv(tmp_path, ["0.5", ""] * 6)
+        argv += ["--mode", "cfg:1e300", "--steps", "6"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 4
+    assert [str(w.message) for w in caught] == []
+    assert re.fullmatch(r"error: diverged at step \d+: [^\n]+\n", capsys.readouterr().err)
 
 
 def test_finetune_without_init_builds_the_width_of_its_flags(tmp_path):

@@ -6,19 +6,19 @@ from fence import (
     GuidanceConfig,
     InvalidInputError,
     cluster_scales,
-    default_cluster_count,
     guidance_scale,
     kmeans,
 )
+from fence.clustering import cluster_count
 
 
 def test_default_cluster_count_rounds_to_nearest():
-    assert default_cluster_count(10) == 1
-    assert default_cluster_count(20) == 1
-    assert default_cluster_count(30) == 2  # 1.5 rounds half-up
-    assert default_cluster_count(50) == 3
-    assert default_cluster_count(307) == 15
-    assert default_cluster_count(5) == 1  # never below 1
+    assert cluster_count(None, 10) == 1
+    assert cluster_count(None, 20) == 1
+    assert cluster_count(None, 30) == 2  # 1.5 rounds half-up
+    assert cluster_count(None, 50) == 3
+    assert cluster_count(None, 307) == 15
+    assert cluster_count(None, 5) == 1  # never below 1
 
 
 def test_kmeans_recovers_separated_blobs():

@@ -27,3 +27,18 @@ def test_reach_of_the_metrics_tests(tmp_path):
     assert quantiles in metrics["tests_only"] and quantiles not in metrics["unreached"]
     # no metrics test trains a network
     assert _line_of("training.py", "optimizer = Adam(") in training["unreached"]
+
+
+def test_reach_records_the_digest_of_every_output_file(tmp_path):
+    out = tmp_path / "reach.json"
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import reach;"
+              " reach.WORKLOADS = ('oracle-ensemble',);"
+              " sys.exit(reach.main(['--out', sys.argv[2]]))")
+    run = subprocess.run([sys.executable, "-c", script, str(ROOT / "tools"), str(out)],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["failed_commands"] == []
+    files = report["outputs"]["oracle-ensemble"]["run"]
+    assert {"config.resolved", "report.csv", "trace.csv", "trace_sample_0.csv"} <= set(files)
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest in files.values())

@@ -9,6 +9,9 @@ while pytest runs on the given paths, if any. A workload's inputs and plan
 come from ``perfbench/workloads.build`` (seed ``SEED``) in a temporary
 directory; every command of every round runs through ``fence.cli.main``
 after its ``out`` directory is made. Nothing under perfbench/ is written.
+The report keeps the sha256 of every file each operation wrote
+(``outputs``: workload -> operation -> file -> digest), so two trees' reports
+show whether their outputs are bit-identical.
 
 The executable lines of a module are the lines its compiled code objects
 carry bytecode for (``co_lines()``), as ``python -m trace --missing`` counts
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import sys
@@ -81,10 +85,17 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def run_workloads(trace: LineTrace) -> list[str]:
-    """Run every command of each workload's plan; the failed commands."""
+def file_digests(out: Path) -> dict[str, str]:
+    """sha256 of every file under ``out``, keyed by its relative path."""
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def run_workloads(trace: LineTrace) -> tuple[list[str], dict]:
+    """Run every command of each workload's plan; the failed commands and
+    the digests of the files each operation wrote."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    failures = []
+    failures, outputs = [], {}
     with tempfile.TemporaryDirectory() as tmp, trace.phase("workloads"):
         import workloads
         import fence.cli
@@ -99,7 +110,8 @@ def run_workloads(trace: LineTrace) -> list[str]:
                             code = fence.cli.main(argv)
                         if code:
                             failures.append(f"{name} {op['id']}: fence {argv[0]} exited {code}")
-    return failures
+                    outputs.setdefault(name, {})[op["id"]] = file_digests(Path(op["out"]))
+    return failures, outputs
 
 
 def report(trace: LineTrace) -> dict:
@@ -125,7 +137,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     trace = LineTrace()
-    failures = [] if args.no_workloads else run_workloads(trace)
+    failures, outputs = ([], {}) if args.no_workloads else run_workloads(trace)
     pytest_exit = None
     if args.pytest_paths:
         import pytest
@@ -137,7 +149,7 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps({
         "workloads": [] if args.no_workloads else list(WORKLOADS), "seed": SEED,
         "failed_commands": failures, "pytest_paths": args.pytest_paths,
-        "pytest_exit": pytest_exit, "modules": modules}, indent=1) + "\n", encoding="utf-8")
+        "pytest_exit": pytest_exit, "outputs": outputs, "modules": modules}, indent=1) + "\n", encoding="utf-8")
     for name, entry in modules.items():
         print(f"{name:16s} {entry['executable']:4d} lines"
               f" {len(entry['unreached']):4d} unreached"

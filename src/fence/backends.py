@@ -78,37 +78,46 @@ class DenoiserBackend(ABC):
                 ctx: ConditioningContext) -> tuple[np.ndarray, np.ndarray | None]:
         """eps_hat (B, N, T) for the batch x_k (B, N, T) at step k under the
         (N, T) context ctx, and the node affinity: (N, N) when every row
-        shares it, (B, N, N) when each row has its own, or None."""
+        shares it, (B, N, N) when each row has its own, or None. Returning
+        the same read-only array as at the previous step means the affinity
+        has not changed, so the sampler keeps its partition; any other array
+        is clustered again."""
 
 
-def node_affinity(world: GaussianOracleWorld, k: int, sched: NoiseSchedule) -> np.ndarray:
-    """Row-stochastic N x N affinity from the step-k marginal correlation of
-    the world's conditional law (its prior when nothing is observed).
+def node_affinity(world: GaussianOracleWorld) -> np.ndarray:
+    """Read-only, row-stochastic N x N affinity from the clean (abar = 1)
+    correlation of the world's conditional law (its prior when nothing is
+    observed).
 
-    Entry (i, j) is the mean absolute correlation between the T coordinates
-    of node i and those of node j; rows are normalized to sum to 1 so the
+    Entry (i, j) is the mean absolute correlation between the T cells of
+    node i and those of node j; rows are normalized to sum to 1 so the
     matrix plays the same role as the network's spatial attention export.
-    An observed cell's noised marginal is independent of every other cell,
-    so besides each cell's correlation of 1 with itself only the hidden
-    pairs enter, as abar |Sigma_c[a, b]| / (s_a s_b) with s_a the step-k
-    standard deviation of cell a.
+    An observed cell is pinned, so it counts only its correlation of 1 with
+    itself; the hidden pairs, each hidden cell with itself included, enter as
+    |cov_hh[a, b]| / (s_a s_b) with s_a the conditional standard deviation
+    of cell a.
     """
-    abar = sched.alpha_bar_at(k)
-    var, spread, member = world.affinity_terms
-    # each hidden cell's 1/s at step k, placed in its node's column
-    scaled = member / np.sqrt(abar * var + (1.0 - abar))[:, None]
-    blocks = abar * (scaled.T @ (spread @ scaled))
-    blocks.flat[::world.n_nodes + 1] += world.n_steps
-    return blocks / blocks.sum(axis=1, keepdims=True)
+    _, obs, hid, cov_hh = world._schur
+    n, t = world.n_nodes, world.n_steps
+    # each hidden cell's 1/s, placed in its node's column
+    scaled = np.zeros((hid.size, n))
+    scaled[np.arange(hid.size), hid // t] = 1.0 / np.sqrt(np.diag(cov_hh))
+    blocks = scaled.T @ (np.abs(cov_hh) @ scaled)
+    blocks.flat[::n + 1] += np.bincount(obs // t, minlength=n)
+    affinity = blocks / blocks.sum(axis=1, keepdims=True)
+    affinity.setflags(write=False)
+    return affinity
 
 
 class OracleBackend(DenoiserBackend):
     """Wraps an unobserved Gaussian world as a denoiser: eps = -sqrt(1-abar) *
     exact score of the world conditioned on the context's observed cells.
 
-    The last context and its conditioned world are kept, so one ``impute``
-    conditions once. An unconditional context selects the prior marginal and
-    exports no affinity, since only the conditional one drives clustering.
+    The last context, its conditioned world and that world's affinity are
+    kept, so one ``impute`` conditions once and every step returns the same
+    read-only affinity. An unconditional context selects the prior marginal
+    and exports no affinity, since only the conditional one drives
+    clustering.
     """
 
     def __init__(self, world: GaussianOracleWorld, sched: NoiseSchedule):
@@ -117,7 +126,7 @@ class OracleBackend(DenoiserBackend):
                                     " carries the observations")
         self.world = world
         self.sched = sched
-        self._last = (None, None)
+        self._last = (None, None, None)
 
     def predict(self, x_k, k, ctx):
         x = np.asarray(x_k, dtype=np.float64)
@@ -128,12 +137,17 @@ class OracleBackend(DenoiserBackend):
         world = self.world
         if not ctx.is_unconditional:
             if self._last[0] is not ctx:
-                self._last = (ctx, world.observe(*observations_from_mask(ctx.observed, ctx.mask)))
+                self._last = (ctx, world.observe(*observations_from_mask(ctx.observed, ctx.mask)),
+                              None)
             world = self._last[1]
         score = world.score(x.reshape(len(x), -1), k, self.sched)
         eps = noise_from_score(score.reshape(x.shape), k, self.sched)
-        # the affinity depends on the step alone: one matrix for all rows
-        return eps, None if ctx.is_unconditional else node_affinity(world, k, self.sched)
+        if ctx.is_unconditional:
+            return eps, None
+        if self._last[2] is None:
+            # built after the first score, which conditions the world and owns that cost
+            self._last = (ctx, world, node_affinity(world))
+        return eps, self._last[2]
 
 
 class ContaminatedBackend(DenoiserBackend):

@@ -193,10 +193,21 @@ def cmd_train_uncond(args) -> int:
 
 
 def cmd_finetune_cond(args) -> int:
-    if not args.init:
-        return _train(args, "cond", partial(finetune_conditional, None))
-    backend, mean, std = _load_model(args.init)
-    return _train(args, "cond", partial(finetune_conditional, backend), (mean, std))
+    backend = stats = None
+    if args.init:
+        backend, mean, std = _load_model(args.init)
+        stats = (mean, std)
+    # the shape flags parse to None, so a given one can be told apart; with
+    # --init the checkpoint's shape is the one that trains
+    for dest, field in (("d_model", "d_model"), ("layers", "n_layers"), ("heads", "n_heads")):
+        given = getattr(args, dest)
+        shape = SCHEMA["training"][dest][1] if backend is None else getattr(backend.cfg, field)
+        if given is None:
+            setattr(args, dest, shape)
+        elif backend is not None and given != shape:
+            raise ConfigError(f"--{dest.replace('_', '-')} {given} differs from the"
+                              f" {shape} of the --init checkpoint {args.init}")
+    return _train(args, "cond", partial(finetune_conditional, backend), stats)
 
 
 def _impute_backends(args, values, sched, gcfg):
@@ -421,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("finetune-cond", help="stage 2: conditional fine-tune")
     add_train_args(p, "cond")
     p.add_argument("--init", default=None, help="stage-1 checkpoint")
-    p.set_defaults(func=cmd_finetune_cond)
+    p.set_defaults(func=cmd_finetune_cond, d_model=None, layers=None, heads=None)
 
     p = sub.add_parser("impute", help="run the guided reverse sampler")
     p.add_argument("--grid", required=True, help="observed grid CSV")

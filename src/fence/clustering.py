@@ -19,6 +19,10 @@ __all__ = ["cluster_count", "kmeans", "cluster_scales"]
 
 NODES_PER_CLUSTER = 20  # default cluster count: N / NODES_PER_CLUSTER, rounded
 KMEANS_MAX_ITER = 20  # Lloyd iterations at most
+# squared distances within this share of the points' largest squared spread
+# tie, so rounding cannot settle them (fully observed nodes' affinity rows
+# e_i are all equidistant)
+KMEANS_TIE_RTOL = 1e-12
 
 
 def cluster_count(n_clusters: int | None, n_nodes: int) -> int:
@@ -61,7 +65,9 @@ def kmeans(features: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndar
 
     Deterministic for a given seed. Stops early once labels reach a fixed
     point. Empty clusters are repaired by re-seeding them at the point
-    currently farthest from its assigned center.
+    currently farthest from its assigned center. A point at tied distances
+    (within KMEANS_TIE_RTOL) joins the lowest-numbered center, and a tie for
+    farthest point goes to the lowest-numbered point.
     """
     pts = np.asarray(features, dtype=np.float64)
     if pts.ndim != 2:
@@ -71,12 +77,13 @@ def kmeans(features: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndar
         raise InvalidInputError(f"cluster count must lie in [1, {n}], got {k}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     centers = _seed_centers(pts, k, rng)
+    tie = KMEANS_TIE_RTOL * float(np.max(np.sum((pts - pts.mean(axis=0)) ** 2, axis=1)))
 
     labels = np.full(n, -1, dtype=np.int64)
     prev_sse = math.inf
     for _ in range(KMEANS_MAX_ITER):
         d2 = _squared_distances(pts, centers)
-        new_labels = np.argmin(d2, axis=1)
+        new_labels = np.argmax(d2 <= d2.min(axis=1, keepdims=True) + tie, axis=1)
         sse = float(d2[np.arange(n), new_labels].sum())
         assert sse <= prev_sse + 1e-9 * max(1.0, abs(prev_sse)), "k-means SSE increased"
         prev_sse = sse
@@ -93,7 +100,7 @@ def kmeans(features: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndar
             # steal the worst-fit points, one per empty cluster
             contrib = d2[np.arange(n), labels].copy()
             for c in empties:
-                idx = int(np.argmax(contrib))
+                idx = int(np.argmax(contrib >= contrib.max() - tie))
                 centers[c] = pts[idx]
                 labels[idx] = c
                 contrib[idx] = -1.0

@@ -2,14 +2,18 @@
 
 All trajectories advance together, one reverse step at a time: start at
 pure noise, and at every step query the unconditional and the conditional
-noise predictions for the whole ensemble in one call each, cluster the
-nodes once per exported affinity matrix (one shared by the ensemble, or one
-per trajectory), turn tracked log-posteriors into per-node guidance scales,
-combine the predictions, take the reverse step, and feed the realized
-samples back into the (S, N) log-posteriors. Each trajectory draws from its
-own RNG stream (seed xor trajectory index) in a fixed order, and k-means
-draws from one stream per step, so trajectory i is the same whatever the
-ensemble size.
+noise predictions for the whole ensemble in one call each, turn tracked
+log-posteriors into guidance scales pooled over node clusters, combine the
+predictions, take the reverse step, and feed the realized samples back into
+the (S, N) log-posteriors. The clusters come from k-means on each exported
+affinity matrix (one shared by the ensemble, or one per trajectory), run at
+the first step and again only when the backend returns a new array: the
+oracle's affinity depends on its conditioned world alone, so it is
+partitioned once per run, while the network's attention is clustered every
+step. Each trajectory draws from its own RNG stream (seed xor trajectory
+index) in a fixed order, and a k-means run at reverse step k draws from
+stream (seed << 32) + k, so trajectory i is the same whatever the ensemble
+size.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .guidance import (GuidanceConfig, calibrated_constants, combine_scores,
 __all__ = ["ImputationResult", "impute", "emit_trace"]
 
 ANCHORING_MODES = ("free", "clamp")
-# seeds key Philox streams: [0, 2**64) keeps the per-step k-means key
+# seeds key Philox streams: [0, 2**64) keeps the k-means key
 # (seed << 32) + k below Philox's 2**128
 SEED_LIMIT = 2**64
 
@@ -68,7 +72,7 @@ class ImputationResult:
 
 def _step_labels(attn: np.ndarray | None, n_samples: int, n_nodes: int,
                  n_clusters: int, seed: int, k: int) -> np.ndarray:
-    """(S, N) cluster ids of every trajectory at reverse step k."""
+    """(S, N) cluster ids of every trajectory from reverse step k's affinity."""
     # the two degenerate partitions need no Lloyd run and anchor the
     # exact global / per-node ablation identities
     if n_clusters == 1:
@@ -79,7 +83,7 @@ def _step_labels(attn: np.ndarray | None, n_samples: int, n_nodes: int,
         raise InvalidInputError(
             "backend exports no attention; cluster scope needs it "
             "(use scope=global or per_node)")
-    # one k-means stream per step and one run per affinity matrix: a single
+    # the step's k-means stream and one run per affinity matrix: a single
     # (N, N) matrix shared by every trajectory, or one per row of (S, N, N)
     attn = np.asarray(attn)
     if attn.shape not in ((n_nodes, n_nodes), (n_samples, n_nodes, n_nodes)):
@@ -133,6 +137,7 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
     ctx_uncond = unconditional_context(n, t)
     lam_trace, logp_trace, gnorm_trace = (np.empty((s, n_steps, n)) for _ in range(3))
     cluster_trace = np.full((s, n_steps, n), -1, dtype=np.int64)
+    clustered = None
 
     for j, k in enumerate(range(n_steps, 0, -1)):
         eps_u, _ = _predict(backend_uncond, x, k, ctx_uncond)
@@ -142,7 +147,9 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
             eps_c, attn = _predict(backend, x, k, ctx_cond)
 
         if gcfg.mode == "fence":
-            labels = _step_labels(attn, s, n, n_clusters, seed, k)
+            # the same read-only array as last step is the same affinity
+            if attn is None or attn is not clustered or attn.flags.writeable:
+                labels, clustered = _step_labels(attn, s, n, n_clusters, seed, k), attn
             lam = cluster_scales(logp, labels, gcfg)
             cluster_trace[:, j] = labels
         elif gcfg.mode == "cfg":

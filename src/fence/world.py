@@ -206,22 +206,6 @@ class GaussianOracleWorld:
         """(w, U) with cov_hh = U diag(w) U^T, one eigh per world."""
         return eigh(self._schur[3])
 
-    @cached_property
-    def affinity_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(var, spread, member), read-only: the step-independent parts of
-        the conditional law's noised correlations. var is diag cov_hh,
-        spread is |cov_hh| with a zero diagonal, and member is the
-        (hidden, N) one-hot node of each hidden cell."""
-        _, _, hid, cov_hh = self._schur
-        spread = np.abs(cov_hh)
-        np.fill_diagonal(spread, 0.0)
-        member = np.zeros((hid.size, self.n_nodes))
-        member[np.arange(hid.size), hid // self.n_steps] = 1.0
-        terms = (np.diag(cov_hh).copy(), spread, member)
-        for a in terms:
-            a.setflags(write=False)
-        return terms
-
     # -- noised marginals ----------------------------------------------------
 
     def _coords(self, x_k: np.ndarray, k: int,

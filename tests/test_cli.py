@@ -645,9 +645,12 @@ CLI_SURFACE = [
     (["train-uncond", "--data", "d", "--out", "o"],
      {"data": "d", "out": "o", "epochs": 150, "lr": 2e-3, "patience": 20,
       "weight_decay": 1e-6, **NET_DEFAULTS, **SCHEDULE_DEFAULTS}),
+    # the shape flags parse to None, so one that was given can be checked
+    # against the --init checkpoint; without --init they build NET_DEFAULTS'
     (["finetune-cond", "--data", "d", "--out", "o"],
      {"data": "d", "out": "o", "init": None, "epochs": 80, "lr": 1e-3, "patience": 10,
-      "weight_decay": 1e-5, **NET_DEFAULTS, **SCHEDULE_DEFAULTS}),
+      "weight_decay": 1e-5, **NET_DEFAULTS, "d_model": None, "layers": None,
+      "heads": None, **SCHEDULE_DEFAULTS}),
     (["impute", "--grid", "g", "--out", "o"],
      {"grid": "g", "out": "o", "trace_out": None, "samples": 10, **BACKEND_DEFAULTS,
       **SCHEDULE_DEFAULTS, **GUIDANCE_DEFAULTS}),
@@ -1005,6 +1008,39 @@ def test_finetune_without_init_builds_the_width_of_its_flags(tmp_path):
                      "--d-model", "6", "--layers", "1", "--heads", "2", "--epochs", "1",
                      "--out", str(out)]) == 0
     assert load_checkpoint(out)["node_embed"].shape == (3, 6)
+
+
+def test_finetune_without_init_or_shape_flags_builds_the_default_width(tmp_path):
+    out = tmp_path / "m.fence"
+    with pytest.warns(UserWarning, match="fine-tuning from random weights"):
+        assert main(["finetune-cond", "--data", str(_series(tmp_path, 40)), "--window", "4",
+                     "--epochs", "1", "--out", str(out)]) == 0
+    assert load_checkpoint(out)["node_embed"].shape == (3, NET_DEFAULTS["d_model"])
+
+
+@pytest.mark.parametrize("shape_flags, code", [
+    ([], 0),                                             # not given: the checkpoint's
+    (["--d-model", "6", "--layers", "1", "--heads", "2"], 0),  # equal to the checkpoint's
+    (["--d-model", "16"], 2),                            # the default, not the checkpoint's
+    (["--layers", "2"], 2),
+    (["--heads", "3", "--d-model", "6"], 2),
+], ids=["absent", "equal", "d-model", "layers", "heads"])
+def test_finetune_with_init_rejects_a_shape_flag_that_differs(tmp_path, capsys,
+                                                              shape_flags, code):
+    data, init, out = _series(tmp_path, 40), tmp_path / "s1.fence", tmp_path / "s2.fence"
+    assert main(["train-uncond", "--data", str(data), "--window", "4", "--d-model", "6",
+                 "--layers", "1", "--heads", "2", "--epochs", "1", "--out", str(init)]) == 0
+    capsys.readouterr()
+    assert main(["finetune-cond", "--data", str(data), "--window", "4", "--init", str(init),
+                 "--epochs", "1", "--out", str(out), *shape_flags]) == code
+    if code:
+        flag, given = shape_flags[:2]
+        shape = {"--d-model": 6, "--layers": 1, "--heads": 2}[flag]
+        assert f"{flag} {given} differs from the {shape} of the --init checkpoint" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+    else:
+        assert load_checkpoint(out).keys() == load_checkpoint(init).keys()
 
 
 def test_fence_impute_without_a_conditional_checkpoint_exits_2(tmp_path, capsys):

@@ -61,6 +61,20 @@ def test_kmeans_degenerate_counts():
         kmeans(pts[0], 1, seed=0)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_kmeans_does_not_let_rounding_settle_a_tie(seed):
+    # the rows of an identity are equidistant from one another, as the
+    # affinity rows of nodes with no hidden cell are: one ulp on every entry
+    # must not decide which cluster a row joins
+    pts = np.vstack([np.eye(10), np.random.default_rng(seed).dirichlet(np.ones(10), 4)])
+    labels, _ = kmeans(pts, 3, seed=seed)
+    rng = np.random.default_rng(100 + seed)
+    for _ in range(10):
+        ulp = np.where(rng.random(pts.shape) < 0.5, np.nextafter(1.0, 2.0),
+                       np.nextafter(1.0, 0.0))
+        np.testing.assert_array_equal(kmeans(pts * ulp, 3, seed=seed)[0], labels)
+
+
 def test_kmeans_identical_points():
     pts = np.ones((5, 2))
     labels, centers = kmeans(pts, 2, seed=3)

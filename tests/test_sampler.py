@@ -157,6 +157,46 @@ def test_neural_rows_with_one_attention_share_their_labels(monkeypatch):
     assert not np.array_equal(result.cluster_id[0], result.cluster_id[2])
 
 
+class _FixedAffinityBackend(DenoiserBackend):
+    """The oracle's predictions with one set affinity: a fresh copy of it at
+    every step, or the same array again."""
+
+    def __init__(self, inner, affinity, fresh):
+        self.inner, self.affinity, self.fresh = inner, affinity, fresh
+
+    def predict(self, x_k, k, ctx):
+        eps, _ = self.inner.predict(x_k, k, ctx)
+        return eps, self.affinity.copy() if self.fresh else self.affinity
+
+
+@pytest.mark.parametrize("fresh, writeable, steps", [
+    (True, True, range(50, 0, -1)),   # a new array each step: clustered each step
+    (False, True, range(50, 0, -1)),  # a writable array may have changed in place
+    (False, False, [50]),             # the same read-only array: clustered once
+], ids=["fresh", "same-writable", "same-read-only"])
+def test_kmeans_runs_again_only_for_a_new_affinity(monkeypatch, fresh, writeable, steps):
+    import fence.sampler as sampler
+
+    calls = []
+    real = sampler.kmeans
+
+    def counted(features, k, seed):
+        calls.append(seed)
+        return real(features, k, seed)
+
+    monkeypatch.setattr(sampler, "kmeans", counted)
+    backend, truth, mask, sched = oracle_setup()
+    affinity = np.random.default_rng(8).random((4, 4))
+    affinity.setflags(write=writeable)
+    fixed = _FixedAffinityBackend(backend, affinity, fresh)
+    result = impute(fixed, backend, truth, mask, sched,
+                    GuidanceConfig(mode="fence", scope="cluster"), n_clusters=2,
+                    n_samples=3, seed=7)
+    assert calls == [(7 << 32) + k for k in steps]
+    if len(calls) == 1:
+        assert (result.cluster_id == result.cluster_id[:, :1]).all()
+
+
 class _ReshapedAffinityBackend(DenoiserBackend):
     def __init__(self, inner, reshape):
         self.inner, self.reshape = inner, reshape

@@ -39,7 +39,9 @@ print(json.dumps({"missing": missing, "lost": sorted(rec.lost),
                   "updates": metrics["guidance.posterior_update.calls"],
                   "scales": metrics["clustering.scales.calls"],
                   "predict_cond": metrics["backends.predict_cond.calls"],
-                  "predict_uncond": metrics["backends.predict_uncond.calls"]}))
+                  "predict_uncond": metrics["backends.predict_uncond.calls"],
+                  "affinities": metrics["backends.node_affinity.calls"],
+                  "kmeans": metrics["clustering.kmeans.calls"]}))
 """
 
 
@@ -80,10 +82,12 @@ def _traced(script: str) -> dict:
 def test_perfbench_traces_every_layer_of_a_fence_impute():
     steps = 5
     # spans._by_context names each predict by the context's is_unconditional:
-    # one conditional and one unconditional call per step
+    # one conditional and one unconditional call per step; the oracle's one
+    # affinity is built and clustered once per run
     assert _traced(TRACED_IMPUTE) == {"missing": [], "lost": [], "updates": steps - 1,
                                       "scales": steps, "predict_cond": steps,
-                                      "predict_uncond": steps}
+                                      "predict_uncond": steps, "affinities": 1,
+                                      "kmeans": 1}
 
 
 def test_perfbench_traces_a_neural_training_step():

@@ -121,7 +121,7 @@ class OracleBackend(DenoiserBackend):
     """
 
     def __init__(self, world: GaussianOracleWorld, sched: NoiseSchedule):
-        if world.observed_idx:
+        if world.observed_idx.size:
             raise InvalidInputError("OracleBackend takes an unobserved world: the context"
                                     " carries the observations")
         self.world = world

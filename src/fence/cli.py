@@ -14,7 +14,7 @@ import glob
 import math
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .config import (PRESETS, SCHEMA, STAGES, guidance_from, load_world_spec,
                      parse_config_file, read_world_spec, resolve_config, schedule_from,
                      training_from, world_from, write_resolved)
 from .errors import ConfigError, DataError, DivergenceError, InvalidInputError
+from .guidance import calibrated_constants
 from .grid import (DatasetSplit, MaskMatrix, TrafficGrid, chronological_split,
                    load_grid_csv, load_mask_csv, observed_stats, save_grid_csv,
                    save_mask_csv, sliding_windows)
@@ -367,8 +368,10 @@ def cmd_run(args) -> int:
     world = world_from(cfg)
     sched = schedule_from(cfg)
     gcfg, n_clusters = guidance_from(cfg)
-    # checked before training, as impute would check it after
+    # checked before training, as impute would check them after
     n_clusters = cluster_count(n_clusters, world.n_nodes)
+    if gcfg.mode == "fence":
+        calibrated_constants(gcfg, sched)
 
     rng = np.random.Generator(np.random.Philox(key=world.seed))
     truth = world.sample_clean(rng)
@@ -466,8 +469,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: each parse_args call fills a fresh namespace
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, InvalidInputError) as exc:

@@ -130,7 +130,15 @@ def calibrated_constants(cfg: GuidanceConfig, sched: NoiseSchedule) -> tuple[flo
     if cfg.pi >= 1.0:
         return 0.0, 0.0
     delta = calibrate_delta(cfg, sched.n_steps)
-    sigma2_t1 = sched.sigma2_at(step_at_time(cfg.t1, sched.n_steps))
+    k1 = step_at_time(cfg.t1, sched.n_steps)
+    sigma2_t1 = sched.sigma2_at(k1)
+    if not sigma2_t1 > 0.0:
+        # only beta_tilde's step 1 has variance 0, and t1 lands there when t1 K < 1.5
+        raise InvalidInputError(
+            f"t1 = {cfg.t1} falls on step {k1} of K = {sched.n_steps} diffusion steps, where"
+            f" the {sched.variance_mode} reverse variance is 0, so the update temperature"
+            f" would be 0: use more steps or a larger t1, so that t1 * K >= 1.5 (K >= 3 at"
+            f" the default t1 = 0.5), or variance_mode = beta")
     tau = calibrate_tau(cfg, delta, sigma2_t1)
     # posterior_update runs at k >= 2 and multiplies by tau / (2 sigma_k^2)
     if not math.isfinite(tau / (2.0 * float(sched.sigma2[1:].min()))):

@@ -9,8 +9,8 @@ the eigenbasis of its clean law, so the unconditional and conditional
 scores used by the sampler are exact here, which is what lets the guidance
 formulas be checked to floating-point accuracy:
 
-- the prior's eigenbasis is U_s (x) U_t, from one eigh of each factor, so a
-  score costs O(NT(N+T)) per grid instead of O((NT)^2);
+- the prior's eigenbasis is U_s (x) U_t, from one eigh of each factor at its
+  first score, so a score costs O(NT(N+T)) per grid instead of O((NT)^2);
 - the conditional law pins the observed cells, whose noised marginal is
   N(sqrt(abar) v_o, (1-abar) I) whatever the step, so only its hidden block,
   the Schur complement, is decomposed; each block of Sigma it reads is
@@ -67,8 +67,8 @@ def cho_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(lower, b)
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.float64)
+def _read_only(a: np.ndarray, dtype=np.float64) -> np.ndarray:
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -78,9 +78,10 @@ class GaussianOracleWorld:
     """Exact Gaussian law over an N x T grid, optionally with observations.
 
     The prior covariance is spatial (x) temporal; only the (N, N) and (T, T)
-    factors are stored. Factors of the conditional law are cached
-    properties, so ``observe`` and ``dataclasses.replace`` start a world
-    without them.
+    factors are stored. Observations are one read-only intp/float64 pair
+    sorted by index, so the law depends on the observed set, not its order.
+    The prior's eigenbasis and the conditional law's factors are cached
+    properties: ``observe`` and ``dataclasses.replace`` start without them.
     """
 
     n_nodes: int
@@ -88,8 +89,8 @@ class GaussianOracleWorld:
     mean: np.ndarray
     spatial: np.ndarray
     temporal: np.ndarray
-    observed_idx: tuple[int, ...] = ()
-    observed_val: tuple[float, ...] = ()
+    observed_idx: np.ndarray = ()
+    observed_val: np.ndarray = ()
     seed: int = 0
 
     def __post_init__(self):
@@ -98,11 +99,9 @@ class GaussianOracleWorld:
         if mean.shape != (dim,):
             raise InvalidInputError(f"mean must have dimension {dim}, got {mean.shape}")
         object.__setattr__(self, "mean", mean)
-        # Sigma is symmetric positive definite when both factors are, which
-        # their Cholesky factorization checks (eigh can report a tiny positive
-        # eigenvalue for a singular factor); the eigenpairs are the prior's
-        # eigenbasis and the Cholesky factors the draw's
-        prior, lower = [], []
+        # Sigma is positive definite when both factors are, which their Cholesky
+        # factors (the draw's) check: eigh can find a singular one barely positive
+        lower = []
         for name, size in (("spatial", self.n_nodes), ("temporal", self.n_steps)):
             factor = _read_only(getattr(self, name))
             if factor.shape != (size, size):
@@ -111,24 +110,26 @@ class GaussianOracleWorld:
             if not (np.isfinite(factor).all() and np.allclose(factor, factor.T, atol=1e-12)):
                 raise InvalidInputError(
                     f"covariance must be finite and symmetric: its {name} factor is not")
-            w, u = eigh(factor)
             try:
                 lower.append(np.linalg.cholesky(factor))
             except LinAlgError:
                 raise InvalidInputError(
                     f"covariance is not positive definite: its {name} factor is not "
-                    f"(smallest eigenvalue {w[0]:.3g})") from None
+                    f"(smallest eigenvalue {np.linalg.eigvalsh(factor)[0]:.3g})") from None
             object.__setattr__(self, name, factor)
-            prior += [w, u]
-        object.__setattr__(self, "_prior", tuple(prior))
         object.__setattr__(self, "_lower", tuple(lower))
-        idx = tuple(int(i) for i in self.observed_idx)
-        if len(set(idx)) != len(idx) or any(not (0 <= i < dim) for i in idx):
-            raise InvalidInputError("observed indices must be distinct and in range")
-        if len(idx) != len(self.observed_val):
-            raise InvalidInputError("observed indices and values must pair up")
-        vals = tuple(float(v) for v in self.observed_val)
-        if any(not np.isfinite(v) for v in vals):
+        idx, vals = np.asarray(self.observed_idx), np.asarray(self.observed_val)
+        if idx.ndim != 1 or idx.shape != vals.shape:
+            raise InvalidInputError(f"observed indices and values must be 1-D and pair"
+                                    f" up, got shapes {idx.shape} and {vals.shape}")
+        if idx.size and not (idx.dtype.kind in "iu" and vals.dtype.kind in "iuf"):
+            raise InvalidInputError(f"observed indices must be integers and values"
+                                    f" numbers, got {idx.dtype} and {vals.dtype}")
+        order = np.argsort(idx)
+        idx, vals = _read_only(idx[order], np.intp), _read_only(vals[order])
+        if idx.size and (idx.min() < 0 or idx.max() >= dim or (idx[1:] == idx[:-1]).any()):
+            raise InvalidInputError(f"observed indices must be distinct and in [0, {dim})")
+        if not np.isfinite(vals).all():
             raise InvalidInputError("observed values must be finite")
         object.__setattr__(self, "observed_idx", idx)
         object.__setattr__(self, "observed_val", vals)
@@ -139,11 +140,9 @@ class GaussianOracleWorld:
     def dim(self) -> int:
         return self.n_nodes * self.n_steps
 
-    @property
+    @cached_property
     def hidden_idx(self) -> np.ndarray:
-        mask = np.ones(self.dim, dtype=bool)
-        mask[list(self.observed_idx)] = False
-        return np.flatnonzero(mask)
+        return _read_only(np.delete(np.arange(self.dim), self.observed_idx), np.intp)
 
     def _prior_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Sigma[rows][:, cols] from the factors, one product per entry as
@@ -153,8 +152,7 @@ class GaussianOracleWorld:
                 * self.temporal[np.ix_(rows % t, cols % t)])
 
     def observe(self, indices, values) -> "GaussianOracleWorld":
-        return replace(self, observed_idx=tuple(int(i) for i in indices),
-                       observed_val=tuple(float(v) for v in values))
+        return replace(self, observed_idx=indices, observed_val=values)
 
     # -- conditional law -----------------------------------------------------
 
@@ -164,13 +162,9 @@ class GaussianOracleWorld:
         every cell, the observed and hidden cells, and the conditional
         covariance of the hidden cells (a Schur complement). With nothing
         observed, every cell is hidden and this is the prior."""
-        obs = np.asarray(self.observed_idx, dtype=np.intp)
-        hid = self.hidden_idx
-        for a in (obs, hid):
-            a.setflags(write=False)
+        obs, hid, v = self.observed_idx, self.hidden_idx, self.observed_val
         mean_c, cov_hh = self.mean, self._prior_block(hid, hid)
         if obs.size:
-            v = np.asarray(self.observed_val)
             try:
                 lower = cho_factor(self._prior_block(obs, obs))
             except LinAlgError as exc:
@@ -202,6 +196,11 @@ class GaussianOracleWorld:
         return mean_c, cov_c
 
     @cached_property
+    def _prior(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(w_s, U_s, w_t, U_t): the factors' eigenpairs, the prior's eigenbasis."""
+        return (*eigh(self.spatial), *eigh(self.temporal))
+
+    @cached_property
     def _hidden_eigen(self) -> tuple[np.ndarray, np.ndarray]:
         """(w, U) with cov_hh = U diag(w) U^T, one eigh per world."""
         return eigh(self._schur[3])
@@ -221,7 +220,7 @@ class GaussianOracleWorld:
         """
         abar = sched.alpha_bar_at(k)
         x = np.asarray(x_k, dtype=np.float64).reshape(-1, self.dim)
-        if self.observed_idx:
+        if self.observed_idx.size:
             mean, obs, hid, _ = self._schur
             w, u = self._hidden_eigen
             r = x - math.sqrt(abar) * mean
@@ -243,7 +242,7 @@ class GaussianOracleWorld:
         """
         z, v = self._coords(x_k, k, sched)
         y = z / v
-        if self.observed_idx:
+        if self.observed_idx.size:
             _, obs, hid, _ = self._schur
             out = np.empty_like(y)
             out[:, obs] = y[:, :obs.size]

@@ -670,6 +670,41 @@ def test_cli_defaults_are_pinned(argv, expected):
         {k: (type(v), v) for k, v in expected.items()}
 
 
+def _overwrite_every_value(args) -> int:
+    for key in vars(args):
+        setattr(args, key, "leaked")
+    return 0
+
+
+def test_consecutive_main_calls_parse_independently(monkeypatch):
+    # main builds its parser once per process; a command that sets its own
+    # arguments, or an earlier command's flags, must not reach the next parse
+    parsed = []
+    real = argparse.ArgumentParser.parse_args
+
+    def parse_only(parser, argv):
+        args = real(parser, argv)
+        parsed.append((parser, {k: (type(v), v) for k, v in vars(args).items()
+                                if k != "func"}))
+        args.func = _overwrite_every_value
+        return args
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_only)
+    others = [["impute", "--grid", "x", "--out", "y", "--seed", "5", "--steps", "7",
+               "--t1", "0.3", "--oracle", "w"],
+              ["finetune-cond", "--data", "x", "--out", "y", "--d-model", "8",
+               "--init", "c", "--epochs", "3"],
+              ["mask", "--nodes", "9", "--length", "9", "--out", "y", "--seed", "4"],
+              ["run", "--preset", "wo-C", "--out-dir", "z"]]
+    for argv, expected in CLI_SURFACE:
+        for other in others:
+            assert main(other) == 0
+        assert main(argv) == 0
+        expected = {"command": argv[0], **expected}
+        assert parsed[-1][1] == {k: (type(v), v) for k, v in expected.items()}
+    assert len({id(parser) for parser, _ in parsed}) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["impute", "--grid", "g", "--out", "o", "--threads", "2"],
     ["trace", "--grid", "g", "--trace-out", "t"],
@@ -749,6 +784,27 @@ def test_small_alpha_scale_still_runs(tmp_path):
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("command", ["impute", "run"])
+def test_fence_mode_on_two_diffusion_steps_exits_2_naming_what_works(tmp_path, capsys,
+                                                                    command):
+    # t1 = 0.5 of K = 2 steps is step 1, where the beta_tilde reverse variance is 0
+    def code(steps, variance_mode="beta_tilde"):
+        argv = _oracle_argv(tmp_path, command, 3, 0.5)
+        if command == "impute":
+            argv += ["--steps", steps, "--variance-mode", variance_mode]
+        else:
+            (tmp_path / "tiny.cfg").write_text(TINY_CONFIG.replace(
+                "steps = 8", f"steps = {steps}\nvariance_mode = {variance_mode}"))
+        return main(argv)
+
+    assert code("2") == 2
+    err = capsys.readouterr().err
+    for part in ("t1 = 0.5", "step 1 of K = 2", "beta_tilde", "K >= 3", "variance_mode = beta"):
+        assert part in err
+    assert code("3") == 0
+    assert code("2", "beta") == 0
+
+
 @pytest.mark.parametrize("section, line", [
     ("data", "length = 0"),
     ("data", "length = -3"),
@@ -758,6 +814,8 @@ def test_small_alpha_scale_still_runs(tmp_path):
     ("world", "mean = nan"),
     ("sampler", "samples = 0"),
     ("sampler", "crps_samples = 1"),
+    ("schedule", "steps = 2"),
+    ("guidance", "alpha_scale = 1e-320"),
 ])
 def test_unrunnable_neural_values_exit_2_before_training(tmp_path, capsys, monkeypatch,
                                                          section, line):

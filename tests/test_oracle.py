@@ -115,7 +115,7 @@ def test_conditional_moments_match_scipy_regression():
 def _law(world):
     """Dense (mean, covariance) of the world's own law: kron(K_s, K_t) for a
     world with no observations, the full Schur Sigma_c otherwise."""
-    if world.observed_idx:
+    if world.observed_idx.size:
         return world.conditional_moments()
     return world.mean, np.kron(world.spatial, world.temporal)
 
@@ -375,6 +375,102 @@ def test_observe_validation():
         world.observe([0, 0], [1.0, 2.0])
     with pytest.raises(InvalidInputError):
         world.observe([0], [np.nan])
+
+
+@pytest.mark.parametrize("indices, values", [
+    pytest.param([1.7], [1.0], id="fractional-index"),
+    pytest.param([0, 2.5], [1.0, 2.0], id="fractional-index-among-integers"),
+    pytest.param([1.0], [1.0], id="integral-float-index"),
+    pytest.param([True], [1.0], id="boolean-index"),
+    pytest.param([False, True], [1.0, 2.0], id="boolean-indices"),
+    pytest.param(["3"], [1.0], id="string-index"),
+    pytest.param([None], [1.0], id="none-index"),
+    pytest.param([[0, 1]], [[1.0, 2.0]], id="2-d-indices"),
+    pytest.param([[0, 1]], [1.0, 2.0], id="2-d-indices-1-d-values"),
+    pytest.param(0, 1.0, id="scalar"),
+    pytest.param([0, 1], [1.0], id="more-indices"),
+    pytest.param([0], [1.0, 2.0], id="more-values"),
+    pytest.param([], [1.0], id="values-without-indices"),
+    pytest.param([2, 1, 2], [1.0, 2.0, 3.0], id="duplicate"),
+    pytest.param([-1], [1.0], id="negative"),
+    pytest.param([0, 7], [1.0, 2.0], id="out-of-range"),
+    pytest.param(np.array([0, 2 ** 64 - 1], dtype=np.uint64), [1.0, 2.0], id="huge-uint64"),
+    pytest.param([0], ["1.0"], id="string-value"),
+    pytest.param([0], [None], id="none-value"),
+    pytest.param([0], [1j], id="complex-value"),
+    pytest.param([0], [True], id="boolean-value"),
+    pytest.param([0, 1], [1.0, np.nan], id="nan-value"),
+    pytest.param([0], [np.inf], id="inf-value"),
+    pytest.param([0], [-np.inf], id="minus-inf-value"),
+])
+def test_observe_rejects_every_malformed_observation(indices, values):
+    with pytest.raises(InvalidInputError):
+        make_gaussian_world(2, 2, 0.5, 0.5).observe(indices, values)
+
+
+def test_observations_are_one_sorted_read_only_pair():
+    world = make_gaussian_world(2, 3, 0.5, 0.5)
+    for observed in (world.observe(np.array([4, 0, 2], dtype=np.uint8), [3, 1, 2]),
+                     world.observe(range(4, -1, -2), [3, 2, 1])):
+        for a, dtype, expected in ((observed.observed_idx, np.intp, [0, 2, 4]),
+                                   (observed.observed_val, np.float64, [1.0, 2.0, 3.0]),
+                                   (observed.hidden_idx, np.intp, [1, 3, 5])):
+            assert a.dtype == dtype and not a.flags.writeable
+            np.testing.assert_array_equal(a, expected)
+    empty = world.observe([], [])
+    assert empty.observed_idx.dtype == np.intp and empty.observed_idx.size == 0
+    np.testing.assert_array_equal(empty.hidden_idx, range(6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), t=st.integers(1, 5), rho_s=st.floats(-0.45, 0.95),
+       rho_t=st.floats(-0.95, 0.95), share=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_conditioning_depends_on_the_observed_set_not_its_order(n, t, rho_s, rho_t,
+                                                                share, seed):
+    rng = np.random.default_rng(seed)
+    world = make_gaussian_world(n, t, rho_s, rho_t, mean=float(rng.normal()))
+    count = int(round(share * world.dim))
+    obs = rng.choice(world.dim, size=count, replace=False)
+    vals = rng.standard_normal(count)
+    permuted, order = rng.permutation(count), np.argsort(obs)
+    shuffled = world.observe(obs[permuted], vals[permuted])
+    ordered = world.observe(obs[order], vals[order])
+    for a, b in zip((*shuffled._schur, *shuffled._hidden_eigen),
+                    (*ordered._schur, *ordered._hidden_eigen)):
+        np.testing.assert_array_equal(a, b)
+    sched = quadratic_schedule(8)
+    x = rng.standard_normal((2, world.dim))
+    for k in (1, 5, 8):
+        np.testing.assert_array_equal(shuffled.score(x, k, sched), ordered.score(x, k, sched))
+
+
+def test_a_conditioned_world_runs_eigh_once_and_never_on_the_factors(monkeypatch):
+    shapes = []
+    real = world_mod.eigh
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(world_mod, "eigh", counted)
+    world = make_gaussian_world(4, 5, 0.6, 0.7)
+    sched = quadratic_schedule(10)
+    x = np.random.default_rng(24).standard_normal((2, world.dim))
+    observed = world.observe([0, 7, 3], [1.0, -1.0, 0.5])
+    for k in (1, 4, 10):
+        observed.score(x, k, sched)
+        observed.marginal_logpdf(x[0], k, sched)
+    node_affinity(observed)
+    observed.conditional_moments()
+    observed.sample_clean(np.random.default_rng(25))
+    world.sample_clean(np.random.default_rng(26))
+    assert shapes == [(17, 17)]  # the hidden block only
+    # the prior decomposes each factor once, at its first score
+    for k in (1, 4):
+        world.score(x, k, sched)
+    world.marginal_logpdf(x[0], 4, sched)
+    assert shapes == [(17, 17), (4, 4), (5, 5)]
 
 
 
@@ -704,7 +800,7 @@ def test_oracle_impute_builds_one_affinity_per_run(monkeypatch):
     backend = OracleBackend(world, sched)
     impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
            GuidanceConfig(mode="fence"), n_clusters=2, n_samples=3, seed=5)
-    assert len(worlds) == 1 and worlds[0].observed_idx
+    assert len(worlds) == 1 and worlds[0].observed_idx.size
 
 
 def test_oracle_impute_runs_one_kmeans_per_run(monkeypatch):

@@ -21,19 +21,17 @@ import numpy as np
 
 from .backends import OracleBackend
 from .checkpoint import load_checkpoint, save_checkpoint
-from .clustering import cluster_count
 from .config import (PRESETS, SCHEMA, STAGES, guidance_from, load_world_spec,
                      parse_config_file, read_world_spec, resolve_config, schedule_from,
                      training_from, world_from, write_resolved)
 from .errors import ConfigError, DataError, DivergenceError, InvalidInputError
-from .guidance import calibrated_constants
 from .grid import (DatasetSplit, MaskMatrix, TrafficGrid, chronological_split,
                    load_grid_csv, load_mask_csv, observed_stats, save_grid_csv,
                    save_mask_csv, sliding_windows)
 from .masking import MaskPatternConfig, mask_sc_tc, mask_sr_tc, ring_communities
 from .metrics import crps_masked, point_metrics
 from .neural import NeuralDenoiser
-from .sampler import emit_trace, impute
+from .sampler import emit_trace, impute, scale_law
 from .training import finetune_conditional, train_unconditional
 
 __all__ = ["main"]
@@ -368,10 +366,9 @@ def cmd_run(args) -> int:
     world = world_from(cfg)
     sched = schedule_from(cfg)
     gcfg, n_clusters = guidance_from(cfg)
-    # checked before training, as impute would check them after
-    n_clusters = cluster_count(n_clusters, world.n_nodes)
-    if gcfg.mode == "fence":
-        calibrated_constants(gcfg, sched)
+    n_samples, seed = max(s["samples"], s["crps_samples"]), cfg["experiment"]["seed"]
+    # built before training: a cluster count or constants it rejects stop the run early
+    law = scale_law(gcfg, sched, n_samples, world.n_nodes, n_clusters, seed)
 
     rng = np.random.Generator(np.random.Philox(key=world.seed))
     truth = world.sample_clean(rng)
@@ -384,9 +381,8 @@ def cmd_run(args) -> int:
     backends = _pipeline_backends(cfg, world, sched, rng)
     # trajectory i depends only on (seed, i): the point-metric and the CRPS
     # ensembles are both prefixes of one run
-    result = _impute_in_data_units(backends, truth, mask, sched, gcfg, n_clusters,
-                                   n_samples=max(s["samples"], s["crps_samples"]),
-                                   seed=cfg["experiment"]["seed"],
+    result = _impute_in_data_units(backends, truth, mask, sched, law, n_clusters,
+                                   n_samples=n_samples, seed=seed,
                                    anchoring=s["anchoring"])
     point = result.head(s["samples"])
     emit_trace(point, out_dir / "trace.csv")

@@ -1,19 +1,14 @@
-"""The reverse-diffusion imputation loop with feedback-controlled guidance.
+"""The reverse-diffusion imputation loop and the scale laws it runs.
 
-All trajectories advance together, one reverse step at a time: start at
-pure noise, and at every step query the unconditional and the conditional
-noise predictions for the whole ensemble in one call each, turn tracked
-log-posteriors into guidance scales pooled over node clusters, combine the
-predictions, take the reverse step, and feed the realized samples back into
-the (S, N) log-posteriors. The clusters come from k-means on each exported
-affinity matrix (one shared by the ensemble, or one per trajectory), run at
-the first step and again only when the backend returns a new array: the
-oracle's affinity depends on its conditioned world alone, so it is
-partitioned once per run, while the network's attention is clustered every
-step. Each trajectory draws from its own RNG stream (seed xor trajectory
-index) in a fixed order, and a k-means run at reverse step k draws from
-stream (seed << 32) + k, so trajectory i is the same whatever the ensemble
-size.
+All trajectories advance together, one reverse step at a time: from pure
+noise, each step queries the unconditional and (if the law needs it) the
+conditional noise prediction for the whole ensemble in one call each, asks
+the run's ``ScaleLaw`` for the (S, N) guidance scales (``scales``), combines
+the predictions, takes the reverse step and hands the result back to the law
+(``update``). ``scale_law`` builds fence's feedback law or the fixed scale of
+cfg and none; a caller may pass its own. Trajectory i draws from RNG stream
+seed xor i in a fixed order and a k-means run at reverse step k from stream
+(seed << 32) + k, so trajectory i is the same whatever the ensemble size.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from .grid import MaskMatrix, TrafficGrid, save_grid_csv
 from .guidance import (GuidanceConfig, calibrated_constants, combine_scores,
                        guidance_gradient_norm, posterior_update)
 
-__all__ = ["ImputationResult", "impute", "emit_trace"]
+__all__ = ["ImputationResult", "ScaleLaw", "scale_law", "impute", "emit_trace"]
 
 ANCHORING_MODES = ("free", "clamp")
 # seeds key Philox streams: [0, 2**64) keeps the k-means key
@@ -70,29 +65,78 @@ class ImputationResult:
         return ImputationResult(*(getattr(self, f.name)[:n] for f in fields(self)))
 
 
-def _step_labels(attn: np.ndarray | None, n_samples: int, n_nodes: int,
-                 n_clusters: int, seed: int, k: int) -> np.ndarray:
-    """(S, N) cluster ids of every trajectory from reverse step k's affinity."""
-    # the two degenerate partitions need no Lloyd run and anchor the
-    # exact global / per-node ablation identities
-    if n_clusters == 1:
-        return np.zeros((n_samples, n_nodes), dtype=np.int64)
-    if n_clusters == n_nodes:
-        return np.tile(np.arange(n_nodes, dtype=np.int64), (n_samples, 1))
-    if attn is None:
-        raise InvalidInputError(
-            "backend exports no attention; cluster scope needs it "
-            "(use scope=global or per_node)")
-    # the step's k-means stream and one run per affinity matrix: a single
-    # (N, N) matrix shared by every trajectory, or one per row of (S, N, N)
-    attn = np.asarray(attn)
-    if attn.shape not in ((n_nodes, n_nodes), (n_samples, n_nodes, n_nodes)):
-        raise InvalidInputError(
-            f"backend affinity at reverse step {k} has shape {attn.shape}; expected"
-            f" ({n_nodes}, {n_nodes}) or ({n_samples}, {n_nodes}, {n_nodes})")
-    labels = [kmeans(a, n_clusters, seed=(seed << 32) + k)[0]
-              for a in attn.reshape(-1, n_nodes, n_nodes)]
-    return np.broadcast_to(np.stack(labels), (n_samples, n_nodes))
+class ScaleLaw:
+    """One run's fixed scale ``lam`` on every node, with no conditional call unless
+    ``needs_cond``. ``scales`` gives reverse step k's (S, N) scales, ``update``
+    sees its result; ``logp`` and ``labels`` are the (S, N) state the trace records."""
+
+    def __init__(self, n_samples: int, n_nodes: int, lam: float = 0.0, needs_cond: bool = True):
+        self.lam, self.needs_cond = float(lam), needs_cond
+        self.logp = np.zeros((n_samples, n_nodes))
+        self.labels = np.full((n_samples, n_nodes), -1, dtype=np.int64)
+
+    def scales(self, k, x, eps_u, eps_c, attn) -> np.ndarray:
+        return np.full(self.logp.shape, self.lam)
+
+    def update(self, k, x, x_next, eps_u, eps_c) -> None:
+        pass
+
+
+class FenceLaw(ScaleLaw):
+    """fence's feedback scale: the scale law at each cluster's mean log-posterior;
+    k-means runs again only on a new affinity array (the oracle's: once per run)."""
+
+    def __init__(self, gcfg, sched, n_samples, n_nodes, n_clusters, seed):
+        super().__init__(n_samples, n_nodes)
+        self.gcfg, self.sched, self.n_clusters, self.seed = gcfg, sched, n_clusters, seed
+        self.delta, self.tau = calibrated_constants(gcfg, sched)
+        self._clustered = None
+
+    def scales(self, k, x, eps_u, eps_c, attn):
+        # the same read-only array as last step is the same affinity
+        if attn is None or attn is not self._clustered or attn.flags.writeable:
+            self.labels, self._clustered = self._step_labels(attn, k), attn
+        return cluster_scales(self.logp, self.labels, self.gcfg)
+
+    def update(self, k, x, x_next, eps_u, eps_c):
+        if k > 1:
+            # held to the next step: freeing them here makes malloc re-fault the heap
+            self._means = tuple(reverse_mean(x, eps, k, self.sched) for eps in (eps_c, eps_u))
+            self.logp = posterior_update(self.logp, x_next, *self._means, k, self.sched,
+                                         self.tau, self.delta)
+
+    def _step_labels(self, attn: np.ndarray | None, k: int) -> np.ndarray:
+        """(S, N) cluster ids of every trajectory from reverse step k's affinity."""
+        (s, n), n_clusters = self.logp.shape, self.n_clusters
+        if n_clusters in (1, n):
+            # the one- and N-cluster partitions need no Lloyd run and anchor
+            # the exact global / per-node ablation identities
+            return np.broadcast_to(np.arange(n) % n_clusters, (s, n))
+        if attn is None:
+            raise InvalidInputError("backend exports no attention; cluster scope needs it"
+                                    " (use scope=global or per_node)")
+        # the step's k-means stream and one run per affinity matrix: a single
+        # (N, N) matrix shared by every trajectory, or one per row of (S, N, N)
+        attn = np.asarray(attn)
+        if attn.shape not in ((n, n), (s, n, n)):
+            raise InvalidInputError(
+                f"backend affinity at reverse step {k} has shape {attn.shape};"
+                f" expected ({n}, {n}) or ({s}, {n}, {n})")
+        labels = [kmeans(a, n_clusters, seed=(self.seed << 32) + k)[0]
+                  for a in attn.reshape(-1, n, n)]
+        return np.broadcast_to(np.stack(labels), (s, n))
+
+
+def scale_law(gcfg: GuidanceConfig, sched: NoiseSchedule, n_samples: int, n_nodes: int,
+              n_clusters: int | None, seed: int) -> ScaleLaw:
+    """The run's scale law; InvalidInputError for a bad cluster count or fence constants."""
+    # the global and per-node scopes are the one- and N-cluster partitions
+    n_clusters = {"global": 1, "per_node": n_nodes}.get(
+        gcfg.scope, cluster_count(n_clusters, n_nodes))
+    if gcfg.mode == "fence":
+        return FenceLaw(gcfg, sched, n_samples, n_nodes, n_clusters, seed)
+    return ScaleLaw(n_samples, n_nodes, gcfg.fixed_lambda if gcfg.mode == "cfg" else 0.0,
+                    needs_cond=gcfg.mode == "cfg")
 
 
 def _predict(backend: DenoiserBackend, x, k, ctx):
@@ -105,7 +149,7 @@ def _predict(backend: DenoiserBackend, x, k, ctx):
 @np.errstate(over="ignore", invalid="ignore")  # non-finite samples raise DivergenceError
 def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
            observed: TrafficGrid, mask: MaskMatrix, sched: NoiseSchedule,
-           gcfg: GuidanceConfig, n_clusters: int | None = None,
+           gcfg: GuidanceConfig | ScaleLaw, n_clusters: int | None = None,
            n_samples: int = 10, seed: int = 0,
            anchoring: str = "free") -> ImputationResult:
     """Generate an ensemble of imputed grids plus its per-step trace.
@@ -114,7 +158,7 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
     from it and ``mask`` zeroes everything under mask 0, so hidden values
     reach neither backend nor the clamp anchor. Conditioning enters through
     the conditional backend, and with anchoring="clamp" also by re-imposing
-    the observed coordinates each step.
+    the observed coordinates each step. ``gcfg`` may also be a ready ``ScaleLaw``.
     """
     ctx_cond = ConditioningContext(observed.values, mask.entries)
     if anchoring not in ANCHORING_MODES:
@@ -123,39 +167,20 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
         raise InvalidInputError("n_samples must be >= 1")
     if not (0 <= seed < SEED_LIMIT):
         raise InvalidInputError(f"seed must lie in [0, 2**64), got {seed}")
-    if gcfg.mode != "none" and backend is None:
-        raise InvalidInputError(f"mode {gcfg.mode!r} needs a conditional backend")
     s, (n, t), n_steps = n_samples, ctx_cond.observed.shape, sched.n_steps
-    # the global and per-node scopes are the one- and N-cluster partitions
-    n_clusters = {"global": 1, "per_node": n}.get(gcfg.scope, cluster_count(n_clusters, n))
-    delta, tau = calibrated_constants(gcfg, sched) if gcfg.mode == "fence" else (0.0, 0.0)
+    law = gcfg if isinstance(gcfg, ScaleLaw) else scale_law(gcfg, sched, s, n, n_clusters, seed)
+    if law.needs_cond and backend is None:
+        raise InvalidInputError("guidance needs a conditional backend (mode none does not)")
 
     rngs = [np.random.Generator(np.random.Philox(key=seed ^ traj)) for traj in range(s)]
     x = np.stack([rng.standard_normal((n, t)) for rng in rngs])
-    # the tracked log-posterior of every node of every trajectory, from log p = 0
-    logp = np.zeros((s, n))
     ctx_uncond = unconditional_context(n, t)
-    lam_trace, logp_trace, gnorm_trace = (np.empty((s, n_steps, n)) for _ in range(3))
-    cluster_trace = np.full((s, n_steps, n), -1, dtype=np.int64)
-    clustered = None
+    traces = [np.empty((s, n_steps, n), dtype) for dtype in (float, float, float, np.int64)]
 
     for j, k in enumerate(range(n_steps, 0, -1)):
         eps_u, _ = _predict(backend_uncond, x, k, ctx_uncond)
-        if gcfg.mode == "none":
-            eps_c, attn = eps_u, None
-        else:
-            eps_c, attn = _predict(backend, x, k, ctx_cond)
-
-        if gcfg.mode == "fence":
-            # the same read-only array as last step is the same affinity
-            if attn is None or attn is not clustered or attn.flags.writeable:
-                labels, clustered = _step_labels(attn, s, n, n_clusters, seed, k), attn
-            lam = cluster_scales(logp, labels, gcfg)
-            cluster_trace[:, j] = labels
-        elif gcfg.mode == "cfg":
-            lam = np.full((s, n), float(gcfg.fixed_lambda))
-        else:
-            lam = np.zeros((s, n))
+        eps_c, attn = _predict(backend, x, k, ctx_cond) if law.needs_cond else (eps_u, None)
+        lam = law.scales(k, x, eps_u, eps_c, attn)
 
         eps_mix = combine_scores(eps_u, eps_c, lam)
         gnorm = guidance_gradient_norm(eps_u, eps_c, k, sched)
@@ -178,16 +203,11 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
             raise DivergenceError(
                 f"trajectory {diverged[0]} produced non-finite values", step=k)
 
-        if gcfg.mode == "fence" and k > 1:
-            mean_c = reverse_mean(x, eps_c, k, sched)
-            mean_u = reverse_mean(x, eps_u, k, sched)
-            logp = posterior_update(logp, x_next, mean_c, mean_u, k, sched, tau, delta)
-
-        lam_trace[:, j] = lam
-        logp_trace[:, j] = logp
-        gnorm_trace[:, j] = gnorm
+        law.update(k, x, x_next, eps_u, eps_c)
+        for trace, value in zip(traces, (lam, law.logp, gnorm, law.labels)):
+            trace[:, j] = value
         x = x_next
-    return ImputationResult(x, lam_trace, logp_trace, gnorm_trace, cluster_trace)
+    return ImputationResult(x, *traces)
 
 
 def emit_trace(result: ImputationResult, path) -> None:

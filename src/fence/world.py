@@ -118,6 +118,10 @@ class GaussianOracleWorld:
                     f"(smallest eigenvalue {np.linalg.eigvalsh(factor)[0]:.3g})") from None
             object.__setattr__(self, name, factor)
         object.__setattr__(self, "_lower", tuple(lower))
+        # np.asarray would turn a boolean among a list's numbers into a number
+        if any(isinstance(e, (bool, np.bool_)) for a in (self.observed_idx, self.observed_val)
+               if isinstance(a, (list, tuple)) for e in a):
+            raise InvalidInputError("observed indices and values must not be booleans")
         idx, vals = np.asarray(self.observed_idx), np.asarray(self.observed_val)
         if idx.ndim != 1 or idx.shape != vals.shape:
             raise InvalidInputError(f"observed indices and values must be 1-D and pair"

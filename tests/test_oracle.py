@@ -383,6 +383,7 @@ def test_observe_validation():
     pytest.param([1.0], [1.0], id="integral-float-index"),
     pytest.param([True], [1.0], id="boolean-index"),
     pytest.param([False, True], [1.0, 2.0], id="boolean-indices"),
+    pytest.param([True, 2], [1.0, 2.0], id="boolean-among-integer-indices"),
     pytest.param(["3"], [1.0], id="string-index"),
     pytest.param([None], [1.0], id="none-index"),
     pytest.param([[0, 1]], [[1.0, 2.0]], id="2-d-indices"),
@@ -399,6 +400,7 @@ def test_observe_validation():
     pytest.param([0], [None], id="none-value"),
     pytest.param([0], [1j], id="complex-value"),
     pytest.param([0], [True], id="boolean-value"),
+    pytest.param([0, 1], [True, 2.0], id="boolean-among-float-values"),
     pytest.param([0, 1], [1.0, np.nan], id="nan-value"),
     pytest.param([0], [np.inf], id="inf-value"),
     pytest.param([0], [-np.inf], id="minus-inf-value"),

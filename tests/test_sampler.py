@@ -1,9 +1,13 @@
+import hashlib
 import re
+from itertools import product
 
 import numpy as np
 import pytest
 
 from fence import (
+    ConditioningContext,
+    ContaminatedBackend,
     DivergenceError,
     GuidanceConfig,
     ImputationResult,
@@ -21,6 +25,7 @@ from fence import (
 )
 from fence.backends import DenoiserBackend
 from fence.errors import DataError
+from fence.sampler import ScaleLaw
 
 RESULT_ARRAYS = ("samples", "lam", "log_posterior", "guidance_norm", "cluster_id")
 
@@ -388,3 +393,154 @@ def test_emit_trace_layout_and_determinism(tmp_path):
     np.testing.assert_array_equal(column(5, float), result.guidance_norm)
     np.testing.assert_array_equal(column(6, int), result.cluster_id)
     assert len(np.unique(result.cluster_id)) == 2
+
+
+PINNED_LAWS = {
+    "fence-cluster": GuidanceConfig(mode="fence", scope="cluster"),
+    "fence-global": GuidanceConfig(mode="fence", scope="global"),
+    "fence-per_node": GuidanceConfig(mode="fence", scope="per_node"),
+    "fence-pi1": GuidanceConfig(mode="fence", pi=1.0),
+    "cfg:2": GuidanceConfig(mode="cfg", fixed_lambda=2.0),
+    "none": GuidanceConfig(mode="none"),
+}
+
+# sha256 (first 16 hex) over the five result fields of each (backend,
+# anchoring, law); they held with one and with two BLAS threads
+LAW_DIGESTS = {
+    ("oracle", "free", "fence-cluster"): "df0d7c4bf8f94dde",
+    ("oracle", "free", "fence-global"): "ea1494f405894a9f",
+    ("oracle", "free", "fence-per_node"): "0abe984db5010b74",
+    ("oracle", "free", "fence-pi1"): "e1a11604558dba09",
+    ("oracle", "free", "cfg:2"): "6fa81cf571bd2173",
+    ("oracle", "free", "none"): "24545bfc1d8f023a",
+    ("oracle", "clamp", "fence-cluster"): "f7b0b13d97a5650e",
+    ("oracle", "clamp", "fence-global"): "ad5e5629978004e5",
+    ("oracle", "clamp", "fence-per_node"): "00f92a85a8d25120",
+    ("oracle", "clamp", "fence-pi1"): "55b7bb4e02877f27",
+    ("oracle", "clamp", "cfg:2"): "1e0a6a016cbc7629",
+    ("oracle", "clamp", "none"): "dfa7fc73d826c3b4",
+    ("neural", "free", "fence-cluster"): "9ca58e1e96112578",
+    ("neural", "free", "fence-global"): "2f54df107b6bb4f3",
+    ("neural", "free", "fence-per_node"): "9d4b52228da6aa7d",
+    ("neural", "free", "fence-pi1"): "c79bca941cafa37d",
+    ("neural", "free", "cfg:2"): "20f86d3a6bbc42d5",
+    ("neural", "free", "none"): "42f064c14acdc329",
+    ("neural", "clamp", "fence-cluster"): "2164dec977e5b284",
+    ("neural", "clamp", "fence-global"): "b8037099d77551ca",
+    ("neural", "clamp", "fence-per_node"): "856ae684c56a4849",
+    ("neural", "clamp", "fence-pi1"): "adc8f85c0886838e",
+    ("neural", "clamp", "cfg:2"): "5490f6aa1dd76510",
+    ("neural", "clamp", "none"): "4d7496938f2bb228",
+}
+
+
+def _result_digest(result) -> str:
+    h = hashlib.sha256()
+    for name in RESULT_ARRAYS:
+        a = getattr(result, name)
+        h.update(f"{name}{a.shape}{a.dtype}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _law_digests() -> dict:
+    world = make_gaussian_world(6, 8, 0.5, 0.6)
+    truth = TrafficGrid(world.sample_clean(np.random.Generator(np.random.Philox(key=4))))
+    mask = np.random.Generator(np.random.Philox(key=5)).integers(0, 2, (6, 8))
+    mask[0] = 0
+    sched = quadratic_schedule(30)
+    backends = {
+        "oracle": OracleBackend(world, sched),
+        "neural": NeuralDenoiser(NetConfig(n_nodes=6, d_model=8, n_layers=1, n_heads=2),
+                                 seed=3),
+    }
+    got = {}
+    for (name, backend), anchoring, (law, gcfg) in product(
+            backends.items(), ("free", "clamp"), PINNED_LAWS.items()):
+        result = impute(backend, backend, truth, MaskMatrix(mask), sched, gcfg,
+                        n_clusters=2, n_samples=3, seed=11, anchoring=anchoring)
+        got[name, anchoring, law] = _result_digest(result)
+    return got
+
+
+def test_every_scale_law_is_pinned():
+    # any change to a law's arithmetic, its RNG streams or its k-means rule
+    # changes these digests: a 6x8 oracle world and a random-weights network,
+    # 2 clusters, K = 30, S = 3
+    assert _law_digests() == LAW_DIGESTS
+
+
+class _OpenLoopLaw(ScaleLaw):
+    """An open-loop scale path: step k's (S, N) scales are path[k], whatever
+    the samples do."""
+
+    def __init__(self, n_samples, n_nodes, path):
+        super().__init__(n_samples, n_nodes)
+        self.path = path
+
+    def scales(self, k, x, eps_u, eps_c, attn):
+        return np.broadcast_to(self.path[k], self.logp.shape)
+
+
+class _ProjectionLaw(ScaleLaw):
+    """Each node's scale is the projection of the oracle's conditional
+    prediction on the guidance direction, lam*_g = <eps_o - eps_u, eps_c -
+    eps_u> / |eps_c - eps_u|^2 over node g's row, from an oracle the law
+    calls itself; lam = 1 where the direction is 0."""
+
+    def __init__(self, n_samples, n_nodes, oracle, ctx):
+        super().__init__(n_samples, n_nodes)
+        self.oracle, self.ctx, self.gaps = oracle, ctx, []
+
+    def scales(self, k, x, eps_u, eps_c, attn):
+        eps_o, _ = self.oracle.predict(x, k, self.ctx)
+        direction = eps_c - eps_u
+        gap = np.sum(direction * direction, axis=-1)
+        self.gaps.append(gap)
+        dot = np.sum((eps_o - eps_u) * direction, axis=-1)
+        return np.divide(dot, gap, out=np.ones_like(gap), where=gap > 0)
+
+
+def test_a_test_side_law_runs_through_the_unmodified_loop():
+    backend, truth, mask, sched = oracle_setup()
+    n, steps = len(truth.values), sched.n_steps
+
+    # a constant law is cfg at that scale, bit for bit
+    constant = _OpenLoopLaw(3, n, np.full(steps + 1, 2.0))
+    cfg = impute(backend, backend, truth, mask, sched,
+                 GuidanceConfig(mode="cfg", fixed_lambda=2.0), n_samples=3, seed=4)
+    ran = impute(backend, backend, truth, mask, sched, constant, n_samples=3, seed=4)
+    for name in RESULT_ARRAYS:
+        np.testing.assert_array_equal(getattr(ran, name), getattr(cfg, name))
+
+    # fence's recorded scales, replayed open loop, give fence's samples: the
+    # loop sees a law only through its scales
+    fence = impute(backend, backend, truth, mask, sched, GuidanceConfig(mode="fence"),
+                   n_clusters=2, n_samples=3, seed=4)
+    path = {steps - j: fence.lam[:, j] for j in range(steps)}
+    replay = impute(backend, backend, truth, mask, sched, _OpenLoopLaw(3, n, path),
+                    n_samples=3, seed=4)
+    for name in ("samples", "lam", "guidance_norm"):
+        np.testing.assert_array_equal(getattr(replay, name), getattr(fence, name))
+    assert (replay.log_posterior == 0).all() and (replay.cluster_id == -1).all()
+
+
+@pytest.mark.parametrize("pi_true", [1.0, 0.4, 0.75])
+def test_the_projection_law_recovers_the_contamination(pi_true):
+    # on the oracle the guidance direction is the oracle's own, so lam* = 1;
+    # the contaminated backend shrinks it by pi_true, so lam* = 1 / pi_true
+    backend, truth, mask, sched = oracle_setup()
+    cond = backend if pi_true == 1.0 else ContaminatedBackend(backend, pi_true)
+    law = _ProjectionLaw(3, len(truth.values), OracleBackend(backend.world, sched),
+                         ConditioningContext(truth.values, mask.entries))
+    result = impute(cond, backend, truth, mask, sched, law, n_samples=3, seed=6)
+    gaps = np.stack(law.gaps, axis=1)
+    assert gaps.shape == result.lam.shape and (gaps > 0).mean() > 0.9
+    np.testing.assert_allclose(result.lam[gaps > 0], 1.0 / pi_true, rtol=0, atol=1e-9)
+
+
+def test_cluster_scope_needs_an_exported_affinity():
+    backend, truth, mask, sched = oracle_setup()
+    with pytest.raises(InvalidInputError, match="exports no attention"):
+        impute(_BrokenBackend(fail_at=0), backend, truth, mask, sched,
+               GuidanceConfig(mode="fence"), n_clusters=2, n_samples=1)

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 TRACED_IMPUTE = """
@@ -21,7 +23,7 @@ import numpy as np
 import fence.cli
 import spans
 from fence import (GuidanceConfig, MaskMatrix, OracleBackend, TrafficGrid,
-                   make_gaussian_world, quadratic_schedule)
+                   make_gaussian_world, mode_from_string, quadratic_schedule)
 from fence import sampler
 
 rec = spans.Recorder()
@@ -33,7 +35,8 @@ mask[0] = 0
 sched = quadratic_schedule(5)
 backend = OracleBackend(world, sched)
 sampler.impute(backend, backend, TrafficGrid(truth * mask), MaskMatrix(mask), sched,
-               GuidanceConfig(mode="fence"), n_clusters=2, n_samples=2, seed=3)
+               GuidanceConfig(*mode_from_string(sys.argv[3])), n_clusters=2, n_samples=2,
+               seed=3)
 metrics = rec.metrics()
 print(json.dumps({"missing": missing, "lost": sorted(rec.lost),
                   "updates": metrics["guidance.posterior_update.calls"],
@@ -72,9 +75,9 @@ print(json.dumps({"missing": missing, "lost": sorted(rec.lost),
 """
 
 
-def _traced(script: str) -> dict:
+def _traced(script: str, *args: str) -> dict:
     out = subprocess.run(
-        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "perfbench")],
+        [sys.executable, "-c", script, str(ROOT / "src"), str(ROOT / "perfbench"), *args],
         capture_output=True, text=True, timeout=120, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
 
@@ -84,10 +87,21 @@ def test_perfbench_traces_every_layer_of_a_fence_impute():
     # spans._by_context names each predict by the context's is_unconditional:
     # one conditional and one unconditional call per step; the oracle's one
     # affinity is built and clustered once per run
-    assert _traced(TRACED_IMPUTE) == {"missing": [], "lost": [], "updates": steps - 1,
-                                      "scales": steps, "predict_cond": steps,
-                                      "predict_uncond": steps, "affinities": 1,
-                                      "kmeans": 1}
+    assert _traced(TRACED_IMPUTE, "fence") == {"missing": [], "lost": [],
+                                               "updates": steps - 1, "scales": steps,
+                                               "predict_cond": steps,
+                                               "predict_uncond": steps, "affinities": 1,
+                                               "kmeans": 1}
+
+
+@pytest.mark.parametrize("mode, predict_cond, affinities", [("cfg:2", 5, 1), ("none", 0, 0)])
+def test_fixed_scale_laws_run_no_tracker_and_no_clustering(mode, predict_cond, affinities):
+    # cfg and none run through the same loop as fence but pool nothing and
+    # track nothing; none skips the conditional backend altogether
+    assert _traced(TRACED_IMPUTE, mode) == {"missing": [], "lost": [], "updates": 0,
+                                            "scales": 0, "predict_cond": predict_cond,
+                                            "predict_uncond": 5, "affinities": affinities,
+                                            "kmeans": 0}
 
 
 def test_perfbench_traces_a_neural_training_step():

@@ -209,7 +209,7 @@ def cmd_finetune_cond(args) -> int:
     return _train(args, "cond", partial(finetune_conditional, backend), stats)
 
 
-def _impute_backends(args, values, sched, gcfg):
+def _impute_backends(args, values, sched, law):
     """(backend_cond, backend_uncond, mean, std) from --oracle or the
     checkpoint pair, each checked against the shape of the grid ``values``;
     the oracle works in data units."""
@@ -232,7 +232,7 @@ def _impute_backends(args, values, sched, gcfg):
         if stats != [mean, std]:
             raise DataError(f"{args.checkpoint_uncond} and {args.checkpoint_cond} differ"
                             f" in norm/mean, norm/std: {[mean, std]} vs {stats}")
-    elif gcfg.mode == "none":
+    elif not law.needs_cond:
         backend = None
     else:
         raise ConfigError(f"mode {args.mode!r} needs --checkpoint-cond")
@@ -245,14 +245,13 @@ def _impute_backends(args, values, sched, gcfg):
     return backend, backend_uncond, mean, std
 
 
-def _impute_in_data_units(backends, values, mask, sched, gcfg, n_clusters, **sampling):
+def _impute_in_data_units(backends, values, mask, sched, law, **sampling):
     """``impute`` on the observed cells of data-unit ``values``: they are
     normalized with the backends' (mean, std), the sampler's context hides
     the rest, and the samples come back in data units."""
     backend, backend_uncond, mean, std = backends
     observed = TrafficGrid((values - mean) / std)
-    result = impute(backend, backend_uncond, observed, MaskMatrix(mask), sched, gcfg,
-                    n_clusters=n_clusters, **sampling)
+    result = impute(backend, backend_uncond, observed, MaskMatrix(mask), sched, law, **sampling)
     return replace(result, samples=result.samples * std + mean)
 
 
@@ -261,8 +260,9 @@ def cmd_impute(args) -> int:
     sched = schedule_from(cfg)
     gcfg, n_clusters = guidance_from(cfg)
     values, mask = _load_masked(args.grid, args.mask)
-    backends = _impute_backends(args, values, sched, gcfg)
-    result = _impute_in_data_units(backends, values, mask, sched, gcfg, n_clusters,
+    law = scale_law(gcfg, sched, n_clusters)
+    backends = _impute_backends(args, values, sched, law)
+    result = _impute_in_data_units(backends, values, mask, sched, law,
                                    n_samples=args.samples, seed=args.seed,
                                    anchoring=args.anchoring)
     save_grid_csv(args.out, result.mean_imputation)
@@ -273,16 +273,18 @@ def cmd_impute(args) -> int:
     return 0
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _write_rows(path, header: str, rows) -> list[str]:
+    """A CSV of ``header`` and ``rows``, non-int cells as repr(float(x)); the rows' lines."""
+    lines = [",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row)
+             for row in rows]
+    text = "".join(f"{line}\n" for line in [header, *lines])
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    return lines
 
 
 def _write_report(path, mae, rmse, mape, crps_value) -> None:
     """The one-row report.csv of evaluate and run, echoed to stdout."""
-    line = ",".join(_format_float(v) for v in (mae, rmse, mape, crps_value))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("mae,rmse,mape,crps\n")
-        fh.write(line + "\n")
+    line, = _write_rows(path, "mae,rmse,mape,crps", [(mae, rmse, mape, crps_value)])
     print(f"mae,rmse,mape,crps = {line}")
 
 
@@ -318,13 +320,9 @@ def cmd_evaluate(args) -> int:
         crps_value = crps_masked(stack, truth, entries)
     _write_report(args.out, mae, rmse, mape, crps_value)
     if args.per_node_out:
-        with open(args.per_node_out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("node,mae,rmse,mape\n")
-            for i in range(entries.shape[0]):
-                if not (entries[i] == 1).any():
-                    continue
-                row = point_metrics(pred[i:i + 1], truth[i:i + 1], entries[i:i + 1])
-                fh.write(f"{i}," + ",".join(_format_float(v) for v in row) + "\n")
+        _write_rows(args.per_node_out, "node,mae,rmse,mape",
+                    [(i, *point_metrics(pred[i:i + 1], truth[i:i + 1], entries[i:i + 1]))
+                     for i in range(len(entries)) if (entries[i] == 1).any()])
     return 0
 
 
@@ -367,8 +365,9 @@ def cmd_run(args) -> int:
     sched = schedule_from(cfg)
     gcfg, n_clusters = guidance_from(cfg)
     n_samples, seed = max(s["samples"], s["crps_samples"]), cfg["experiment"]["seed"]
-    # built before training: a cluster count or constants it rejects stop the run early
-    law = scale_law(gcfg, sched, n_samples, world.n_nodes, n_clusters, seed)
+    # started before training: constants or a cluster count it rejects stop the run early
+    law = scale_law(gcfg, sched, n_clusters)
+    law.start(n_samples, world.n_nodes, seed)
 
     rng = np.random.Generator(np.random.Philox(key=world.seed))
     truth = world.sample_clean(rng)
@@ -381,7 +380,7 @@ def cmd_run(args) -> int:
     backends = _pipeline_backends(cfg, world, sched, rng)
     # trajectory i depends only on (seed, i): the point-metric and the CRPS
     # ensembles are both prefixes of one run
-    result = _impute_in_data_units(backends, truth, mask, sched, law, n_clusters,
+    result = _impute_in_data_units(backends, truth, mask, sched, law,
                                    n_samples=n_samples, seed=seed,
                                    anchoring=s["anchoring"])
     point = result.head(s["samples"])

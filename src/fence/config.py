@@ -196,25 +196,18 @@ def resolve_config(file_values: dict | None = None,
     Precedence: defaults, then file values, then the preset (a requested
     ablation preset is an explicit override).
     """
-    merged: dict[str, dict[str, str]] = {
-        s: {k: None for k in keys} for s, keys in SCHEMA.items()
-    }
-    if file_values:
-        for section, keys in file_values.items():
-            for key, value in keys.items():
-                merged[section][key] = value
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(
-                f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
-        for (section, key), value in PRESETS[preset].items():
-            merged[section][key] = value
+    if preset is not None and preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; available: {', '.join(sorted(PRESETS))}")
+    # (section, key) -> raw value; a preset's value replaces the file's
+    overrides = {(section, key): value for section, keys in (file_values or {}).items()
+                 for key, value in keys.items()}
+    overrides.update(PRESETS.get(preset, {}))
 
     resolved: dict[str, dict] = {}
     for section, keys in SCHEMA.items():
         resolved[section] = {}
         for key, (parse, default, _help) in keys.items():
-            raw = merged[section][key]
+            raw = overrides.get((section, key))
             if raw is None:
                 resolved[section][key] = default
                 continue

@@ -60,16 +60,20 @@ def _check_shape(n_nodes: int, length: int, cfg: MaskPatternConfig):
         )
 
 
+def _zero_patches(hidden: np.ndarray, length: int, cfg: MaskPatternConfig) -> MaskMatrix:
+    """All ones but patch p of node i wherever ``hidden`` (patches, N) is set."""
+    entries = np.ones((hidden.shape[1], length), dtype=np.int64)
+    for (lo, hi), nodes in zip(patch_bounds(length, cfg.patch_length), hidden):
+        entries[nodes, lo:hi] = 0
+    return MaskMatrix(entries)
+
+
 def mask_sr_tc(n_nodes: int, length: int, cfg: MaskPatternConfig) -> MaskMatrix:
     """Independent (node, patch) masking with probability missing_rate."""
     _check_shape(n_nodes, length, cfg)
-    bounds = patch_bounds(length, cfg.patch_length)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    hit = rng.random((n_nodes, len(bounds))) < cfg.missing_rate
-    entries = np.ones((n_nodes, length), dtype=np.int64)
-    for p, (lo, hi) in enumerate(bounds):
-        entries[hit[:, p], lo:hi] = 0
-    return MaskMatrix(entries)
+    hit = rng.random((n_nodes, len(patch_bounds(length, cfg.patch_length)))) < cfg.missing_rate
+    return _zero_patches(hit.T, length, cfg)
 
 
 def ring_communities(n_nodes: int, cfg: MaskPatternConfig) -> tuple[tuple[int, ...], ...]:
@@ -97,12 +101,8 @@ def mask_sc_tc(communities, length: int, cfg: MaskPatternConfig) -> MaskMatrix:
     if sorted(i for group in comms for i in group) != list(range(n_nodes)):
         raise InvalidInputError("communities must be disjoint and cover nodes 0..N-1")
     _check_shape(n_nodes, length, cfg)
-    bounds = patch_bounds(length, cfg.patch_length)
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
-    hit = rng.random((len(bounds), len(comms))) < cfg.missing_rate
-    entries = np.ones((n_nodes, length), dtype=np.int64)
-    for p, (lo, hi) in enumerate(bounds):
-        for c, members in enumerate(comms):
-            if hit[p, c]:
-                entries[members, lo:hi] = 0
-    return MaskMatrix(entries)
+    hit = rng.random((len(patch_bounds(length, cfg.patch_length)), len(comms))) < cfg.missing_rate
+    # a (patch, community) hit hides every member node
+    owner = {i: c for c, members in enumerate(comms) for i in members}
+    return _zero_patches(hit[:, [owner[i] for i in range(n_nodes)]], length, cfg)

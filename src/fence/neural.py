@@ -107,7 +107,7 @@ class NeuralDenoiser(DenoiserBackend):
 
     @classmethod
     def from_state_dict(cls, state: dict[str, np.ndarray]) -> "NeuralDenoiser":
-        """Model from a state dict; DataError unless it is exactly one model's weights."""
+        """Model from a state dict; DataError unless it is exactly one model's finite weights."""
         hparams = {}
         for key in _HPARAMS:
             name = f"hparams/{key}"
@@ -132,6 +132,8 @@ class NeuralDenoiser(DenoiserBackend):
                 raise DataError(f"tensor {name!r}: checkpoint shape {np.shape(state[name])}"
                                 f" vs model shape {shape}")
             params[name] = ad.parameter(np.array(state[name], dtype=np.float64))
+            if not np.isfinite(params[name].value).all():
+                raise DataError(f"tensor {name!r} holds a non-finite value")
         stray = set(state) - set(params) - {f"hparams/{key}" for key in _HPARAMS}
         if stray:
             raise DataError(f"checkpoint carries unknown tensors {sorted(stray)}")

@@ -5,9 +5,9 @@ noise, each step queries the unconditional and (if the law needs it) the
 conditional noise prediction for the whole ensemble in one call each, asks
 the run's ``ScaleLaw`` for the (S, N) guidance scales (``scales``), combines
 the predictions, takes the reverse step and hands the result back to the law
-(``update``). ``scale_law`` builds fence's feedback law or the fixed scale of
-cfg and none; a caller may pass its own. Trajectory i draws from RNG stream
-seed xor i in a fixed order and a k-means run at reverse step k from stream
+(``update``); it starts the law, built by ``scale_law`` from settings or by a
+caller, with its S, N and seed. Trajectory i draws from RNG stream seed xor
+i in a fixed order and a k-means run at reverse step k from stream
 (seed << 32) + k, so trajectory i is the same whatever the ensemble size.
 """
 
@@ -66,12 +66,16 @@ class ImputationResult:
 
 
 class ScaleLaw:
-    """One run's fixed scale ``lam`` on every node, with no conditional call unless
-    ``needs_cond``. ``scales`` gives reverse step k's (S, N) scales, ``update``
-    sees its result; ``logp`` and ``labels`` are the (S, N) state the trace records."""
+    """A fixed scale ``lam`` on every node, with no conditional call unless ``needs_cond``.
+    ``start`` takes a run's S, N and seed and checks ``n_clusters`` against N, ``scales``
+    gives reverse step k's (S, N) scales and ``update`` sees its result; ``logp`` and
+    ``labels`` are the (S, N) state the trace records."""
 
-    def __init__(self, n_samples: int, n_nodes: int, lam: float = 0.0, needs_cond: bool = True):
-        self.lam, self.needs_cond = float(lam), needs_cond
+    def __init__(self, lam: float = 0.0, needs_cond: bool = True, n_clusters: int | None = None):
+        self.lam, self.needs_cond, self.n_clusters = float(lam), needs_cond, n_clusters
+
+    def start(self, n_samples: int, n_nodes: int, seed: int) -> None:
+        self.k_clusters, self.seed = cluster_count(self.n_clusters, n_nodes), seed
         self.logp = np.zeros((n_samples, n_nodes))
         self.labels = np.full((n_samples, n_nodes), -1, dtype=np.int64)
 
@@ -86,10 +90,13 @@ class FenceLaw(ScaleLaw):
     """fence's feedback scale: the scale law at each cluster's mean log-posterior;
     k-means runs again only on a new affinity array (the oracle's: once per run)."""
 
-    def __init__(self, gcfg, sched, n_samples, n_nodes, n_clusters, seed):
-        super().__init__(n_samples, n_nodes)
-        self.gcfg, self.sched, self.n_clusters, self.seed = gcfg, sched, n_clusters, seed
+    def __init__(self, gcfg, sched, n_clusters):
+        super().__init__(n_clusters=n_clusters)
+        self.gcfg, self.sched = gcfg, sched
         self.delta, self.tau = calibrated_constants(gcfg, sched)
+
+    def start(self, n_samples, n_nodes, seed):
+        super().start(n_samples, n_nodes, seed)
         self._clustered = None
 
     def scales(self, k, x, eps_u, eps_c, attn):
@@ -107,10 +114,11 @@ class FenceLaw(ScaleLaw):
 
     def _step_labels(self, attn: np.ndarray | None, k: int) -> np.ndarray:
         """(S, N) cluster ids of every trajectory from reverse step k's affinity."""
-        (s, n), n_clusters = self.logp.shape, self.n_clusters
+        s, n = self.logp.shape
+        # the global and per-node scopes are the one- and N-cluster partitions: they need
+        # no Lloyd run and anchor the exact global / per-node ablation identities
+        n_clusters = {"global": 1, "per_node": n}.get(self.gcfg.scope, self.k_clusters)
         if n_clusters in (1, n):
-            # the one- and N-cluster partitions need no Lloyd run and anchor
-            # the exact global / per-node ablation identities
             return np.broadcast_to(np.arange(n) % n_clusters, (s, n))
         if attn is None:
             raise InvalidInputError("backend exports no attention; cluster scope needs it"
@@ -127,16 +135,13 @@ class FenceLaw(ScaleLaw):
         return np.broadcast_to(np.stack(labels), (s, n))
 
 
-def scale_law(gcfg: GuidanceConfig, sched: NoiseSchedule, n_samples: int, n_nodes: int,
-              n_clusters: int | None, seed: int) -> ScaleLaw:
-    """The run's scale law; InvalidInputError for a bad cluster count or fence constants."""
-    # the global and per-node scopes are the one- and N-cluster partitions
-    n_clusters = {"global": 1, "per_node": n_nodes}.get(
-        gcfg.scope, cluster_count(n_clusters, n_nodes))
+def scale_law(gcfg: GuidanceConfig, sched: NoiseSchedule,
+              n_clusters: int | None = None) -> ScaleLaw:
+    """The scale law of ``gcfg``; InvalidInputError for fence constants it rejects."""
     if gcfg.mode == "fence":
-        return FenceLaw(gcfg, sched, n_samples, n_nodes, n_clusters, seed)
-    return ScaleLaw(n_samples, n_nodes, gcfg.fixed_lambda if gcfg.mode == "cfg" else 0.0,
-                    needs_cond=gcfg.mode == "cfg")
+        return FenceLaw(gcfg, sched, n_clusters)
+    return ScaleLaw(gcfg.fixed_lambda if gcfg.mode == "cfg" else 0.0,
+                    needs_cond=gcfg.mode == "cfg", n_clusters=n_clusters)
 
 
 def _predict(backend: DenoiserBackend, x, k, ctx):
@@ -149,8 +154,7 @@ def _predict(backend: DenoiserBackend, x, k, ctx):
 @np.errstate(over="ignore", invalid="ignore")  # non-finite samples raise DivergenceError
 def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
            observed: TrafficGrid, mask: MaskMatrix, sched: NoiseSchedule,
-           gcfg: GuidanceConfig | ScaleLaw, n_clusters: int | None = None,
-           n_samples: int = 10, seed: int = 0,
+           gcfg: ScaleLaw, n_samples: int = 10, seed: int = 0,
            anchoring: str = "free") -> ImputationResult:
     """Generate an ensemble of imputed grids plus its per-step trace.
 
@@ -158,8 +162,8 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
     from it and ``mask`` zeroes everything under mask 0, so hidden values
     reach neither backend nor the clamp anchor. Conditioning enters through
     the conditional backend, and with anchoring="clamp" also by re-imposing
-    the observed coordinates each step. ``gcfg`` may also be a ready ``ScaleLaw``.
-    """
+    the observed coordinates each step. ``gcfg`` is a ``ScaleLaw``, started
+    anew with the run's S, N and seed: one law serves any number of runs."""
     ctx_cond = ConditioningContext(observed.values, mask.entries)
     if anchoring not in ANCHORING_MODES:
         raise InvalidInputError(f"anchoring must be one of {ANCHORING_MODES}")
@@ -168,7 +172,8 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
     if not (0 <= seed < SEED_LIMIT):
         raise InvalidInputError(f"seed must lie in [0, 2**64), got {seed}")
     s, (n, t), n_steps = n_samples, ctx_cond.observed.shape, sched.n_steps
-    law = gcfg if isinstance(gcfg, ScaleLaw) else scale_law(gcfg, sched, s, n, n_clusters, seed)
+    law = gcfg
+    law.start(s, n, seed)
     if law.needs_cond and backend is None:
         raise InvalidInputError("guidance needs a conditional backend (mode none does not)")
 

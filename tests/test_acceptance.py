@@ -37,6 +37,7 @@ from fence import (
 )
 from fence.backends import ConditioningContext
 from fence.diffusion import q_sample
+from fence.sampler import scale_law
 from fence.world import observations_from_mask
 
 # 60-digit references for the default calibration (pi=0.5, lambda_ref=1.6,
@@ -165,7 +166,7 @@ def test_criterion_04_hidden_node_sampling_matches_schur_moments():
     sched = quadratic_schedule(50, variance_mode="beta")
     backend = OracleBackend(world, sched)
     result = impute(backend, backend, TrafficGrid(truth * mask), MaskMatrix(mask),
-                    sched, GuidanceConfig(mode="cfg", fixed_lambda=1.0),
+                    sched, scale_law(GuidanceConfig(mode="cfg", fixed_lambda=1.0), sched),
                     n_samples=500, seed=0)
     stack = result.samples
 
@@ -193,8 +194,8 @@ def test_criterion_05_mode_identities():
     observed, m = TrafficGrid(truth * mask), MaskMatrix(mask)
 
     def run(gcfg, n_clusters=None):
-        result = impute(backend, backend, observed, m, sched, gcfg,
-                        n_clusters=n_clusters, n_samples=3, seed=11)
+        result = impute(backend, backend, observed, m, sched,
+                        scale_law(gcfg, sched, n_clusters), n_samples=3, seed=11)
         return result.samples
 
     certain = run(GuidanceConfig(mode="fence", scope="global", pi=1.0))
@@ -348,7 +349,7 @@ def test_criterion_11_feedback_vs_fixed_scale_report():
                 (GuidanceConfig(mode="fence", scope="global"), fence_maes),
                 (GuidanceConfig(mode="cfg", fixed_lambda=1.0), fixed_maes)):
             result = impute(contaminated, oracle, observed, MaskMatrix(mask),
-                            sched, gcfg, n_samples=8, seed=seed)
+                            sched, scale_law(gcfg, sched), n_samples=8, seed=seed)
             bucket.append(np.abs(result.mean_imputation[0] - truth[0]).mean())
     fence_mae = float(np.mean(fence_maes))
     fixed_mae = float(np.mean(fixed_maes))

@@ -139,6 +139,29 @@ def test_checkpoint_that_is_not_a_model_exits_3(tmp_path, edit):
     assert impute_exit_code(tmp_path, path) == 3
 
 
+@pytest.mark.parametrize("clusters", ["auto", "2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_with_a_non_finite_weight_exits_3(tmp_path, capsys, clusters, bad):
+    # a NaN weight would otherwise vanish in the perceptron's ReLU (auto: one
+    # cluster, exit 0) or reach k-means++ seeding (2 clusters, a traceback)
+    paths = {}
+    for role, seed in (("uncond", 0), ("cond", 1)):
+        state = NeuralDenoiser(NetConfig(n_nodes=6, d_model=8, n_layers=1, n_heads=2),
+                               seed=seed).state_dict()
+        state.update({"norm/mean": np.float64(0.0), "norm/std": np.float64(1.0)})
+        if role == "cond":
+            state["layer0/spatial/Wq"][0, 0] = bad
+        paths[role] = tmp_path / f"{role}.ckpt"
+        save_checkpoint(paths[role], state)
+    grid, out = tmp_path / "grid.csv", tmp_path / "out.csv"
+    save_grid_csv(grid, np.zeros((6, 4)))
+    assert main(["impute", "--grid", str(grid), "--checkpoint-uncond", str(paths["uncond"]),
+                 "--checkpoint-cond", str(paths["cond"]), "--steps", "5", "--samples", "2",
+                 "--clusters", clusters, "--out", str(out)]) == 3
+    assert "tensor 'layer0/spatial/Wq' holds a non-finite value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_arbitrary_tail_loads_or_exits_3(tmp_path):
     path = tmp_path / "fuzz.ckpt"
 

@@ -20,7 +20,7 @@ from fence.cli import _impute_in_data_units, build_parser, main
 from fence.config import (SCHEMA, format_resolved, parse_config_file, resolve_config,
                           world_from)
 from fence.masking import MaskPatternConfig, mask_sr_tc
-from fence.sampler import impute
+from fence.sampler import impute, scale_law
 from fence.training import train_unconditional
 
 TINY_CONFIG = """\
@@ -842,6 +842,26 @@ def test_run_rejects_a_cluster_count_beyond_the_nodes_before_training(
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("mode", ["fence", "cfg:2", "none"])
+def test_every_mode_rejects_a_cluster_count_beyond_the_nodes(tmp_path, capsys, monkeypatch,
+                                                             mode):
+    # only fence pools over clusters, but every scale law checks the count it
+    # is given: `fence run` before training, `fence impute` before sampling
+    monkeypatch.setattr("fence.cli.train_unconditional",
+                        lambda *a, **k: pytest.fail("stage 1 started"))
+    cfg, spec, grid = tmp_path / "c.cfg", tmp_path / "w.spec", tmp_path / "g.csv"
+    cfg.write_text("[experiment]\nbackend = neural\n\n[world]\nnodes = 3\n\n"
+                   f"[guidance]\nmode = {mode}\nclusters = 4\n")
+    spec.write_text(WORLD_SPEC)
+    save_grid_csv(grid, np.zeros((3, 4)))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert main(["impute", "--grid", str(grid), "--oracle", str(spec), "--mode", mode,
+                 "--clusters", "4", "--steps", "4", "--samples", "2",
+                 "--out", str(tmp_path / "i.csv")]) == 2
+    assert capsys.readouterr().err.count("n_clusters must lie in [1, 3], got 4") == 2
+    assert not (tmp_path / "o" / "trace.csv").exists() and not (tmp_path / "i.csv").exists()
+
+
 NEURAL_CONFIG = """\
 [experiment]
 backend = neural
@@ -1180,7 +1200,8 @@ def test_hidden_cells_never_reach_a_backend(backend, anchoring):
     mask = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 0, 0, 1]], dtype=np.float64)
     observed = np.where(mask == 1, 50.0 + 4.0 * rng.standard_normal((3, 4)), 0.0)
     filled = np.where(mask == 1, observed, rng.uniform(-1e3, 1e3, (3, 4)))
-    zero, noise = (_impute_in_data_units(backends, v, mask, sched, GuidanceConfig(), None,
+    law = scale_law(GuidanceConfig(), sched)
+    zero, noise = (_impute_in_data_units(backends, v, mask, sched, law,
                                          n_samples=3, seed=5, anchoring=anchoring)
                    for v in (observed, filled))
     for f in fields(ImputationResult):

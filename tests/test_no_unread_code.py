@@ -1,4 +1,5 @@
-"""Every function, class and method of src/fence has a reader in the program.
+"""Every function, class and method of src/fence has a reader in the program,
+and every parameter of its functions a reader in the function's body.
 
 A definition counts as read when its name appears somewhere in src/fence or
 perfbench/*.py outside the definition itself, as a bare name or as an
@@ -6,6 +7,11 @@ attribute. Names inside ``__all__`` lists, import lines and ``__init__.py``
 do not count, since exporting a name is not using it. Dunder methods are
 exempt. Strings do not count either: a dict key such as perfbench's "crps"
 would otherwise read as a use of metrics.crps.
+
+A parameter counts as read when its name appears as a bare name in the
+body of its function or lambda, nested functions included. The methods of
+the two protocols the sampler calls, and their overrides, are exempt: a
+backend or a scale law may ignore an argument every other one needs.
 """
 
 import ast
@@ -19,6 +25,13 @@ ALLOWED = {
     "beta_at": "criterion 3 pins beta_25 of the default schedule",
     "marginal_logpdf": "test_oracle checks it against scipy's multivariate normal",
     "ContaminatedBackend": "criterion 11's contaminated bed",
+}
+
+
+# protocol class -> the methods whose overrides take arguments they may ignore
+PROTOCOLS = {
+    "DenoiserBackend": {"predict"},
+    "ScaleLaw": {"scales", "update", "start"},
 }
 
 
@@ -89,3 +102,48 @@ def test_allowlist_names_only_unread_definitions():
     # an entry that the program reads after all is stale
     unread = {entry.split()[-1] for entry in unread_definitions()}
     assert set(ALLOWED) <= unread, sorted(set(ALLOWED) - unread)
+
+
+def unread_parameters() -> list[str]:
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    classes = {node.name: node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def protocol_methods(name: str) -> set[str]:
+        """The protocol methods class ``name`` defines or inherits."""
+        bases = [b.id for b in getattr(classes.get(name), "bases", ())
+                 if isinstance(b, ast.Name)]
+        return PROTOCOLS.get(name, set()).union(*map(protocol_methods, bases))
+
+    exempt = {id(item) for cls in classes.values() for item in cls.body
+              if getattr(item, "name", None) in protocol_methods(cls.name)}
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    unread = []
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, funcs) or id(node) in exempt:
+                continue
+            a = node.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs,
+                                      a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            unread += [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({p})"
+                       for p in params if p not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    unread = unread_parameters()
+    assert not unread, "parameters their function never reads: " + ", ".join(unread)
+
+
+def test_protocols_name_defined_methods():
+    # an exemption for a method that no longer exists is stale
+    defined = {(node.name, item.name)
+               for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef)
+               for item in node.body if isinstance(item, ast.FunctionDef)}
+    assert {(cls, m) for cls, methods in PROTOCOLS.items() for m in methods} <= defined

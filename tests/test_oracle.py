@@ -27,6 +27,7 @@ from fence import (
 )
 import fence.world as world_mod
 from fence.backends import DenoiserBackend
+from fence.sampler import scale_law
 from fence.world import GaussianOracleWorld
 
 
@@ -210,7 +211,7 @@ def test_oracle_cache_does_not_grow_with_step_count():
         sched = quadratic_schedule(n_steps)
         backend = OracleBackend(world, sched)
         impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
-               GuidanceConfig(), n_samples=2, seed=4)
+               scale_law(GuidanceConfig(), sched), n_samples=2, seed=4)
         # the world the backend conditioned on the context
         return sum(a.size >= world.dim ** 2 for a in _arrays(backend._last[1]))
 
@@ -631,7 +632,7 @@ def test_oracle_impute_conditions_the_world_once(monkeypatch):
     sched = quadratic_schedule(20)
     backend = OracleBackend(world, sched)
     impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
-           GuidanceConfig(mode="fence"), n_clusters=2, n_samples=3, seed=5)
+           scale_law(GuidanceConfig(mode="fence"), sched, 2), n_samples=3, seed=5)
     assert observed == [17]
 
 
@@ -724,7 +725,8 @@ def test_fully_observed_world_still_runs():
     np.testing.assert_array_equal(node_affinity(observed), np.eye(3))
     backend = OracleBackend(world, sched)
     result = impute(backend, backend, TrafficGrid(values), MaskMatrix(np.ones((3, 4))), sched,
-                    GuidanceConfig(mode="fence"), n_clusters=2, n_samples=2, seed=3)
+                    scale_law(GuidanceConfig(mode="fence"), sched, 2),
+                    n_samples=2, seed=3)
     assert np.isfinite(result.samples).all()
 
 
@@ -752,7 +754,7 @@ def test_imputing_decomposes_nothing_larger_than_the_hidden_block(monkeypatch):
     sched = quadratic_schedule(5)
     backend = OracleBackend(world, sched)
     impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
-           GuidanceConfig(mode="fence"), n_clusters=3, n_samples=2, seed=6)
+           scale_law(GuidanceConfig(mode="fence"), sched, 3), n_samples=2, seed=6)
     assert max(shape[0] for shape in eighs) == hidden
     assert eighs.count((hidden, hidden)) == 1
     assert all(shape[0] < world.dim for shape in cholesky)
@@ -801,7 +803,7 @@ def test_oracle_impute_builds_one_affinity_per_run(monkeypatch):
     sched = quadratic_schedule(20)
     backend = OracleBackend(world, sched)
     impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
-           GuidanceConfig(mode="fence"), n_clusters=2, n_samples=3, seed=5)
+           scale_law(GuidanceConfig(mode="fence"), sched, 2), n_samples=3, seed=5)
     assert len(worlds) == 1 and worlds[0].observed_idx.size
 
 
@@ -825,7 +827,8 @@ def test_oracle_impute_runs_one_kmeans_per_run(monkeypatch):
     sched = quadratic_schedule(20)
     backend = OracleBackend(world, sched)
     result = impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
-                    GuidanceConfig(mode="fence"), n_clusters=2, n_samples=5, seed=5)
+                    scale_law(GuidanceConfig(mode="fence"), sched, 2),
+                    n_samples=5, seed=5)
     assert seeds == [(5 << 32) + 20]
     assert (result.cluster_id == result.cluster_id[:1]).all()
 
@@ -861,12 +864,12 @@ def test_one_ulp_on_the_oracle_affinity_moves_no_label(seed):
     world = make_gaussian_world(20, 24, 0.8, 0.95)
     sched = quadratic_schedule(50)
     rng = np.random.default_rng(seed)
-    gcfg = GuidanceConfig(mode="fence")
+    law = scale_law(GuidanceConfig(mode="fence"), sched, 3)
     for rate in (0.3, 0.5, 0.7, 0.9):
         truth = world.sample_clean(rng)
         mask = np.repeat(rng.random((20, 2)) >= rate, 12, axis=1).astype(np.int64)
-        runs = [impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched, gcfg,
-                       n_clusters=3, n_samples=10, seed=seed)
+        runs = [impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched, law,
+                       n_samples=10, seed=seed)
                 for backend in (OracleBackend(world, sched),
                                 _UlpNudgedAffinity(OracleBackend(world, sched), rng))]
         np.testing.assert_array_equal(runs[0].cluster_id, runs[1].cluster_id)

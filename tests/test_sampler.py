@@ -25,7 +25,7 @@ from fence import (
 )
 from fence.backends import DenoiserBackend
 from fence.errors import DataError
-from fence.sampler import ScaleLaw
+from fence.sampler import ScaleLaw, scale_law
 
 RESULT_ARRAYS = ("samples", "lam", "log_posterior", "guidance_norm", "cluster_id")
 
@@ -43,8 +43,8 @@ def oracle_setup(n=4, t=3, hidden_node=0, seed=1):
 
 def test_result_shape_and_mean_identity():
     backend, truth, mask, sched = oracle_setup()
-    gcfg = GuidanceConfig(mode="fence", scope="global")
-    result = impute(backend, backend, truth, mask, sched, gcfg, n_samples=4, seed=3)
+    law = scale_law(GuidanceConfig(mode="fence", scope="global"), sched)
+    result = impute(backend, backend, truth, mask, sched, law, n_samples=4, seed=3)
     assert result.samples.shape == (4, 4, 3)
     np.testing.assert_allclose(result.mean_imputation, result.samples.mean(axis=0),
                                atol=1e-12)
@@ -62,7 +62,8 @@ def test_result_shape_and_mean_identity():
 def test_trace_row_count_and_lambda_bounds():
     backend, truth, mask, sched = oracle_setup()
     gcfg = GuidanceConfig(mode="fence", scope="global", lambda_max=8.0)
-    result = impute(backend, backend, truth, mask, sched, gcfg, n_samples=1, seed=3)
+    result = impute(backend, backend, truth, mask, sched, scale_law(gcfg, sched),
+                    n_samples=1, seed=3)
     assert result.lam.shape == (1, 50, 4)  # one entry per (trajectory, step, node)
     assert result.lam.dtype == np.float64 and result.cluster_id.dtype == np.int64
     assert (result.lam >= 1.0).all() and (result.lam <= 8.0).all()
@@ -83,23 +84,21 @@ def test_trace_row_count_and_lambda_bounds():
 
 def test_determinism_bit_identical():
     backend, truth, mask, sched = oracle_setup()
-    gcfg = GuidanceConfig(mode="fence", scope="global")
-    a = impute(backend, backend, truth, mask, sched, gcfg, n_samples=3, seed=9)
-    b = impute(backend, backend, truth, mask, sched, gcfg, n_samples=3, seed=9)
+    law = scale_law(GuidanceConfig(mode="fence", scope="global"), sched)
+    a = impute(backend, backend, truth, mask, sched, law, n_samples=3, seed=9)
+    b = impute(backend, backend, truth, mask, sched, law, n_samples=3, seed=9)
     for name in RESULT_ARRAYS:
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    c = impute(backend, backend, truth, mask, sched, gcfg, n_samples=3, seed=10)
+    c = impute(backend, backend, truth, mask, sched, law, n_samples=3, seed=10)
     assert not np.array_equal(a.samples[0], c.samples[0])
 
 
 def test_trajectory_is_independent_of_ensemble_size():
     # 2 clusters of 4 nodes: k-means runs at every step of every trajectory
     backend, truth, mask, sched = oracle_setup()
-    gcfg = GuidanceConfig(mode="fence", scope="cluster")
-    small = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
-                   n_samples=2, seed=5)
-    large = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
-                   n_samples=5, seed=5)
+    law = scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2)
+    small = impute(backend, backend, truth, mask, sched, law, n_samples=2, seed=5)
+    large = impute(backend, backend, truth, mask, sched, law, n_samples=5, seed=5)
     head = large.head(2)
     for name in RESULT_ARRAYS:
         np.testing.assert_array_equal(getattr(small, name), getattr(large, name)[:2])
@@ -115,11 +114,9 @@ def test_neural_trajectory_is_independent_of_ensemble_size():
     _, truth, mask, _ = oracle_setup()
     sched = quadratic_schedule(10)
     model = NeuralDenoiser(NetConfig(n_nodes=4, d_model=8, n_layers=1, n_heads=2), seed=3)
-    gcfg = GuidanceConfig(mode="fence", scope="cluster")
-    small = impute(model, model, truth, mask, sched, gcfg, n_clusters=2,
-                   n_samples=2, seed=5)
-    large = impute(model, model, truth, mask, sched, gcfg, n_clusters=2,
-                   n_samples=5, seed=5)
+    law = scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2)
+    small = impute(model, model, truth, mask, sched, law, n_samples=2, seed=5)
+    large = impute(model, model, truth, mask, sched, law, n_samples=5, seed=5)
     for name in RESULT_ARRAYS:
         np.testing.assert_array_equal(getattr(small, name), getattr(large, name)[:2])
     assert len(np.unique(large.cluster_id)) == 2
@@ -155,7 +152,7 @@ def test_neural_rows_with_one_attention_share_their_labels(monkeypatch):
     model = NeuralDenoiser(NetConfig(n_nodes=4, d_model=8, n_layers=1, n_heads=2), seed=3)
     twins = _TwinAttentionBackend(model)
     result = impute(twins, model, truth, mask, sched,
-                    GuidanceConfig(mode="fence", scope="cluster"), n_clusters=2,
+                    scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2),
                     n_samples=3, seed=5)
     assert calls == [(5 << 32) + k for k in range(10, 0, -1) for _ in range(3)]
     np.testing.assert_array_equal(result.cluster_id[0], result.cluster_id[1])
@@ -195,7 +192,7 @@ def test_kmeans_runs_again_only_for_a_new_affinity(monkeypatch, fresh, writeable
     affinity.setflags(write=writeable)
     fixed = _FixedAffinityBackend(backend, affinity, fresh)
     result = impute(fixed, backend, truth, mask, sched,
-                    GuidanceConfig(mode="fence", scope="cluster"), n_clusters=2,
+                    scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2),
                     n_samples=3, seed=7)
     assert calls == [(7 << 32) + k for k in steps]
     if len(calls) == 1:
@@ -220,8 +217,8 @@ def test_affinity_of_the_wrong_shape_names_step_and_shape(reshape, shape):
     backend, truth, mask, sched = oracle_setup()
     bad = _ReshapedAffinityBackend(backend, reshape)
     with pytest.raises(InvalidInputError, match=re.escape(f"reverse step 50 has shape {shape}")):
-        impute(bad, backend, truth, mask, sched, GuidanceConfig(mode="fence"),
-               n_clusters=2, n_samples=3, seed=1)
+        impute(bad, backend, truth, mask, sched,
+               scale_law(GuidanceConfig(mode="fence"), sched, 2), n_samples=3, seed=1)
 
 
 class _CountingBackend(DenoiserBackend):
@@ -239,16 +236,16 @@ class _CountingBackend(DenoiserBackend):
 def test_one_batched_predict_per_context_and_step(n_samples, mode):
     backend, truth, mask, sched = oracle_setup()
     counting = _CountingBackend(backend)
-    impute(counting, counting, truth, mask, sched, GuidanceConfig(mode=mode),
-           n_clusters=2, n_samples=n_samples, seed=1)
+    impute(counting, counting, truth, mask, sched,
+           scale_law(GuidanceConfig(mode=mode), sched, 2), n_samples=n_samples, seed=1)
     calls = 2 * sched.n_steps if mode == "fence" else sched.n_steps
     assert counting.batches == [n_samples] * calls
 
 
 def test_cfg_mode_traces_constant_lambda():
     backend, truth, mask, sched = oracle_setup()
-    gcfg = GuidanceConfig(mode="cfg", fixed_lambda=2.5)
-    result = impute(backend, backend, truth, mask, sched, gcfg, n_samples=1, seed=2)
+    law = scale_law(GuidanceConfig(mode="cfg", fixed_lambda=2.5), sched)
+    result = impute(backend, backend, truth, mask, sched, law, n_samples=1, seed=2)
     assert (result.lam == 2.5).all()
     assert (result.log_posterior == 0.0).all()
     assert (result.cluster_id == -1).all()
@@ -256,24 +253,24 @@ def test_cfg_mode_traces_constant_lambda():
 
 def test_none_mode_ignores_conditional_backend():
     backend, truth, mask, sched = oracle_setup()
-    gcfg = GuidanceConfig(mode="none")
-    result = impute(None, backend, truth, mask, sched, gcfg, n_samples=2, seed=2)
+    law = scale_law(GuidanceConfig(mode="none"), sched)
+    result = impute(None, backend, truth, mask, sched, law, n_samples=2, seed=2)
     assert (result.lam == 0.0).all()
     np.testing.assert_array_equal(
         result.samples,
-        impute(backend, backend, truth, mask, sched, gcfg, n_samples=2,
+        impute(backend, backend, truth, mask, sched, law, n_samples=2,
                seed=2).samples)
 
 
 def test_clamp_anchoring_pins_observed_cells():
     backend, truth, mask, sched = oracle_setup()
-    gcfg = GuidanceConfig(mode="fence", scope="global")
-    result = impute(backend, backend, truth, mask, sched, gcfg, n_samples=2,
+    law = scale_law(GuidanceConfig(mode="fence", scope="global"), sched)
+    result = impute(backend, backend, truth, mask, sched, law, n_samples=2,
                     seed=4, anchoring="clamp")
     for sample in result.samples:
         np.testing.assert_array_equal(sample[mask.entries == 1],
                                       truth.values[mask.entries == 1])
-    free = impute(backend, backend, truth, mask, sched, gcfg, n_samples=2, seed=4)
+    free = impute(backend, backend, truth, mask, sched, law, n_samples=2, seed=4)
     assert not np.array_equal(free.samples[0][mask.entries == 1],
                               truth.values[mask.entries == 1])
 
@@ -281,29 +278,28 @@ def test_clamp_anchoring_pins_observed_cells():
 def test_input_validation():
     backend, truth, mask, sched = oracle_setup()
     gcfg = GuidanceConfig(mode="fence", scope="global")
+    law = scale_law(gcfg, sched)
     with pytest.raises(InvalidInputError):
         impute(backend, backend, truth,
-               MaskMatrix(np.ones((2, 2), dtype=np.int64)), sched, gcfg)
+               MaskMatrix(np.ones((2, 2), dtype=np.int64)), sched, law)
     with pytest.raises(InvalidInputError):
-        impute(backend, backend, truth, mask, sched, gcfg, anchoring="pin")
+        impute(backend, backend, truth, mask, sched, law, anchoring="pin")
     with pytest.raises(InvalidInputError):
-        impute(backend, backend, truth, mask, sched, gcfg, n_samples=0)
+        impute(backend, backend, truth, mask, sched, law, n_samples=0)
     with pytest.raises(InvalidInputError):
-        impute(None, backend, truth, mask, sched, gcfg)
+        impute(None, backend, truth, mask, sched, law)
     with pytest.raises(InvalidInputError):
-        impute(backend, backend, truth, mask, sched, gcfg, n_clusters=9)
+        impute(backend, backend, truth, mask, sched, scale_law(gcfg, sched, 9))
 
 
 def test_seeds_lie_in_the_philox_key_range():
     # (seed << 32) + k keys a step's k-means stream and must stay below 2**128
     backend, truth, mask, sched = oracle_setup()
-    gcfg = GuidanceConfig(mode="fence")
+    law = scale_law(GuidanceConfig(mode="fence"), sched, 2)
     for seed in (-1, 2**64, 2**100):
         with pytest.raises(InvalidInputError, match="seed"):
-            impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
-                   n_samples=1, seed=seed)
-    result = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
-                    n_samples=2, seed=2**64 - 1)
+            impute(backend, backend, truth, mask, sched, law, n_samples=1, seed=seed)
+    result = impute(backend, backend, truth, mask, sched, law, n_samples=2, seed=2**64 - 1)
     assert np.isfinite(result.samples).all()
 
 
@@ -336,32 +332,32 @@ class _RowNaNBackend(DenoiserBackend):
 def test_divergence_names_its_trajectory():
     _, truth, mask, sched = oracle_setup()
     with pytest.raises(DivergenceError, match="trajectory 2 ") as err:
-        impute(None, _RowNaNBackend(), truth, mask, sched, GuidanceConfig(mode="none"),
-               n_samples=4)
+        impute(None, _RowNaNBackend(), truth, mask, sched,
+               scale_law(GuidanceConfig(mode="none"), sched), n_samples=4)
     assert err.value.step == 30
 
 
 def test_backend_failure_reports_step():
     _, truth, mask, sched = oracle_setup()
     broken = _BrokenBackend(fail_at=37)
-    gcfg = GuidanceConfig(mode="none")
+    law = scale_law(GuidanceConfig(mode="none"), sched)
     with pytest.raises(DataError, match="step 37"):
-        impute(None, broken, truth, mask, sched, gcfg, n_samples=1)
+        impute(None, broken, truth, mask, sched, law, n_samples=1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergent_trajectory_reports_step():
     _, truth, mask, sched = oracle_setup()
-    gcfg = GuidanceConfig(mode="none")
+    law = scale_law(GuidanceConfig(mode="none"), sched)
     with pytest.raises(DivergenceError) as err:
-        impute(None, _ExplodingBackend(), truth, mask, sched, gcfg, n_samples=1)
+        impute(None, _ExplodingBackend(), truth, mask, sched, law, n_samples=1)
     assert err.value.step is not None
 
 
 def test_emit_trace_layout_and_determinism(tmp_path):
     backend, truth, mask, sched = oracle_setup()
-    gcfg = GuidanceConfig(mode="cfg", fixed_lambda=1.5)
-    result = impute(backend, backend, truth, mask, sched, gcfg, n_samples=2, seed=6)
+    law = scale_law(GuidanceConfig(mode="cfg", fixed_lambda=1.5), sched)
+    result = impute(backend, backend, truth, mask, sched, law, n_samples=2, seed=6)
     out = tmp_path / "trace.csv"
     emit_trace(result, out)
     lines = out.read_text().splitlines()
@@ -374,9 +370,8 @@ def test_emit_trace_layout_and_determinism(tmp_path):
     assert (tmp_path / "again.csv").read_text() == out.read_text()
 
     # the file parses back to the trace arrays, rows in (traj, k descending, node) order
-    gcfg = GuidanceConfig(mode="fence", scope="cluster")
-    result = impute(backend, backend, truth, mask, sched, gcfg, n_clusters=2,
-                    n_samples=2, seed=6)
+    law = scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2)
+    result = impute(backend, backend, truth, mask, sched, law, n_samples=2, seed=6)
     emit_trace(result, out)
     columns = list(zip(*(line.split(",") for line in out.read_text().splitlines()[1:])))
     shape = result.lam.shape
@@ -443,7 +438,9 @@ def _result_digest(result) -> str:
     return h.hexdigest()[:16]
 
 
-def _law_digests() -> dict:
+def _pinned_world():
+    """(truth, mask, sched, backends) of the pins: a 6x8 oracle world and a
+    random-weights network, K = 30."""
     world = make_gaussian_world(6, 8, 0.5, 0.6)
     truth = TrafficGrid(world.sample_clean(np.random.Generator(np.random.Philox(key=4))))
     mask = np.random.Generator(np.random.Philox(key=5)).integers(0, 2, (6, 8))
@@ -454,28 +451,45 @@ def _law_digests() -> dict:
         "neural": NeuralDenoiser(NetConfig(n_nodes=6, d_model=8, n_layers=1, n_heads=2),
                                  seed=3),
     }
+    return truth, MaskMatrix(mask), sched, backends
+
+
+def _law_digests() -> dict:
+    truth, mask, sched, backends = _pinned_world()
     got = {}
     for (name, backend), anchoring, (law, gcfg) in product(
             backends.items(), ("free", "clamp"), PINNED_LAWS.items()):
-        result = impute(backend, backend, truth, MaskMatrix(mask), sched, gcfg,
-                        n_clusters=2, n_samples=3, seed=11, anchoring=anchoring)
+        result = impute(backend, backend, truth, mask, sched, scale_law(gcfg, sched, 2),
+                        n_samples=3, seed=11, anchoring=anchoring)
         got[name, anchoring, law] = _result_digest(result)
     return got
 
 
 def test_every_scale_law_is_pinned():
     # any change to a law's arithmetic, its RNG streams or its k-means rule
-    # changes these digests: a 6x8 oracle world and a random-weights network,
-    # 2 clusters, K = 30, S = 3
+    # changes these digests: 2 clusters, S = 3
     assert _law_digests() == LAW_DIGESTS
+
+
+@pytest.mark.parametrize("name", ["oracle", "neural"])
+def test_one_law_runs_any_number_of_imputations(name):
+    # impute starts the law it is given: a run resumes nothing of the run
+    # before it, and k-means draws from impute's own seed
+    truth, mask, sched, backends = _pinned_world()
+    backend, law = backends[name], scale_law(PINNED_LAWS["fence-cluster"], sched, 2)
+    digests = [_result_digest(impute(backend, backend, truth, mask, sched, law,
+                                     n_samples=3, seed=seed))
+               for seed in (11, 11, 12, 11)]
+    assert digests[0] == digests[1] == digests[3] == LAW_DIGESTS[name, "free", "fence-cluster"]
+    assert digests[2] != digests[0]
 
 
 class _OpenLoopLaw(ScaleLaw):
     """An open-loop scale path: step k's (S, N) scales are path[k], whatever
     the samples do."""
 
-    def __init__(self, n_samples, n_nodes, path):
-        super().__init__(n_samples, n_nodes)
+    def __init__(self, path):
+        super().__init__()
         self.path = path
 
     def scales(self, k, x, eps_u, eps_c, attn):
@@ -488,8 +502,8 @@ class _ProjectionLaw(ScaleLaw):
     eps_u> / |eps_c - eps_u|^2 over node g's row, from an oracle the law
     calls itself; lam = 1 where the direction is 0."""
 
-    def __init__(self, n_samples, n_nodes, oracle, ctx):
-        super().__init__(n_samples, n_nodes)
+    def __init__(self, oracle, ctx):
+        super().__init__()
         self.oracle, self.ctx, self.gaps = oracle, ctx, []
 
     def scales(self, k, x, eps_u, eps_c, attn):
@@ -503,22 +517,23 @@ class _ProjectionLaw(ScaleLaw):
 
 def test_a_test_side_law_runs_through_the_unmodified_loop():
     backend, truth, mask, sched = oracle_setup()
-    n, steps = len(truth.values), sched.n_steps
+    steps = sched.n_steps
 
     # a constant law is cfg at that scale, bit for bit
-    constant = _OpenLoopLaw(3, n, np.full(steps + 1, 2.0))
+    constant = _OpenLoopLaw(np.full(steps + 1, 2.0))
     cfg = impute(backend, backend, truth, mask, sched,
-                 GuidanceConfig(mode="cfg", fixed_lambda=2.0), n_samples=3, seed=4)
+                 scale_law(GuidanceConfig(mode="cfg", fixed_lambda=2.0), sched),
+                 n_samples=3, seed=4)
     ran = impute(backend, backend, truth, mask, sched, constant, n_samples=3, seed=4)
     for name in RESULT_ARRAYS:
         np.testing.assert_array_equal(getattr(ran, name), getattr(cfg, name))
 
     # fence's recorded scales, replayed open loop, give fence's samples: the
     # loop sees a law only through its scales
-    fence = impute(backend, backend, truth, mask, sched, GuidanceConfig(mode="fence"),
-                   n_clusters=2, n_samples=3, seed=4)
+    fence = impute(backend, backend, truth, mask, sched,
+                   scale_law(GuidanceConfig(mode="fence"), sched, 2), n_samples=3, seed=4)
     path = {steps - j: fence.lam[:, j] for j in range(steps)}
-    replay = impute(backend, backend, truth, mask, sched, _OpenLoopLaw(3, n, path),
+    replay = impute(backend, backend, truth, mask, sched, _OpenLoopLaw(path),
                     n_samples=3, seed=4)
     for name in ("samples", "lam", "guidance_norm"):
         np.testing.assert_array_equal(getattr(replay, name), getattr(fence, name))
@@ -531,7 +546,7 @@ def test_the_projection_law_recovers_the_contamination(pi_true):
     # the contaminated backend shrinks it by pi_true, so lam* = 1 / pi_true
     backend, truth, mask, sched = oracle_setup()
     cond = backend if pi_true == 1.0 else ContaminatedBackend(backend, pi_true)
-    law = _ProjectionLaw(3, len(truth.values), OracleBackend(backend.world, sched),
+    law = _ProjectionLaw(OracleBackend(backend.world, sched),
                          ConditioningContext(truth.values, mask.entries))
     result = impute(cond, backend, truth, mask, sched, law, n_samples=3, seed=6)
     gaps = np.stack(law.gaps, axis=1)
@@ -543,4 +558,4 @@ def test_cluster_scope_needs_an_exported_affinity():
     backend, truth, mask, sched = oracle_setup()
     with pytest.raises(InvalidInputError, match="exports no attention"):
         impute(_BrokenBackend(fail_at=0), backend, truth, mask, sched,
-               GuidanceConfig(mode="fence"), n_clusters=2, n_samples=1)
+               scale_law(GuidanceConfig(mode="fence"), sched, 2), n_samples=1)

@@ -34,9 +34,9 @@ mask = np.ones((4, 3), dtype=np.int64)
 mask[0] = 0
 sched = quadratic_schedule(5)
 backend = OracleBackend(world, sched)
-sampler.impute(backend, backend, TrafficGrid(truth * mask), MaskMatrix(mask), sched,
-               GuidanceConfig(*mode_from_string(sys.argv[3])), n_clusters=2, n_samples=2,
-               seed=3)
+law = sampler.scale_law(GuidanceConfig(*mode_from_string(sys.argv[3])), sched, 2)
+sampler.impute(backend, backend, TrafficGrid(truth * mask), MaskMatrix(mask), sched, law,
+               n_samples=2, seed=3)
 metrics = rec.metrics()
 print(json.dumps({"missing": missing, "lost": sorted(rec.lost),
                   "updates": metrics["guidance.posterior_update.calls"],

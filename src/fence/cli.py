@@ -14,7 +14,7 @@ import glob
 import math
 import sys
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +22,8 @@ import numpy as np
 from .backends import OracleBackend
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (PRESETS, SCHEMA, STAGES, guidance_from, load_world_spec,
-                     parse_config_file, read_world_spec, resolve_config, schedule_from,
-                     training_from, world_from, write_resolved)
+                     network_from, parse_config_file, read_world_spec, resolve_config,
+                     schedule_from, training_from, world_from, write_resolved)
 from .errors import ConfigError, DataError, DivergenceError, InvalidInputError
 from .grid import (DatasetSplit, MaskMatrix, TrafficGrid, chronological_split,
                    load_grid_csv, load_mask_csv, observed_stats, save_grid_csv,
@@ -78,10 +78,14 @@ def _cfg_from(args, groups, stage=None) -> dict:
     return cfg
 
 
-def _synth_series(world, length: int, rng: np.random.Generator) -> np.ndarray:
-    """Concatenate independent world draws into an N x length series."""
+def _check_length(length: int) -> None:
     if length < 1:
         raise InvalidInputError(f"series length must be >= 1, got {length}")
+
+
+def _synth_series(world, length: int, rng: np.random.Generator) -> np.ndarray:
+    """Concatenate independent world draws into an N x length series."""
+    _check_length(length)
     reps = math.ceil(length / world.n_steps)
     blocks = [world.sample_clean(rng) for _ in range(reps)]
     return np.concatenate(blocks, axis=1)[:, :length]
@@ -138,6 +142,7 @@ def _make_mask(m: dict, n_nodes: int, length: int) -> np.ndarray:
     """The entries of the [mask] section's mask of an n_nodes x length grid:
     SR-TC, or SC-TC over the communities of a ring. The patch is cut to the
     series length."""
+    _check_length(length)
     cfg = MaskPatternConfig(m["pattern"], m["alpha"], min(m["patch"], length),
                             m["communities"] or None, m["seed"])
     if cfg.pattern == "SC-TC":
@@ -153,13 +158,6 @@ def cmd_mask(args) -> int:
     return 0
 
 
-def _save_model(path, model: NeuralDenoiser, mean: float, std: float):
-    state = model.state_dict()
-    state["norm/mean"] = np.float64(mean)
-    state["norm/std"] = np.float64(std)
-    save_checkpoint(path, state)
-
-
 def _load_model(path) -> tuple[NeuralDenoiser, float, float]:
     state = load_checkpoint(path)
     try:
@@ -172,41 +170,47 @@ def _load_model(path) -> tuple[NeuralDenoiser, float, float]:
     return NeuralDenoiser.from_state_dict(state), float(mean), float(std)
 
 
-def _train(args, stage: str, fit, stats=None) -> int:
-    """Shared body of train-uncond and finetune-cond; ``fit`` runs the stage."""
-    cfg = _cfg_from(args, _TRAIN_FLAGS, stage)
-    sched = schedule_from(cfg)
-    series, entries = _load_masked(args.data, args.mask)
-    split = _training_split(series, entries, args.window, args.stride, stats)
-    tcfg, net_cfg = training_from(cfg, stage, series.shape[0])
-    result = fit(split, tcfg, sched=sched, net_cfg=net_cfg)
-    _save_model(args.out, result.model, *split.normalization)
-    print(f"stage-{STAGES.index(stage) + 1} finished after "
+def _save_stage(args, number: int, result, mean: float, std: float) -> int:
+    """Writes the model that stage ``number`` trained to --out, with the
+    (mean, std) that normalized its split."""
+    state = result.model.state_dict()
+    state["norm/mean"] = np.float64(mean)
+    state["norm/std"] = np.float64(std)
+    save_checkpoint(args.out, state)
+    print(f"stage-{number} finished after "
           f"{len(result.train_losses)} epochs (best epoch {result.best_epoch})")
     print(f"wrote checkpoint {args.out}")
     return 0
 
 
 def cmd_train_uncond(args) -> int:
-    return _train(args, "uncond", train_unconditional)
+    cfg = _cfg_from(args, _TRAIN_FLAGS, "uncond")
+    sched = schedule_from(cfg)
+    series, entries = _load_masked(args.data, args.mask)
+    split = _training_split(series, entries, args.window, args.stride)
+    result = train_unconditional(split, training_from(cfg, "uncond"), sched=sched,
+                                 net_cfg=network_from(cfg, len(series)))
+    return _save_stage(args, 1, result, *split.normalization)
 
 
 def cmd_finetune_cond(args) -> int:
-    backend = stats = None
-    if args.init:
-        backend, mean, std = _load_model(args.init)
-        stats = (mean, std)
-    # the shape flags parse to None, so a given one can be told apart; with
-    # --init the checkpoint's shape is the one that trains
+    backend, mean, std = _load_model(args.init)
+    # the shape flags parse to None, so a given one can be told apart; the
+    # checkpoint's shape is the one that trains
     for dest, field in (("d_model", "d_model"), ("layers", "n_layers"), ("heads", "n_heads")):
-        given = getattr(args, dest)
-        shape = SCHEMA["training"][dest][1] if backend is None else getattr(backend.cfg, field)
-        if given is None:
-            setattr(args, dest, shape)
-        elif backend is not None and given != shape:
+        given, shape = getattr(args, dest), getattr(backend.cfg, field)
+        if given is not None and given != shape:
             raise ConfigError(f"--{dest.replace('_', '-')} {given} differs from the"
                               f" {shape} of the --init checkpoint {args.init}")
-    return _train(args, "cond", partial(finetune_conditional, backend), stats)
+    cfg = _cfg_from(args, _TRAIN_FLAGS, "cond")
+    sched = schedule_from(cfg)
+    series, entries = _load_masked(args.data, args.mask)
+    if len(series) != backend.cfg.n_nodes:
+        raise InvalidInputError(f"{args.init} was built for {backend.cfg.n_nodes} nodes,"
+                                f" the grid has {len(series)}")
+    split = _training_split(series, entries, args.window, args.stride, (mean, std))
+    result = finetune_conditional(backend, split, training_from(cfg, "cond"), sched=sched)
+    return _save_stage(args, 2, result, *split.normalization)
 
 
 def _impute_backends(args, values, sched, law):
@@ -338,13 +342,13 @@ def _pipeline_backends(cfg, world, sched, rng):
         return oracle, oracle, 0.0, 1.0
 
     # both stages' settings are checked before either stage trains; stage 2
-    # takes the network shape from stage 1's model
-    (tcfg1, net_cfg1), (tcfg2, _) = (training_from(cfg, stage, world.n_nodes)
-                                     for stage in STAGES)
+    # fine-tunes stage 1's network
+    tcfg1, net_cfg, tcfg2 = (training_from(cfg, "uncond"), network_from(cfg, world.n_nodes),
+                             training_from(cfg, "cond"))
     series = _synth_series(world, cfg["data"]["length"], rng)
     split = _training_split(series, np.ones(series.shape, dtype=np.int64),
                             world.n_steps, cfg["data"]["stride"])
-    stage1 = train_unconditional(split, tcfg1, sched=sched, net_cfg=net_cfg1)
+    stage1 = train_unconditional(split, tcfg1, sched=sched, net_cfg=net_cfg)
     stage2 = finetune_conditional(stage1.model, split, tcfg2, sched=sched)
     return stage2.model, stage1.model, *split.normalization
 
@@ -429,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finetune-cond", help="stage 2: conditional fine-tune")
     add_train_args(p, "cond")
-    p.add_argument("--init", default=None, help="stage-1 checkpoint")
+    p.add_argument("--init", required=True, help="stage-1 checkpoint")
     p.set_defaults(func=cmd_finetune_cond, d_model=None, layers=None, heads=None)
 
     p = sub.add_parser("impute", help="run the guided reverse sampler")

@@ -29,7 +29,7 @@ from .world import GaussianOracleWorld, make_gaussian_world
 __all__ = [
     "SCHEMA", "PRESETS", "STAGES", "parse_config_file", "resolve_config",
     "format_resolved", "write_resolved", "schedule_from", "world_from",
-    "guidance_from", "training_from", "read_world_spec", "load_world_spec",
+    "guidance_from", "training_from", "network_from", "read_world_spec", "load_world_spec",
 ]
 
 
@@ -265,16 +265,20 @@ def guidance_from(cfg: dict) -> tuple[GuidanceConfig, int | None]:
             from None
 
 
-def training_from(cfg: dict, stage: str, n_nodes: int) -> tuple[TrainConfig, NetConfig]:
-    """Optimizer settings of one stage ("uncond" or "cond") and the network shape."""
+def training_from(cfg: dict, stage: str) -> TrainConfig:
+    """Optimizer settings of one stage ("uncond" or "cond")."""
     t = cfg["training"]
-    tcfg = TrainConfig(epochs=t[f"epochs_{stage}"], lr=t[f"lr_{stage}"],
+    return TrainConfig(epochs=t[f"epochs_{stage}"], lr=t[f"lr_{stage}"],
                        patience=t[f"patience_{stage}"],
                        weight_decay=t[f"weight_decay_{stage}"],
                        batch_size=t["batch"], seed=t["seed"])
-    net_cfg = NetConfig(n_nodes=n_nodes, d_model=t["d_model"], n_layers=t["layers"],
-                        n_heads=t["heads"])
-    return tcfg, net_cfg
+
+
+def network_from(cfg: dict, n_nodes: int) -> NetConfig:
+    """The shape of the network stage 1 builds; stage 2 fine-tunes a copy."""
+    t = cfg["training"]
+    return NetConfig(n_nodes=n_nodes, d_model=t["d_model"], n_layers=t["layers"],
+                     n_heads=t["heads"])
 
 
 def read_world_spec(path) -> dict[str, dict]:

@@ -134,18 +134,21 @@ def sliding_windows(series: np.ndarray, window: int, stride: int = 1) -> np.ndar
     return views[:, ::stride].transpose(1, 0, 2)
 
 
-def chronological_split(
-    series: np.ndarray, fractions: tuple[float, float] = (0.6, 0.2)
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+# the shares of a series' columns that chronological_split gives to training
+# and to validation; the test segment takes the rest
+SPLIT_SHARES = (0.6, 0.2)
+
+
+def chronological_split(series: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split columns into train/validation/test by floor; remainder goes to test."""
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 2:
         raise InvalidInputError(f"series must be 2-D, got shape {arr.shape}")
     length = arr.shape[1]
-    n_train = int(math.floor(fractions[0] * length))
-    n_val = int(math.floor(fractions[1] * length))
+    n_train = int(math.floor(SPLIT_SHARES[0] * length))
+    n_val = int(math.floor(SPLIT_SHARES[1] * length))
     if n_train < 1 or n_val < 1 or n_train + n_val >= length:
-        raise InvalidInputError(f"series length {length} too short for a {fractions} split")
+        raise InvalidInputError(f"series length {length} too short for a {SPLIT_SHARES} split")
     return (
         arr[:, :n_train],
         arr[:, n_train : n_train + n_val],

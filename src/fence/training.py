@@ -18,7 +18,6 @@ stacked loss without a tape, in chunks of batch_size windows.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,20 +219,8 @@ def train_unconditional(data: DatasetSplit, cfg: TrainConfig, *,
     return _fit(model, data, cfg, sched, conditional=False)
 
 
-def finetune_conditional(backend: NeuralDenoiser | None, data: DatasetSplit,
-                         cfg: TrainConfig, *, sched: NoiseSchedule,
-                         net_cfg: NetConfig | None = None) -> TrainResult:
-    """Stage 2: same objective with re-masked conditional contexts.
-
-    Passing backend=None skips stage 1 and fine-tunes from random weights,
-    which is allowed but worth a warning.
-    """
-    if backend is None:
-        warnings.warn("fine-tuning from random weights: stage 1 was skipped",
-                      stacklevel=2)
-        if net_cfg is None:
-            net_cfg = NetConfig(n_nodes=data.train[0].shape[1])
-        model = NeuralDenoiser(net_cfg, seed=cfg.seed)
-    else:
-        model = backend.clone()
-    return _fit(model, data, cfg, sched, conditional=True)
+def finetune_conditional(backend: NeuralDenoiser, data: DatasetSplit,
+                         cfg: TrainConfig, *, sched: NoiseSchedule) -> TrainResult:
+    """Stage 2: a copy of the stage-1 network ``backend``, trained with the same
+    objective on re-masked conditional contexts."""
+    return _fit(backend.clone(), data, cfg, sched, conditional=True)

@@ -588,7 +588,7 @@ def test_out_of_range_seed_exits_2_naming_its_key(tmp_path, capsys, value):
     for argv in (["mask", "--nodes", "3", "--length", "4", "--out", "m"],
                  ["impute", "--grid", "g", "--out", "o"],
                  ["train-uncond", "--data", "d", "--out", "o"],
-                 ["finetune-cond", "--data", "d", "--out", "o"]):
+                 ["finetune-cond", "--data", "d", "--init", "i", "--out", "o"]):
         assert _exit_code(argv + ["--seed", value]) == 2
         assert "argument --seed" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -646,9 +646,9 @@ CLI_SURFACE = [
      {"data": "d", "out": "o", "epochs": 150, "lr": 2e-3, "patience": 20,
       "weight_decay": 1e-6, **NET_DEFAULTS, **SCHEDULE_DEFAULTS}),
     # the shape flags parse to None, so one that was given can be checked
-    # against the --init checkpoint; without --init they build NET_DEFAULTS'
-    (["finetune-cond", "--data", "d", "--out", "o"],
-     {"data": "d", "out": "o", "init": None, "epochs": 80, "lr": 1e-3, "patience": 10,
+    # against the --init checkpoint
+    (["finetune-cond", "--data", "d", "--init", "i", "--out", "o"],
+     {"data": "d", "out": "o", "init": "i", "epochs": 80, "lr": 1e-3, "patience": 10,
       "weight_decay": 1e-5, **NET_DEFAULTS, "d_model": None, "layers": None,
       "heads": None, **SCHEDULE_DEFAULTS}),
     (["impute", "--grid", "g", "--out", "o"],
@@ -946,6 +946,16 @@ def test_nonpositive_synth_length_exits_2(tmp_path, capsys, length):
     assert "length" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("length", ["0", "-2"])
+def test_nonpositive_mask_length_exits_2_naming_the_length(tmp_path, capsys, length):
+    # the patch is cut to the length, so an unchecked length would be blamed on the patch
+    assert main(["mask", "--nodes", "3", "--length", length,
+                 "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"series length must be >= 1, got {length}" in err and "patch" not in err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_repeated_oracle_spec_key_exits_2_naming_its_line(tmp_path, capsys):
     spec = tmp_path / "world.spec"
     spec.write_text(WORLD_SPEC + "nodes = 5\n")
@@ -1079,21 +1089,53 @@ def test_divergence_prints_only_its_error_line(tmp_path, capsys, command):
     assert re.fullmatch(r"error: diverged at step \d+: [^\n]+\n", capsys.readouterr().err)
 
 
-def test_finetune_without_init_builds_the_width_of_its_flags(tmp_path):
+def test_finetune_without_init_exits_2_naming_it(tmp_path, capsys):
     out = tmp_path / "m.fence"
-    with pytest.warns(UserWarning, match="fine-tuning from random weights"):
-        assert main(["finetune-cond", "--data", str(_series(tmp_path, 40)), "--window", "4",
-                     "--d-model", "6", "--layers", "1", "--heads", "2", "--epochs", "1",
-                     "--out", str(out)]) == 0
-    assert load_checkpoint(out)["node_embed"].shape == (3, 6)
+    assert _exit_code(["finetune-cond", "--data", str(_series(tmp_path, 40)),
+                       "--out", str(out)]) == 2
+    assert "--init" in capsys.readouterr().err
+    assert not out.exists()
 
 
-def test_finetune_without_init_or_shape_flags_builds_the_default_width(tmp_path):
-    out = tmp_path / "m.fence"
-    with pytest.warns(UserWarning, match="fine-tuning from random weights"):
-        assert main(["finetune-cond", "--data", str(_series(tmp_path, 40)), "--window", "4",
-                     "--epochs", "1", "--out", str(out)]) == 0
-    assert load_checkpoint(out)["node_embed"].shape == (3, NET_DEFAULTS["d_model"])
+def _stage1(tmp_path, data):
+    """A one-epoch stage-1 checkpoint of a 6-wide, one-layer network on ``data``."""
+    init = tmp_path / "s1.fence"
+    assert main(["train-uncond", "--data", str(data), "--window", "4", "--d-model", "6",
+                 "--layers", "1", "--heads", "2", "--epochs", "1", "--out", str(init)]) == 0
+    return init
+
+
+def test_finetune_on_another_node_count_exits_2_before_the_split(tmp_path, capsys,
+                                                                  monkeypatch):
+    data6, data4 = tmp_path / "six.csv", tmp_path / "four.csv"
+    save_grid_csv(data6, np.random.default_rng(0).standard_normal((6, 40)))
+    save_grid_csv(data4, np.random.default_rng(1).standard_normal((4, 40)))
+    init = _stage1(tmp_path, data6)
+    capsys.readouterr()
+    monkeypatch.setattr("fence.cli._training_split", None)  # never reached
+    out = tmp_path / "s2.fence"
+    assert main(["finetune-cond", "--data", str(data4), "--window", "4", "--init", str(init),
+                 "--epochs", "1", "--out", str(out)]) == 2
+    assert f"{init} was built for 6 nodes, the grid has 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_finetune_normalizes_with_the_statistics_of_its_init(tmp_path):
+    # stage 2 trains on a series of other mean and spread than stage 1's; its
+    # checkpoint keeps stage 1's normalization, so impute accepts the pair
+    rng = np.random.default_rng(3)
+    data1, data2 = tmp_path / "one.csv", tmp_path / "two.csv"
+    save_grid_csv(data1, rng.standard_normal((3, 40)))
+    save_grid_csv(data2, 50.0 + 7.0 * rng.standard_normal((3, 40)))
+    init, out = _stage1(tmp_path, data1), tmp_path / "s2.fence"
+    assert main(["finetune-cond", "--data", str(data2), "--window", "4", "--init", str(init),
+                 "--epochs", "1", "--out", str(out)]) == 0
+    stage1, stage2 = load_checkpoint(init), load_checkpoint(out)
+    for key in ("norm/mean", "norm/std"):
+        assert stage2[key].tobytes() == stage1[key].tobytes(), key
+    assert main(["impute", "--grid", str(data2), "--checkpoint-uncond", str(init),
+                 "--checkpoint-cond", str(out), "--steps", "4", "--samples", "2",
+                 "--out", str(tmp_path / "imputed.csv")]) == 0
 
 
 @pytest.mark.parametrize("shape_flags, code", [
@@ -1105,9 +1147,8 @@ def test_finetune_without_init_or_shape_flags_builds_the_default_width(tmp_path)
 ], ids=["absent", "equal", "d-model", "layers", "heads"])
 def test_finetune_with_init_rejects_a_shape_flag_that_differs(tmp_path, capsys,
                                                               shape_flags, code):
-    data, init, out = _series(tmp_path, 40), tmp_path / "s1.fence", tmp_path / "s2.fence"
-    assert main(["train-uncond", "--data", str(data), "--window", "4", "--d-model", "6",
-                 "--layers", "1", "--heads", "2", "--epochs", "1", "--out", str(init)]) == 0
+    data, out = _series(tmp_path, 40), tmp_path / "s2.fence"
+    init = _stage1(tmp_path, data)
     capsys.readouterr()
     assert main(["finetune-cond", "--data", str(data), "--window", "4", "--init", str(init),
                  "--epochs", "1", "--out", str(out), *shape_flags]) == code

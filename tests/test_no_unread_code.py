@@ -12,6 +12,10 @@ A parameter counts as read when its name appears as a bare name in the
 body of its function or lambda, nested functions included. The methods of
 the two protocols the sampler calls, and their overrides, are exempt: a
 backend or a scale law may ignore an argument every other one needs.
+
+A parameter default counts as set when some call in src/fence or
+perfbench/*.py passes that parameter; a default no caller overrides is a
+constant that reads as a setting.
 """
 
 import ast
@@ -147,3 +151,86 @@ def test_protocols_name_defined_methods():
                if isinstance(node, ast.ClassDef)
                for item in node.body if isinstance(item, ast.FunctionDef)}
     assert {(cls, m) for cls, methods in PROTOCOLS.items() for m in methods} <= defined
+
+
+def _scoped(node: ast.AST, kind, cls=None):
+    """(innermost enclosing class or None, node) of every ``kind`` node under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, kind):
+            yield cls, child
+        yield from _scoped(child, kind, child if isinstance(child, ast.ClassDef) else cls)
+
+
+def unset_defaults() -> list[str]:
+    """Parameters with a default that no call in src/fence or perfbench/*.py
+    passes, by position or keyword; a ``*`` or ``**`` splat passes any it can
+    reach. Calls are matched by name: ``f(...)`` and ``x.f(...)`` count for
+    every function or method named f, a call of class C for the __init__ C
+    defines or inherits, and ``super().__init__(...)`` inside C for that of
+    C's base."""
+    package = {path: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    classes = {node.name: node for tree in package.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+
+    def init_owner(name: str) -> str | None:
+        """The class whose __init__ a call of class ``name`` runs, if defined here."""
+        cls = classes.get(name)
+        if cls is None:
+            return None
+        if any(getattr(item, "name", None) == "__init__" for item in cls.body):
+            return name
+        bases = (init_owner(b.id) for b in cls.bases if isinstance(b, ast.Name))
+        return next(filter(None, bases), None)
+
+    def key(cls, call: ast.Call) -> str | None:
+        f = call.func
+        if isinstance(f, ast.Name):
+            return f"{init_owner(f.id)}()" if init_owner(f.id) else f.id
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Call) and \
+                getattr(f.value.func, "id", None) == "super" and f.attr == "__init__":
+            bases = (init_owner(b.id) for b in cls.bases if isinstance(b, ast.Name))
+            owner = next(filter(None, bases), None)
+            return owner and f"{owner}()"
+        return getattr(f, "attr", None)
+
+    calls: dict[str | None, list[ast.Call]] = {}
+    for path in _sources():
+        tree = package.get(path) or ast.parse(path.read_text(encoding="utf-8"))
+        for cls, call in _scoped(tree, ast.Call):
+            calls.setdefault(key(cls, call), []).append(call)
+
+    def passes(call: ast.Call, index: int | None, name: str) -> bool:
+        return any(isinstance(arg, ast.Starred) or i == index
+                   for i, arg in enumerate(call.args) if index is not None) or \
+            any(kw.arg in (name, None) for kw in call.keywords)
+
+    unset = []
+    for path, tree in package.items():
+        for cls, func in _scoped(tree, ast.FunctionDef):
+            cls = cls if cls is not None and func in cls.body else None  # a method's
+            if func.name == "__init__":
+                callee = f"{cls.name}()"
+            elif func.name.startswith("__"):
+                continue
+            else:
+                callee = func.name
+            a = func.args
+            positional = [*a.posonlyargs, *a.args]
+            # a call of a method or class passes no self or cls
+            skip = cls is not None and "staticmethod" not in (
+                getattr(d, "id", None) for d in func.decorator_list)
+            first = len(positional) - len(a.defaults)
+            defaults = [(i - skip, p.arg) for i, p in enumerate(positional) if i >= first]
+            defaults += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                         if d is not None]
+            where = ".".join(n.name for n in (cls, func) if n is not None)
+            unset += [f"{path.stem}.{where}({name})" for index, name in defaults
+                      if not any(passes(c, index, name) for c in calls.get(callee, ()))]
+    return unset
+
+
+def test_every_default_is_set_by_some_caller():
+    # a default that no caller overrides is a constant behind a knob
+    unset = unset_defaults()
+    assert not unset, "defaults no caller sets: " + ", ".join(unset)

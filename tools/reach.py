@@ -25,8 +25,8 @@ Only this process is traced. Code that a test runs only in a child process
 (the tests that start ``python`` or ``fence`` in a subprocess) counts as
 unreached, so check those tests before deleting a line the report lists.
 
-Standard library only. Tracing makes the test suite about 2.5x slower: 58 s
-against 24 s for its 393 tests on a 2-core machine.
+Standard library only. Tracing makes the test suite about 2.5x slower: on a
+2-core machine, pytest timed 488 tests at 62 s traced and 25 s untraced.
 """
 
 from __future__ import annotations

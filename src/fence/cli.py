@@ -138,11 +138,21 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _make_mask(m: dict, n_nodes: int, length: int) -> np.ndarray:
+def _make_mask(m: dict, n_nodes: int, length: int, prefix: str) -> np.ndarray:
     """The entries of the [mask] section's mask of an n_nodes x length grid:
     SR-TC, or SC-TC over the communities of a ring. The patch is cut to the
-    series length."""
+    series length. An unusable setting is named as ``prefix`` + its key."""
     _check_length(length)
+    if n_nodes < 1:
+        raise InvalidInputError(f"node count must be >= 1, got {n_nodes}")
+    # SC-TC needs 1 to N communities; SR-TC reads none, and 0 stands for none
+    communities = ((1, n_nodes, f"lie in [1, {n_nodes}] for SC-TC on {n_nodes} nodes")
+                   if m["pattern"] == "SC-TC" else (0, math.inf, "be >= 0"))
+    for key, lo, hi, rule in (("alpha", 0.0, 1.0, "lie in [0, 1]"),
+                              ("patch", 1, math.inf, "be >= 1"),
+                              ("communities", *communities)):
+        if not lo <= m[key] <= hi:
+            raise ConfigError(f"{prefix}{key} must {rule}, got {m[key]}")
     cfg = MaskPatternConfig(m["pattern"], m["alpha"], min(m["patch"], length),
                             m["communities"] or None, m["seed"])
     if cfg.pattern == "SC-TC":
@@ -151,7 +161,7 @@ def _make_mask(m: dict, n_nodes: int, length: int) -> np.ndarray:
 
 
 def cmd_mask(args) -> int:
-    mask = _make_mask(_cfg_from(args, _MASK_FLAGS)["mask"], args.nodes, args.length)
+    mask = _make_mask(_cfg_from(args, _MASK_FLAGS)["mask"], args.nodes, args.length, "--")
     save_mask_csv(args.out, mask)
     observed = float(np.mean(mask))
     print(f"wrote {args.pattern} mask to {args.out} (observed fraction {observed:.3f})")
@@ -376,7 +386,7 @@ def cmd_run(args) -> int:
     rng = np.random.Generator(np.random.Philox(key=world.seed))
     truth = world.sample_clean(rng)
     m = cfg["mask"]
-    mask = _make_mask(m, world.n_nodes, world.n_steps)
+    mask = _make_mask(m, world.n_nodes, world.n_steps, "[mask] ")
     if mask.all():
         # checked before training: there would be nothing to impute or score
         raise ConfigError(f"the mask drawn with [mask] seed = {m['seed']} and"

@@ -140,11 +140,11 @@ def calibrated_constants(cfg: GuidanceConfig, sched: NoiseSchedule) -> tuple[flo
             f" would be 0: use more steps or a larger t1, so that t1 * K >= 1.5 (K >= 3 at"
             f" the default t1 = 0.5), or variance_mode = beta")
     tau = calibrate_tau(cfg, delta, sigma2_t1)
-    # posterior_update runs at k >= 2 and multiplies by tau / (2 sigma_k^2)
-    if not math.isfinite(tau / (2.0 * float(sched.sigma2[1:].min()))):
+    # posterior_update runs at k >= 2 and multiplies by tau / sigma_k^2
+    if not math.isfinite(tau / float(sched.sigma2[1:].min())):
         raise InvalidInputError(
             f"alpha_scale = {cfg.alpha_scale} is too small: the update temperature "
-            f"tau = 2 sigma^2 delta / alpha_scale, or tau / (2 sigma_k^2), overflows")
+            f"tau = 2 sigma^2 delta / alpha_scale, or tau / sigma_k^2, overflows")
     return delta, tau
 
 
@@ -165,42 +165,32 @@ def guidance_scale(log_posterior, pi: float, lambda_max: float):
     return lam
 
 
-def posterior_update(
-    log_posterior: np.ndarray,
-    x_prev: np.ndarray,
-    mean_cond: np.ndarray,
-    mean_uncond: np.ndarray,
-    k: int,
-    sched: NoiseSchedule,
-    tau: float,
-    delta: float,
-) -> np.ndarray:
-    """One feedback step: reward rows that landed closer to the conditional mean.
+def posterior_update(log_posterior: np.ndarray, lam: np.ndarray, gap_sq: np.ndarray,
+                     gap_dot: np.ndarray, k: int, sched: NoiseSchedule, tau: float,
+                     delta: float) -> np.ndarray:
+    """One feedback step of every node's log-posterior, from the reverse-mean gap.
 
-    log p_i -= tau/(2 sigma_k^2) * (|row_i(x - mean_cond)|^2
-                                    - |row_i(x - mean_uncond)|^2) + delta
+    With Delta = mean_cond - mean_uncond over a node's row and r = x_{k-1} -
+    mean_lam the step's residual from the guided mean mean_uncond + lam Delta,
 
-    x is one (N, T) grid or an (S, N, T) stack, and log_posterior holds one
-    entry per node row: shape (N,) or (S, N). Returns the updated array.
+    log p += tau/sigma_k^2 ((lam - 1/2) |Delta|^2 + <r, Delta>) - delta,
+
+    which is exactly the kernel log-ratio -tau/(2 sigma_k^2) (|x_{k-1} -
+    mean_cond|^2 - |x_{k-1} - mean_uncond|^2) - delta: a drift that is >= 0
+    wherever lam >= 1/2, an innovation <r, Delta>, and the offset delta.
+    ``lam``, ``gap_sq`` = |Delta|^2 and ``gap_dot`` = <r, Delta> hold one entry
+    per node row, in log_posterior's shape (N,) or (S, N).
     """
     logp = np.asarray(log_posterior, dtype=np.float64)
-    x = np.asarray(x_prev, dtype=np.float64)
-    mc = np.asarray(mean_cond, dtype=np.float64)
-    mu = np.asarray(mean_uncond, dtype=np.float64)
-    if x.shape != mc.shape or x.shape != mu.shape or x.ndim not in (2, 3):
+    lam, gap_sq, gap_dot = (np.asarray(a, dtype=np.float64) for a in (lam, gap_sq, gap_dot))
+    if logp.ndim not in (1, 2) or any(a.shape != logp.shape for a in (lam, gap_sq, gap_dot)):
         raise InvalidInputError(
-            f"posterior_update shapes must match: {x.shape}, {mc.shape}, {mu.shape}"
-        )
-    if logp.shape != x.shape[:-1]:
-        raise InvalidInputError(
-            f"log_posterior shape {logp.shape} vs {x.shape[:-1]} node rows")
+            f"posterior_update needs one entry per node row: log_posterior {logp.shape},"
+            f" lam {lam.shape}, gap_sq {gap_sq.shape}, gap_dot {gap_dot.shape}")
     sigma2 = sched.sigma2_at(k)
     if sigma2 <= 0.0:
         raise InvalidInputError(f"sigma_k^2 = 0 at step {k}: posterior update undefined")
-    dc = x - mc
-    du = x - mu
-    gap = np.sum(dc * dc, axis=-1) - np.sum(du * du, axis=-1)
-    return logp - tau / (2.0 * sigma2) * gap - delta
+    return logp + tau / sigma2 * ((lam - 0.5) * gap_sq + gap_dot) - delta
 
 
 def combine_scores(
@@ -224,14 +214,7 @@ def combine_scores(
     return (1.0 - lam_col) * eu + lam_col * ec
 
 
-def guidance_gradient_norm(
-    eps_uncond: np.ndarray, eps_cond: np.ndarray, k: int, sched: NoiseSchedule
-) -> np.ndarray:
-    """Per-node L2 norm of the conditional-minus-unconditional score gap:
-    (N,) for an (N, T) grid, (S, N) for an (S, N, T) stack."""
-    eu = np.asarray(eps_uncond, dtype=np.float64)
-    ec = np.asarray(eps_cond, dtype=np.float64)
-    if eu.shape != ec.shape or eu.ndim not in (2, 3):
-        raise InvalidInputError(f"shapes must match: {eu.shape} vs {ec.shape}")
-    gap = ec - eu
-    return np.sqrt(np.sum(gap * gap, axis=-1)) / np.sqrt(1.0 - sched.alpha_bar_at(k))
+def guidance_gradient_norm(gap_sq: np.ndarray, k: int, sched: NoiseSchedule) -> np.ndarray:
+    """Per-node L2 norm of the conditional-minus-unconditional score gap, from
+    each node's |eps_cond - eps_uncond|^2: (N,) or (S, N) as ``gap_sq`` is."""
+    return np.sqrt(np.asarray(gap_sq, dtype=np.float64)) / np.sqrt(1.0 - sched.alpha_bar_at(k))

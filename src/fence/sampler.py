@@ -4,11 +4,12 @@ All trajectories advance together, one reverse step at a time: from pure
 noise, each step queries the unconditional and (if the law needs it) the
 conditional noise prediction for the whole ensemble in one call each, asks
 the run's ``ScaleLaw`` for the (S, N) guidance scales (``scales``), combines
-the predictions, takes the reverse step and hands the result back to the law
-(``update``); it starts the law, built by ``scale_law`` from settings or by a
-caller, with its S, N and seed. Trajectory i draws from RNG stream seed xor
-i in a fixed order and a k-means run at reverse step k from stream
-(seed << 32) + k, so trajectory i is the same whatever the ensemble size.
+the predictions, takes the reverse step and hands the law each node's gap
+between the two reverse means (``update``); it starts the law, built by
+``scale_law`` from settings or by a caller, with its S, N and seed.
+Trajectory i draws from RNG stream seed xor i in a fixed order and a k-means
+run at reverse step k from stream (seed << 32) + k, so trajectory i is the
+same whatever the ensemble size.
 """
 
 from __future__ import annotations
@@ -68,7 +69,8 @@ class ImputationResult:
 class ScaleLaw:
     """A fixed scale ``lam`` on every node, with no conditional call unless ``needs_cond``.
     ``start`` takes a run's S, N and seed and checks ``n_clusters`` against N, ``scales``
-    gives reverse step k's (S, N) scales and ``update`` sees its result; ``logp`` and
+    gives reverse step k's (S, N) scales and ``update`` gets them back with the per-node
+    sums of the step's reverse-mean gap that ``posterior_update`` reads; ``logp`` and
     ``labels`` are the (S, N) state the trace records."""
 
     def __init__(self, lam: float = 0.0, needs_cond: bool = True, n_clusters: int | None = None):
@@ -82,7 +84,7 @@ class ScaleLaw:
     def scales(self, k, x, eps_u, eps_c, attn) -> np.ndarray:
         return np.full(self.logp.shape, self.lam)
 
-    def update(self, k, x, x_next, eps_u, eps_c) -> None:
+    def update(self, k, lam, gap_sq, gap_dot) -> None:
         pass
 
 
@@ -105,11 +107,9 @@ class FenceLaw(ScaleLaw):
             self.labels, self._clustered = self._step_labels(attn, k), attn
         return cluster_scales(self.logp, self.labels, self.gcfg)
 
-    def update(self, k, x, x_next, eps_u, eps_c):
+    def update(self, k, lam, gap_sq, gap_dot):
         if k > 1:
-            # held to the next step: freeing them here makes malloc re-fault the heap
-            self._means = tuple(reverse_mean(x, eps, k, self.sched) for eps in (eps_c, eps_u))
-            self.logp = posterior_update(self.logp, x_next, *self._means, k, self.sched,
+            self.logp = posterior_update(self.logp, lam, gap_sq, gap_dot, k, self.sched,
                                          self.tau, self.delta)
 
     def _step_labels(self, attn: np.ndarray | None, k: int) -> np.ndarray:
@@ -188,7 +188,9 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
         lam = law.scales(k, x, eps_u, eps_c, attn)
 
         eps_mix = combine_scores(eps_u, eps_c, lam)
-        gnorm = guidance_gradient_norm(eps_u, eps_c, k, sched)
+        gap = eps_c - eps_u
+        gap_sq = np.sum(gap * gap, axis=-1)
+        gnorm = guidance_gradient_norm(gap_sq, k, sched)
         mean = reverse_mean(x, eps_mix, k, sched)
         x_next = reverse_step(x, mean, k, sched, rngs)
 
@@ -208,7 +210,10 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
             raise DivergenceError(
                 f"trajectory {diverged[0]} produced non-finite values", step=k)
 
-        law.update(k, x, x_next, eps_u, eps_c)
+        # the reverse means differ by mean_cond - mean_uncond = -c (eps_c - eps_u)
+        alpha = sched.alpha_at(k)
+        c = (1.0 - alpha) / np.sqrt(1.0 - sched.alpha_bar_at(k)) / np.sqrt(alpha)
+        law.update(k, lam, c * c * gap_sq, -c * np.sum((x_next - mean) * gap, axis=-1))
         for trace, value in zip(traces, (lam, law.logp, gnorm, law.labels)):
             trace[:, j] = value
         x = x_next

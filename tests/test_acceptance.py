@@ -226,7 +226,11 @@ def test_criterion_06_posterior_update_reference():
         tau = float(rng.uniform(1e-4, 1e-2))
         delta = float(rng.uniform(-0.1, 0.1))
         k = int(rng.integers(2, 51))
-        updated = posterior_update(logp.copy(), x, mc, mu, k, sched, tau, delta)
+        # rows map through lam = 0: Delta = mc - mu and r = x - mu
+        mean_gap = mc - mu
+        updated = posterior_update(logp.copy(), np.zeros(n),
+                                   np.sum(mean_gap * mean_gap, axis=-1),
+                                   np.sum((x - mu) * mean_gap, axis=-1), k, sched, tau, delta)
         sigma2 = sched.sigma2_at(k)
         for i in range(n):
             gap = float(np.sum((x[i] - mc[i]) ** 2) - np.sum((x[i] - mu[i]) ** 2))
@@ -235,7 +239,10 @@ def test_criterion_06_posterior_update_reference():
 
     base = np.array([0.3, -0.7, 0.0])
     same = np.zeros((3, 4))
-    frozen = posterior_update(base, same + 1.0, same, same, 10, sched, 0.01, 0.0)
+    mean_gap = same - same
+    frozen = posterior_update(base, np.zeros(3), np.sum(mean_gap * mean_gap, axis=-1),
+                              np.sum((same + 1.0 - same) * mean_gap, axis=-1), 10, sched,
+                              0.01, 0.0)
     invariant = np.array_equal(frozen, base)
     _verdict(6, worst <= 1e-12 and invariant,
              f"max deviation {worst:.2e} over 1e4 rows; equal-means "

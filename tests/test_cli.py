@@ -172,6 +172,29 @@ def test_mask_with_no_nodes_exits_2_naming_the_node_count(tmp_path, capsys, patt
     assert not out.exists()
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"patch": "0"}, "patch must be >= 1, got 0"),
+    ({"alpha": "1.5"}, "alpha must lie in [0, 1], got 1.5"),
+    ({"pattern": "SC-TC"}, "communities must lie in [1, 3] for SC-TC on 3 nodes, got 0"),
+    ({"pattern": "SC-TC", "communities": "5"},
+     "communities must lie in [1, 3] for SC-TC on 3 nodes, got 5"),
+    ({"communities": "-1"}, "communities must be >= 0, got -1"),
+])
+def test_mask_setting_errors_name_the_flag_or_key(tmp_path, capsys, settings, message):
+    # `fence mask` names the flag and `fence run` the [mask] key the user set
+    out = tmp_path / "m.csv"
+    flags = [arg for key, value in settings.items() for arg in (f"--{key}", value)]
+    assert main(["mask", "--nodes", "3", "--length", "4", "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: --{message}\n"
+    assert not out.exists()
+    cfg = tmp_path / "tiny.cfg"
+    keys = {"alpha": "0.5", "patch": "2", **settings}
+    cfg.write_text(TINY_CONFIG.replace(
+        "alpha = 0.5\npatch = 2\n", "".join(f"{k} = {v}\n" for k, v in keys.items())))
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: [mask] {message}\n"
+
+
 def test_mask_and_run_draw_the_same_mask_from_the_same_settings(tmp_path, monkeypatch):
     # `fence mask` takes its defaults from [mask], as `fence run` does
     drawn = []
@@ -766,7 +789,7 @@ def test_bad_config_values_exit_2(tmp_path, section, line):
 @pytest.mark.parametrize("alpha_scale", ["1e-320", "1e-310", "inf"])
 def test_unusable_alpha_scale_exits_2_without_a_warning(tmp_path, capsys, alpha_scale):
     # 1e-320 is finite, but the update temperature 2 sigma^2 delta / alpha_scale
-    # is not; at 1e-310 tau is finite, but tau / (2 sigma_k^2) is not
+    # is not; at 1e-310 tau is finite, but tau / sigma_k^2 is not
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CONFIG + f"\n[guidance]\nmode = fence\nalpha_scale = {alpha_scale}\n")
     with warnings.catch_warnings(record=True) as caught:

@@ -93,6 +93,23 @@ def test_calibrated_constants_reject_an_overflowing_tau():
             calibrated_constants(GuidanceConfig(alpha_scale=1e-320), quadratic_schedule(8))
 
 
+def test_calibrated_constants_guard_the_update_factor_at_its_boundary():
+    # the update multiplies by tau / sigma_k^2, largest at k = 2 of K = 8: at
+    # alpha_scale = 5e-307 that factor overflows while tau / (2 sigma_2^2) does not,
+    # and at 1e-306 it is finite on every step the update runs
+    sched = quadratic_schedule(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="alpha_scale"):
+            calibrated_constants(GuidanceConfig(alpha_scale=5e-307), sched)
+        delta, tau = calibrated_constants(GuidanceConfig(alpha_scale=1e-306), sched)
+        for k in range(2, 9):
+            # a unit innovation at lam = 1/2 moves log p by the factor itself
+            step = posterior_update(np.zeros(1), np.full(1, 0.5), np.zeros(1), np.ones(1),
+                                    k, sched, tau, delta)
+            assert np.isfinite(step).all()
+
+
 def test_guidance_scale_law():
     # p <= 1-pi saturates; above the pole the ratio decays toward 1
     assert guidance_scale(np.log(0.3), pi=0.5, lambda_max=10.0) == 10.0
@@ -124,6 +141,13 @@ def test_guidance_scale_vector_shape_and_scalar_type():
     assert isinstance(guidance_scale(0.0, pi=0.5, lambda_max=10.0), float)
 
 
+def _gap_sums(x, mean_cond, mean_uncond):
+    """|Delta|^2 and <r, Delta> per row at lam = 0: Delta = mean_cond - mean_uncond and
+    r = x - mean_uncond."""
+    gap = mean_cond - mean_uncond
+    return np.sum(gap * gap, axis=-1), np.sum((x - mean_uncond) * gap, axis=-1)
+
+
 def test_posterior_update_reference_implementation():
     sched = quadratic_schedule(50)
     rng = np.random.default_rng(12)
@@ -133,7 +157,8 @@ def test_posterior_update_reference_implementation():
     x = rng.standard_normal((n, t))
     mc = rng.standard_normal((n, t))
     mu = rng.standard_normal((n, t))
-    got = posterior_update(logp, x, mc, mu, k, sched, tau=0.03, delta=0.007)
+    got = posterior_update(logp, np.zeros(n), *_gap_sums(x, mc, mu), k, sched,
+                           tau=0.03, delta=0.007)
     sigma2 = sched.sigma2_at(k)
     for i in range(n):
         gap = np.sum((x[i] - mc[i]) ** 2) - np.sum((x[i] - mu[i]) ** 2)
@@ -149,11 +174,13 @@ def test_posterior_update_stack_matches_rows():
     rng = np.random.default_rng(15)
     x, mc, mu = (rng.standard_normal((3, 4, 5)) for _ in range(3))
     logp = rng.standard_normal((3, 4))
-    got = posterior_update(logp, x, mc, mu, 17, sched, 0.2, -0.01)
+    got = posterior_update(logp, np.zeros((3, 4)), *_gap_sums(x, mc, mu), 17, sched, 0.2,
+                           -0.01)
     assert got.shape == (3, 4)
     for s in range(3):
         np.testing.assert_array_equal(
-            got[s], posterior_update(logp[s], x[s], mc[s], mu[s], 17, sched, 0.2, -0.01))
+            got[s], posterior_update(logp[s], np.zeros(4), *_gap_sums(x[s], mc[s], mu[s]),
+                                     17, sched, 0.2, -0.01))
 
 
 def test_posterior_update_invariant_under_equal_means():
@@ -162,21 +189,22 @@ def test_posterior_update_invariant_under_equal_means():
     x = rng.standard_normal((4, 6))
     m = rng.standard_normal((4, 6))
     logp = rng.standard_normal(4)
-    got = posterior_update(logp, x, m, m, 10, sched, tau=0.5, delta=0.0)
+    got = posterior_update(logp, np.zeros(4), *_gap_sums(x, m, m), 10, sched, tau=0.5,
+                           delta=0.0)
     np.testing.assert_array_equal(got, logp)
 
 
 def test_posterior_update_errors():
     sched = quadratic_schedule(50)  # beta_tilde: sigma2(1) = 0
     logp = np.zeros(2)
-    x = np.zeros((2, 3))
+    x = np.zeros(2)
     with pytest.raises(InvalidInputError):
         posterior_update(logp, x, x, x, 1, sched, 0.1, 0.0)
     with pytest.raises(InvalidInputError):
-        posterior_update(logp, x, np.zeros((3, 3)), x, 10, sched, 0.1, 0.0)
+        posterior_update(logp, x, np.zeros(3), x, 10, sched, 0.1, 0.0)
     with pytest.raises(InvalidInputError):
         posterior_update(np.zeros(5), x, x, x, 10, sched, 0.1, 0.0)
-    with pytest.raises(InvalidInputError):  # (S, N) state against one (N, T) grid
+    with pytest.raises(InvalidInputError):  # (S, N) state against one grid's N nodes
         posterior_update(np.zeros((1, 2)), x, x, x, 10, sched, 0.1, 0.0)
 
 
@@ -200,6 +228,7 @@ def test_guidance_gradient_norm():
     eu = np.zeros((2, 3))
     ec = np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0]])
     k = 10
-    out = guidance_gradient_norm(eu, ec, k, sched)
+    gap = ec - eu
+    out = guidance_gradient_norm(np.sum(gap * gap, axis=-1), k, sched)
     assert out[0] == pytest.approx(5.0 / np.sqrt(1 - sched.alpha_bar_at(k)), rel=1e-12)
     assert out[1] == 0.0

@@ -22,10 +22,11 @@ from fence import (
     impute,
     make_gaussian_world,
     quadratic_schedule,
+    reverse_mean,
 )
 from fence.backends import DenoiserBackend
 from fence.errors import DataError
-from fence.sampler import ScaleLaw, scale_law
+from fence.sampler import FenceLaw, ScaleLaw, scale_law
 
 RESULT_ARRAYS = ("samples", "lam", "log_posterior", "guidance_norm", "cluster_id")
 
@@ -402,27 +403,27 @@ PINNED_LAWS = {
 # sha256 (first 16 hex) over the five result fields of each (backend,
 # anchoring, law); they held with one and with two BLAS threads
 LAW_DIGESTS = {
-    ("oracle", "free", "fence-cluster"): "df0d7c4bf8f94dde",
-    ("oracle", "free", "fence-global"): "ea1494f405894a9f",
-    ("oracle", "free", "fence-per_node"): "0abe984db5010b74",
+    ("oracle", "free", "fence-cluster"): "7f36973acb4953c2",
+    ("oracle", "free", "fence-global"): "f10233830407e9aa",
+    ("oracle", "free", "fence-per_node"): "2f4ad10ae9bd771f",
     ("oracle", "free", "fence-pi1"): "e1a11604558dba09",
     ("oracle", "free", "cfg:2"): "6fa81cf571bd2173",
     ("oracle", "free", "none"): "24545bfc1d8f023a",
-    ("oracle", "clamp", "fence-cluster"): "f7b0b13d97a5650e",
-    ("oracle", "clamp", "fence-global"): "ad5e5629978004e5",
-    ("oracle", "clamp", "fence-per_node"): "00f92a85a8d25120",
+    ("oracle", "clamp", "fence-cluster"): "a8a6a1592917cf03",
+    ("oracle", "clamp", "fence-global"): "9c7dff7a8c56d14c",
+    ("oracle", "clamp", "fence-per_node"): "2d553f8202620d06",
     ("oracle", "clamp", "fence-pi1"): "55b7bb4e02877f27",
     ("oracle", "clamp", "cfg:2"): "1e0a6a016cbc7629",
     ("oracle", "clamp", "none"): "dfa7fc73d826c3b4",
-    ("neural", "free", "fence-cluster"): "9ca58e1e96112578",
-    ("neural", "free", "fence-global"): "2f54df107b6bb4f3",
-    ("neural", "free", "fence-per_node"): "9d4b52228da6aa7d",
+    ("neural", "free", "fence-cluster"): "64ae4d3035e98f03",
+    ("neural", "free", "fence-global"): "c13e91d0f94282a3",
+    ("neural", "free", "fence-per_node"): "7a4f3df187fbdd76",
     ("neural", "free", "fence-pi1"): "c79bca941cafa37d",
     ("neural", "free", "cfg:2"): "20f86d3a6bbc42d5",
     ("neural", "free", "none"): "42f064c14acdc329",
-    ("neural", "clamp", "fence-cluster"): "2164dec977e5b284",
-    ("neural", "clamp", "fence-global"): "b8037099d77551ca",
-    ("neural", "clamp", "fence-per_node"): "856ae684c56a4849",
+    ("neural", "clamp", "fence-cluster"): "5893e41206b4cbaa",
+    ("neural", "clamp", "fence-global"): "f88691e25aa5f28a",
+    ("neural", "clamp", "fence-per_node"): "83fd76c95a5b4672",
     ("neural", "clamp", "fence-pi1"): "adc8f85c0886838e",
     ("neural", "clamp", "cfg:2"): "5490f6aa1dd76510",
     ("neural", "clamp", "none"): "4d7496938f2bb228",
@@ -482,6 +483,41 @@ def test_one_law_runs_any_number_of_imputations(name):
                for seed in (11, 11, 12, 11)]
     assert digests[0] == digests[1] == digests[3] == LAW_DIGESTS[name, "free", "fence-cluster"]
     assert digests[2] != digests[0]
+
+
+class _RecordingFenceLaw(FenceLaw):
+    """fence's law, recording the x_k, eps_u, eps_c, scales and log p that each
+    step's ``scales`` sees."""
+
+    def start(self, n_samples, n_nodes, seed):
+        super().start(n_samples, n_nodes, seed)
+        self.seen = {}
+
+    def scales(self, k, x, eps_u, eps_c, attn):
+        lam = super().scales(k, x, eps_u, eps_c, attn)
+        self.seen[k] = (x, eps_u, eps_c, lam, self.logp)
+        return lam
+
+
+@pytest.mark.parametrize("anchoring", ["free", "clamp"])
+@pytest.mark.parametrize("name", ["oracle", "neural"])
+def test_the_tracker_increment_is_the_reverse_kernels_log_ratio(name, anchoring):
+    # Finding 11 on real chains: the update from the step's gap equals the grid
+    # form -tau/(2 sigma_k^2) (|x_{k-1} - mu_c|^2 - |x_{k-1} - mu_u|^2) - delta
+    # at the x_{k-1} the chain keeps, clamped or not
+    truth, mask, sched, backends = _pinned_world()
+    law = _RecordingFenceLaw(GuidanceConfig(mode="fence", scope="per_node"), sched, None)
+    impute(backends[name], backends[name], truth, mask, sched, law, n_samples=3, seed=11,
+           anchoring=anchoring)
+    for k in range(2, sched.n_steps + 1):
+        x, eps_u, eps_c, _, logp = law.seen[k]
+        x_prev, logp_next = law.seen[k - 1][0], law.seen[k - 1][4]
+        far_c, far_u = (np.sum((x_prev - reverse_mean(x, eps, k, sched)) ** 2, axis=-1)
+                        for eps in (eps_c, eps_u))
+        scale = law.tau / (2.0 * sched.sigma2_at(k))
+        expect = -scale * (far_c - far_u) - law.delta
+        bound = 1e-12 * (scale * (far_c + far_u) + abs(law.delta))
+        assert (np.abs(logp_next - logp - expect) <= bound).all(), k
 
 
 class _OpenLoopLaw(ScaleLaw):

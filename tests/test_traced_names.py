@@ -44,7 +44,10 @@ print(json.dumps({"missing": missing, "lost": sorted(rec.lost),
                   "predict_cond": metrics["backends.predict_cond.calls"],
                   "predict_uncond": metrics["backends.predict_uncond.calls"],
                   "affinities": metrics["backends.node_affinity.calls"],
-                  "kmeans": metrics["clustering.kmeans.calls"]}))
+                  "kmeans": metrics["clustering.kmeans.calls"],
+                  "reverse_means": metrics["diffusion.reverse_mean.calls"],
+                  "combines": metrics["guidance.combine.calls"],
+                  "gradient_norms": metrics["guidance.gradient_norm.calls"]}))
 """
 
 
@@ -82,16 +85,22 @@ def _traced(script: str, *args: str) -> dict:
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+# every law combines the predictions, measures their gap and takes one
+# reverse mean per step, K = 5
+PER_STEP = {"reverse_means": 5, "combines": 5, "gradient_norms": 5}
+
+
 def test_perfbench_traces_every_layer_of_a_fence_impute():
     steps = 5
     # spans._by_context names each predict by the context's is_unconditional:
     # one conditional and one unconditional call per step; the oracle's one
-    # affinity is built and clustered once per run
+    # affinity is built and clustered once per run; the tracker reads the
+    # step's gap, so the guided mean is the step's only reverse mean
     assert _traced(TRACED_IMPUTE, "fence") == {"missing": [], "lost": [],
                                                "updates": steps - 1, "scales": steps,
                                                "predict_cond": steps,
                                                "predict_uncond": steps, "affinities": 1,
-                                               "kmeans": 1}
+                                               "kmeans": 1, **PER_STEP}
 
 
 @pytest.mark.parametrize("mode, predict_cond, affinities", [("cfg:2", 5, 1), ("none", 0, 0)])
@@ -101,7 +110,7 @@ def test_fixed_scale_laws_run_no_tracker_and_no_clustering(mode, predict_cond, a
     assert _traced(TRACED_IMPUTE, mode) == {"missing": [], "lost": [], "updates": 0,
                                             "scales": 0, "predict_cond": predict_cond,
                                             "predict_uncond": 5, "affinities": affinities,
-                                            "kmeans": 0}
+                                            "kmeans": 0, **PER_STEP}
 
 
 def test_perfbench_traces_a_neural_training_step():

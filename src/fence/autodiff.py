@@ -122,8 +122,11 @@ def softmax(scores: np.ndarray) -> np.ndarray:
     top = scores[..., 0]
     for j in range(1, scores.shape[-1]):
         top = np.maximum(top, scores[..., j])
-    e = np.exp(scores - top[..., None])
-    return e / e.sum(axis=-1, keepdims=True)
+    # exp and normalize in place on the shifted copy, never on ``scores``
+    e = scores - top[..., None]
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor,
@@ -147,7 +150,10 @@ def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor,
     q, k, v = ((h.value @ w.value).reshape(split_shape).transpose(swap)
                for w in (Wq, Wk, Wv))
     k_t = k.transpose(last_two)
-    probs = softmax((q @ k_t) * c)
+    scores = q @ k_t
+    scores *= c
+    probs = softmax(scores)
+    del scores
     merged = (probs @ v).transpose(swap).reshape(merged_shape)
     out = merged @ Wo.value
 
@@ -157,7 +163,9 @@ def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor,
         g_mix = g_merged.reshape(split_shape).transpose(swap)
         g_probs = g_mix @ _swap(v)
         g_v = _swap(probs) @ g_mix
-        g_scores = (g_probs - np.sum(g_probs * probs, axis=-1, keepdims=True)) * probs * c
+        g_scores = g_probs - np.sum(g_probs * probs, axis=-1, keepdims=True)
+        g_scores *= probs
+        g_scores *= c
         g_q = g_scores @ _swap(k_t)
         g_k = (_swap(q) @ g_scores).transpose(last_two)
         g_h, g_w = [], []
@@ -171,14 +179,20 @@ def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor,
 
 
 def mlp(h: Tensor, W1: Tensor, b1: Tensor, W2: Tensor, b2: Tensor) -> Tensor:
-    """relu(h W1 + b1) W2 + b2 as one node."""
-    hidden = h.value @ W1.value + b1.value
+    """relu(h W1 + b1) W2 + b2 as one node.
+
+    Biases and relu act in place on the products this node owns. relu is
+    ``np.maximum``, so a NaN pre-activation stays NaN rather than turning 0."""
+    hidden = h.value @ W1.value
+    hidden += b1.value
     keep = hidden > 0.0
-    hidden = np.where(keep, hidden, 0.0)
-    out = hidden @ W2.value + b2.value
+    np.maximum(hidden, 0.0, out=hidden)
+    out = hidden @ W2.value
+    out += b2.value
 
     def backprop(g):
-        g_hidden = (g @ _swap(W2.value)) * keep
+        g_hidden = g @ _swap(W2.value)
+        g_hidden *= keep
         return (g_hidden @ _swap(W1.value),
                 _unbroadcast(_swap(h.value) @ g_hidden, W1.value.shape),
                 _unbroadcast(g_hidden, b1.value.shape),

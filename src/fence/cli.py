@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration problems, 3 data problems,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import glob
 import math
 import sys
@@ -24,6 +25,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (PRESETS, SCHEMA, STAGES, guidance_from, load_world_spec,
                      network_from, parse_config_file, read_world_spec, resolve_config,
                      schedule_from, training_from, world_from, write_resolved)
+from .diffusion import NoiseSchedule
 from .errors import ConfigError, DataError, DivergenceError, InvalidInputError
 from .grid import (DatasetSplit, MaskMatrix, TrafficGrid, chronological_split,
                    load_grid_csv, load_mask_csv, observed_stats, save_grid_csv,
@@ -66,8 +68,40 @@ def _add_schema_args(parser, groups, stage=None):
     for section, key, dest in _flag_keys(groups, stage):
         parse, default, help_text = SCHEMA[section][key]
         kind = {"choices": parse.choices} if hasattr(parse, "choices") else {"type": parse}
-        parser.add_argument("--" + dest.replace("_", "-"), default=default,
+        parser.add_argument(_setting(section, dest, flags=True), default=default,
                             help=help_text, **kind)
+
+
+def _setting(section: str, key: str, *, flags: bool) -> str:
+    """How the user sets a SCHEMA key: as its flag, or as a config-file key."""
+    return "--" + key.replace("_", "-") if flags else f"[{section}] {key}"
+
+
+def _check_range(cfg, section: str, key: str, lo, hi, rule: str, *, flags: bool) -> None:
+    """ConfigError naming the setting as the user set it (``_setting``)
+    unless lo <= its value <= hi."""
+    value = cfg[section][key]
+    if not lo <= value <= hi:
+        raise ConfigError(f"{_setting(section, key, flags=flags)} must {rule}, got {value}")
+
+
+def _schedule(cfg, *, flags: bool) -> NoiseSchedule:
+    """The [schedule] section's noise schedule; a setting it cannot take is a
+    ConfigError naming the setting as the user set it."""
+    s = cfg["schedule"]
+    _check_range(cfg, "schedule", "steps", 2, math.inf, "be >= 2", flags=flags)
+    if not 0.0 < s["beta1"] <= s["beta_k"] < 1.0:
+        beta1, beta_k = (_setting("schedule", key, flags=flags) for key in ("beta1", "beta_k"))
+        raise ConfigError(f"need 0 < {beta1} <= {beta_k} < 1, got {s['beta1']}, {s['beta_k']}")
+    return schedule_from(cfg)
+
+
+def _check_clusters(n_clusters: int | None, n_nodes: int, *, flags: bool) -> None:
+    """ConfigError naming [guidance] clusters as the user set it unless it is
+    auto (None) or a count in [1, n_nodes]."""
+    if n_clusters is not None and not 1 <= n_clusters <= n_nodes:
+        raise ConfigError(f"{_setting('guidance', 'clusters', flags=flags)} must lie in"
+                          f" [1, {n_nodes}], got {n_clusters}")
 
 
 def _cfg_from(args, groups, stage=None) -> dict:
@@ -138,10 +172,11 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _make_mask(m: dict, n_nodes: int, length: int, prefix: str) -> np.ndarray:
+def _make_mask(cfg: dict, n_nodes: int, length: int, *, flags: bool) -> np.ndarray:
     """The entries of the [mask] section's mask of an n_nodes x length grid:
     SR-TC, or SC-TC over the communities of a ring. The patch is cut to the
-    series length. An unusable setting is named as ``prefix`` + its key."""
+    series length. An unusable setting is named as the user set it."""
+    m = cfg["mask"]
     _check_length(length)
     if n_nodes < 1:
         raise InvalidInputError(f"node count must be >= 1, got {n_nodes}")
@@ -151,17 +186,16 @@ def _make_mask(m: dict, n_nodes: int, length: int, prefix: str) -> np.ndarray:
     for key, lo, hi, rule in (("alpha", 0.0, 1.0, "lie in [0, 1]"),
                               ("patch", 1, math.inf, "be >= 1"),
                               ("communities", *communities)):
-        if not lo <= m[key] <= hi:
-            raise ConfigError(f"{prefix}{key} must {rule}, got {m[key]}")
-    cfg = MaskPatternConfig(m["pattern"], m["alpha"], min(m["patch"], length),
-                            m["communities"] or None, m["seed"])
-    if cfg.pattern == "SC-TC":
-        return mask_sc_tc(ring_communities(n_nodes, cfg), length, cfg).entries
-    return mask_sr_tc(n_nodes, length, cfg).entries
+        _check_range(cfg, "mask", key, lo, hi, rule, flags=flags)
+    pattern = MaskPatternConfig(m["pattern"], m["alpha"], min(m["patch"], length),
+                                m["communities"] or None, m["seed"])
+    if pattern.pattern == "SC-TC":
+        return mask_sc_tc(ring_communities(n_nodes, pattern), length, pattern).entries
+    return mask_sr_tc(n_nodes, length, pattern).entries
 
 
 def cmd_mask(args) -> int:
-    mask = _make_mask(_cfg_from(args, _MASK_FLAGS)["mask"], args.nodes, args.length, "--")
+    mask = _make_mask(_cfg_from(args, _MASK_FLAGS), args.nodes, args.length, flags=True)
     save_mask_csv(args.out, mask)
     observed = float(np.mean(mask))
     print(f"wrote {args.pattern} mask to {args.out} (observed fraction {observed:.3f})")
@@ -195,7 +229,7 @@ def _save_stage(args, number: int, result, mean: float, std: float) -> int:
 
 def cmd_train_uncond(args) -> int:
     cfg = _cfg_from(args, _TRAIN_FLAGS, "uncond")
-    sched = schedule_from(cfg)
+    sched = _schedule(cfg, flags=True)
     series, entries = _load_masked(args.data, args.mask)
     split = _training_split(series, entries, args.window, args.stride)
     result = train_unconditional(split, training_from(cfg, "uncond"), sched=sched,
@@ -213,7 +247,7 @@ def cmd_finetune_cond(args) -> int:
             raise ConfigError(f"--{dest.replace('_', '-')} {given} differs from the"
                               f" {shape} of the --init checkpoint {args.init}")
     cfg = _cfg_from(args, _TRAIN_FLAGS, "cond")
-    sched = schedule_from(cfg)
+    sched = _schedule(cfg, flags=True)
     series, entries = _load_masked(args.data, args.mask)
     if len(series) != backend.cfg.n_nodes:
         raise InvalidInputError(f"{args.init} was built for {backend.cfg.n_nodes} nodes,"
@@ -270,10 +304,12 @@ def _impute_in_data_units(backends, values, mask, sched, law, **sampling):
 
 
 def cmd_impute(args) -> int:
-    cfg = _cfg_from(args, _SAMPLING)
-    sched = schedule_from(cfg)
+    cfg = _cfg_from(args, _IMPUTE_FLAGS)
+    _check_range(cfg, "sampler", "samples", 1, math.inf, "be >= 1", flags=True)
+    sched = _schedule(cfg, flags=True)
     gcfg, n_clusters = guidance_from(cfg)
     values, mask = _load_masked(args.grid, args.mask)
+    _check_clusters(n_clusters, len(values), flags=True)
     law = scale_law(gcfg, sched, n_clusters)
     backends = _impute_backends(args, values, sched, law)
     result = _impute_in_data_units(backends, values, mask, sched, law,
@@ -369,24 +405,24 @@ def cmd_run(args) -> int:
     s = cfg["sampler"]
     # the point metrics need one sample and the CRPS two
     for key, least in (("samples", 1), ("crps_samples", 2)):
-        if s[key] < least:
-            raise ConfigError(f"[sampler] {key} must be >= {least}, got {s[key]}")
+        _check_range(cfg, "sampler", key, least, math.inf, f"be >= {least}", flags=False)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_resolved(cfg, out_dir / "config.resolved")
 
     world = world_from(cfg)
-    sched = schedule_from(cfg)
+    sched = _schedule(cfg, flags=False)
     gcfg, n_clusters = guidance_from(cfg)
     n_samples, seed = max(s["samples"], s["crps_samples"]), cfg["experiment"]["seed"]
-    # started before training: constants or a cluster count it rejects stop the run early
+    # checked and built before training: a cluster count or fence constants
+    # the law rejects stop the run early
+    _check_clusters(n_clusters, world.n_nodes, flags=False)
     law = scale_law(gcfg, sched, n_clusters)
-    law.start(n_samples, world.n_nodes, seed)
 
     rng = np.random.Generator(np.random.Philox(key=world.seed))
     truth = world.sample_clean(rng)
     m = cfg["mask"]
-    mask = _make_mask(m, world.n_nodes, world.n_steps, "[mask] ")
+    mask = _make_mask(cfg, world.n_nodes, world.n_steps, flags=False)
     if mask.all():
         # checked before training: there would be nothing to impute or score
         raise ConfigError(f"the mask drawn with [mask] seed = {m['seed']} and"
@@ -481,8 +517,32 @@ def build_parser() -> argparse.ArgumentParser:
 # built once per process: each parse_args call fills a fresh namespace
 _parser = cache(build_parser)
 
+# mallopt's option numbers (glibc malloc.h) and the values main sets
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+TRIM_THRESHOLD_BYTES, MMAP_THRESHOLD_BYTES = 256 << 20, 32 << 20
+
+
+@cache
+def _keep_freed_memory() -> tuple[int, int] | None:
+    """Once per process: let the C heap keep up to 256 MiB of freed memory
+    and serve blocks under 32 MiB from the heap, not from fresh mappings.
+
+    By default glibc hands freed heap memory back to the kernel and maps it
+    again, a page fault per 4 KiB page, inside every neural forward, whose
+    temporaries are freed and allocated again on each call. Returns the two
+    mallopt results (1 for success), or None on a C library without mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return (mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES),
+            mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES))
+
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _parser().parse_args(argv)
     try:
         return args.func(args)

@@ -72,7 +72,11 @@ class TrainResult:
 
 
 class Adam:
-    """Adam with coupled L2 regularization (decay added to the gradient)."""
+    """Adam with coupled L2 regularization (decay added to the gradient).
+
+    The weights and both moments are three flat float64 vectors in parameter
+    order, and each parameter's ``value`` becomes a view into the weights, so
+    a step runs each elementwise formula once over every parameter."""
 
     def __init__(self, params: dict[str, ad.Tensor], lr: float,
                  weight_decay: float = 0.0):
@@ -80,21 +84,30 @@ class Adam:
         self.lr = float(lr)
         self.weight_decay = float(weight_decay)
         self.t = 0
-        self.m = {name: np.zeros_like(t.value) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.value) for name, t in params.items()}
+        self.w = np.concatenate([t.value for t in params.values()], axis=None)
+        self.m = np.zeros_like(self.w)
+        self.v = np.zeros_like(self.w)
+        start = 0
+        for tensor in params.values():
+            end = start + tensor.value.size
+            tensor.value = self.w[start:end].reshape(tensor.value.shape)
+            start = end
 
     def step(self):
+        missing = [name for name, t in self.params.items() if t.grad is None]
+        if missing:
+            raise InvalidInputError(f"Adam step without a gradient for {missing}")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for name, tensor in self.params.items():
-            if tensor.grad is None:
-                continue
-            g = tensor.grad + self.weight_decay * tensor.value
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * g * g
-            m_hat = self.m[name] / (1.0 - b1 ** self.t)
-            v_hat = self.v[name] / (1.0 - b2 ** self.t)
-            tensor.value = tensor.value - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        g = np.concatenate([t.grad for t in self.params.values()], axis=None)
+        g += self.weight_decay * self.w
+        self.m *= b1
+        self.m += (1.0 - b1) * g
+        self.v *= b2
+        self.v += (1.0 - b2) * g * g
+        m_hat = self.m / (1.0 - b1 ** self.t)
+        v_hat = self.v / (1.0 - b2 ** self.t)
+        self.w -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _lr_at(cfg: TrainConfig, epoch: int) -> float:

@@ -197,6 +197,15 @@ def test_mlp_matches_the_unfused_chain(lead, length, d, d_ff, d_out, kink, seed)
     _assert_fused_matches(ad.mlp, _mlp_chain, inputs, upstream)
 
 
+def test_mlp_passes_a_nan_pre_activation_through():
+    # each row is its own unit: relu of (nan, -1, -0, 0, 2) under unit weights
+    pre = np.array([[np.nan], [-1.0], [-0.0], [0.0], [2.0]])
+    one, zero = ad.constant(np.ones((1, 1))), ad.constant(np.zeros(1))
+    out = ad.mlp(ad.constant(pre), one, zero, one, zero).value
+    assert np.isnan(out[0, 0])
+    assert out[1:].tobytes() == np.array([[0.0], [0.0], [0.0], [2.0]]).tobytes()
+
+
 def test_scale_and_shared_subexpression():
     rng = np.random.default_rng(27)
     a = ad.parameter(rng.standard_normal((3,)))

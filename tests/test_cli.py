@@ -2,8 +2,13 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -193,6 +198,41 @@ def test_mask_setting_errors_name_the_flag_or_key(tmp_path, capsys, settings, me
         "alpha = 0.5\npatch = 2\n", "".join(f"{k} = {v}\n" for k, v in keys.items())))
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == f"error: [mask] {message}\n"
+
+
+@pytest.mark.parametrize("settings, flags, keys", [
+    ({"guidance": "clusters = 0"}, "--clusters must lie in [1, 3], got 0",
+     "[guidance] clusters must lie in [1, 3], got 0"),
+    ({"schedule": "steps = 1"}, "--steps must be >= 2, got 1",
+     "[schedule] steps must be >= 2, got 1"),
+    ({"schedule": "beta1 = 0"}, "need 0 < --beta1 <= --beta-k < 1, got 0.0, 0.5",
+     "need 0 < [schedule] beta1 <= [schedule] beta_k < 1, got 0.0, 0.5"),
+    ({"schedule": "beta1 = 0.2\nbeta_k = 0.1"},
+     "need 0 < --beta1 <= --beta-k < 1, got 0.2, 0.1",
+     "need 0 < [schedule] beta1 <= [schedule] beta_k < 1, got 0.2, 0.1"),
+    ({"sampler": "samples = 0"}, "--samples must be >= 1, got 0",
+     "[sampler] samples must be >= 1, got 0"),
+])
+def test_sampling_setting_errors_name_the_flag_or_key(tmp_path, capsys, settings, flags,
+                                                      keys):
+    # `fence impute` names the flag and `fence run` the config key the user set
+    argv = _oracle_argv(tmp_path, "impute", 3, 0.5)
+    for section, lines in settings.items():
+        for line in lines.split("\n"):
+            key, value = line.split(" = ")
+            argv += [f"--{key.replace('_', '-')}", value]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {flags}\n"
+    assert not (tmp_path / "out.csv").exists()
+    cfg = tmp_path / "tiny.cfg"
+    text = TINY_CONFIG.replace("\nsteps = 8\n", "\n").replace("\nsamples = 2\n", "\n")
+    for section, lines in settings.items():
+        header = f"[{section}]\n"
+        text = (text.replace(header, header + lines + "\n") if header in text
+                else f"{text}\n{header}{lines}\n")
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {keys}\n"
 
 
 def test_mask_and_run_draw_the_same_mask_from_the_same_settings(tmp_path, monkeypatch):
@@ -861,7 +901,7 @@ def test_run_rejects_a_cluster_count_beyond_the_nodes_before_training(
     cfg.write_text("[experiment]\nbackend = neural\n\n[world]\nnodes = 3\n\n"
                    f"[guidance]\nclusters = {clusters}\n")
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
-    assert f"n_clusters must lie in [1, 3], got {clusters}" in capsys.readouterr().err
+    assert f"[guidance] clusters must lie in [1, 3], got {clusters}" in capsys.readouterr().err
     assert not (tmp_path / "o" / "trace.csv").exists()
 
 
@@ -881,7 +921,8 @@ def test_every_mode_rejects_a_cluster_count_beyond_the_nodes(tmp_path, capsys, m
     assert main(["impute", "--grid", str(grid), "--oracle", str(spec), "--mode", mode,
                  "--clusters", "4", "--steps", "4", "--samples", "2",
                  "--out", str(tmp_path / "i.csv")]) == 2
-    assert capsys.readouterr().err.count("n_clusters must lie in [1, 3], got 4") == 2
+    assert capsys.readouterr().err == ("error: [guidance] clusters must lie in [1, 3], got 4\n"
+                                       "error: --clusters must lie in [1, 3], got 4\n")
     assert not (tmp_path / "o" / "trace.csv").exists() and not (tmp_path / "i.csv").exists()
 
 
@@ -1308,3 +1349,38 @@ def test_arbitrary_run_config_exits_0_2_or_3(tmp_path):
         assert main(argv) in (0, 2, 3)
 
     check()
+
+
+WARM_PREDICTS = """
+import json, resource, sys
+import numpy as np
+import fence.cli
+from fence import ConditioningContext, NetConfig, NeuralDenoiser
+
+assert fence.cli.main(["mask", "--nodes", "2", "--length", "4", "--out", sys.argv[1]]) == 0
+model = NeuralDenoiser(NetConfig(n_nodes=6), seed=3)
+rng = np.random.default_rng(0)
+x = rng.standard_normal((50, 6, 12))
+ctx = ConditioningContext(rng.standard_normal((6, 12)), rng.integers(0, 2, (6, 12)))
+for _ in range(2):
+    model.predict(x, 10, ctx)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    model.predict(x, 10, ctx)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps({"mallopt": fence.cli._keep_freed_memory(), "faults": faults}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_main_keeps_freed_heap_memory_for_the_next_forward(tmp_path):
+    # without the policy glibc trims the heap after each forward and faults
+    # it in again: about 30k minor faults over these 20 predicts
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", WARM_PREDICTS, str(tmp_path / "m.csv")],
+                         env=env, capture_output=True, text=True, timeout=120, check=True)
+    got = json.loads(out.stdout.strip().splitlines()[-1])
+    assert got["mallopt"] == [1, 1]
+    assert got["faults"] < 100

@@ -355,6 +355,19 @@ def test_divergent_trajectory_reports_step():
     assert err.value.step is not None
 
 
+def test_a_network_whose_head_sees_nan_diverges():
+    # relu keeps a NaN pre-activation NaN, so it reaches eps and the sampler's
+    # finiteness check instead of leaving the head's bias as the prediction
+    _, truth, mask, _ = oracle_setup()
+    sched = quadratic_schedule(10)
+    model = NeuralDenoiser(NetConfig(n_nodes=4, d_model=8, n_layers=1, n_heads=2), seed=3)
+    model.params["head/1/b"].value[:] = np.nan
+    law = scale_law(GuidanceConfig(mode="none"), sched)
+    with pytest.raises(DivergenceError) as err:
+        impute(None, model, truth, mask, sched, law, n_samples=2, seed=5)
+    assert err.value.step == 10
+
+
 def test_emit_trace_layout_and_determinism(tmp_path):
     backend, truth, mask, sched = oracle_setup()
     law = scale_law(GuidanceConfig(mode="cfg", fixed_lambda=1.5), sched)

@@ -79,6 +79,52 @@ def test_adam_weight_decay_is_coupled():
     assert w.value[0] < 2.0
 
 
+def _per_parameter_adam(values, grads_by_step, lrs, weight_decay):
+    """The per-parameter Adam loop the flat vectors replace, formula for formula."""
+    b1, b2 = 0.9, 0.999
+    values = {name: v.copy() for name, v in values.items()}
+    m = {name: np.zeros_like(v) for name, v in values.items()}
+    v2 = {name: np.zeros_like(v) for name, v in values.items()}
+    for t, (grads, lr) in enumerate(zip(grads_by_step, lrs), 1):
+        for name in values:
+            g = grads[name] + weight_decay * values[name]
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v2[name] = b2 * v2[name] + (1.0 - b2) * g * g
+            m_hat = m[name] / (1.0 - b1 ** t)
+            v_hat = v2[name] / (1.0 - b2 ** t)
+            values[name] = values[name] - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return values
+
+
+def test_flat_adam_is_the_per_parameter_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    shapes = {"W": (3, 5), "b": (5,), "scale": (), "embed": (2, 1, 4)}
+    values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    grads_by_step = [{name: rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 3)
+                      for name, shape in shapes.items()} for _ in range(5)]
+    lrs = [2e-3, 2e-3, 2e-4, 2e-4, 2e-5]  # the rate changes between steps
+    params = {name: ad.parameter(v) for name, v in values.items()}
+    opt = Adam(params, lr=lrs[0], weight_decay=1e-2)
+    for step, (grads, lr) in enumerate(zip(grads_by_step, lrs), 1):
+        opt.lr = lr
+        for name, t in params.items():
+            t.grad = grads[name]
+        opt.step()
+        want = _per_parameter_adam(values, grads_by_step[:step], lrs[:step], 1e-2)
+        for name, t in params.items():
+            assert t.value.shape == shapes[name]
+            assert np.array_equal(t.value, want[name]), (step, name)
+
+
+def test_adam_step_without_a_gradient_names_the_parameter():
+    params = {"w": ad.parameter(np.ones(2)), "b": ad.parameter(np.zeros(1))}
+    opt = Adam(params, lr=0.1)
+    params["w"].grad = np.ones(2)
+    with pytest.raises(InvalidInputError, match="'b'"):
+        opt.step()
+    np.testing.assert_array_equal(params["w"].value, np.ones(2))
+
+
 def test_unconditional_training_reduces_loss():
     split = tiny_split()
     sched = quadratic_schedule(20)

@@ -23,8 +23,8 @@ claimed (the change wins at least 9 of 10 pairs and its median lies below
 the base's by more than the base's interquartile range). A speed claim
 cites this file.
 
-Standard library plus numpy. A pair at the 32-second run length takes
-about a minute and a half on two cores.
+Standard library plus numpy. At the 32-second run length a pair takes
+about 80 seconds on two cores, so ten pairs take about a quarter hour.
 """
 
 from __future__ import annotations

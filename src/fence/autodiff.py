@@ -150,10 +150,7 @@ def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor,
     q, k, v = ((h.value @ w.value).reshape(split_shape).transpose(swap)
                for w in (Wq, Wk, Wv))
     k_t = k.transpose(last_two)
-    scores = q @ k_t
-    scores *= c
-    probs = softmax(scores)
-    del scores
+    probs = softmax((q @ k_t) * c)
     merged = (probs @ v).transpose(swap).reshape(merged_shape)
     out = merged @ Wo.value
 
@@ -163,9 +160,7 @@ def attention(h: Tensor, Wq: Tensor, Wk: Tensor, Wv: Tensor, Wo: Tensor,
         g_mix = g_merged.reshape(split_shape).transpose(swap)
         g_probs = g_mix @ _swap(v)
         g_v = _swap(probs) @ g_mix
-        g_scores = g_probs - np.sum(g_probs * probs, axis=-1, keepdims=True)
-        g_scores *= probs
-        g_scores *= c
+        g_scores = (g_probs - np.sum(g_probs * probs, axis=-1, keepdims=True)) * probs * c
         g_q = g_scores @ _swap(k_t)
         g_k = (_swap(q) @ g_scores).transpose(last_two)
         g_h, g_w = [], []

@@ -25,14 +25,14 @@ KMEANS_MAX_ITER = 20  # Lloyd iterations at most
 KMEANS_TIE_RTOL = 1e-12
 
 
-def cluster_count(n_clusters: int | None, n_nodes: int) -> int:
+def cluster_count(n_clusters: int | None, n_nodes: int, name: str = "n_clusters") -> int:
     """The k-means cluster count of an n_nodes grid: n_clusters, or when it is
     None N / NODES_PER_CLUSTER rounded half up and at least 1;
-    InvalidInputError outside [1, n_nodes]."""
+    InvalidInputError, calling n_clusters ``name``, outside [1, n_nodes]."""
     if n_clusters is None:
         n_clusters = max(1, int(math.floor(n_nodes / NODES_PER_CLUSTER + 0.5)))
     if not (1 <= n_clusters <= n_nodes):
-        raise InvalidInputError(f"n_clusters must lie in [1, {n_nodes}], got {n_clusters}")
+        raise InvalidInputError(f"{name} must lie in [1, {n_nodes}], got {n_clusters}")
     return n_clusters
 
 

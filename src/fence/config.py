@@ -236,10 +236,12 @@ def write_resolved(cfg: dict[str, dict], path) -> None:
         fh.write(format_resolved(cfg))
 
 
-def schedule_from(cfg: dict) -> NoiseSchedule:
+def schedule_from(cfg: dict, names: tuple[str, str, str]) -> NoiseSchedule:
+    """The [schedule] section's noise schedule; an error calls steps, beta1
+    and beta_k by ``names``."""
     s = cfg["schedule"]
     return quadratic_schedule(s["steps"], s["beta1"], s["beta_k"],
-                              variance_mode=s["variance_mode"])
+                              variance_mode=s["variance_mode"], names=names)
 
 
 def world_from(cfg: dict) -> GaussianOracleWorld:

@@ -100,16 +100,21 @@ def quadratic_schedule(
     beta1: float = 1e-4,
     betaK: float = 0.5,
     variance_mode: str = "beta_tilde",
+    names: tuple[str, str, str] = ("n_steps", "beta1", "betaK"),
 ) -> NoiseSchedule:
     """Interpolate sqrt(beta) linearly between the endpoints, then square.
 
     beta_k = ((K-k)/(K-1) * sqrt(beta1) + (k-1)/(K-1) * sqrt(betaK))^2.
+    An invalid setting is an InvalidInputError that calls n_steps, beta1
+    and betaK by ``names``, so a caller can name them as its user set them.
     """
     n_steps = int(n_steps)
+    steps_name, beta1_name, betaK_name = names
     if n_steps < 2:
-        raise InvalidInputError(f"need n_steps >= 2, got {n_steps}")
+        raise InvalidInputError(f"{steps_name} must be >= 2, got {n_steps}")
     if not (0.0 < beta1 <= betaK < 1.0):
-        raise InvalidInputError(f"need 0 < beta1 <= betaK < 1, got {beta1}, {betaK}")
+        raise InvalidInputError(f"need 0 < {beta1_name} <= {betaK_name} < 1,"
+                                f" got {beta1}, {betaK}")
     ks = np.arange(1, n_steps + 1, dtype=np.float64)
     weight = (ks - 1.0) / (n_steps - 1.0)
     beta = ((1.0 - weight) * np.sqrt(beta1) + weight * np.sqrt(betaK)) ** 2

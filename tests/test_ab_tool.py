@@ -89,6 +89,15 @@ def test_a_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_base_spread():
         spread[-1]["base"]["metrics"]["op_s"]["value"] = value
     op = ab.summarize("w", spread, BASE, CHANGE, BOUNDS)["summary"]["op_s"]
     assert op["change_wins"] == 4 and not op["gain"]
+    # 10 of 10 wins, but the change fails a larger share of its operations
+    failing = [_pair(s, op_s=2.0) for s in range(10)]
+    failing[3]["change"]["failed"] = 1
+    bench = ab.summarize("w", failing, BASE, CHANGE, BOUNDS)
+    assert bench["failed"] == {"base": 0, "change": 1}
+    assert not bench["summary"]["op_s"]["gain"]
+    # one failure on each side: 1 of 140 operations is no larger a share than 1 of 120
+    failing[5]["base"]["failed"] = 1
+    assert ab.summarize("w", failing, BASE, CHANGE, BOUNDS)["summary"]["op_s"]["gain"]
 
 
 def test_a_slower_change_outside_the_bound_and_a_digest_difference_show():

@@ -1,10 +1,10 @@
 """A/B benchmark of this checkout against another revision, as BENCH_<workload>.json.
 
     python tools/ab.py --base <rev> --workload neural-staged --seeds 7601-7610
-    python tools/ab.py --base HEAD~1 --workload oracle-windows --pairs 10 --seeds 7601-7610
 
 ``<rev>`` is extracted with ``git archive`` into a temporary directory (set
-TMPDIR to choose where), which is removed afterwards. Pair i runs
+TMPDIR to choose where), which is removed afterwards. There is one pair per
+seed of the range, and pair i runs
 
     python3 perfbench/run.py --workload <w> --seed <seed i> --seconds <s> --trace 0
 
@@ -19,9 +19,10 @@ output-digest comparison, and the summary of ``summarize``, a pure function
 of the records: per metric each side's quartiles, the pairs each side won
 (lower wins, ties count for neither), the median change against the
 parent's and the benchmark's bound for it, and whether a gain can be
-claimed (the change wins at least 9 of 10 pairs and its median lies below
-the base's by more than the base's interquartile range). A speed claim
-cites this file.
+claimed (the change wins at least 9 of 10 pairs, its median lies below
+the base's by more than the base's interquartile range, and it fails no
+larger share of its operations than the base). A speed claim cites this
+file.
 
 Standard library plus numpy. At the 32-second run length a pair takes
 about 80 seconds on two cores, so ten pairs take about a quarter hour.
@@ -86,6 +87,10 @@ def summarize(workload: str, pairs: list[dict], base: dict, change: dict,
              "change": side(p["change"]),
              "digests_equal": p["base"]["digests"] == p["change"]["digests"]}
             for p in pairs]
+    failed, attempted = ({key: sum(row[key][count] for row in rows) for key in ("base", "change")}
+                         for count in ("failed", "attempted"))
+    # failed / attempted of the change <= that of the base, without dividing by 0
+    fails_no_more = failed["change"] * attempted["base"] <= failed["base"] * attempted["change"]
     summary = {}
     for name in METRICS:
         b = [row["base"][name] for row in rows]
@@ -98,7 +103,7 @@ def summarize(workload: str, pairs: list[dict], base: dict, change: dict,
             "median_change": sc["median"] / sb["median"] - 1.0,
             "bound": bounds[name],
             "within_bound": sc["median"] <= sb["median"] * (1.0 + bounds[name]),
-            "gain": (change_wins >= WIN_SHARE * len(rows)
+            "gain": (change_wins >= WIN_SHARE * len(rows) and fails_no_more
                      and sb["median"] - sc["median"] > sb["q3"] - sb["q1"]),
         }
     provenance = pairs[0]["change"]["provenance"]
@@ -108,7 +113,7 @@ def summarize(workload: str, pairs: list[dict], base: dict, change: dict,
         "change": change,
         "pairs": rows,
         "summary": summary,
-        "failed": {key: sum(row[key]["failed"] for row in rows) for key in ("base", "change")},
+        "failed": failed,
         "digests_equal_on_every_seed": all(row["digests_equal"] for row in rows),
         "provenance": {key: provenance.get(key) for key in PROVENANCE},
     }
@@ -139,14 +144,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         help="oracle-windows | oracle-ensemble | neural-staged")
     parser.add_argument("--seeds", required=True, type=_seed_range,
-                        help="first-last: one seed per pair")
-    parser.add_argument("--pairs", type=int, default=None,
-                        help="number of pairs (default and at most: one per seed)")
+                        help="first-last: one pair per seed")
     args = parser.parse_args(argv)
-    pairs = args.pairs or len(args.seeds)
-    if not 1 <= pairs <= len(args.seeds):
-        parser.error(f"--pairs {pairs} needs 1 to {len(args.seeds)} pairs for"
-                     f" {len(args.seeds)} seeds")
+    pairs = len(args.seeds)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     base, change = revision(args.base), this_checkout()
@@ -157,7 +157,7 @@ def main(argv=None) -> int:
         archive = subprocess.run(["git", "archive", base["commit"]], cwd=ROOT,
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base_tree)], input=archive, check=True)
-        for i, seed in enumerate(args.seeds[:pairs]):
+        for i, seed in enumerate(args.seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             trees = {"base": base_tree, "change": ROOT}
             pair = {"seed": seed, "first": order[0]}

@@ -93,6 +93,13 @@ def _schedule(cfg, *, flags: bool) -> NoiseSchedule:
                                     for key in ("steps", "beta1", "beta_k")))
 
 
+def _guidance(cfg, *, flags: bool):
+    """guidance_from's settings and cluster count; its errors name each
+    [guidance] setting as the user set it."""
+    return guidance_from(cfg, {key: _setting("guidance", key, flags=flags)
+                               for key in SCHEMA["guidance"]})
+
+
 def _check_clusters(n_clusters: int | None, n_nodes: int, *, flags: bool) -> None:
     """cluster_count's check of [guidance] clusters, naming it as the user set it."""
     cluster_count(n_clusters, n_nodes, _setting("guidance", "clusters", flags=flags))
@@ -301,7 +308,7 @@ def cmd_impute(args) -> int:
     cfg = _cfg_from(args, _IMPUTE_FLAGS)
     _check_range(cfg, "sampler", "samples", 1, math.inf, "be >= 1", flags=True)
     sched = _schedule(cfg, flags=True)
-    gcfg, n_clusters = guidance_from(cfg)
+    gcfg, n_clusters = _guidance(cfg, flags=True)
     values, mask = _load_masked(args.grid, args.mask)
     _check_clusters(n_clusters, len(values), flags=True)
     law = scale_law(gcfg, sched, n_clusters)
@@ -406,7 +413,7 @@ def cmd_run(args) -> int:
 
     world = world_from(cfg)
     sched = _schedule(cfg, flags=False)
-    gcfg, n_clusters = guidance_from(cfg)
+    gcfg, n_clusters = _guidance(cfg, flags=False)
     n_samples, seed = max(s["samples"], s["crps_samples"]), cfg["experiment"]["seed"]
     # checked and built before training: a cluster count or fence constants
     # the law rejects stop the run early

@@ -51,6 +51,20 @@ def _seed(text: str) -> int:
     return value
 
 
+def _clusters(text: str) -> int | str:
+    """Parser of [guidance] clusters: an integer, or auto."""
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("expected an integer or auto") from None
+
+
+# argparse calls a value its parser rejects "invalid <parser __name__> value"
+_clusters.__name__ = "integer-or-auto"
+
+
 def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
@@ -99,7 +113,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "alpha_scale": (float, GuidanceConfig.alpha_scale, "temperature divisor"),
         "lambda_max": (float, GuidanceConfig.lambda_max, "scale clamp"),
         "scope": (_one_of(SCOPES), GuidanceConfig.scope, "how nodes share a scale"),
-        "clusters": (str, "auto", "cluster count K_c, or auto = N/20"),
+        "clusters": (_clusters, "auto", "cluster count K_c, or auto = N/20"),
     },
     "sampler": {
         "samples": (int, _default(impute, "n_samples"), "ensemble size S for point metrics"),
@@ -250,21 +264,17 @@ def world_from(cfg: dict) -> GaussianOracleWorld:
                                w["mean"], seed=w["seed"])
 
 
-def guidance_from(cfg: dict) -> tuple[GuidanceConfig, int | None]:
+def guidance_from(cfg: dict, names: dict[str, str]) -> tuple[GuidanceConfig, int | None]:
+    """The [guidance] section's settings and its cluster count (None for
+    auto); an error calls each key by ``names``."""
     g = cfg["guidance"]
-    mode, fixed = mode_from_string(g["mode"])
+    mode, fixed = mode_from_string(g["mode"], names["mode"])
     gcfg = GuidanceConfig(mode=mode, fixed_lambda=fixed, pi=g["pi"],
                           lambda_ref=g["lambda_ref"], t0=g["t0"], t1=g["t1"],
                           alpha_scale=g["alpha_scale"],
-                          lambda_max=g["lambda_max"], scope=g["scope"])
-    raw = g["clusters"]
-    if raw == "auto":
-        return gcfg, None
-    try:
-        return gcfg, int(raw)
-    except ValueError:
-        raise ConfigError(f"[guidance] clusters must be an integer or auto, got {raw!r}") \
-            from None
+                          lambda_max=g["lambda_max"], scope=g["scope"],
+                          names={**names, "fixed_lambda": f"the scale of {names['mode']}"})
+    return gcfg, None if g["clusters"] == "auto" else g["clusters"]
 
 
 def training_from(cfg: dict, stage: str) -> TrainConfig:

@@ -7,7 +7,6 @@ offset once so callers never index raw arrays.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,24 +158,26 @@ def reverse_step(
     mean: np.ndarray,
     k: int,
     sched: NoiseSchedule,
-    rngs: Sequence[np.random.Generator],
+    rng: np.random.Generator | None,
 ) -> np.ndarray:
-    """Sample x_{k-1} = mean + sigma_k z; the final step (k=1) is noiseless,
-    and every schedule NoiseSchedule accepts has sigma_k > 0 at k >= 2.
+    """Sample x_{k-1} = mean + sigma_k z, with z one standard-normal draw of
+    mean's shape from ``rng``; the final step (k=1) is noiseless and reads no
+    generator, and every schedule NoiseSchedule accepts has sigma_k > 0 at k >= 2.
 
-    x_k and mean are stacks with one row per trajectory, and row i draws its
-    noise from rngs[i] alone, so a row does not depend on the others.
+    x_k and mean may be stacks with one row per trajectory. The generator
+    fills z in row order, so row i's noise is the same in every stack that
+    holds rows 0..i.
     """
     x_k = np.asarray(x_k, dtype=np.float64)
     mean = np.asarray(mean, dtype=np.float64)
     _check_same_shape(x_k, mean, "reverse_step")
-    if len(rngs) != len(mean):
-        raise InvalidInputError(f"{len(rngs)} generators for {len(mean)} rows")
     k = sched._check_step(k)
     if k == 1:
         return mean.copy()
-    z = np.stack([rng.standard_normal(mean.shape[1:]) for rng in rngs])
-    return mean + np.sqrt(sched.sigma2_at(k)) * z
+    z = rng.standard_normal(mean.shape)
+    z *= np.sqrt(sched.sigma2_at(k))
+    z += mean
+    return z
 
 
 def sincos_embedding(position, dim: int) -> np.ndarray:

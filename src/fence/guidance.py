@@ -12,7 +12,8 @@ the tracker are calibrated from two reference times t0 (activation) and t1
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +49,9 @@ class GuidanceConfig:
     ``fixed_lambda``), "none" (pure unconditional sampling). scope selects
     how per-node posteriors are pooled into scales in fence mode: "cluster"
     (attention k-means, the default), "global" (one shared scale, the wo-C
-    ablation), or "per_node".
+    ablation), or "per_node". An error calls a field by its entry in
+    ``names`` (the field name when it has none), so a caller can name the
+    settings as its user set them.
     """
 
     mode: str = "fence"
@@ -60,6 +63,11 @@ class GuidanceConfig:
     alpha_scale: float = 10.0
     lambda_max: float = 10.0
     scope: str = "cluster"
+    names: Mapping[str, str] = field(default_factory=dict, compare=False, repr=False)
+
+    def name(self, key: str) -> str:
+        """How an error calls field ``key``."""
+        return self.names.get(key, key)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -67,25 +75,28 @@ class GuidanceConfig:
         if self.scope not in SCOPES:
             raise ConfigError(f"scope must be one of {SCOPES}, got {self.scope!r}")
         if not (0.0 < self.pi <= 1.0):
-            raise InvalidInputError(f"pi must lie in (0, 1], got {self.pi}")
+            raise InvalidInputError(f"{self.name('pi')} must lie in (0, 1], got {self.pi}")
         if not (1.0 < self.lambda_ref < math.inf):
-            raise InvalidInputError(f"lambda_ref must be finite and > 1, got {self.lambda_ref}")
-        for name in ("t0", "t1"):
-            t = getattr(self, name)
+            raise InvalidInputError(
+                f"{self.name('lambda_ref')} must be finite and > 1, got {self.lambda_ref}")
+        for key in ("t0", "t1"):
+            t = getattr(self, key)
             if not (0.0 < t < 1.0):
-                raise InvalidInputError(f"{name} must lie in (0, 1), got {t}")
+                raise InvalidInputError(f"{self.name(key)} must lie in (0, 1), got {t}")
         if not (0.0 < self.alpha_scale < math.inf):
             raise InvalidInputError(
-                f"alpha_scale must be finite and > 0, got {self.alpha_scale}")
+                f"{self.name('alpha_scale')} must be finite and > 0, got {self.alpha_scale}")
         if not (1.0 <= self.lambda_max < math.inf):
             raise InvalidInputError(
-                f"lambda_max must be finite and >= 1, got {self.lambda_max}")
+                f"{self.name('lambda_max')} must be finite and >= 1, got {self.lambda_max}")
         if not math.isfinite(self.fixed_lambda):
-            raise InvalidInputError("fixed_lambda must be finite")
+            raise InvalidInputError(
+                f"{self.name('fixed_lambda')} must be finite, got {self.fixed_lambda}")
 
 
-def mode_from_string(text: str) -> tuple[str, float]:
-    """Parse a mode flag: "fence", "none", or "cfg:<lambda>"."""
+def mode_from_string(text: str, name: str = "mode") -> tuple[str, float]:
+    """Parse a mode flag: "fence", "none", or "cfg:<lambda>"; an error calls
+    the setting ``name``."""
     text = text.strip()
     if text in ("fence", "none"):
         return text, 1.0
@@ -93,8 +104,8 @@ def mode_from_string(text: str) -> tuple[str, float]:
         try:
             return "cfg", float(text[4:])
         except ValueError:
-            raise ConfigError(f"bad fixed scale in mode {text!r}") from None
-    raise ConfigError(f"mode must be fence, none, or cfg:<lambda>, got {text!r}")
+            raise ConfigError(f"bad fixed scale in {name} {text!r}") from None
+    raise ConfigError(f"{name} must be fence, none, or cfg:<lambda>, got {text!r}")
 
 
 def step_at_time(t: float, n_steps: int) -> int:
@@ -135,15 +146,15 @@ def calibrated_constants(cfg: GuidanceConfig, sched: NoiseSchedule) -> tuple[flo
     if not sigma2_t1 > 0.0:
         # only beta_tilde's step 1 has variance 0, and t1 lands there when t1 K < 1.5
         raise InvalidInputError(
-            f"t1 = {cfg.t1} falls on step {k1} of K = {sched.n_steps} diffusion steps, where"
-            f" the {sched.variance_mode} reverse variance is 0, so the update temperature"
-            f" would be 0: use more steps or a larger t1, so that t1 * K >= 1.5 (K >= 3 at"
-            f" the default t1 = 0.5), or variance_mode = beta")
+            f"{cfg.name('t1')} = {cfg.t1} falls on step {k1} of K = {sched.n_steps} diffusion"
+            f" steps, where the {sched.variance_mode} reverse variance is 0, so the update"
+            f" temperature would be 0: use more steps or a larger t1, so that t1 * K >= 1.5"
+            f" (K >= 3 at the default t1 = 0.5), or variance_mode = beta")
     tau = calibrate_tau(cfg, delta, sigma2_t1)
     # posterior_update runs at k >= 2 and multiplies by tau / sigma_k^2
     if not math.isfinite(tau / float(sched.sigma2[1:].min())):
         raise InvalidInputError(
-            f"alpha_scale = {cfg.alpha_scale} is too small: the update temperature "
+            f"{cfg.name('alpha_scale')} = {cfg.alpha_scale} is too small: the update temperature "
             f"tau = 2 sigma^2 delta / alpha_scale, or tau / sigma_k^2, overflows")
     return delta, tau
 

@@ -7,15 +7,18 @@ the run's ``ScaleLaw`` for the (S, N) guidance scales (``scales``), combines
 the predictions, takes the reverse step and hands the law each node's gap
 between the two reverse means (``update``); it starts the law, built by
 ``scale_law`` from settings or by a caller, with its S, N and seed.
-Trajectory i draws from RNG stream seed xor i in a fixed order and a k-means
-run at reverse step k from stream (seed << 32) + k, so trajectory i is the
-same whatever the ensemble size.
+
+Each noise draw of a run (the start x_K, a step's reverse noise and clamp's
+anchor noise) is one (S, N, T) standard-normal array from its own SFC64
+stream, keyed by SeedSequence([seed, k, purpose]). Row i of a draw is
+trajectory i's noise, and a generator fills the rows in order; a k-means
+run at reverse step k draws from Philox stream (seed << 32) + k. So
+trajectory i is the same whatever the ensemble size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,8 @@ from .guidance import (GuidanceConfig, calibrated_constants, combine_scores,
 __all__ = ["ImputationResult", "ScaleLaw", "scale_law", "impute", "emit_trace"]
 
 ANCHORING_MODES = ("free", "clamp")
+# the purposes of a run's noise draws, each a stream of its own per reverse step
+START, REVERSE, ANCHOR = range(3)
 # seeds key Philox streams: [0, 2**64) keeps the k-means key
 # (seed << 32) + k below Philox's 2**128
 SEED_LIMIT = 2**64
@@ -144,6 +149,11 @@ def scale_law(gcfg: GuidanceConfig, sched: NoiseSchedule,
                     needs_cond=gcfg.mode == "cfg", n_clusters=n_clusters)
 
 
+def _stream(seed: int, k: int, purpose: int) -> np.random.Generator:
+    """The generator of the one noise draw of ``purpose`` at reverse step k."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, k, purpose])))
+
+
 def _predict(backend: DenoiserBackend, x, k, ctx):
     try:
         return backend.predict(x, k, ctx)
@@ -177,8 +187,7 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
     if law.needs_cond and backend is None:
         raise InvalidInputError("guidance needs a conditional backend (mode none does not)")
 
-    rngs = [np.random.Generator(np.random.Philox(key=seed ^ traj)) for traj in range(s)]
-    x = np.stack([rng.standard_normal((n, t)) for rng in rngs])
+    x = _stream(seed, n_steps, START).standard_normal((s, n, t))
     ctx_uncond = unconditional_context(n, t)
     traces = [np.empty((s, n_steps, n), dtype) for dtype in (float, float, float, np.int64)]
 
@@ -192,18 +201,16 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
         gap_sq = np.sum(gap * gap, axis=-1)
         gnorm = guidance_gradient_norm(gap_sq, k, sched)
         mean = reverse_mean(x, eps_mix, k, sched)
-        x_next = reverse_step(x, mean, k, sched, rngs)
+        x_next = reverse_step(x, mean, k, sched, _stream(seed, k, REVERSE) if k > 1 else None)
 
         if anchoring == "clamp":
-            # re-impose the observed coordinates at their step-(k-1) law;
-            # the noise draw is full-shape to keep the stream mask-independent
-            noise = np.stack([rng.standard_normal((n, t)) for rng in rngs])
+            # re-impose the observed coordinates at their step-(k-1) law; the
+            # noise draw is full-shape to keep the stream mask-independent
+            anchor = ctx_cond.observed
             if k > 1:
-                anchor = q_sample(np.broadcast_to(ctx_cond.observed, noise.shape),
-                                  k - 1, noise, sched)
-            else:
-                anchor = ctx_cond.observed
-            x_next = np.where(ctx_cond.mask.astype(bool), anchor, x_next)
+                noise = _stream(seed, k, ANCHOR).standard_normal(x.shape)
+                anchor = q_sample(np.broadcast_to(anchor, noise.shape), k - 1, noise, sched)
+            np.copyto(x_next, anchor, where=ctx_cond.mask == 1)
 
         diverged = np.flatnonzero(~np.isfinite(x_next).all(axis=(1, 2)))
         if diverged.size:
@@ -221,16 +228,19 @@ def impute(backend: DenoiserBackend | None, backend_uncond: DenoiserBackend,
 
 
 def emit_trace(result: ImputationResult, path) -> None:
-    """Write the trace CSV and one grid CSV per ensemble member beside it."""
+    """Write the trace CSV, one write per trajectory, and one grid CSV per
+    ensemble member beside it."""
     path = Path(path)
-    n_steps = result.lam.shape[1]
+    _, n_steps, n_nodes = result.lam.shape
+    # the "k,node," of a trajectory's rows, in row order
+    steps_nodes = [f"{n_steps - j},{node}," for j in range(n_steps) for node in range(n_nodes)]
     columns = (result.lam, result.log_posterior, result.guidance_norm, result.cluster_id)
-    rows = zip(product(*map(range, result.lam.shape)),
-               *(c.reshape(-1).tolist() for c in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("traj,k,node,lambda,log_posterior,guidance_norm,cluster_id\n")
-        for (traj, j, node), lam, logp, gnorm, cluster in rows:
-            fh.write(f"{traj},{n_steps - j},{node},{lam!r},{logp!r},{gnorm!r},{cluster}\n")
+        for traj, rows in enumerate(zip(*columns)):
+            lam, logp, gnorm, cluster = (c.reshape(-1).tolist() for c in rows)
+            fh.write("".join(f"{traj},{step_node}{a!r},{b!r},{c!r},{d}\n" for step_node, a, b, c, d
+                             in zip(steps_nodes, lam, logp, gnorm, cluster)))
     width = len(str(len(result.samples) - 1))
     for i, sample in enumerate(result.samples):
         save_grid_csv(path.with_name(f"{path.stem}_sample_{i:0{width}d}.csv"), sample)

@@ -242,19 +242,32 @@ class GaussianOracleWorld:
         conditional law given its observations, the prior when it has none.
 
         x_k is one flat NT vector or a (B, NT) stack of them. On an observed
-        cell the score is -(x_o - sqrt(abar) v_o) / (1 - abar).
+        cell the score is -(x_o - sqrt(abar) v_o) / (1 - abar). It is computed
+        as _coords's y = z / v mapped back, from the residual with its sign
+        flipped, sqrt(abar) m' - x, so no pass negates the result.
         """
-        z, v = self._coords(x_k, k, sched)
-        y = z / v
+        abar = sched.alpha_bar_at(k)
+        x = np.asarray(x_k, dtype=np.float64).reshape(-1, self.dim)
+        if self.observed_idx.size and len(x) == 1:
+            # BLAS multiplies a lone row by gemv, whose sums round unlike gemm's:
+            # scored as a pair, a grid's score is the same in every batch
+            return self.score(np.repeat(x, 2, axis=0), k, sched)[0].reshape(np.shape(x_k))
         if self.observed_idx.size:
-            _, obs, hid, _ = self._schur
-            out = np.empty_like(y)
-            out[:, obs] = y[:, :obs.size]
-            out[:, hid] = y[:, obs.size:] @ self._hidden_eigen[1].T
+            mean, _, hid, _ = self._schur
+            w, u = self._hidden_eigen
+            # the observed cells' score, and the hidden ones' residual to overwrite
+            out = math.sqrt(abar) * mean - x
+            y = out[:, hid] @ u
+            y /= abar * w + (1.0 - abar)
+            out /= 1.0 - abar
+            out[:, hid] = y @ u.T
         else:
-            _, u_s, _, u_t = self._prior
-            out = u_s @ y.reshape(-1, self.n_nodes, self.n_steps) @ u_t.T
-        return -out.reshape(np.shape(x_k))
+            w_s, u_s, w_t, u_t = self._prior
+            y = u_s.T @ (math.sqrt(abar) * self.mean - x).reshape(
+                -1, self.n_nodes, self.n_steps) @ u_t
+            y /= abar * np.outer(w_s, w_t) + (1.0 - abar)
+            out = u_s @ y @ u_t.T
+        return out.reshape(np.shape(x_k))
 
     def marginal_logpdf(self, x_k: np.ndarray, k: int, sched: NoiseSchedule) -> float:
         z, v = self._coords(x_k, k, sched)

@@ -1062,7 +1062,7 @@ def _schema_values(key, parse):
     if key == "mode":
         return st.sampled_from(["fence", "none"]) | floats.map(lambda x: f"cfg:{x!r}")
     if key == "clusters":
-        return st.just("auto") | st.integers(1, 10**6).map(str)
+        return st.just("auto") | st.integers(1, 10**6)
     if hasattr(parse, "choices"):
         return st.sampled_from(parse.choices)
     if parse is float:

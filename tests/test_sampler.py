@@ -1,5 +1,6 @@
 import hashlib
 import re
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -107,6 +108,54 @@ def test_trajectory_is_independent_of_ensemble_size():
     np.testing.assert_array_equal(head.mean_imputation, small.mean_imputation)
     with pytest.raises(InvalidInputError):
         large.head(6)
+
+
+@pytest.mark.parametrize("anchoring", ["free", "clamp"])
+def test_a_lone_trajectory_is_row_0_of_an_ensemble(anchoring):
+    # each draw (clamp's anchor noise too) holds one row per trajectory, and the
+    # oracle scores a lone grid by the same BLAS product as a batch's rows
+    backend, truth, mask, sched = oracle_setup()
+    law = scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2)
+    one = impute(backend, backend, truth, mask, sched, law, n_samples=1, seed=5,
+                 anchoring=anchoring)
+    seven = impute(backend, backend, truth, mask, sched, law, n_samples=7, seed=5,
+                   anchoring=anchoring)
+    for name in RESULT_ARRAYS:
+        np.testing.assert_array_equal(getattr(one, name), getattr(seven, name)[:1])
+
+
+@pytest.mark.parametrize("n_samples", [1, 4])
+@pytest.mark.parametrize("anchoring", ["free", "clamp"])
+def test_one_noise_draw_per_step_and_purpose(monkeypatch, anchoring, n_samples):
+    # the start x_K, then at each step k >= 2 one reverse draw and, under clamp,
+    # one anchor draw: each from a generator of its own, whatever S is
+    import fence.sampler as sampler
+
+    keys = []
+    real = np.random.SFC64
+
+    def recording(seed_seq):
+        keys.append(tuple(seed_seq.entropy))
+        return real(seed_seq)
+
+    monkeypatch.setattr(np.random, "SFC64", recording)
+    backend, truth, mask, sched = oracle_setup()
+    impute(backend, backend, truth, mask, sched,
+           scale_law(GuidanceConfig(mode="fence", scope="global"), sched),
+           n_samples=n_samples, seed=5, anchoring=anchoring)
+    steps = sched.n_steps
+    per_step = [sampler.REVERSE] + ([sampler.ANCHOR] if anchoring == "clamp" else [])
+    assert len(keys) == 1 + len(per_step) * (steps - 1)
+    assert keys == [(5, steps, sampler.START)] + [
+        (5, k, purpose) for k in range(steps, 1, -1) for purpose in per_step]
+
+
+def test_no_two_steps_or_purposes_share_a_stream():
+    from fence.sampler import ANCHOR, REVERSE, START, _stream
+
+    keys = list(product((9, 10), range(1, 51), (START, REVERSE, ANCHOR)))
+    heads = {tuple(_stream(*key).bit_generator.random_raw(4)) for key in keys}
+    assert len(heads) == len(keys)
 
 
 def test_neural_trajectory_is_independent_of_ensemble_size():
@@ -368,6 +417,48 @@ def test_a_network_whose_head_sees_nan_diverges():
     assert err.value.step == 10
 
 
+def _row_by_row_trace(result, path):
+    """The trace CSV as emit_trace wrote it one row at a time."""
+    n_steps = result.lam.shape[1]
+    columns = (result.lam, result.log_posterior, result.guidance_norm, result.cluster_id)
+    rows = zip(product(*map(range, result.lam.shape)),
+               *(c.reshape(-1).tolist() for c in columns))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("traj,k,node,lambda,log_posterior,guidance_norm,cluster_id\n")
+        for (traj, j, node), lam, logp, gnorm, cluster in rows:
+            fh.write(f"{traj},{n_steps - j},{node},{lam!r},{logp!r},{gnorm!r},{cluster}\n")
+
+
+def _random_result(rng, s, k, n, t=4):
+    """An ImputationResult of S = s, K = k, N = n, T = t with random fields;
+    the log-posteriors span sixteen orders of magnitude."""
+    trace = (s, k, n)
+    return ImputationResult(rng.standard_normal((s, n, t)), 1.0 + 9.0 * rng.random(trace),
+                            rng.standard_normal(trace) * 10.0 ** rng.integers(-8, 8, trace),
+                            rng.random(trace), rng.integers(-1, n, trace))
+
+
+@pytest.mark.parametrize("shape", [(1, 2, 1), (3, 5, 4), (12, 7, 3)])
+def test_emit_trace_writes_the_row_by_row_bytes(tmp_path, shape):
+    result = _random_result(np.random.default_rng(sum(shape)), *shape)
+    emit_trace(result, tmp_path / "trace.csv")
+    _row_by_row_trace(result, tmp_path / "rows.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_emit_trace_holds_one_trajectory_at_a_time(tmp_path):
+    # neural-staged's shape, S = 50, K = 50, N = 6: 15,000 rows and about 1 MB;
+    # the row-by-row writer's peak inside the call was 1.63 MiB
+    result = _random_result(np.random.default_rng(0), 50, 50, 6, 12)
+    tracemalloc.start()
+    try:
+        emit_trace(result, tmp_path / "trace.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.63 * 2**20
+
+
 def test_emit_trace_layout_and_determinism(tmp_path):
     backend, truth, mask, sched = oracle_setup()
     law = scale_law(GuidanceConfig(mode="cfg", fixed_lambda=1.5), sched)
@@ -416,30 +507,30 @@ PINNED_LAWS = {
 # sha256 (first 16 hex) over the five result fields of each (backend,
 # anchoring, law); they held with one and with two BLAS threads
 LAW_DIGESTS = {
-    ("oracle", "free", "fence-cluster"): "7f36973acb4953c2",
-    ("oracle", "free", "fence-global"): "f10233830407e9aa",
-    ("oracle", "free", "fence-per_node"): "2f4ad10ae9bd771f",
-    ("oracle", "free", "fence-pi1"): "e1a11604558dba09",
-    ("oracle", "free", "cfg:2"): "6fa81cf571bd2173",
-    ("oracle", "free", "none"): "24545bfc1d8f023a",
-    ("oracle", "clamp", "fence-cluster"): "a8a6a1592917cf03",
-    ("oracle", "clamp", "fence-global"): "9c7dff7a8c56d14c",
-    ("oracle", "clamp", "fence-per_node"): "2d553f8202620d06",
-    ("oracle", "clamp", "fence-pi1"): "55b7bb4e02877f27",
-    ("oracle", "clamp", "cfg:2"): "1e0a6a016cbc7629",
-    ("oracle", "clamp", "none"): "dfa7fc73d826c3b4",
-    ("neural", "free", "fence-cluster"): "64ae4d3035e98f03",
-    ("neural", "free", "fence-global"): "c13e91d0f94282a3",
-    ("neural", "free", "fence-per_node"): "7a4f3df187fbdd76",
-    ("neural", "free", "fence-pi1"): "c79bca941cafa37d",
-    ("neural", "free", "cfg:2"): "20f86d3a6bbc42d5",
-    ("neural", "free", "none"): "42f064c14acdc329",
-    ("neural", "clamp", "fence-cluster"): "5893e41206b4cbaa",
-    ("neural", "clamp", "fence-global"): "f88691e25aa5f28a",
-    ("neural", "clamp", "fence-per_node"): "83fd76c95a5b4672",
-    ("neural", "clamp", "fence-pi1"): "adc8f85c0886838e",
-    ("neural", "clamp", "cfg:2"): "5490f6aa1dd76510",
-    ("neural", "clamp", "none"): "4d7496938f2bb228",
+    ("oracle", "free", "fence-cluster"): "890d5165e44b116a",
+    ("oracle", "free", "fence-global"): "f9687c1b1349777c",
+    ("oracle", "free", "fence-per_node"): "2fca8a7785da789c",
+    ("oracle", "free", "fence-pi1"): "683621dacda9e6e1",
+    ("oracle", "free", "cfg:2"): "b1bd958e8c3a4549",
+    ("oracle", "free", "none"): "80c6758f2ab571f0",
+    ("oracle", "clamp", "fence-cluster"): "cfaa9dd4a6882fcd",
+    ("oracle", "clamp", "fence-global"): "0cddc8a9e10666ae",
+    ("oracle", "clamp", "fence-per_node"): "7db2a81e625aa0f5",
+    ("oracle", "clamp", "fence-pi1"): "3872a753486c5d40",
+    ("oracle", "clamp", "cfg:2"): "747bb0790881383a",
+    ("oracle", "clamp", "none"): "e0c4413197f16117",
+    ("neural", "free", "fence-cluster"): "6eeac8d1c571db30",
+    ("neural", "free", "fence-global"): "f9d6d999ce4f490e",
+    ("neural", "free", "fence-per_node"): "f3cc74eaab9b61c8",
+    ("neural", "free", "fence-pi1"): "9ab2c8e5bfe9f8bb",
+    ("neural", "free", "cfg:2"): "7b3920175d87584f",
+    ("neural", "free", "none"): "9c266c9ba228df77",
+    ("neural", "clamp", "fence-cluster"): "c33d6847d9241a30",
+    ("neural", "clamp", "fence-global"): "0e3aa542f6fd768e",
+    ("neural", "clamp", "fence-per_node"): "af02c4cacc57e8cd",
+    ("neural", "clamp", "fence-pi1"): "cb98d6e60a3506cc",
+    ("neural", "clamp", "cfg:2"): "fd755e60d27c202c",
+    ("neural", "clamp", "none"): "4f057f87a0e10525",
 }
 
 

@@ -22,7 +22,10 @@ parent's and the benchmark's bound for it, and whether a gain can be
 claimed (the change wins at least 9 of 10 pairs, its median lies below
 the base's by more than the base's interquartile range, and it fails no
 larger share of its operations than the base). A speed claim cites this
-file.
+file. Its ``quality`` block pairs the imputation MAE and CRPS by seed:
+each side's median, the median paired difference (change minus base) and
+the seeds on which each side is lower, so a change that moves the output
+digests shows by itself whether it moved imputation quality.
 
 Standard library plus numpy. At the 32-second run length a pair takes
 about 80 seconds on two cores, so ten pairs take about a quarter hour.
@@ -42,6 +45,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("setup_s", "op_s", "peak_rss_mb")
 QUALITY = ("mae", "crps", "mae_exact", "mae_zero_fill")
+PAIRED_QUALITY = ("mae", "crps")  # the sampled ensemble's numbers, summarized by seed
 PROVENANCE = ("cpu_count", "cpus_usable", "python", "numpy", "blas", "blas_threads")
 WIN_SHARE = 0.9  # share of pairs the change must win before it claims a gain
 
@@ -75,6 +79,24 @@ def side(record: dict) -> dict:
 def _stats(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"q1": float(q1), "median": float(median), "q3": float(q3)}
+
+
+def quality(rows: list[dict]) -> dict:
+    """Per PAIRED_QUALITY number that both sides of some pairs report: the
+    pair count, each side's median, the median of change - base over the
+    pairs, and the pairs on which each side is lower (ties count for neither)."""
+    out = {}
+    for name in PAIRED_QUALITY:
+        paired = [(row["base"][name], row["change"][name]) for row in rows
+                  if name in row["base"] and name in row["change"]]
+        if not paired:
+            continue
+        b, c = np.array(paired).T
+        out[name] = {"pairs": len(paired), "base_median": float(np.median(b)),
+                     "change_median": float(np.median(c)),
+                     "median_paired_change": float(np.median(c - b)),
+                     "change_lower": int(np.sum(c < b)), "base_lower": int(np.sum(b < c))}
+    return out
 
 
 def summarize(workload: str, pairs: list[dict], base: dict, change: dict,
@@ -113,6 +135,7 @@ def summarize(workload: str, pairs: list[dict], base: dict, change: dict,
         "change": change,
         "pairs": rows,
         "summary": summary,
+        "quality": quality(rows),
         "failed": failed,
         "digests_equal_on_every_seed": all(row["digests_equal"] for row in rows),
         "provenance": {key: provenance.get(key) for key in PROVENANCE},
@@ -176,6 +199,10 @@ def main(argv=None) -> int:
         print(f"{name:12s} median {s['base']['median']:.4g} -> {s['change']['median']:.4g}"
               f" ({s['median_change']:+.1%}), change won {s['change_wins']}/{pairs},"
               f" gain {s['gain']}, within bound {s['within_bound']}")
+    for name, q in bench["quality"].items():
+        print(f"{name:12s} median {q['base_median']:.4g} -> {q['change_median']:.4g},"
+              f" median paired change {q['median_paired_change']:+.4g}, change lower on"
+              f" {q['change_lower']}/{q['pairs']} seeds")
     print(f"digests equal on every seed: {bench['digests_equal_on_every_seed']}; wrote {out}")
     return 0
 

@@ -61,10 +61,6 @@ def _clusters(text: str) -> int | str:
         raise ValueError("expected an integer or auto") from None
 
 
-# argparse calls a value its parser rejects "invalid <parser __name__> value"
-_clusters.__name__ = "integer-or-auto"
-
-
 def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 

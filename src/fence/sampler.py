@@ -238,9 +238,9 @@ def emit_trace(result: ImputationResult, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("traj,k,node,lambda,log_posterior,guidance_norm,cluster_id\n")
         for traj, rows in enumerate(zip(*columns)):
-            lam, logp, gnorm, cluster = (c.reshape(-1).tolist() for c in rows)
-            fh.write("".join(f"{traj},{step_node}{a!r},{b!r},{c!r},{d}\n" for step_node, a, b, c, d
-                             in zip(steps_nodes, lam, logp, gnorm, cluster)))
+            values = zip(steps_nodes, *(c.reshape(-1).tolist() for c in rows))
+            fh.write("".join(f"{traj},{step_node}{lam!r},{logp!r},{gnorm!r},{cluster}\n"
+                             for step_node, lam, logp, gnorm, cluster in values))
     width = len(str(len(result.samples) - 1))
     for i, sample in enumerate(result.samples):
         save_grid_csv(path.with_name(f"{path.stem}_sample_{i:0{width}d}.csv"), sample)

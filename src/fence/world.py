@@ -242,9 +242,10 @@ class GaussianOracleWorld:
         conditional law given its observations, the prior when it has none.
 
         x_k is one flat NT vector or a (B, NT) stack of them. On an observed
-        cell the score is -(x_o - sqrt(abar) v_o) / (1 - abar). It is computed
-        as _coords's y = z / v mapped back, from the residual with its sign
-        flipped, sqrt(abar) m' - x, so no pass negates the result.
+        cell the score is -(x_o - sqrt(abar) v_o) / (1 - abar). Elsewhere it
+        is _coords's z / v taken back out of the eigenbasis. Both start from
+        the residual with its sign flipped, sqrt(abar) m' - x, so no pass
+        negates the result.
         """
         abar = sched.alpha_bar_at(k)
         x = np.asarray(x_k, dtype=np.float64).reshape(-1, self.dim)

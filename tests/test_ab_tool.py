@@ -109,6 +109,52 @@ def test_a_slower_change_outside_the_bound_and_a_digest_difference_show():
     assert not bench["digests_equal_on_every_seed"]
 
 
+# oracle-ensemble's MAE and CRPS as perfbench recorded them on seeds 9301-9304
+# for a change that draws new noise: (base, change) per seed
+RECORDED_QUALITY = {
+    9301: {"mae": (0.4850291594458148, 0.43245102524207774),
+           "crps": (0.37144362119551216, 0.35693264962443744)},
+    9302: {"mae": (0.4216288519408204, 0.4882319396659816),
+           "crps": (0.33693091048874646, 0.3369609687155398)},
+    9303: {"mae": (0.32844995961499557, 0.3395955989389641),
+           "crps": (0.24397829672216176, 0.23961566064303505)},
+    9304: {"mae": (0.39312286843327104, 0.4199296656294571),
+           "crps": (0.287624706559264, 0.2882278315279043)},
+}
+
+
+def test_quality_pairs_mae_and_crps_by_seed():
+    pairs = []
+    for seed, numbers in RECORDED_QUALITY.items():
+        pairs.append(_pair(seed))
+        pairs[-1]["change"]["digests"]["run/trace.csv"] = "ffff"
+        for name, (base, change) in numbers.items():
+            pairs[-1]["base"][name], pairs[-1]["change"][name] = base, change
+    bench = ab.summarize("oracle-ensemble", pairs, BASE, CHANGE, BOUNDS)
+    assert not bench["digests_equal_on_every_seed"]
+    mae, crps = bench["quality"]["mae"], bench["quality"]["crps"]
+    assert set(bench["quality"]) == {"mae", "crps"}
+    assert mae["pairs"] == crps["pairs"] == 4
+    # seed 9301 alone has the lower MAE under the change
+    assert (mae["change_lower"], mae["base_lower"]) == (1, 3)
+    assert mae["base_median"] == pytest.approx((0.39312286843327104 + 0.4216288519408204) / 2)
+    assert mae["change_median"] == pytest.approx((0.4199296656294571 + 0.43245102524207774) / 2)
+    # the paired differences are -0.0526, +0.0666, +0.0112 and +0.0268
+    assert mae["median_paired_change"] == pytest.approx(
+        ((0.3395955989389641 - 0.32844995961499557)
+         + (0.4199296656294571 - 0.39312286843327104)) / 2)
+    assert (crps["change_lower"], crps["base_lower"]) == (2, 2)
+    # a record without CRPS (oracle-windows) is summarized for its MAE only,
+    # and equal numbers are ties
+    for pair in pairs:
+        del pair["base"]["crps"]
+        pair["change"]["mae"] = pair["base"]["mae"]
+    quality = ab.summarize("oracle-windows", pairs, BASE, CHANGE, BOUNDS)["quality"]
+    assert list(quality) == ["mae"]
+    assert quality["mae"]["median_paired_change"] == 0.0
+    assert (quality["mae"]["change_lower"], quality["mae"]["base_lower"]) == (0, 0)
+
+
 def test_seed_ranges():
     assert ab._seed_range("7601-7603") == [7601, 7602, 7603]
     assert ab._seed_range("9001") == [9001]

@@ -212,6 +212,23 @@ def test_mask_setting_errors_name_the_flag_or_key(tmp_path, capsys, settings, me
      "need 0 < [schedule] beta1 <= [schedule] beta_k < 1, got 0.2, 0.1"),
     ({"sampler": "samples = 0"}, "--samples must be >= 1, got 0",
      "[sampler] samples must be >= 1, got 0"),
+    ({"guidance": "pi = 0"}, "--pi must lie in (0, 1], got 0.0",
+     "[guidance] pi must lie in (0, 1], got 0.0"),
+    ({"guidance": "lambda_ref = 1"}, "--lambda-ref must be finite and > 1, got 1.0",
+     "[guidance] lambda_ref must be finite and > 1, got 1.0"),
+    ({"guidance": "lambda_max = 0.5"}, "--lambda-max must be finite and >= 1, got 0.5",
+     "[guidance] lambda_max must be finite and >= 1, got 0.5"),
+    ({"guidance": "t0 = 1"}, "--t0 must lie in (0, 1), got 1.0",
+     "[guidance] t0 must lie in (0, 1), got 1.0"),
+    ({"guidance": "t1 = 0"}, "--t1 must lie in (0, 1), got 0.0",
+     "[guidance] t1 must lie in (0, 1), got 0.0"),
+    ({"guidance": "alpha_scale = 0"}, "--alpha-scale must be finite and > 0, got 0.0",
+     "[guidance] alpha_scale must be finite and > 0, got 0.0"),
+    ({"guidance": "mode = cfg:inf"}, "the scale of --mode must be finite, got inf",
+     "the scale of [guidance] mode must be finite, got inf"),
+    ({"guidance": "mode = guided"},
+     "--mode must be fence, none, or cfg:<lambda>, got 'guided'",
+     "[guidance] mode must be fence, none, or cfg:<lambda>, got 'guided'"),
 ])
 def test_sampling_setting_errors_name_the_flag_or_key(tmp_path, capsys, settings, flags,
                                                       keys):
@@ -806,6 +823,20 @@ def test_readme_layout_names_every_module():
     assert listed == modules
 
 
+def test_a_bad_cluster_count_is_named_as_the_user_set_it(tmp_path, capsys):
+    # argparse parses --clusters, so it names the flag; a config file names the key
+    with pytest.raises(SystemExit) as exited:
+        main(_oracle_argv(tmp_path, "impute", 3, 0.5) + ["--clusters", "x"])
+    assert exited.value.code == 2
+    assert "argument --clusters: invalid _clusters value: 'x'" in capsys.readouterr().err
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_CONFIG + "\n[guidance]\nclusters = x\n")
+    assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad value for [guidance] clusters: ")
+    assert err.endswith(" (expected an integer or auto)\n")
+
+
 @pytest.mark.parametrize("section, line", [
     ("sampler", "threads = 2"),
     ("guidance", "scope = nodes"),
@@ -836,7 +867,7 @@ def test_unusable_alpha_scale_exits_2_without_a_warning(tmp_path, capsys, alpha_
         warnings.simplefilter("always")
         assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert [str(w.message) for w in caught] == []
-    assert "alpha_scale" in capsys.readouterr().err
+    assert "[guidance] alpha_scale" in capsys.readouterr().err
 
 
 def test_small_alpha_scale_still_runs(tmp_path):
@@ -862,7 +893,9 @@ def test_fence_mode_on_two_diffusion_steps_exits_2_naming_what_works(tmp_path, c
 
     assert code("2") == 2
     err = capsys.readouterr().err
-    for part in ("t1 = 0.5", "step 1 of K = 2", "beta_tilde", "K >= 3", "variance_mode = beta"):
+    t1 = "--t1" if command == "impute" else "[guidance] t1"
+    for part in (f"{t1} = 0.5 falls on step 1 of K = 2", "beta_tilde", "K >= 3",
+                 "variance_mode = beta"):
         assert part in err
     assert code("3") == 0
     assert code("2", "beta") == 0

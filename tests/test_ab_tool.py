@@ -15,6 +15,7 @@ import ab  # noqa: E402
 # summary reads (the per-operation times and error list are dropped)
 BASE_RECORD = json.loads("""{
  "workload": "neural-staged", "seed": 8901, "trace": 0, "attempted": 12, "failed": 0,
+ "repeats_identical": true,
  "provenance": {"cpu_count": 2, "cpus_usable": 2, "python": "3.11.7", "numpy": "2.4.6",
                 "scipy": "1.17.1", "blas": "OpenBLAS", "blas_threads": 1,
                 "thread_env": {"OPENBLAS_NUM_THREADS": "1"}},
@@ -26,6 +27,7 @@ BASE_RECORD = json.loads("""{
 }""")
 CHANGE_RECORD = json.loads("""{
  "workload": "neural-staged", "seed": 8901, "trace": 0, "attempted": 14, "failed": 0,
+ "repeats_identical": true,
  "provenance": {"cpu_count": 2, "cpus_usable": 2, "python": "3.11.7", "numpy": "2.4.6",
                 "scipy": "1.17.1", "blas": "OpenBLAS", "blas_threads": 1,
                 "thread_env": {"OPENBLAS_NUM_THREADS": "1"}},
@@ -54,11 +56,11 @@ def test_one_pair_of_records():
     row, = bench["pairs"]
     assert row == {"seed": 8901, "first": "base", "digests_equal": True,
                    "base": {"setup_s": 0.221, "op_s": 2.37, "peak_rss_mb": 49.96,
-                            "attempted": 12, "failed": 0, "mae": 4.5468,
-                            "mae_exact": 0.4213, "mae_zero_fill": 0.5841},
+                            "attempted": 12, "failed": 0, "repeats_identical": True,
+                            "mae": 4.5468, "mae_exact": 0.4213, "mae_zero_fill": 0.5841},
                    "change": {"setup_s": 0.230, "op_s": 1.84, "peak_rss_mb": 49.96,
-                              "attempted": 14, "failed": 0, "mae": 4.5468,
-                              "mae_exact": 0.4213, "mae_zero_fill": 0.5841}}
+                              "attempted": 14, "failed": 0, "repeats_identical": True,
+                              "mae": 4.5468, "mae_exact": 0.4213, "mae_zero_fill": 0.5841}}
     op, setup, rss = (bench["summary"][m] for m in ("op_s", "setup_s", "peak_rss_mb"))
     assert op["base"] == {"q1": 2.37, "median": 2.37, "q3": 2.37}
     assert (op["change_wins"], op["base_wins"], op["gain"]) == (1, 0, True)
@@ -69,6 +71,7 @@ def test_one_pair_of_records():
     assert (rss["change_wins"], rss["base_wins"]) == (0, 0)
     assert bench["failed"] == {"base": 0, "change": 0}
     assert bench["digests_equal_on_every_seed"]
+    assert bench["repeats_identical"] == {"base": True, "change": True}
     assert bench["provenance"] == {"cpu_count": 2, "cpus_usable": 2, "python": "3.11.7",
                                    "numpy": "2.4.6", "blas": "OpenBLAS", "blas_threads": 1}
     json.dumps(bench)  # the file is plain JSON
@@ -107,6 +110,10 @@ def test_a_slower_change_outside_the_bound_and_a_digest_difference_show():
     assert not bench["summary"]["peak_rss_mb"]["within_bound"]
     assert [row["digests_equal"] for row in bench["pairs"]] == [True, False]
     assert not bench["digests_equal_on_every_seed"]
+    # a run whose repeated operations wrote other bytes shows on its side
+    slow["change"]["repeats_identical"] = False
+    bench = ab.summarize("w", [_pair(8901), slow], BASE, CHANGE, BOUNDS)
+    assert bench["repeats_identical"] == {"base": True, "change": False}
 
 
 # oracle-ensemble's MAE and CRPS as perfbench recorded them on seeds 9301-9304

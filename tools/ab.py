@@ -14,8 +14,9 @@ so a drift in machine speed does not favour one side. Each run's record is
 read from that tree's ``perfbench/out/<w>-trace0.json``.
 
 The file written at the root of this checkout (``BENCH_<w>.json``) holds
-both revisions, every pair's end-to-end metrics, quality numbers and
-output-digest comparison, and the summary of ``summarize``, a pure function
+both revisions, every pair's end-to-end metrics, quality numbers,
+output-digest comparison and whether each run's repeated operations wrote
+the same bytes (``repeats_identical``), and the summary of ``summarize``, a pure function
 of the records: per metric each side's quartiles, the pairs each side won
 (lower wins, ties count for neither), the median change against the
 parent's and the benchmark's bound for it, and whether a gain can be
@@ -71,7 +72,7 @@ def this_checkout() -> dict:
 def side(record: dict) -> dict:
     """What a pair keeps of one perfbench record."""
     out = {name: record["metrics"][name]["value"] for name in METRICS}
-    out.update({key: record[key] for key in ("attempted", "failed")})
+    out.update({key: record[key] for key in ("attempted", "failed", "repeats_identical")})
     out.update({key: record[key] for key in QUALITY if key in record})
     return out
 
@@ -138,6 +139,8 @@ def summarize(workload: str, pairs: list[dict], base: dict, change: dict,
         "quality": quality(rows),
         "failed": failed,
         "digests_equal_on_every_seed": all(row["digests_equal"] for row in rows),
+        "repeats_identical": {key: all(row[key]["repeats_identical"] for row in rows)
+                              for key in ("base", "change")},
         "provenance": {key: provenance.get(key) for key in PROVENANCE},
     }
 
@@ -203,7 +206,8 @@ def main(argv=None) -> int:
         print(f"{name:12s} median {q['base_median']:.4g} -> {q['change_median']:.4g},"
               f" median paired change {q['median_paired_change']:+.4g}, change lower on"
               f" {q['change_lower']}/{q['pairs']} seeds")
-    print(f"digests equal on every seed: {bench['digests_equal_on_every_seed']}; wrote {out}")
+    print(f"digests equal on every seed: {bench['digests_equal_on_every_seed']}; repeats"
+          f" identical within each run: {bench['repeats_identical']}; wrote {out}")
     return 0
 
 

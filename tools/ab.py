@@ -16,8 +16,8 @@ read from that tree's ``perfbench/out/<w>-trace0.json``.
 The file written at the root of this checkout (``BENCH_<w>.json``) holds
 both revisions, every pair's end-to-end metrics, quality numbers,
 output-digest comparison and whether each run's repeated operations wrote
-the same bytes (``repeats_identical``), and the summary of ``summarize``, a pure function
-of the records: per metric each side's quartiles, the pairs each side won
+the same bytes (``repeats_identical``), and the summary of ``summarize``,
+a pure function of the records: per metric each side's quartiles, the pairs each side won
 (lower wins, ties count for neither), the median change against the
 parent's and the benchmark's bound for it, and whether a gain can be
 claimed (the change wins at least 9 of 10 pairs, its median lies below

@@ -22,11 +22,9 @@ import numpy as np
 
 from .backends import OracleBackend
 from .checkpoint import load_checkpoint, save_checkpoint
-from .clustering import cluster_count
 from .config import (PRESETS, SCHEMA, STAGES, guidance_from, load_world_spec,
                      network_from, parse_config_file, read_world_spec, resolve_config,
-                     schedule_from, training_from, world_from, write_resolved)
-from .diffusion import NoiseSchedule
+                     schedule_from, setting, training_from, world_from, write_resolved)
 from .errors import ConfigError, DataError, DivergenceError, InvalidInputError
 from .grid import (DatasetSplit, MaskMatrix, TrafficGrid, chronological_split,
                    load_grid_csv, load_mask_csv, observed_stats, save_grid_csv,
@@ -69,40 +67,16 @@ def _add_schema_args(parser, groups, stage=None):
     for section, key, dest in _flag_keys(groups, stage):
         parse, default, help_text = SCHEMA[section][key]
         kind = {"choices": parse.choices} if hasattr(parse, "choices") else {"type": parse}
-        parser.add_argument(_setting(section, dest, flags=True), default=default,
+        parser.add_argument(setting(section, dest, flags=True), default=default,
                             help=help_text, **kind)
 
 
-def _setting(section: str, key: str, *, flags: bool) -> str:
-    """How the user sets a SCHEMA key: as its flag, or as a config-file key."""
-    return "--" + key.replace("_", "-") if flags else f"[{section}] {key}"
-
-
 def _check_range(cfg, section: str, key: str, lo, hi, rule: str, *, flags: bool) -> None:
-    """ConfigError naming the setting as the user set it (``_setting``)
+    """ConfigError naming the setting as the user set it (``setting``)
     unless lo <= its value <= hi."""
     value = cfg[section][key]
     if not lo <= value <= hi:
-        raise ConfigError(f"{_setting(section, key, flags=flags)} must {rule}, got {value}")
-
-
-def _schedule(cfg, *, flags: bool) -> NoiseSchedule:
-    """The [schedule] section's noise schedule; its errors name each setting
-    as the user set it."""
-    return schedule_from(cfg, tuple(_setting("schedule", key, flags=flags)
-                                    for key in ("steps", "beta1", "beta_k")))
-
-
-def _guidance(cfg, *, flags: bool):
-    """guidance_from's settings and cluster count; its errors name each
-    [guidance] setting as the user set it."""
-    return guidance_from(cfg, {key: _setting("guidance", key, flags=flags)
-                               for key in SCHEMA["guidance"]})
-
-
-def _check_clusters(n_clusters: int | None, n_nodes: int, *, flags: bool) -> None:
-    """cluster_count's check of [guidance] clusters, naming it as the user set it."""
-    cluster_count(n_clusters, n_nodes, _setting("guidance", "clusters", flags=flags))
+        raise ConfigError(f"{setting(section, key, flags=flags)} must {rule}, got {value}")
 
 
 def _cfg_from(args, groups, stage=None) -> dict:
@@ -230,7 +204,7 @@ def _save_stage(args, number: int, result, mean: float, std: float) -> int:
 
 def cmd_train_uncond(args) -> int:
     cfg = _cfg_from(args, _TRAIN_FLAGS, "uncond")
-    sched = _schedule(cfg, flags=True)
+    sched = schedule_from(cfg, flags=True)
     series, entries = _load_masked(args.data, args.mask)
     split = _training_split(series, entries, args.window, args.stride)
     result = train_unconditional(split, training_from(cfg, "uncond"), sched=sched,
@@ -248,7 +222,7 @@ def cmd_finetune_cond(args) -> int:
             raise ConfigError(f"--{dest.replace('_', '-')} {given} differs from the"
                               f" {shape} of the --init checkpoint {args.init}")
     cfg = _cfg_from(args, _TRAIN_FLAGS, "cond")
-    sched = _schedule(cfg, flags=True)
+    sched = schedule_from(cfg, flags=True)
     series, entries = _load_masked(args.data, args.mask)
     if len(series) != backend.cfg.n_nodes:
         raise InvalidInputError(f"{args.init} was built for {backend.cfg.n_nodes} nodes,"
@@ -307,11 +281,9 @@ def _impute_in_data_units(backends, values, mask, sched, law, **sampling):
 def cmd_impute(args) -> int:
     cfg = _cfg_from(args, _IMPUTE_FLAGS)
     _check_range(cfg, "sampler", "samples", 1, math.inf, "be >= 1", flags=True)
-    sched = _schedule(cfg, flags=True)
-    gcfg, n_clusters = _guidance(cfg, flags=True)
+    sched = schedule_from(cfg, flags=True)
     values, mask = _load_masked(args.grid, args.mask)
-    _check_clusters(n_clusters, len(values), flags=True)
-    law = scale_law(gcfg, sched, n_clusters)
+    law = scale_law(guidance_from(cfg, len(values), flags=True), sched)
     backends = _impute_backends(args, values, sched, law)
     result = _impute_in_data_units(backends, values, mask, sched, law,
                                    n_samples=args.samples, seed=args.seed,
@@ -412,13 +384,11 @@ def cmd_run(args) -> int:
     write_resolved(cfg, out_dir / "config.resolved")
 
     world = world_from(cfg)
-    sched = _schedule(cfg, flags=False)
-    gcfg, n_clusters = _guidance(cfg, flags=False)
+    sched = schedule_from(cfg, flags=False)
     n_samples, seed = max(s["samples"], s["crps_samples"]), cfg["experiment"]["seed"]
-    # checked and built before training: a cluster count or fence constants
-    # the law rejects stop the run early
-    _check_clusters(n_clusters, world.n_nodes, flags=False)
-    law = scale_law(gcfg, sched, n_clusters)
+    # built before training: a cluster count or fence constants the law
+    # rejects stop the run early
+    law = scale_law(guidance_from(cfg, world.n_nodes, flags=False), sched)
 
     rng = np.random.Generator(np.random.Philox(key=world.seed))
     truth = world.sample_clean(rng)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import inspect
 from pathlib import Path
 
+from .clustering import cluster_count
 from .diffusion import VARIANCE_MODES, NoiseSchedule, quadratic_schedule
 from .errors import ConfigError, DataError
 from .guidance import SCOPES, GuidanceConfig, mode_from_string
@@ -28,7 +29,7 @@ from .world import GaussianOracleWorld, make_gaussian_world
 
 __all__ = [
     "SCHEMA", "PRESETS", "STAGES", "parse_config_file", "resolve_config",
-    "format_resolved", "write_resolved", "schedule_from", "world_from",
+    "format_resolved", "write_resolved", "setting", "schedule_from", "world_from",
     "guidance_from", "training_from", "network_from", "read_world_spec", "load_world_spec",
 ]
 
@@ -190,7 +191,7 @@ def _read_settings(path, kind: str, section: str | None = None) -> dict[str, dic
         keys = out.setdefault(section, {})
         if key in keys:
             raise ConfigError(f"{where}: key {key!r} of [{section}] given twice")
-        keys[key] = value
+        keys[key] = value.strip()
     return out
 
 
@@ -222,7 +223,7 @@ def resolve_config(file_values: dict | None = None,
                 resolved[section][key] = default
                 continue
             try:
-                resolved[section][key] = parse(str(raw).strip())
+                resolved[section][key] = parse(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for [{section}] {key}: {raw!r} ({exc})") from exc
@@ -246,10 +247,16 @@ def write_resolved(cfg: dict[str, dict], path) -> None:
         fh.write(format_resolved(cfg))
 
 
-def schedule_from(cfg: dict, names: tuple[str, str, str]) -> NoiseSchedule:
-    """The [schedule] section's noise schedule; an error calls steps, beta1
-    and beta_k by ``names``."""
+def setting(section: str, key: str, *, flags: bool) -> str:
+    """How the user sets a SCHEMA key: as its flag, or as a config-file key."""
+    return "--" + key.replace("_", "-") if flags else f"[{section}] {key}"
+
+
+def schedule_from(cfg: dict, *, flags: bool) -> NoiseSchedule:
+    """The [schedule] section's noise schedule; an error names steps, beta1
+    and beta_k as the user set them (``setting``)."""
     s = cfg["schedule"]
+    names = tuple(setting("schedule", key, flags=flags) for key in ("steps", "beta1", "beta_k"))
     return quadratic_schedule(s["steps"], s["beta1"], s["beta_k"],
                               variance_mode=s["variance_mode"], names=names)
 
@@ -260,17 +267,21 @@ def world_from(cfg: dict) -> GaussianOracleWorld:
                                w["mean"], seed=w["seed"])
 
 
-def guidance_from(cfg: dict, names: dict[str, str]) -> tuple[GuidanceConfig, int | None]:
-    """The [guidance] section's settings and its cluster count (None for
-    auto); an error calls each key by ``names``."""
+def guidance_from(cfg: dict, n_nodes: int, *, flags: bool) -> GuidanceConfig:
+    """The [guidance] section's settings for an n_nodes grid; an error names
+    each setting as the user set it (``setting``), and a cluster count outside
+    [1, n_nodes] is one in every mode."""
     g = cfg["guidance"]
+    names = {key: setting("guidance", key, flags=flags) for key in SCHEMA["guidance"]}
     mode, fixed = mode_from_string(g["mode"], names["mode"])
     gcfg = GuidanceConfig(mode=mode, fixed_lambda=fixed, pi=g["pi"],
                           lambda_ref=g["lambda_ref"], t0=g["t0"], t1=g["t1"],
                           alpha_scale=g["alpha_scale"],
                           lambda_max=g["lambda_max"], scope=g["scope"],
+                          clusters=None if g["clusters"] == "auto" else g["clusters"],
                           names={**names, "fixed_lambda": f"the scale of {names['mode']}"})
-    return gcfg, None if g["clusters"] == "auto" else g["clusters"]
+    cluster_count(gcfg.clusters, n_nodes, gcfg.name("clusters"))
+    return gcfg
 
 
 def training_from(cfg: dict, stage: str) -> TrainConfig:

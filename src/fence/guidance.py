@@ -49,9 +49,10 @@ class GuidanceConfig:
     ``fixed_lambda``), "none" (pure unconditional sampling). scope selects
     how per-node posteriors are pooled into scales in fence mode: "cluster"
     (attention k-means, the default), "global" (one shared scale, the wo-C
-    ablation), or "per_node". An error calls a field by its entry in
-    ``names`` (the field name when it has none), so a caller can name the
-    settings as its user set them.
+    ablation), or "per_node". clusters is the k-means cluster count of the
+    cluster scope, None for N / 20 (``cluster_count``). An error calls a
+    field by its entry in ``names`` (the field name when it has none), so a
+    caller can name the settings as its user set them.
     """
 
     mode: str = "fence"
@@ -63,6 +64,7 @@ class GuidanceConfig:
     alpha_scale: float = 10.0
     lambda_max: float = 10.0
     scope: str = "cluster"
+    clusters: int | None = None
     names: Mapping[str, str] = field(default_factory=dict, compare=False, repr=False)
 
     def name(self, key: str) -> str:

@@ -73,16 +73,15 @@ class ImputationResult:
 
 class ScaleLaw:
     """A fixed scale ``lam`` on every node, with no conditional call unless ``needs_cond``.
-    ``start`` takes a run's S, N and seed and checks ``n_clusters`` against N, ``scales``
-    gives reverse step k's (S, N) scales and ``update`` gets them back with the per-node
-    sums of the step's reverse-mean gap that ``posterior_update`` reads; ``logp`` and
-    ``labels`` are the (S, N) state the trace records."""
+    ``start`` takes a run's S, N and seed, ``scales`` gives reverse step k's (S, N) scales
+    and ``update`` gets them back with the per-node sums of the step's reverse-mean gap
+    that ``posterior_update`` reads; ``logp`` and ``labels`` are the (S, N) state the
+    trace records."""
 
-    def __init__(self, lam: float = 0.0, needs_cond: bool = True, n_clusters: int | None = None):
-        self.lam, self.needs_cond, self.n_clusters = float(lam), needs_cond, n_clusters
+    def __init__(self, lam: float = 0.0, needs_cond: bool = True):
+        self.lam, self.needs_cond = float(lam), needs_cond
 
     def start(self, n_samples: int, n_nodes: int, seed: int) -> None:
-        self.k_clusters, self.seed = cluster_count(self.n_clusters, n_nodes), seed
         self.logp = np.zeros((n_samples, n_nodes))
         self.labels = np.full((n_samples, n_nodes), -1, dtype=np.int64)
 
@@ -97,14 +96,15 @@ class FenceLaw(ScaleLaw):
     """fence's feedback scale: the scale law at each cluster's mean log-posterior;
     k-means runs again only on a new affinity array (the oracle's: once per run)."""
 
-    def __init__(self, gcfg, sched, n_clusters):
-        super().__init__(n_clusters=n_clusters)
+    def __init__(self, gcfg, sched):
+        super().__init__()
         self.gcfg, self.sched = gcfg, sched
         self.delta, self.tau = calibrated_constants(gcfg, sched)
 
     def start(self, n_samples, n_nodes, seed):
         super().start(n_samples, n_nodes, seed)
-        self._clustered = None
+        self.k_clusters = cluster_count(self.gcfg.clusters, n_nodes, self.gcfg.name("clusters"))
+        self.seed, self._clustered = seed, None
 
     def scales(self, k, x, eps_u, eps_c, attn):
         # the same read-only array as last step is the same affinity
@@ -140,13 +140,12 @@ class FenceLaw(ScaleLaw):
         return np.broadcast_to(np.stack(labels), (s, n))
 
 
-def scale_law(gcfg: GuidanceConfig, sched: NoiseSchedule,
-              n_clusters: int | None = None) -> ScaleLaw:
+def scale_law(gcfg: GuidanceConfig, sched: NoiseSchedule) -> ScaleLaw:
     """The scale law of ``gcfg``; InvalidInputError for fence constants it rejects."""
     if gcfg.mode == "fence":
-        return FenceLaw(gcfg, sched, n_clusters)
+        return FenceLaw(gcfg, sched)
     return ScaleLaw(gcfg.fixed_lambda if gcfg.mode == "cfg" else 0.0,
-                    needs_cond=gcfg.mode == "cfg", n_clusters=n_clusters)
+                    needs_cond=gcfg.mode == "cfg")
 
 
 def _stream(seed: int, k: int, purpose: int) -> np.random.Generator:

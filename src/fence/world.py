@@ -211,39 +211,14 @@ class GaussianOracleWorld:
 
     # -- noised marginals ----------------------------------------------------
 
-    def _coords(self, x_k: np.ndarray, k: int,
-                sched: NoiseSchedule) -> tuple[np.ndarray, np.ndarray]:
-        """(z, v): the residuals x - sqrt(abar) m' of the grids in x_k (one
-        row each) in the eigenbasis of the clean law, and their step-k
-        variances abar w + 1 - abar.
-
-        Every noised marginal abar Sigma' + (1-abar) I has the eigenvectors of
-        Sigma', so one decomposition per law serves every step. A world with
-        observations lists the observed cells (w = 0) before the hidden
-        block's eigenbasis; one without uses the prior's Kronecker basis.
-        """
-        abar = sched.alpha_bar_at(k)
-        x = np.asarray(x_k, dtype=np.float64).reshape(-1, self.dim)
-        if self.observed_idx.size:
-            mean, obs, hid, _ = self._schur
-            w, u = self._hidden_eigen
-            r = x - math.sqrt(abar) * mean
-            z = np.concatenate([r[:, obs], r[:, hid] @ u], axis=1)
-            w = np.concatenate([np.zeros(obs.size), w])
-        else:
-            w_s, u_s, w_t, u_t = self._prior
-            r = (x - math.sqrt(abar) * self.mean).reshape(-1, self.n_nodes, self.n_steps)
-            z = (u_s.T @ r @ u_t).reshape(len(x), self.dim)
-            w = np.outer(w_s, w_t).reshape(self.dim)
-        return z, abar * w + (1.0 - abar)
-
     def score(self, x_k: np.ndarray, k: int, sched: NoiseSchedule) -> np.ndarray:
         """Exact gradient of log p_k at x_k under this world's own law: the
         conditional law given its observations, the prior when it has none.
 
         x_k is one flat NT vector or a (B, NT) stack of them. On an observed
         cell the score is -(x_o - sqrt(abar) v_o) / (1 - abar). Elsewhere it
-        is _coords's z / v taken back out of the eigenbasis. Both start from
+        is the residual's eigenbasis coordinates over their step-k variances
+        abar w + 1 - abar, taken back out of the eigenbasis. Both start from
         the residual with its sign flipped, sqrt(abar) m' - x, so no pass
         negates the result.
         """
@@ -271,10 +246,20 @@ class GaussianOracleWorld:
         return out.reshape(np.shape(x_k))
 
     def marginal_logpdf(self, x_k: np.ndarray, k: int, sched: NoiseSchedule) -> float:
-        z, v = self._coords(x_k, k, sched)
-        z = z.reshape(self.dim)
-        quad = float(z @ (z / v))
-        logdet = float(np.sum(np.log(v)))
+        """log p_k(x_k) of one flat grid: with r = x - sqrt(abar) m' the residual
+        from the noised mean, the quadratic form r^T Sigma_k^-1 r is -r . score,
+        and log det Sigma_k sums log(abar w + 1 - abar) over the clean law's
+        eigenvalues w (0 on observed cells)."""
+        abar = sched.alpha_bar_at(k)
+        if self.observed_idx.size:
+            mean = self._schur[0]
+            w = np.concatenate([np.zeros(self.observed_idx.size), self._hidden_eigen[0]])
+        else:
+            w_s, _, w_t, _ = self._prior
+            mean, w = self.mean, np.outer(w_s, w_t).reshape(self.dim)
+        x = np.asarray(x_k, dtype=np.float64).reshape(self.dim)
+        quad = -float((x - math.sqrt(abar) * mean) @ self.score(x, k, sched))
+        logdet = float(np.sum(np.log(abar * w + (1.0 - abar))))
         return -0.5 * (quad + logdet + self.dim * _LOG_2PI)
 
     # -- exact sampling ------------------------------------------------------

@@ -193,16 +193,16 @@ def test_criterion_05_mode_identities():
     backend = OracleBackend(world, sched)
     observed, m = TrafficGrid(truth * mask), MaskMatrix(mask)
 
-    def run(gcfg, n_clusters=None):
+    def run(gcfg):
         result = impute(backend, backend, observed, m, sched,
-                        scale_law(gcfg, sched, n_clusters), n_samples=3, seed=11)
+                        scale_law(gcfg, sched), n_samples=3, seed=11)
         return result.samples
 
     certain = run(GuidanceConfig(mode="fence", scope="global", pi=1.0))
     fixed_one = run(GuidanceConfig(mode="cfg", fixed_lambda=1.0))
-    one_cluster = run(GuidanceConfig(mode="fence", scope="cluster"), n_clusters=1)
+    one_cluster = run(GuidanceConfig(mode="fence", scope="cluster", clusters=1))
     global_scope = run(GuidanceConfig(mode="fence", scope="global"))
-    n_clusters_n = run(GuidanceConfig(mode="fence", scope="cluster"), n_clusters=6)
+    n_clusters_n = run(GuidanceConfig(mode="fence", scope="cluster", clusters=6))
     per_node = run(GuidanceConfig(mode="fence", scope="per_node"))
 
     d_a = np.abs(certain - fixed_one).max()

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -21,9 +22,10 @@ from fence import (GuidanceConfig, ImputationResult, InvalidInputError, NetConfi
                    NeuralDenoiser, OracleBackend, TrainConfig, load_checkpoint,
                    load_grid_csv, load_mask_csv, make_gaussian_world,
                    quadratic_schedule, save_checkpoint, save_grid_csv, save_mask_csv)
-from fence.cli import _impute_in_data_units, build_parser, main
-from fence.config import (SCHEMA, format_resolved, parse_config_file, resolve_config,
-                          world_from)
+from fence.cli import (_IMPUTE_FLAGS, _cfg_from, _impute_in_data_units,
+                       _keep_freed_memory, build_parser, main)
+from fence.config import (SCHEMA, format_resolved, guidance_from, parse_config_file,
+                          resolve_config, schedule_from, world_from)
 from fence.masking import MaskPatternConfig, mask_sr_tc
 from fence.sampler import impute, scale_law
 from fence.training import train_unconditional
@@ -268,6 +270,54 @@ def test_mask_and_run_draw_the_same_mask_from_the_same_settings(tmp_path, monkey
     assert main(["mask", "--nodes", "3", "--length", "4", "--out", str(out)]) == 0
     assert not drawn[0].all()
     np.testing.assert_array_equal(load_mask_csv(out), drawn[0])
+
+
+def _decimal(lo: float, hi: float):
+    """Floats in [lo, hi] as the text a user would type."""
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False).map(repr)
+
+
+# valid [schedule] and [guidance] settings; a key left out keeps its default
+SAMPLING_VALUES = {
+    "schedule": {"steps": st.integers(2, 60).map(str), "beta1": _decimal(1e-5, 0.05),
+                 "beta_k": _decimal(0.05, 0.9),
+                 "variance_mode": st.sampled_from(["beta", "beta_tilde"])},
+    "guidance": {"mode": st.sampled_from(["fence", "none"]) | _decimal(0.0, 8.0).map(
+                     lambda lam: f"cfg:{lam}"),
+                 "pi": _decimal(0.01, 1.0), "lambda_ref": _decimal(1.01, 5.0),
+                 "t0": _decimal(0.01, 0.99), "t1": _decimal(0.01, 0.99),
+                 "alpha_scale": _decimal(0.1, 100.0), "lambda_max": _decimal(1.0, 20.0),
+                 "scope": st.sampled_from(["cluster", "global", "per_node"])},
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), nodes=st.integers(1, 8))
+def test_impute_flags_and_run_config_build_the_same_schedule_and_guidance(
+        tmp_path_factory, data, nodes):
+    # `fence impute` parses its flags and `fence run` its config file; the
+    # same settings give the same noise schedule and guidance settings
+    chosen = {section: {key: data.draw(value, label=f"[{section}] {key}")
+                        for key, value in keys.items() if data.draw(st.booleans())}
+              for section, keys in SAMPLING_VALUES.items()}
+    chosen["guidance"]["clusters"] = data.draw(
+        st.just("auto") | st.integers(1, nodes).map(str), label="[guidance] clusters")
+    flags = [arg for keys in chosen.values() for key, value in keys.items()
+             for arg in (f"--{key.replace('_', '-')}", value)]
+    args = build_parser().parse_args(["impute", "--grid", "g", "--out", "o", *flags])
+    from_flags = _cfg_from(args, _IMPUTE_FLAGS)
+    cfg = tmp_path_factory.mktemp("sampling") / "run.cfg"
+    cfg.write_text("".join(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                           for section, keys in chosen.items()))
+    from_file = resolve_config(parse_config_file(cfg))
+    sched_flags = schedule_from(from_flags, flags=True)
+    sched_file = schedule_from(from_file, flags=False)
+    np.testing.assert_array_equal(sched_flags.beta, sched_file.beta)
+    np.testing.assert_array_equal(sched_flags.sigma2, sched_file.sigma2)
+    gcfg_flags = guidance_from(from_flags, nodes, flags=True)
+    assert gcfg_flags == guidance_from(from_file, nodes, flags=False)
+    expect = chosen["guidance"]["clusters"]
+    assert gcfg_flags.clusters == (None if expect == "auto" else int(expect))
 
 
 def test_evaluate_hand_example(tmp_path):
@@ -832,9 +882,8 @@ def test_a_bad_cluster_count_is_named_as_the_user_set_it(tmp_path, capsys):
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY_CONFIG + "\n[guidance]\nclusters = x\n")
     assert main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad value for [guidance] clusters: ")
-    assert err.endswith(" (expected an integer or auto)\n")
+    assert capsys.readouterr().err == (
+        "error: bad value for [guidance] clusters: 'x' (expected an integer or auto)\n")
 
 
 @pytest.mark.parametrize("section, line", [
@@ -1403,6 +1452,22 @@ for _ in range(20):
 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 print(json.dumps({"mallopt": fence.cli._keep_freed_memory(), "faults": faults}))
 """
+
+
+@pytest.mark.parametrize("library", [OSError("no C library"), object()])
+def test_keep_freed_memory_returns_none_without_mallopt(monkeypatch, library):
+    # a C library that cannot be opened, or one without mallopt, sets no policy
+    def cdll(name):
+        if isinstance(library, OSError):
+            raise library
+        return library
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    _keep_freed_memory.cache_clear()
+    try:
+        assert _keep_freed_memory() is None
+    finally:
+        _keep_freed_memory.cache_clear()
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")

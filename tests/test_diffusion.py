@@ -47,6 +47,9 @@ def test_schedule_validation():
         quadratic_schedule(10, beta1=0.6, betaK=0.5)
     with pytest.raises(InvalidInputError):
         NoiseSchedule(np.array([0.1, 1.5]))
+    for beta in ([0.1], [[0.1, 0.2]]):
+        with pytest.raises(InvalidInputError, match="at least 2 steps"):
+            NoiseSchedule(np.array(beta))
     with pytest.raises(InvalidInputError):
         NoiseSchedule(np.array([0.1, 0.2]), variance_mode="exotic")
 
@@ -118,6 +121,8 @@ def test_q_sample_closed_form():
     abar = sched.alpha_bar_at(k)
     np.testing.assert_allclose(got, np.sqrt(abar) * x0 + np.sqrt(1 - abar) * noise,
                                rtol=0, atol=0)
+    with pytest.raises(InvalidInputError, match="q_sample: shape"):
+        q_sample(x0, k, noise[:2], sched)
 
 
 def test_reverse_mean_formula():

@@ -77,6 +77,8 @@ def test_sliding_windows_count_and_content():
         sliding_windows(series, window=11)
     with pytest.raises(InvalidInputError):
         sliding_windows(series, window=0)
+    with pytest.raises(InvalidInputError, match="2-D"):
+        sliding_windows(series[0], window=2)
 
 
 def test_chronological_split_fractions_and_remainder():
@@ -89,6 +91,8 @@ def test_chronological_split_fractions_and_remainder():
     assert (train.shape[1], val.shape[1], test.shape[1]) == (4, 1, 2)
     with pytest.raises(InvalidInputError):
         chronological_split(np.zeros((1, 2)))
+    with pytest.raises(InvalidInputError, match="2-D"):
+        chronological_split(np.zeros(10))
 
 
 def test_dataset_split_validation():
@@ -161,6 +165,8 @@ def test_grid_csv_errors(tmp_path):
     path.write_text("t0,t1\n")
     with pytest.raises(DataError):
         load_grid_csv(path)
+    with pytest.raises(DataError, match="2-D"):
+        save_grid_csv(path, np.zeros(3))
 
 
 def test_mask_csv_round_trip(tmp_path):

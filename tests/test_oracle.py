@@ -50,6 +50,26 @@ def test_world_covariance_is_kron_of_ring_and_ar():
     assert world.dim == 6
     with pytest.raises(InvalidInputError):
         make_gaussian_world(3, 2, spatial_corr=1.0, temporal_corr=0.2)
+    for shape in ((0, 2), (3, 0)):
+        with pytest.raises(InvalidInputError, match="at least one node and one step"):
+            make_gaussian_world(*shape, 0.5, 0.25)
+
+
+@pytest.mark.parametrize("mean, spatial, temporal, match", [
+    pytest.param(np.zeros(5), np.eye(2), np.eye(3), "mean must have dimension 6",
+                 id="mean-dimension"),
+    pytest.param(np.zeros(6), np.eye(3), np.eye(3), "spatial factor must be 2x2",
+                 id="spatial-shape"),
+    pytest.param(np.zeros(6), np.eye(2), np.eye(2), "temporal factor must be 3x3",
+                 id="temporal-shape"),
+    pytest.param(np.zeros(6), [[1.0, np.nan], [np.nan, 1.0]], np.eye(3),
+                 "finite and symmetric: its spatial factor", id="non-finite"),
+    pytest.param(np.zeros(6), np.eye(2), [[1.0, 0.5, 0.0], [0.4, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                 "finite and symmetric: its temporal factor", id="asymmetric"),
+])
+def test_a_malformed_world_is_rejected_naming_its_part(mean, spatial, temporal, match):
+    with pytest.raises(InvalidInputError, match=match):
+        GaussianOracleWorld(2, 3, mean, spatial, temporal)
 
 
 def test_zero_correlation_gives_identity():
@@ -494,6 +514,8 @@ def test_observations_from_mask():
     idx, vals = observations_from_mask(values, mask)
     np.testing.assert_array_equal(idx, [0, 3])
     np.testing.assert_array_equal(vals, [1.0, 4.0])
+    with pytest.raises(InvalidInputError, match="values shape"):
+        observations_from_mask(values, mask[:1])
 
 
 def test_conditioning_context_invariants():
@@ -632,7 +654,7 @@ def test_oracle_impute_conditions_the_world_once(monkeypatch):
     sched = quadratic_schedule(20)
     backend = OracleBackend(world, sched)
     impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
-           scale_law(GuidanceConfig(mode="fence"), sched, 2), n_samples=3, seed=5)
+           scale_law(GuidanceConfig(mode="fence", clusters=2), sched), n_samples=3, seed=5)
     assert observed == [17]
 
 
@@ -725,7 +747,7 @@ def test_fully_observed_world_still_runs():
     np.testing.assert_array_equal(node_affinity(observed), np.eye(3))
     backend = OracleBackend(world, sched)
     result = impute(backend, backend, TrafficGrid(values), MaskMatrix(np.ones((3, 4))), sched,
-                    scale_law(GuidanceConfig(mode="fence"), sched, 2),
+                    scale_law(GuidanceConfig(mode="fence", clusters=2), sched),
                     n_samples=2, seed=3)
     assert np.isfinite(result.samples).all()
 
@@ -754,7 +776,7 @@ def test_imputing_decomposes_nothing_larger_than_the_hidden_block(monkeypatch):
     sched = quadratic_schedule(5)
     backend = OracleBackend(world, sched)
     impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
-           scale_law(GuidanceConfig(mode="fence"), sched, 3), n_samples=2, seed=6)
+           scale_law(GuidanceConfig(mode="fence", clusters=3), sched), n_samples=2, seed=6)
     assert max(shape[0] for shape in eighs) == hidden
     assert eighs.count((hidden, hidden)) == 1
     assert all(shape[0] < world.dim for shape in cholesky)
@@ -804,7 +826,7 @@ def test_oracle_impute_builds_one_affinity_per_run(monkeypatch):
     sched = quadratic_schedule(20)
     backend = OracleBackend(world, sched)
     impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
-           scale_law(GuidanceConfig(mode="fence"), sched, 2), n_samples=3, seed=5)
+           scale_law(GuidanceConfig(mode="fence", clusters=2), sched), n_samples=3, seed=5)
     assert len(worlds) == 1 and worlds[0].observed_idx.size
 
 
@@ -828,7 +850,7 @@ def test_oracle_impute_runs_one_kmeans_per_run(monkeypatch):
     sched = quadratic_schedule(20)
     backend = OracleBackend(world, sched)
     result = impute(backend, backend, TrafficGrid(truth), MaskMatrix(mask), sched,
-                    scale_law(GuidanceConfig(mode="fence"), sched, 2),
+                    scale_law(GuidanceConfig(mode="fence", clusters=2), sched),
                     n_samples=5, seed=5)
     assert seeds == [(5 << 32) + 20]
     assert (result.cluster_id == result.cluster_id[:1]).all()
@@ -865,7 +887,7 @@ def test_one_ulp_on_the_oracle_affinity_moves_no_label(seed):
     world = make_gaussian_world(20, 24, 0.8, 0.95)
     sched = quadratic_schedule(50)
     rng = np.random.default_rng(seed)
-    law = scale_law(GuidanceConfig(mode="fence"), sched, 3)
+    law = scale_law(GuidanceConfig(mode="fence", clusters=3), sched)
     for rate in (0.3, 0.5, 0.7, 0.9):
         truth = world.sample_clean(rng)
         mask = np.repeat(rng.random((20, 2)) >= rate, 12, axis=1).astype(np.int64)

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import tracemalloc
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_determinism_bit_identical():
 def test_trajectory_is_independent_of_ensemble_size():
     # 2 clusters of 4 nodes: k-means runs at every step of every trajectory
     backend, truth, mask, sched = oracle_setup()
-    law = scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2)
+    law = scale_law(GuidanceConfig(mode="fence", scope="cluster", clusters=2), sched)
     small = impute(backend, backend, truth, mask, sched, law, n_samples=2, seed=5)
     large = impute(backend, backend, truth, mask, sched, law, n_samples=5, seed=5)
     head = large.head(2)
@@ -115,7 +116,7 @@ def test_a_lone_trajectory_is_row_0_of_an_ensemble(anchoring):
     # each draw (clamp's anchor noise too) holds one row per trajectory, and the
     # oracle scores a lone grid by the same BLAS product as a batch's rows
     backend, truth, mask, sched = oracle_setup()
-    law = scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2)
+    law = scale_law(GuidanceConfig(mode="fence", scope="cluster", clusters=2), sched)
     one = impute(backend, backend, truth, mask, sched, law, n_samples=1, seed=5,
                  anchoring=anchoring)
     seven = impute(backend, backend, truth, mask, sched, law, n_samples=7, seed=5,
@@ -164,7 +165,7 @@ def test_neural_trajectory_is_independent_of_ensemble_size():
     _, truth, mask, _ = oracle_setup()
     sched = quadratic_schedule(10)
     model = NeuralDenoiser(NetConfig(n_nodes=4, d_model=8, n_layers=1, n_heads=2), seed=3)
-    law = scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2)
+    law = scale_law(GuidanceConfig(mode="fence", scope="cluster", clusters=2), sched)
     small = impute(model, model, truth, mask, sched, law, n_samples=2, seed=5)
     large = impute(model, model, truth, mask, sched, law, n_samples=5, seed=5)
     for name in RESULT_ARRAYS:
@@ -202,7 +203,7 @@ def test_neural_rows_with_one_attention_share_their_labels(monkeypatch):
     model = NeuralDenoiser(NetConfig(n_nodes=4, d_model=8, n_layers=1, n_heads=2), seed=3)
     twins = _TwinAttentionBackend(model)
     result = impute(twins, model, truth, mask, sched,
-                    scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2),
+                    scale_law(GuidanceConfig(mode="fence", scope="cluster", clusters=2), sched),
                     n_samples=3, seed=5)
     assert calls == [(5 << 32) + k for k in range(10, 0, -1) for _ in range(3)]
     np.testing.assert_array_equal(result.cluster_id[0], result.cluster_id[1])
@@ -242,7 +243,7 @@ def test_kmeans_runs_again_only_for_a_new_affinity(monkeypatch, fresh, writeable
     affinity.setflags(write=writeable)
     fixed = _FixedAffinityBackend(backend, affinity, fresh)
     result = impute(fixed, backend, truth, mask, sched,
-                    scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2),
+                    scale_law(GuidanceConfig(mode="fence", scope="cluster", clusters=2), sched),
                     n_samples=3, seed=7)
     assert calls == [(7 << 32) + k for k in steps]
     if len(calls) == 1:
@@ -268,7 +269,7 @@ def test_affinity_of_the_wrong_shape_names_step_and_shape(reshape, shape):
     bad = _ReshapedAffinityBackend(backend, reshape)
     with pytest.raises(InvalidInputError, match=re.escape(f"reverse step 50 has shape {shape}")):
         impute(bad, backend, truth, mask, sched,
-               scale_law(GuidanceConfig(mode="fence"), sched, 2), n_samples=3, seed=1)
+               scale_law(GuidanceConfig(mode="fence", clusters=2), sched), n_samples=3, seed=1)
 
 
 class _CountingBackend(DenoiserBackend):
@@ -287,7 +288,7 @@ def test_one_batched_predict_per_context_and_step(n_samples, mode):
     backend, truth, mask, sched = oracle_setup()
     counting = _CountingBackend(backend)
     impute(counting, counting, truth, mask, sched,
-           scale_law(GuidanceConfig(mode=mode), sched, 2), n_samples=n_samples, seed=1)
+           scale_law(GuidanceConfig(mode=mode, clusters=2), sched), n_samples=n_samples, seed=1)
     calls = 2 * sched.n_steps if mode == "fence" else sched.n_steps
     assert counting.batches == [n_samples] * calls
 
@@ -339,13 +340,13 @@ def test_input_validation():
     with pytest.raises(InvalidInputError):
         impute(None, backend, truth, mask, sched, law)
     with pytest.raises(InvalidInputError):
-        impute(backend, backend, truth, mask, sched, scale_law(gcfg, sched, 9))
+        impute(backend, backend, truth, mask, sched, scale_law(replace(gcfg, clusters=9), sched))
 
 
 def test_seeds_lie_in_the_philox_key_range():
     # (seed << 32) + k keys a step's k-means stream and must stay below 2**128
     backend, truth, mask, sched = oracle_setup()
-    law = scale_law(GuidanceConfig(mode="fence"), sched, 2)
+    law = scale_law(GuidanceConfig(mode="fence", clusters=2), sched)
     for seed in (-1, 2**64, 2**100):
         with pytest.raises(InvalidInputError, match="seed"):
             impute(backend, backend, truth, mask, sched, law, n_samples=1, seed=seed)
@@ -475,7 +476,7 @@ def test_emit_trace_layout_and_determinism(tmp_path):
     assert (tmp_path / "again.csv").read_text() == out.read_text()
 
     # the file parses back to the trace arrays, rows in (traj, k descending, node) order
-    law = scale_law(GuidanceConfig(mode="fence", scope="cluster"), sched, 2)
+    law = scale_law(GuidanceConfig(mode="fence", scope="cluster", clusters=2), sched)
     result = impute(backend, backend, truth, mask, sched, law, n_samples=2, seed=6)
     emit_trace(result, out)
     columns = list(zip(*(line.split(",") for line in out.read_text().splitlines()[1:])))
@@ -496,10 +497,10 @@ def test_emit_trace_layout_and_determinism(tmp_path):
 
 
 PINNED_LAWS = {
-    "fence-cluster": GuidanceConfig(mode="fence", scope="cluster"),
-    "fence-global": GuidanceConfig(mode="fence", scope="global"),
-    "fence-per_node": GuidanceConfig(mode="fence", scope="per_node"),
-    "fence-pi1": GuidanceConfig(mode="fence", pi=1.0),
+    "fence-cluster": GuidanceConfig(mode="fence", scope="cluster", clusters=2),
+    "fence-global": GuidanceConfig(mode="fence", scope="global", clusters=2),
+    "fence-per_node": GuidanceConfig(mode="fence", scope="per_node", clusters=2),
+    "fence-pi1": GuidanceConfig(mode="fence", pi=1.0, clusters=2),
     "cfg:2": GuidanceConfig(mode="cfg", fixed_lambda=2.0),
     "none": GuidanceConfig(mode="none"),
 }
@@ -564,7 +565,7 @@ def _law_digests() -> dict:
     got = {}
     for (name, backend), anchoring, (law, gcfg) in product(
             backends.items(), ("free", "clamp"), PINNED_LAWS.items()):
-        result = impute(backend, backend, truth, mask, sched, scale_law(gcfg, sched, 2),
+        result = impute(backend, backend, truth, mask, sched, scale_law(gcfg, sched),
                         n_samples=3, seed=11, anchoring=anchoring)
         got[name, anchoring, law] = _result_digest(result)
     return got
@@ -581,7 +582,7 @@ def test_one_law_runs_any_number_of_imputations(name):
     # impute starts the law it is given: a run resumes nothing of the run
     # before it, and k-means draws from impute's own seed
     truth, mask, sched, backends = _pinned_world()
-    backend, law = backends[name], scale_law(PINNED_LAWS["fence-cluster"], sched, 2)
+    backend, law = backends[name], scale_law(PINNED_LAWS["fence-cluster"], sched)
     digests = [_result_digest(impute(backend, backend, truth, mask, sched, law,
                                      n_samples=3, seed=seed))
                for seed in (11, 11, 12, 11)]
@@ -610,7 +611,7 @@ def test_the_tracker_increment_is_the_reverse_kernels_log_ratio(name, anchoring)
     # form -tau/(2 sigma_k^2) (|x_{k-1} - mu_c|^2 - |x_{k-1} - mu_u|^2) - delta
     # at the x_{k-1} the chain keeps, clamped or not
     truth, mask, sched, backends = _pinned_world()
-    law = _RecordingFenceLaw(GuidanceConfig(mode="fence", scope="per_node"), sched, None)
+    law = _RecordingFenceLaw(GuidanceConfig(mode="fence", scope="per_node"), sched)
     impute(backends[name], backends[name], truth, mask, sched, law, n_samples=3, seed=11,
            anchoring=anchoring)
     for k in range(2, sched.n_steps + 1):
@@ -671,7 +672,7 @@ def test_a_test_side_law_runs_through_the_unmodified_loop():
     # fence's recorded scales, replayed open loop, give fence's samples: the
     # loop sees a law only through its scales
     fence = impute(backend, backend, truth, mask, sched,
-                   scale_law(GuidanceConfig(mode="fence"), sched, 2), n_samples=3, seed=4)
+                   scale_law(GuidanceConfig(mode="fence", clusters=2), sched), n_samples=3, seed=4)
     path = {steps - j: fence.lam[:, j] for j in range(steps)}
     replay = impute(backend, backend, truth, mask, sched, _OpenLoopLaw(path),
                     n_samples=3, seed=4)
@@ -698,4 +699,4 @@ def test_cluster_scope_needs_an_exported_affinity():
     backend, truth, mask, sched = oracle_setup()
     with pytest.raises(InvalidInputError, match="exports no attention"):
         impute(_BrokenBackend(fail_at=0), backend, truth, mask, sched,
-               scale_law(GuidanceConfig(mode="fence"), sched, 2), n_samples=1)
+               scale_law(GuidanceConfig(mode="fence", clusters=2), sched), n_samples=1)

@@ -34,7 +34,7 @@ mask = np.ones((4, 3), dtype=np.int64)
 mask[0] = 0
 sched = quadratic_schedule(5)
 backend = OracleBackend(world, sched)
-law = sampler.scale_law(GuidanceConfig(*mode_from_string(sys.argv[3])), sched, 2)
+law = sampler.scale_law(GuidanceConfig(*mode_from_string(sys.argv[3]), clusters=2), sched)
 sampler.impute(backend, backend, TrafficGrid(truth * mask), MaskMatrix(mask), sched, law,
                n_samples=2, seed=3)
 metrics = rec.metrics()
